@@ -7,9 +7,13 @@ arcs are half-open ``[start, start+length)`` taken mod 1.  No floats anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator
+
+from .errors import InvalidInput
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,8 +38,14 @@ def signed_circle_offset(x: Fraction, y: Fraction) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse a 'num/den' (or plain integer) string."""
-    return Fraction(text.strip())
+    """Parse a 'num/den' (or plain integer) string.
+
+    Malformed text and a zero denominator raise ``InvalidInput``.
+    """
+    try:
+        return Fraction(text.strip())
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"not a rational number: {text!r}") from exc
 
 
 def format_rational(x: Fraction) -> str:
@@ -243,6 +253,9 @@ class Iv:
         return True
 
 
+_LO = attrgetter("lo")
+
+
 class IntervalSet:
     """Finite union of intervals in [0, 1] with exact endpoint topology.
 
@@ -250,6 +263,11 @@ class IntervalSet:
     intervals whose union is an interval are merged).  The circle is modeled
     by identifying 0 with 1: canonicalization glues a part ending closed/open
     at 1 with a part starting at 0 only for membership queries via mod1.
+
+    Invariant the queries rely on: both ``lo`` and ``hi`` strictly increase
+    along ``ivs``, and each interval ends no later than the next one starts.
+    So the only interval that can hold a point x is the last one with
+    ``lo <= x``, found by bisection; a scan is never needed.
     """
 
     __slots__ = ("ivs",)
@@ -339,12 +357,21 @@ class IntervalSet:
     def is_empty(self) -> bool:
         return not self.ivs
 
+    def _candidate(self, x: Fraction) -> Iv | None:
+        """The last interval with lo <= x: the only one that can hold x."""
+        i = bisect_right(self.ivs, x, key=_LO) - 1
+        return self.ivs[i] if i >= 0 else None
+
     def contains_point(self, x: Fraction) -> bool:
         x = mod1(x)
-        if any(iv.contains(x) for iv in self.ivs):
+        host = self._candidate(x)
+        if host is not None and host.contains(x):
             return True
         # circle identification: 0 and 1 are the same point
-        return x == ZERO and any(iv.contains(ONE) for iv in self.ivs)
+        if x != ZERO:
+            return False
+        host = self._candidate(ONE)
+        return host is not None and host.contains(ONE)
 
     def covers(self, other: "IntervalSet") -> bool:
         """True iff other is a subset of self (both as subsets of the circle).
@@ -363,17 +390,14 @@ class IntervalSet:
         pos = target.lo
         pos_needed_closed = target.lo_closed
         while True:
-            host = None
-            for iv in self.ivs:
-                if iv.lo < pos < iv.hi:
-                    host = iv
-                    break
-                if iv.lo == pos and (iv.lo_closed or not pos_needed_closed):
-                    if iv.hi > pos:
-                        host = iv
-                        break
-                if iv.hi == pos and iv.hi_closed and not pos_needed_closed:
-                    continue
+            # the host must hold a right neighbourhood of pos, and pos itself
+            # when pos is needed closed
+            host = self._candidate(pos)
+            if host is not None and not (
+                pos < host.hi
+                and (host.lo < pos or host.lo_closed or not pos_needed_closed)
+            ):
+                host = None
             if host is None:
                 # try the wrap identification for the single point pos
                 if pos_needed_closed and self.contains_point(pos):
@@ -383,7 +407,10 @@ class IntervalSet:
             if host.hi > target.hi:
                 return True
             if host.hi == target.hi:
-                return host.hi_closed or not target.hi_closed
+                if host.hi_closed or not target.hi_closed:
+                    return True
+                # the end 1 is also covered by a part of self holding 0
+                return target.hi == ONE and self.contains_point(ZERO)
             pos = host.hi
             pos_needed_closed = not host.hi_closed
 
@@ -395,12 +422,11 @@ class IntervalSet:
         """
         best: Fraction | None = None
         for iv in inner.ivs:
-            for host in self.ivs:
-                if host.lo <= iv.lo and iv.hi <= host.hi:
-                    for gap in (iv.lo - host.lo, host.hi - iv.hi):
-                        if best is None or gap < best:
-                            best = gap
-                    break
+            host = self._candidate(iv.lo)
+            if host is not None and iv.hi <= host.hi:
+                for gap in (iv.lo - host.lo, host.hi - iv.hi):
+                    if best is None or gap < best:
+                        best = gap
         if best is None:
             raise ValueError("inner set not covered interval-by-interval")
         return best

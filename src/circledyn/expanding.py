@@ -312,7 +312,8 @@ def wicked_perturb(
         total_cells += len(table)
         if total_cells > cell_cap:
             raise ResourceCap(
-                f"family would exceed {cell_cap} positive cells"
+                f"family reached {total_cells} positive cells, "
+                f"above the cap {cell_cap}"
             )
 
     return PerturbedConjugator(

@@ -243,6 +243,13 @@ def report_from_record(rec: dict) -> TrappingReport:
         )
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed report record: {exc}") from exc
+    if not regions:
+        raise InvalidInput("malformed report record: no regions")
+    missing = [reg.label for reg in regions if reg.label not in cycles]
+    if missing:
+        raise InvalidInput(
+            f"malformed report record: region {missing[0]} has no cycles entry"
+        )
     return report
 
 

@@ -394,7 +394,8 @@ class CylinderSpec:
             cells += len(nxt)
             if cells > max_cells:
                 raise ResourceCap(
-                    f"cylinder extension exceeds {max_cells} positive cells"
+                    f"cylinder extension reached {cells} positive cells, "
+                    f"above the cap {max_cells}"
                 )
             tables.append(nxt)
         return tables

@@ -9,7 +9,7 @@ are closed operations on this class and produce exact rationals.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -235,7 +235,9 @@ class PLCircleMap:
                         cuts.add(t)
             if len(cuts) > cap:
                 raise ResourceCap(
-                    f"composition would exceed breakpoint cap {cap}"
+                    f"composition reached {len(cuts)} breakpoints after "
+                    f"{i + 1} of {len(g.breakpoints) - 1} inner pieces, "
+                    f"above the breakpoint cap {cap}"
                 )
         bps = sorted(cuts)
         vals = [f.lift_evaluate(g.lift_evaluate(b)) for b in bps]
@@ -486,27 +488,43 @@ class PLCircleMap:
         return out
 
     def preimage_of_set(self, s: IntervalSet) -> IntervalSet:
-        """Exact full preimage of an interval set (as a subset of [0,1])."""
-        out: list[IntervalSet] = []
+        """Exact full preimage of an interval set (as a subset of [0,1]).
+
+        A piece whose lift range is [lo_v, hi_v] can only meet the shifts
+        ``s + k`` with ceil(lo_v) - ceil(max s) <= k <= floor(hi_v) -
+        floor(min s), which is ceil(lo_v) - 1 <= k <= floor(hi_v) for a set
+        inside [0, 1].  For each shift a bisection over the sorted ``hi``
+        endpoints of ``s`` finds the first interval that meets the range, and
+        the walk stops at the first one past it.  Cost:
+        O(pieces * (turns + log |s|) + output), where turns bounds the shifts
+        a piece's lift range spans.
+        """
+        ivs = s.ivs
+        if not ivs:
+            return IntervalSet()
+        out: list[Iv] = []
+        his = [iv.hi for iv in ivs]
+        s_ceil, s_floor = math.ceil(his[-1]), math.floor(ivs[0].lo)
+        n = len(ivs)
         bps = self.breakpoints
+        vals = self.lift_values
         for i in range(len(bps) - 1):
             a, b = bps[i], bps[i + 1]
-            fa, fb = self.lift_values[i], self.lift_values[i + 1]
+            fa, fb = vals[i], vals[i + 1]
             slope = self._slopes[i]
             lo_v, hi_v = (fa, fb) if fa <= fb else (fb, fa)
-            for iv in s.ivs:
-                for k in range(
-                    math.floor(lo_v - iv.hi), math.ceil(hi_v - iv.lo) + 1
-                ):
-                    u, v = iv.lo + k, iv.hi + k
-                    if v < lo_v or u > hi_v:
-                        continue
+            for k in range(math.ceil(lo_v) - s_ceil, math.floor(hi_v) - s_floor + 1):
+                j = bisect_left(his, lo_v - k)
+                top = hi_v - k
+                while j < n and ivs[j].lo <= top:
+                    iv = ivs[j]
+                    j += 1
                     if slope == 0:
                         if iv.contains(fa - k):
-                            out.append(IntervalSet.closed(a, b))
+                            out.append(Iv(a, True, b, True))
                         continue
-                    t1 = a + (u - fa) / slope
-                    t2 = a + (v - fa) / slope
+                    t1 = a + (iv.lo + k - fa) / slope
+                    t2 = a + (iv.hi + k - fa) / slope
                     if slope > 0:
                         plo, ploc, phi, phic = t1, iv.lo_closed, t2, iv.hi_closed
                     else:
@@ -518,8 +536,8 @@ class PLCircleMap:
                         phi, phic = b, True
                     if plo > phi or (plo == phi and not (ploc and phic)):
                         continue
-                    out.append(IntervalSet([Iv(plo, ploc, phi, phic)]))
-        return IntervalSet.union_all(out)
+                    out.append(Iv(plo, ploc, phi, phic))
+        return IntervalSet(out)
 
 
 def _wrap_lift_interval(

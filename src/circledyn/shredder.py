@@ -314,6 +314,20 @@ def _is_plateau(g: PLCircleMap, arc: Arc) -> Fraction | None:
     return None
 
 
+def _first_overlap(regions: Sequence[Region]) -> str:
+    """Name the first region whose arcs overlap each other or an earlier region."""
+    seen = IntervalSet()
+    for reg in regions:
+        u = reg.open_set()
+        if u.measure() != reg.measure():
+            return f"the arcs of region {reg.label} overlap"
+        grown = seen.union(u)
+        if grown.measure() != seen.measure() + u.measure():
+            return f"region {reg.label} overlaps an earlier region"
+        seen = grown
+    return "two regions share a label"
+
+
 def verify_shredding(
     g: PLCircleMap,
     report: TrappingReport,
@@ -347,16 +361,29 @@ def verify_shredding(
         slack_i = gap if slack_i is None or gap < slack_i else slack_i
     items["i"] = ItemVerdict(ok_i, slack_i, detail_i or "g(cl U) strictly inside U")
 
+    # measures of the open sets themselves, so arcs listed twice or regions
+    # that overlap cannot inflate them
+    region_measure = {label: u.measure() for label, u in region_open.items()}
+
     # ii) each region has measure < eps
-    max_measure = max(reg.measure() for reg in report.regions)
+    max_measure = max(region_measure.values())
     items["ii"] = ItemVerdict(
         max_measure < eps, eps - max_measure, f"max m(U) = {max_measure}"
     )
 
-    # iii) regions cover measure > 1 - eps
-    covered = sum((reg.measure() for reg in report.regions), start=ZERO)
+    # iii) regions cover measure > 1 - eps, and are pairwise disjoint
+    covered = IntervalSet.union_all(region_open.values()).measure()
+    summed = sum((reg.measure() for reg in report.regions), start=ZERO)
+    detail_iii = f"m(union U) = {covered}"
+    if summed != covered:
+        detail_iii += (
+            f", but the arcs sum to {summed}: "
+            f"{_first_overlap(report.regions)}"
+        )
     items["iii"] = ItemVerdict(
-        covered > ONE - eps, covered - (ONE - eps), f"m(union U) = {covered}"
+        covered > ONE - eps and summed == covered,
+        covered - (ONE - eps),
+        detail_iii,
     )
 
     # iv) crushing: m(g(U)) < eps * m(U)
@@ -365,7 +392,7 @@ def verify_shredding(
     detail_iv = ""
     for reg in report.regions:
         img_measure = region_images[reg.label].measure()
-        bound = eps * reg.measure()
+        bound = eps * region_measure[reg.label]
         if img_measure >= bound:
             ok_iv = False
             detail_iv = (
@@ -451,7 +478,9 @@ def verify_shredding(
                 s = s.union(g.preimage_of_set(s))
                 if len(s.ivs) > preimage_interval_cap:
                     raise ResourceCap(
-                        "preimage iteration exceeded the interval cap"
+                        f"preimage iteration for region {reg.label} reached "
+                        f"{len(s.ivs)} intervals, above the interval cap "
+                        f"{preimage_interval_cap}"
                     )
             if not (absorbed or s.covers(region_closed[reg.label])):
                 ok_v = False

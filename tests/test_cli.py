@@ -62,6 +62,9 @@ class TestFormats:
 
         with pytest.raises(InvalidInput):
             formats.map_from_record({"breakpoints": ["0/1"]})
+        # numbers where "num/den" strings belong
+        with pytest.raises(InvalidInput):
+            formats.map_from_record({"breakpoints": [0, 1], "liftValues": [0, 1]})
 
 
 @pytest.fixture
@@ -264,3 +267,67 @@ class TestCli:
             ]
         )
         assert code == 0
+
+
+class TestReportSoundness:
+    def _shred(self, workdir, name):
+        code = main(
+            [
+                "--out-dir", str(workdir / name),
+                "shred", str(workdir / "e2.json"), "--eps", "1/5",
+            ]
+        )
+        assert code == 0
+        return json.loads((workdir / name / "report.json").read_text())
+
+    def _verify(self, workdir, name, record):
+        path = workdir / f"{name}.json"
+        path.write_text(json.dumps(record))
+        return main(
+            ["verify", str(workdir / "shred" / "perturbed.json"), str(path)]
+        )
+
+    def test_regions_listed_twice_fail_item_iii(self, workdir, capsys):
+        rec = self._shred(workdir, "shred")
+        assert len(rec["regions"]) == 6
+        # four regions of measure 3/20 each, every one listed twice: the arc
+        # lengths add up to 6/5 but the union has measure 3/5 < 1 - eps
+        rec["regions"] = [r for r in rec["regions"][:4] for _ in range(2)]
+        capsys.readouterr()
+        assert self._verify(workdir, "forged", rec) == 1
+        rows = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+        }
+        assert "FAIL" in rows["iii"]
+        assert "m(union U) = 3/5" in rows["iii"]
+        assert "arcs sum to 6/5" in rows["iii"]
+        assert "overlaps an earlier region" in rows["iii"]
+
+    def test_report_without_regions_is_invalid(self, workdir, capsys):
+        rec = self._shred(workdir, "shred")
+        rec["regions"] = []
+        assert self._verify(workdir, "empty", rec) == 2
+        assert "no regions" in capsys.readouterr().err
+
+    def test_region_without_cycles_entry_is_invalid(self, workdir, capsys):
+        rec = self._shred(workdir, "shred")
+        rec["cycles"] = rec["cycles"][1:]
+        assert self._verify(workdir, "nocycle", rec) == 2
+        assert "has no cycles entry" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["shred", "{e2}", "--eps", "abc"],
+        ["shred", "{e2}", "--eps", "1/0"],
+        ["birkhoff", "{e2}", "--x", "1/x", "--obs", "tent:1/3"],
+        ["birkhoff", "{e2}", "--x", "1/3", "--obs", "tent:one"],
+        ["birkhoff", "{e2}", "--x", "1/3", "--obs", "const:2/0"],
+        ["classify", "{e2}", "--grid", "2", "--tol", "1//100"],
+    ],
+)
+def test_malformed_rational_exits_invalid(workdir, capsys, argv):
+    argv = [a.format(e2=workdir / "e2.json") for a in argv]
+    assert main(["--out-dir", str(workdir / "bad"), *argv]) == 2
+    assert "not a rational number" in capsys.readouterr().err

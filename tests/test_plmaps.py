@@ -55,6 +55,12 @@ class TestCompose:
         with pytest.raises(ResourceCap):
             e2.iterate(40, max_breakpoints=1000)
 
+    def test_breakpoint_cap_message_states_used_and_limit(self):
+        e2 = expanding_map(2)
+        # e2 o e2 needs the breakpoints 0, 1/2, 1
+        with pytest.raises(ResourceCap, match=r"reached 3 breakpoints .* cap 2$"):
+            e2.compose(e2, max_breakpoints=2)
+
 
 class TestInvert:
     def test_rotation(self):

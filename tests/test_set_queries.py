@@ -1,0 +1,171 @@
+"""Property tests for the bisecting set queries.
+
+``PLCircleMap.preimage_of_set`` is compared with the plain pieces x intervals
+loop it replaced, and with pointwise membership; the ``IntervalSet`` queries
+are compared with brute-force scans on the circle, where 0 and 1 are the
+same point.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circledyn.exact import IntervalSet, Iv, mod1
+from circledyn.plmaps import PLCircleMap
+
+F = Fraction
+
+
+@st.composite
+def pl_maps(draw) -> PLCircleMap:
+    """PL maps of degree -2..3 with plateaus, negative slopes and pieces
+    whose lift range spans several turns."""
+    den = draw(st.sampled_from([6, 12, 30]))
+    inner = draw(st.lists(st.integers(1, den - 1), unique=True, max_size=6))
+    bps = [F(0)] + [F(x, den) for x in sorted(inner)] + [F(1)]
+    vals = [F(draw(st.integers(-3 * den, 3 * den)), den)]
+    for _ in bps[1:]:
+        if draw(st.integers(0, 3)) == 0:
+            vals.append(vals[-1])
+        else:
+            vals.append(F(draw(st.integers(-3 * den, 3 * den)), den))
+    vals[-1] = vals[0] + draw(st.integers(-2, 3))
+    return PLCircleMap(bps, vals)
+
+
+@st.composite
+def interval_sets(draw) -> IntervalSet:
+    """Sets inside [0, 1] with mixed endpoint flags and single points."""
+    den = draw(st.sampled_from([4, 6, 12]))
+    ivs = []
+    for _ in range(draw(st.integers(0, 6))):
+        a = draw(st.integers(0, den))
+        if draw(st.integers(0, 3)) == 0:
+            ivs.append(Iv(F(a, den), True, F(a, den), True))
+            continue
+        b = draw(st.integers(0, den))
+        lo, hi = min(a, b), max(a, b)
+        if lo == hi:
+            ivs.append(Iv(F(lo, den), True, F(lo, den), True))
+        else:
+            ivs.append(
+                Iv(F(lo, den), draw(st.booleans()), F(hi, den), draw(st.booleans()))
+            )
+    return IntervalSet(ivs)
+
+
+def reference_preimage(f: PLCircleMap, s: IntervalSet) -> IntervalSet:
+    """Every piece against every interval and every shift in range."""
+    out: list[IntervalSet] = []
+    bps = f.breakpoints
+    for i in range(len(bps) - 1):
+        a, b = bps[i], bps[i + 1]
+        fa, fb = f.lift_values[i], f.lift_values[i + 1]
+        slope = (fb - fa) / (b - a)
+        lo_v, hi_v = (fa, fb) if fa <= fb else (fb, fa)
+        for iv in s.ivs:
+            for k in range(math.floor(lo_v - iv.hi), math.ceil(hi_v - iv.lo) + 1):
+                u, v = iv.lo + k, iv.hi + k
+                if v < lo_v or u > hi_v:
+                    continue
+                if slope == 0:
+                    if iv.contains(fa - k):
+                        out.append(IntervalSet.closed(a, b))
+                    continue
+                t1 = a + (u - fa) / slope
+                t2 = a + (v - fa) / slope
+                if slope > 0:
+                    plo, ploc, phi, phic = t1, iv.lo_closed, t2, iv.hi_closed
+                else:
+                    plo, ploc, phi, phic = t2, iv.hi_closed, t1, iv.lo_closed
+                if plo < a:
+                    plo, ploc = a, True
+                if phi > b:
+                    phi, phic = b, True
+                if plo > phi or (plo == phi and not (ploc and phic)):
+                    continue
+                out.append(IntervalSet([Iv(plo, ploc, phi, phic)]))
+    return IntervalSet.union_all(out)
+
+
+def on_line(s: IntervalSet, x: Fraction) -> bool:
+    return any(iv.contains(x) for iv in s.ivs)
+
+
+def on_circle(s: IntervalSet, x: Fraction) -> bool:
+    x = mod1(x)
+    return on_line(s, x) or (x == 0 and on_line(s, F(1)))
+
+
+def probes(*sets: IntervalSet, extra=()) -> list[Fraction]:
+    """0, 1, every endpoint, and the midpoint of every gap between them."""
+    cuts = {F(0), F(1), *extra}
+    for s in sets:
+        for iv in s.ivs:
+            cuts.update((iv.lo, iv.hi))
+    cuts = sorted(cuts)
+    mids = [(cuts[i] + cuts[i + 1]) / 2 for i in range(len(cuts) - 1)]
+    return sorted(cuts + mids)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pl_maps(), interval_sets())
+def test_preimage_matches_reference_loop(f, s):
+    assert f.preimage_of_set(s).ivs == reference_preimage(f, s).ivs
+
+
+@settings(max_examples=400, deadline=None)
+@given(pl_maps(), interval_sets())
+def test_preimage_membership_pointwise(f, s):
+    pre = f.preimage_of_set(s)
+    for x in probes(pre, extra=f.breakpoints):
+        assert on_line(pre, x) == on_circle(s, f.evaluate(x)), x
+
+
+@settings(max_examples=400, deadline=None)
+@given(interval_sets())
+def test_contains_point_matches_scan(s):
+    for x in probes(s, extra=[F(k, 24) for k in range(25)]):
+        assert s.contains_point(x) == on_circle(s, x), x
+
+
+@settings(max_examples=400, deadline=None)
+@given(interval_sets(), interval_sets())
+def test_covers_matches_scan(s, t):
+    expected = all(on_circle(s, x) for x in probes(s, t) if on_line(t, x))
+    assert s.covers(t) == expected
+
+
+@settings(max_examples=400, deadline=None)
+@given(interval_sets(), interval_sets())
+def test_min_gap_matches_scan(s, t):
+    gaps = [
+        min(iv.lo - host.lo, host.hi - iv.hi)
+        for iv in t.ivs
+        for host in s.ivs
+        if host.lo <= iv.lo and iv.hi <= host.hi
+    ]
+    if gaps:
+        assert s.min_gap_to_boundary(t) == min(gaps)
+    else:
+        try:
+            s.min_gap_to_boundary(t)
+        except ValueError:
+            pass
+        else:
+            raise AssertionError("uncovered inner set was not rejected")
+
+
+def test_covers_identifies_one_with_zero():
+    # [1/2, 1] lies in [1/2, 1) together with the point 0 ~ 1
+    s = IntervalSet([Iv(F(1, 2), True, F(1), False), Iv(F(0), True, F(0), True)])
+    assert s.covers(IntervalSet.closed(F(1, 2), F(1)))
+    assert s.covers(IntervalSet.point(F(1)))
+    assert not s.covers(IntervalSet.closed(F(1, 4), F(1)))
+    # and the other way round: [0, 1/4] with 0 supplied by the point 1
+    s = IntervalSet([Iv(F(0), False, F(1, 4), True), Iv(F(1), True, F(1), True)])
+    assert s.covers(IntervalSet.closed(F(0), F(1, 4)))

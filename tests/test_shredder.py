@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from circledyn.errors import InvalidInput, VerificationFailure
+from circledyn.errors import InvalidInput, ResourceCap, VerificationFailure
 from circledyn.exact import Arc
 from circledyn.expanding import expanding_map
 from circledyn.plmaps import Observable, PLCircleMap
@@ -193,3 +193,21 @@ def test_stability_margin_under_perturbation(rng):
         assert g.c0_distance(g2) <= height < slack
         v2 = verify_shredding(g2, report)
         assert v2.items["i"].passed
+
+
+def test_preimage_cap_message_states_used_and_limit():
+    g, report = shred(expanding_map(2), F(1, 5))
+    slack = verify_shredding(g, report).items["i"].slack
+    # a bump below the slack breaks the plateaus: item (v) takes the
+    # preimage route, whose first union already holds several intervals
+    bps = list(g.breakpoints)
+    vals = [
+        v + (slack / 4 if 0 < i < len(bps) - 1 and i % 2 == 0 else 0)
+        for i, v in enumerate(g.lift_values)
+    ]
+    with pytest.raises(ResourceCap) as info:
+        verify_shredding(PLCircleMap(bps, vals), report, preimage_interval_cap=1)
+    message = str(info.value)
+    used = int(message.split(" reached ")[1].split()[0])
+    assert used > 1
+    assert message.endswith("above the interval cap 1")
