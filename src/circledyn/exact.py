@@ -324,10 +324,16 @@ class IntervalSet:
 
     @staticmethod
     def from_arc_open(a: Arc) -> "IntervalSet":
-        """Interior of a half-open arc as an open set in [0, 1]."""
-        return IntervalSet.union_all(
-            IntervalSet.open(lo, hi) for lo, hi in a.intervals()
-        )
+        """Interior of a half-open arc as an open set in [0, 1].
+
+        An arc that wraps strictly past 0 holds 0 ~ 1 in its interior, so
+        its two pieces are closed at 1 and at 0.
+        """
+        parts = a.intervals()
+        if len(parts) == 2:
+            (lo, _), (_, hi) = parts
+            return IntervalSet([Iv(lo, False, ONE, True), Iv(ZERO, True, hi, False)])
+        return IntervalSet([Iv(lo, False, hi, False) for lo, hi in parts])
 
     @staticmethod
     def from_arc_closed(a: Arc) -> "IntervalSet":

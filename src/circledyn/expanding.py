@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import InvalidInput, ResourceCap
-from .exact import HALF, ONE, ZERO, Arc, mod1
+from .exact import HALF, ONE, ZERO, Arc, circle_dist, mod1
 from .measures import CylinderSpec
 from .partitions import ConsistentFamily, family_from_homeo, homeo_from_family
 from .plmaps import PLCircleMap
@@ -206,11 +206,6 @@ def _value(digits: tuple[int, ...], ell: int) -> int:
     return v
 
 
-def _dist_to_int(x: Fraction) -> Fraction:
-    r = mod1(x)
-    return r if r <= HALF else ONE - r
-
-
 def _sup_circle_distance_affine(
     g: PLCircleMap,
     lo: Fraction,
@@ -236,7 +231,9 @@ def _sup_circle_distance_affine(
         m_lo = math.ceil(2 * dlo)
         m_hi = math.floor(2 * dhi)
         has_odd = m_lo <= m_hi and (m_lo % 2 == 1 or m_lo + 1 <= m_hi)
-        cand = HALF if has_odd else max(_dist_to_int(u), _dist_to_int(v))
+        cand = HALF if has_odd else max(
+            circle_dist(u, ZERO), circle_dist(v, ZERO)
+        )
         if cand > best:
             best = cand
     return best

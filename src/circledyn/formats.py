@@ -115,9 +115,9 @@ def spec_from_record(rec: dict) -> CylinderSpec:
         ell = int(rec["ell"])
         p = int(rec["p"])
         table = {k: parse_rational(v) for k, v in rec["values"].items()}
+        return CylinderSpec.from_strings(ell, p, table)
     except (KeyError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"malformed cylinder spec record: {exc}") from exc
-    return CylinderSpec.from_strings(ell, p, table)
 
 
 # -- families
@@ -206,18 +206,26 @@ def _arc_from_record(rec: dict) -> Arc:
     return Arc(parse_rational(rec["start"]), parse_rational(rec["length"]))
 
 
+def _label_from_record(value: Any) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(d) is int for d in value):
+        raise ValueError(f"label {value!r} is not a list of integers")
+    return tuple(value)
+
+
 def report_from_record(rec: dict) -> TrappingReport:
     try:
         regions = tuple(
             Region(
-                label=tuple(r["label"]),
+                label=_label_from_record(r["label"]),
                 arcs=tuple(_arc_from_record(a) for a in r["arcs"]),
                 cell_indices=tuple(r["cells"]),
             )
             for r in rec["regions"]
         )
         cycles = {
-            tuple(c["label"]): tuple(_arc_from_record(a) for a in c["sets"])
+            _label_from_record(c["label"]): tuple(
+                _arc_from_record(a) for a in c["sets"]
+            )
             for c in rec["cycles"]
         }
         report = TrappingReport(

@@ -1,21 +1,35 @@
-"""Exact Birkhoff averages along orbits, with cycle detection.
+"""Exact Birkhoff averages along orbits, from occupation statistics.
 
-Point orbits of rational points under PL maps are exact; orbits that become
-periodic (anchors of shredded maps, rational rotations, base-l expansions of
-rationals) are detected by exact repetition, after which every average has a
-closed form.  Denominator growth is guarded: maps that contract onto
-irrational-like grids blow up rational complexity, and such points are
-reported as inconclusive rather than approximated.
+The orbit of a rational point x = p/q under a PL map is walked once, in
+integer pairs (p, q), and recorded in the order it is visited.  The walk
+stops at the first repeat, after which the orbit is eventually periodic and
+every average has a closed form; at a point whose denominator outgrows the
+bit cap (maps that contract onto irrational-like grids blow up rational
+complexity, and such points are reported inconclusive rather than
+approximated); or at the last horizon.  Each horizon, the preperiod, the
+cycle and a partial cycle are then slices of that one recorded orbit.
+
+Refinement invariant: every observable of a battery is affine on each cell of
+the battery's common breakpoint refinement, and continuous, so either
+neighbour's formula is exact at a cut.  The sum of the battery over a slice
+therefore needs only two integers per (cell, denominator q): the number of
+visits and the sum of the numerators p.  The closing scales each observable's
+intercept and slope on each cell to integers by one common multiple and
+builds one Fraction per distinct q.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from math import gcd, lcm
+from operator import mul
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput
-from .exact import ZERO, mod1
+from .exact import ONE, ZERO, mod1
 from .plmaps import Observable, PLCircleMap
 
 
@@ -48,191 +62,124 @@ class OrbitAverages:
         return max(self.gap(i) for i in range(len(self.averages)))
 
 
-def _replay(
-    f: PLCircleMap,
-    observables: Sequence[Observable],
-    x0: Fraction,
-    s: int,
-    period: int,
-    rems: Sequence[int],
-) -> tuple[tuple[Fraction, ...], dict[int, tuple[Fraction, ...]]]:
-    """Cumulative observable sums at step s and at s+rem for each rem."""
-    n_obs = len(observables)
-    sums = [ZERO] * n_obs
-    cur = x0
-    prefix_s: tuple[Fraction, ...] | None = None
-    partials: dict[int, tuple[Fraction, ...]] = {}
-    want = set(rems)
-    if 0 in want:
-        partials[0] = (ZERO,) * n_obs
-        want.discard(0)
-    last = s + (max(want) if want else 0)
-    for step in range(last + 1):
-        if step == s:
-            prefix_s = tuple(sums)
-        if step > s and (step - s) in want:
-            partials[step - s] = tuple(
-                sums[i] - prefix_s[i] for i in range(n_obs)
-            )
-        if step == last:
-            break
-        for i, phi in enumerate(observables):
-            sums[i] += phi.evaluate(cur)
-        cur = f.evaluate(cur)
-    if prefix_s is None:
-        prefix_s = tuple(sums)
-    return prefix_s, partials
+def _cell(
+    cuts: Sequence[tuple[int, int]], hints: Sequence[float], p: int, q: int
+) -> int:
+    """Index i with cuts[i] <= p/q < cuts[i+1]; float bisect hint, exact fixup.
 
-
-def _orbit_averages_tent_fast(
-    f: PLCircleMap,
-    x: Fraction,
-    centers: list[Fraction],
-    horizons: tuple[int, ...],
-    denominator_bit_cap: int,
-) -> OrbitAverages:
-    """Integer-arithmetic engine for batteries of tent observables.
-
-    Works on unreduced integer pairs for the map step and accumulates tent
-    values as integer sums grouped by denominator; exactness is identical to
-    the generic path, only the representation differs.
+    ``cuts`` holds the breakpoints 0 = b0 < ... < bm = 1 as (numerator,
+    denominator) pairs and ``hints`` the floats of b0, ..., b(m-1), so the
+    hint lies in [0, m-1] for any 0 <= p/q < 1.
     """
-    hs = horizons
-    n_max = hs[-1]
-    hset = set(hs)
-    n_obs = len(centers)
-    cns = [c.numerator for c in centers]
-    cds = [c.denominator for c in centers]
+    last = len(cuts) - 2
+    i = bisect_right(hints, p / q) - 1
+    while i < last and cuts[i + 1][0] * q <= p * cuts[i + 1][1]:
+        i += 1
+    while i > 0 and cuts[i][0] * q > p * cuts[i][1]:
+        i -= 1
+    return i
 
-    bps = f.breakpoints
-    hints = f._bps_float
-    pieces = []
-    for i in range(len(bps) - 1):
-        s = f._slopes[i]
-        b = bps[i]
-        v = f.lift_values[i]
-        pieces.append(
-            (b.numerator, b.denominator, s.numerator, s.denominator,
-             v.numerator, v.denominator)
-        )
-    from bisect import bisect_right
 
-    def locate(p: int, q: int, xf: float) -> int:
-        i = bisect_right(hints, xf) - 1
-        if i < 0:
-            i = 0
-        last = len(bps) - 2
-        if i > last:
-            i = last
-        while i < last:
-            nb = bps[i + 1]
-            if nb.numerator * q <= p * nb.denominator:
-                i += 1
-            else:
-                break
-        while i > 0:
-            cb = bps[i]
-            if cb.numerator * q > p * cb.denominator:
-                i -= 1
-            else:
-                break
-        return i
+def _walk(
+    f: PLCircleMap, x: Fraction, n_max: int, denominator_bit_cap: int
+) -> tuple[dict[tuple[int, int], int], int, tuple[int, int], bool]:
+    """Integer orbit of x under f, as pairs (p, q) with f^k(x) = p/q reduced.
 
-    from math import gcd
-
-    # accumulators: per observable, integer sums grouped by 2*q*cd
-    acc: list[dict[int, int]] = [dict() for _ in range(n_obs)]
-    averages: list[dict[int, Fraction]] = [dict() for _ in range(n_obs)]
+    Stops at the first repeat, at a point whose denominator has more than
+    ``denominator_bit_cap`` bits, or after ``n_max`` steps.  Returns the
+    visited points mapped to their step (the dict keeps orbit order), the
+    number of steps taken, the point the walk stopped at and whether it
+    stopped at the cap.
+    """
+    cuts = [(b.numerator, b.denominator) for b in f.breakpoints]
+    pieces = [
+        (s.numerator, s.denominator, v.numerator, v.denominator)
+        for s, v in zip(f._slopes, f.lift_values)
+    ]
+    hints = f._bps_float[:-1]
     seen: dict[tuple[int, int], int] = {}
-
-    def totals() -> list[Fraction]:
-        out = []
-        for j in range(n_obs):
-            t = ZERO
-            for den, num in acc[j].items():
-                t += Fraction(num, den)
-            out.append(t)
-        return out
-
     p, q = x.numerator, x.denominator
     step = 0
     while step < n_max:
         key = (p, q)
-        prev = seen.get(key)
-        if prev is not None:
-            sums = totals()
-            averages_done = averages
-            s0 = prev
-            period = step - s0
-            rems = {(n - s0) % period for n in hs if n > step}
-            observables = [Observable.tent(c) for c in centers]
-            prefix_s, partials = _replay(
-                f, observables, x, s0, period, rems
-            )
-            cycle_sums = tuple(sums[i] - prefix_s[i] for i in range(n_obs))
-            for n in hs:
-                if n <= step:
-                    continue
-                whole, rem = divmod(n - s0, period)
-                tail = partials.get(rem, (ZERO,) * n_obs)
-                for i in range(n_obs):
-                    total = prefix_s[i] + whole * cycle_sums[i] + tail[i]
-                    averages_done[i][n] = total / n
-            limits = [cycle_sums[i] / period for i in range(n_obs)]
-            return OrbitAverages(
-                hs, averages_done, True, s0, period, limits, False, step,
-                cycle_min=_cycle_min(f, Fraction(p, q), period),
-            )
+        if key in seen:
+            break
         seen[key] = step
         if q.bit_length() > denominator_bit_cap:
-            return OrbitAverages(
-                hs, averages, False, None, None, None, True, step
-            )
-        # accumulate tent values: tent(x) = (q*cd - 2*fold) / (q*cd)
-        for j in range(n_obs):
-            cd = cds[j]
-            qc = q * cd
-            n_off = (p * cd - cns[j] * q) % qc
-            if 2 * n_off > qc:
-                n_off = qc - n_off
-            d = acc[j]
-            d[qc] = d.get(qc, 0) + (qc - 2 * n_off)
+            return seen, step, key, True
         step += 1
-        if step in hset:
-            t = totals()
-            for i in range(n_obs):
-                averages[i][step] = t[i] / step
-        # map step in integers
-        i = locate(p, q, p / q)
-        bn, bd, sn, sd, vn, vd = pieces[i]
+        i = _cell(cuts, hints, p, q)
+        bn, bd = cuts[i]
+        sn, sd, vn, vd = pieces[i]
         tn = p * bd - bn * q
         td = q * bd
-        yn = vn * sd * td + vd * sn * tn
         yd = vd * sd * td
-        yn %= yd
+        yn = (vn * sd * td + vd * sn * tn) % yd
         g = gcd(yn, yd)
         p, q = yn // g, yd // g
+    return seen, step, (p, q), False
 
-    cur = Fraction(p, q)
-    eventually_periodic = False
-    preperiod = period_val = None
-    limits = None
-    cyc_min = None
-    prev = seen.get((p, q))
-    if prev is not None:
-        sums = totals()
-        eventually_periodic = True
-        preperiod = prev
-        period_val = step - prev
-        observables = [Observable.tent(c) for c in centers]
-        prefix_s, _ = _replay(f, observables, x, prev, period_val, ())
-        cycle_sums = tuple(sums[i] - prefix_s[i] for i in range(n_obs))
-        limits = [cycle_sums[i] / period_val for i in range(n_obs)]
-        cyc_min = _cycle_min(f, cur, period_val)
-    return OrbitAverages(
-        hs, averages, eventually_periodic, preperiod, period_val, limits,
-        False, step, cycle_min=cyc_min,
-    )
+
+class _Closing:
+    """Exact sums of a battery of observables from occupation statistics.
+
+    Every observable is affine on each cell of the battery's common
+    breakpoint refinement, with intercept a and slope s.  A cell visited N
+    times by points p/q with one denominator q, numerators summing to P,
+    contributes N*a + s*P/q.  With A = a*L and S = s*L integers for one
+    common L, a slice of the orbit sums to
+    sum_q (sum_cells q*N*A + S*P) / (q*L): one Fraction per distinct q.
+    """
+
+    def __init__(self, observables: Sequence[Observable]):
+        cut_set: set[Fraction] = set()
+        for phi in observables:
+            cut_set.update(phi.breakpoints)
+        cuts = sorted(cut_set | {ZERO, ONE})
+        self.cuts = [(b.numerator, b.denominator) for b in cuts]
+        self.hints = [float(b) for b in cuts[:-1]]
+        affine = []
+        for phi in observables:
+            rows = []
+            for lo in cuts[:-1]:
+                i = bisect_right(phi.breakpoints, lo) - 1
+                s = phi._slopes[i]
+                rows.append((phi.values[i] - s * phi.breakpoints[i], s))
+            affine.append(rows)
+        scale = lcm(
+            *(c.denominator for rows in affine for pair in rows for c in pair)
+        )
+        self.scale = scale
+        self.coeffs = [
+            (
+                [int(a * scale) for a, _ in rows],
+                [int(s * scale) for _, s in rows],
+            )
+            for rows in affine
+        ]
+
+    def sums(self, points: Iterable[tuple[int, int]]) -> list[Fraction]:
+        """Exact sum of each observable over the points p/q."""
+        cuts, hints = self.cuts, self.hints
+        n_cells = len(cuts) - 1
+        # q -> visits per cell, followed by the sums of p per cell
+        stats: dict[int, list[int]] = {}
+        for p, q in points:
+            c = _cell(cuts, hints, p, q)
+            row = stats.get(q)
+            if row is None:
+                row = stats[q] = [0] * (2 * n_cells)
+            row[c] += 1
+            row[n_cells + c] += p
+        out = []
+        for A, S in self.coeffs:
+            total = ZERO
+            for q, row in stats.items():
+                visits, psums = row[:n_cells], row[n_cells:]
+                num = q * sum(map(mul, A, visits)) + sum(map(mul, S, psums))
+                total += Fraction(num, q * self.scale)
+            out.append(total)
+        return out
 
 
 def orbit_averages(
@@ -241,102 +188,51 @@ def orbit_averages(
     observables: Sequence[Observable],
     horizons: Sequence[int],
     denominator_bit_cap: int = 4096,
-    detect_cycles: bool = True,
 ) -> OrbitAverages:
     """Exact (1/n) sums of phi over the orbit of x, at each horizon n."""
     if not horizons or min(horizons) < 1:
         raise InvalidInput("horizons must be positive")
     hs = tuple(sorted(set(int(h) for h in horizons)))
-    n_max = hs[-1]
-    n_obs = len(observables)
     x = mod1(Fraction(x))
+    seen, steps, last, inconclusive = _walk(f, x, hs[-1], denominator_bit_cap)
+    start = None if inconclusive else seen.get(last)
+    period = None if start is None else steps - start
 
-    centers = [phi._tent_center for phi in observables]
-    if detect_cycles and n_obs and all(c is not None for c in centers):
-        return _orbit_averages_tent_fast(
-            f, x, centers, hs, denominator_bit_cap
-        )
+    # sums over the orbit's first k points, for every k an average needs
+    ks = {n for n in hs if n <= steps}
+    if period is not None:
+        ks.update((start, steps))
+        ks.update(start + (n - start) % period for n in hs if n > steps)
+    closing = _Closing(observables)
+    points = iter(seen)
+    prefix = {0: [ZERO] * len(observables)}
+    done = 0
+    for k in sorted(ks):
+        seg = closing.sums(islice(points, k - done))
+        prefix[k] = [a + b for a, b in zip(prefix[done], seg)]
+        done = k
 
-    sums = [ZERO] * n_obs
-    averages: list[dict[int, Fraction]] = [dict() for _ in range(n_obs)]
-    seen: dict[tuple[int, int], int] = {}
-    hset = set(hs)
-
-    cur = x
-    step = 0
-    evaluate = f.evaluate
-    while step < n_max:
-        if detect_cycles:
-            key = (cur.numerator, cur.denominator)
-            prev = seen.get(key)
-            if prev is not None:
-                s = prev
-                period = step - s
-                rems = {(n - s) % period for n in hs if n > step}
-                prefix_s, partials = _replay(
-                    f, observables, x, s, period, rems
-                )
-                cycle_sums = tuple(
-                    sums[i] - prefix_s[i] for i in range(n_obs)
-                )
-                for n in hs:
-                    if n <= step:
-                        continue
-                    whole, rem = divmod(n - s, period)
-                    tail = partials.get(rem, (ZERO,) * n_obs)
-                    for i in range(n_obs):
-                        total = (
-                            prefix_s[i] + whole * cycle_sums[i] + tail[i]
-                        )
-                        averages[i][n] = total / n
-                limits = [cycle_sums[i] / period for i in range(n_obs)]
-                return OrbitAverages(
-                    hs, averages, True, s, period, limits, False, step,
-                    cycle_min=_cycle_min(f, cur, period),
-                )
-            seen[key] = step
-        if cur.denominator.bit_length() > denominator_bit_cap:
-            return OrbitAverages(
-                hs, averages, False, None, None, None, True, step
-            )
-        for i in range(n_obs):
-            sums[i] += observables[i].evaluate(cur)
-        step += 1
-        if step in hset:
-            for i in range(n_obs):
-                averages[i][step] = sums[i] / step
-        cur = evaluate(cur)
-
-    eventually_periodic = False
-    preperiod = period_val = None
-    limits = None
-    cyc_min = None
-    if detect_cycles:
-        key = (cur.numerator, cur.denominator)
-        prev = seen.get(key)
-        if prev is not None:
-            s = prev
-            eventually_periodic = True
-            preperiod = s
-            period_val = step - s
-            prefix_s, _ = _replay(f, observables, x, s, step - s, ())
-            cycle_sums = tuple(sums[i] - prefix_s[i] for i in range(n_obs))
-            limits = [cycle_sums[i] / period_val for i in range(n_obs)]
-            cyc_min = _cycle_min(f, cur, period_val)
+    averages: list[dict[int, Fraction]] = [dict() for _ in observables]
+    limits = cycle_min = None
+    if period is not None:
+        cycle = [b - a for a, b in zip(prefix[start], prefix[steps])]
+        limits = [c / period for c in cycle]
+        cycle_min = min(Fraction(p, q) for p, q in islice(seen, start, None))
+    for n in hs:
+        if n <= steps:
+            total = prefix[n]
+        elif period is not None:
+            whole, rem = divmod(n - start, period)
+            tail = prefix[start + rem]
+            total = [t + whole * c for t, c in zip(tail, cycle)]
+        else:
+            continue
+        for avg, t in zip(averages, total):
+            avg[n] = t / n
     return OrbitAverages(
-        hs, averages, eventually_periodic, preperiod, period_val, limits,
-        False, step, cycle_min=cyc_min,
+        hs, averages, period is not None, start, period, limits,
+        inconclusive, steps, cycle_min=cycle_min,
     )
-
-
-def _cycle_min(f: PLCircleMap, point_on_cycle: Fraction, period: int) -> Fraction:
-    best = point_on_cycle
-    y = point_on_cycle
-    for _ in range(period - 1):
-        y = f.evaluate(y)
-        if y < best:
-            best = y
-    return best
 
 
 def birkhoff_average(

@@ -22,15 +22,11 @@ from .exact import (
     Arc,
     IntervalSet,
     Iv,
+    circle_dist,
     mod1,
 )
 
 DEFAULT_BREAKPOINT_CAP = 10**6
-
-
-def _dist_to_int(x: Fraction) -> Fraction:
-    r = mod1(x)
-    return r if r <= HALF else ONE - r
 
 
 def _locate(bps: tuple[Fraction, ...], hints: list[float], x: Fraction) -> int:
@@ -274,7 +270,9 @@ class PLCircleMap:
             m_lo = math.ceil(2 * lo)
             m_hi = math.floor(2 * hi)
             has_odd = m_lo <= m_hi and (m_lo % 2 == 1 or m_lo + 1 <= m_hi)
-            cand = HALF if has_odd else max(_dist_to_int(u), _dist_to_int(v))
+            cand = HALF if has_odd else max(
+                circle_dist(u, ZERO), circle_dist(v, ZERO)
+            )
             if cand > best:
                 best = cand
             if best == HALF:
@@ -662,7 +660,7 @@ def periodic_points(f: PLCircleMap, period: int) -> list[PeriodicComponent]:
 class Observable:
     """Continuous piecewise-linear real function on the circle."""
 
-    __slots__ = ("breakpoints", "values", "_slopes", "_bps_float", "_tent_center")
+    __slots__ = ("breakpoints", "values", "_slopes", "_bps_float")
 
     def __init__(self, breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
         bps = tuple(Fraction(b) for b in breakpoints)
@@ -682,7 +680,6 @@ class Observable:
             for i in range(len(bps) - 1)
         )
         self._bps_float = [float(b) for b in bps]
-        self._tent_center: Fraction | None = None
 
     @staticmethod
     def constant(c: Fraction) -> "Observable":
@@ -701,16 +698,9 @@ class Observable:
 
         bset = sorted({ZERO, c, anti})
         bps = bset + [ONE]
-        phi = Observable(bps, [val(b) for b in bps])
-        phi._tent_center = c
-        return phi
+        return Observable(bps, [val(b) for b in bps])
 
     def evaluate(self, x: Fraction) -> Fraction:
-        c = self._tent_center
-        if c is not None:
-            r = mod1(x - c)
-            d = r if r <= HALF else ONE - r
-            return ONE - 2 * d
         x = mod1(x)
         i = _locate(self.breakpoints, self._bps_float, x)
         return self.values[i] + self._slopes[i] * (x - self.breakpoints[i])

@@ -94,7 +94,7 @@ class Region:
 
     def open_set(self) -> IntervalSet:
         return IntervalSet.union_all(
-            IntervalSet.open(lo, hi) for a in self.arcs for lo, hi in a.intervals()
+            IntervalSet.from_arc_open(a) for a in self.arcs
         )
 
     def closed_set(self) -> IntervalSet:
@@ -425,10 +425,7 @@ def verify_shredding(
         # (b) cyclic forward containment
         for idx in range(k):
             w_closed = IntervalSet.from_arc_closed(cyc[idx])
-            nxt = IntervalSet.union_all(
-                IntervalSet.open(lo, hi)
-                for lo, hi in cyc[(idx + 1) % k].intervals()
-            )
+            nxt = IntervalSet.from_arc_open(cyc[(idx + 1) % k])
             img = g.image_of_set(w_closed)
             if not nxt.covers(img):
                 ok_v = False
@@ -440,7 +437,7 @@ def verify_shredding(
             break
         # (c) closure(U) absorbed by the cycle within n_steps preimages
         w_union_open = IntervalSet.union_all(
-            IntervalSet.open(lo, hi) for w in cyc for lo, hi in w.intervals()
+            IntervalSet.from_arc_open(w) for w in cyc
         )
         plateau_values = []
         plateaus_ok = True

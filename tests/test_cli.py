@@ -65,6 +65,9 @@ class TestFormats:
         # numbers where "num/den" strings belong
         with pytest.raises(InvalidInput):
             formats.map_from_record({"breakpoints": [0, 1], "liftValues": [0, 1]})
+        # a word key that is not a base-ell digit string
+        with pytest.raises(InvalidInput):
+            formats.spec_from_record({"ell": 2, "p": 1, "values": {"x": "1/1"}})
 
 
 @pytest.fixture
@@ -314,6 +317,12 @@ class TestReportSoundness:
         rec["cycles"] = rec["cycles"][1:]
         assert self._verify(workdir, "nocycle", rec) == 2
         assert "has no cycles entry" in capsys.readouterr().err
+
+    def test_region_label_not_integers_is_invalid(self, workdir, capsys):
+        rec = self._shred(workdir, "shred")
+        rec["regions"][0]["label"] = [[0], 0]
+        assert self._verify(workdir, "badlabel", rec) == 2
+        assert "is not a list of integers" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

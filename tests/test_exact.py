@@ -114,6 +114,16 @@ class TestIntervalSet:
     def test_wrap_identification(self):
         s = IntervalSet.closed(F(3, 4), F(1))
         assert s.contains_point(F(0))
+        # the interior of an arc that wraps strictly past 0 holds 0 ~ 1
+        wrap = Arc(F(3, 4), F(1, 2))
+        interior = IntervalSet.from_arc_open(wrap)
+        assert wrap.contains(F(0)) and interior.contains_point(F(0))
+        assert interior.covers(IntervalSet.from_arc_closed(Arc(F(7, 8), F(1, 4))))
+        assert not interior.contains_point(F(3, 4))
+        assert not interior.contains_point(F(1, 4))
+        assert interior.measure() == F(1, 2)
+        ends_at_one = IntervalSet.from_arc_open(Arc(F(3, 4), F(1, 4)))
+        assert not ends_at_one.contains_point(F(0))
 
     def test_min_gap(self):
         host = IntervalSet.open(F(0), F(1, 2))

@@ -10,16 +10,65 @@ from circledyn.plmaps import Observable, PLCircleMap
 F = Fraction
 
 
-def test_fast_path_matches_generic(rng):
+def _brute_force(f, x, battery, horizons):
+    """Averages summed by phi.evaluate over f.orbit, and the first repeat.
+
+    Returns the averages, then the steps walked, preperiod, period, limits
+    and cycle minimum of an orbit that repeats within max(horizons) steps.
+    """
+    n = max(horizons)
+    orbit = f.orbit(x, n + 1)
+    averages = [
+        {
+            h: sum((phi.evaluate(y) for y in orbit[:h]), start=F(0)) / h
+            for h in horizons
+        }
+        for phi in battery
+    ]
+    first = {}
+    for k, y in enumerate(orbit):
+        if y in first:
+            cycle = orbit[first[y]:k]
+            limits = [
+                sum((phi.evaluate(z) for z in cycle), start=F(0)) / len(cycle)
+                for phi in battery
+            ]
+            return averages, k, first[y], len(cycle), limits, min(cycle)
+        first[y] = k
+    return averages, n, None, None, None, None
+
+
+NON_TENT = Observable(
+    [F(0), F(1, 3), F(5, 7), F(1)], [F(1, 2), F(-2), F(3, 4), F(1, 2)]
+)
+
+
+@pytest.mark.parametrize(
+    "battery",
+    [
+        [Observable.tent(F(j, 8)) for j in range(8)],
+        [NON_TENT, Observable.constant(F(7, 3)), Observable.tent(F(1, 5))],
+    ],
+    ids=["tents", "non-tent"],
+)
+def test_engine_matches_brute_force(rng, battery):
     f = expanding_map(2)
-    battery = [Observable.tent(F(j, 8)) for j in range(8)]
-    for _ in range(5):
-        x = F(rng.randrange(1, 720720), 720720)
-        fast = orbit_averages(f, x, battery, (37, 200))
-        slow = orbit_averages(f, x, battery, (37, 200), detect_cycles=False)
-        for j in range(8):
-            for n in (37, 200):
-                assert fast.averages[j][n] == slow.averages[j][n]
+    points = [F(rng.randrange(1, 720720), 720720) for _ in range(5)]
+    # 3/28 -> 3/14 -> 3/7 -> 6/7 -> 5/7 -> 3/7: preperiod 2, period 3,
+    # with horizons on both sides of the cycle's closing
+    cases = [(x, (37, 200)) for x in points] + [(F(3, 28), (1, 4, 5, 6, 1000))]
+    for x, horizons in cases:
+        res = orbit_averages(f, x, battery, horizons)
+        averages, steps, preperiod, period, limits, cycle_min = _brute_force(
+            f, x, battery, horizons
+        )
+        assert res.averages == averages
+        assert not res.inconclusive and res.steps_computed == steps
+        assert res.eventually_periodic == (period is not None)
+        assert (res.preperiod, res.period) == (preperiod, period)
+        assert res.limits == limits
+        assert res.cycle_min == cycle_min
+    assert (res.preperiod, res.period, res.cycle_min) == (2, 3, F(3, 7))
 
 
 def test_cycle_detection_closed_form():
@@ -58,6 +107,8 @@ def test_denominator_guard_marks_inconclusive():
     phi = Observable.tent(F(0))
     res = orbit_averages(h, F(1, 7), [phi], [100000], denominator_bit_cap=64)
     assert res.inconclusive
+    assert res.steps_computed == 39
+    assert res.averages == [{}]
 
 
 def test_horizons_validated():
