@@ -48,6 +48,22 @@ def parse_rational(text: str) -> Fraction:
         raise InvalidInput(f"not a rational number: {text!r}") from exc
 
 
+def as_fraction(x: object) -> Fraction:
+    """Exact rational from a Fraction, an int, a Decimal or a 'num/den' string.
+
+    A float is rejected with ``InvalidInput``: its binary value is rarely the
+    number the caller meant (0.3 would become 5404319552844595/2**54).
+    """
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise InvalidInput(f"floats are not exact rationals: {x!r}")
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"not a rational number: {x!r}") from exc
+
+
 def format_rational(x: Fraction) -> str:
     """Serialize as an explicit 'num/den' string."""
     return f"{x.numerator}/{x.denominator}"
@@ -424,13 +440,29 @@ class IntervalSet:
         """Minimal distance from points of ``inner`` to boundary of self.
 
         Assumes self.covers(inner); used for robustness margins.  Each inner
-        interval is matched to a covering interval of self.
+        interval is matched to a covering interval of self.  When self holds
+        0 ~ 1 together with points on both sides of it, the seam is no
+        boundary: a gap that reaches 0 or 1 runs on into the part on the
+        other side.  (A set that is the whole circle has no boundary at all;
+        its gaps then come out at 1 or more.)
         """
+        ivs = self.ivs
+        seam = (
+            bool(ivs)
+            and ivs[0].lo == ZERO < ivs[0].hi
+            and ivs[-1].lo < ONE == ivs[-1].hi
+            and (ivs[0].lo_closed or ivs[-1].hi_closed)
+        )
         best: Fraction | None = None
         for iv in inner.ivs:
             host = self._candidate(iv.lo)
             if host is not None and iv.hi <= host.hi:
-                for gap in (iv.lo - host.lo, host.hi - iv.hi):
+                left, right = iv.lo - host.lo, host.hi - iv.hi
+                if seam and host.lo == ZERO:
+                    left += ONE - ivs[-1].lo
+                if seam and host.hi == ONE:
+                    right += ivs[0].hi
+                for gap in (left, right):
                     if best is None or gap < best:
                         best = gap
         if best is None:

@@ -9,15 +9,22 @@ the package is a rational equality.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, Arc, all_words, mod1, Word
+from .exact import ONE, ZERO, Arc, all_words, as_fraction, mod1, Word
 from .plmaps import Observable, PLCircleMap
 
 DEFAULT_COMPLEXITY_CAP = 100_000
+# Cap on the cylinders one spec may list: the ell**level words of a level,
+# or the positive cells of an extension table.
+MAX_CYLINDER_CELLS = 1_000_000
+
+_FIRST = itemgetter(0)
 
 
 class CircleMeasure:
@@ -26,10 +33,19 @@ class CircleMeasure:
     Internal form: atoms as sorted (point, mass > 0) pairs with distinct
     points; density as sorted disjoint tuples (lo, hi, density > 0) covering
     subintervals of [0, 1), adjacent pieces with equal density merged.
-    Overlapping inputs are accumulated additively.
+    Overlapping inputs are accumulated additively.  Every coordinate is a
+    ``Fraction``; a float is rejected with ``InvalidInput``.
+
+    Invariants the queries rely on: ``atoms`` is sorted by point and
+    ``pieces`` by ``lo``, and a piece ends no later than the next one starts.
+    Construction sorts once, O(n log n) in the number of input items.  The
+    first mass query builds prefix sums of the atom masses and the piece
+    masses, O(n); after that ``cdf``, ``cdf_closed`` and
+    ``measure_of_interval`` bisect them, O(log n) each, and ``w1_distance``
+    and ``cylinder_vector`` cost O(log n) per cut.
     """
 
-    __slots__ = ("atoms", "pieces")
+    __slots__ = ("atoms", "pieces", "_prefix")
 
     def __init__(
         self,
@@ -39,16 +55,18 @@ class CircleMeasure:
     ):
         acc: dict[Fraction, Fraction] = {}
         for p, w in atoms:
+            w = as_fraction(w)
             if w < 0:
                 raise InvalidInput("atom masses must be >= 0")
             if w == 0:
                 continue
-            p = mod1(p)
+            p = mod1(as_fraction(p))
             acc[p] = acc.get(p, ZERO) + w
         self.atoms: tuple[tuple[Fraction, Fraction], ...] = tuple(
             sorted(acc.items())
         )
         self.pieces = self._canonical_pieces(pieces)
+        self._prefix: tuple[list[Fraction], list[Fraction]] | None = None
         if require_probability and self.total_mass != ONE:
             raise InvalidInput(
                 f"measure must have total mass 1, got {self.total_mass}"
@@ -58,27 +76,28 @@ class CircleMeasure:
     def _canonical_pieces(
         pieces: Iterable[tuple[Fraction, Fraction, Fraction]],
     ) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        items = []
+        # sweep line: the density jumps by +d at each lo and by -d at each hi
+        delta: dict[Fraction, Fraction] = {}
         for lo, hi, d in pieces:
+            lo, hi, d = as_fraction(lo), as_fraction(hi), as_fraction(d)
             if d < 0:
                 raise InvalidInput("densities must be >= 0")
             if not (ZERO <= lo < hi <= ONE):
                 raise InvalidInput(f"density piece [{lo},{hi}) outside [0,1)")
             if d > 0:
-                items.append((lo, hi, d))
-        if not items:
-            return ()
-        cuts = sorted({lo for lo, _, _ in items} | {hi for _, hi, _ in items})
+                delta[lo] = delta.get(lo, ZERO) + d
+                delta[hi] = delta.get(hi, ZERO) - d
+        cuts = sorted(delta)
         out: list[tuple[Fraction, Fraction, Fraction]] = []
-        for i in range(len(cuts) - 1):
-            a, b = cuts[i], cuts[i + 1]
-            d = sum((dd for lo, hi, dd in items if lo <= a and b <= hi), start=ZERO)
-            if d == 0:
+        dens = ZERO
+        for a, b in zip(cuts, cuts[1:]):
+            dens += delta[a]
+            if dens == 0:
                 continue
-            if out and out[-1][1] == a and out[-1][2] == d:
-                out[-1] = (out[-1][0], b, d)
+            if out and out[-1][1] == a and out[-1][2] == dens:
+                out[-1] = (out[-1][0], b, dens)
             else:
-                out.append((a, b, d))
+                out.append((a, b, dens))
         return tuple(out)
 
     # -- constructors
@@ -89,7 +108,7 @@ class CircleMeasure:
 
     @staticmethod
     def dirac(p: Fraction) -> "CircleMeasure":
-        return CircleMeasure(atoms=[(mod1(Fraction(p)), ONE)])
+        return CircleMeasure(atoms=[(p, ONE)])
 
     @staticmethod
     def from_arcs(arc_pieces: Iterable[tuple[Arc, Fraction]],
@@ -140,17 +159,30 @@ class CircleMeasure:
 
     # -- evaluation
 
+    def _mass_below(self, x: Fraction, closed: bool) -> Fraction:
+        """Mass of [0, x), or of [0, x] when ``closed``, for any rational x."""
+        if self._prefix is None:
+            atom_cum, piece_cum = [ZERO], [ZERO]
+            for _, w in self.atoms:
+                atom_cum.append(atom_cum[-1] + w)
+            for lo, hi, d in self.pieces:
+                piece_cum.append(piece_cum[-1] + (hi - lo) * d)
+            self._prefix = (atom_cum, piece_cum)
+        atom_cum, piece_cum = self._prefix
+        find = bisect_right if closed else bisect_left
+        total = atom_cum[find(self.atoms, x, key=_FIRST)]
+        # pieces before k lie below x; only the last of them can straddle it
+        k = bisect_left(self.pieces, x, key=_FIRST)
+        if k:
+            lo, hi, d = self.pieces[k - 1]
+            total += piece_cum[k - 1] + (min(hi, x) - lo) * d
+        return total
+
     def measure_of_interval(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Mass of the half-open [lo, hi) inside [0, 1]."""
         if lo >= hi:
             return ZERO
-        total = sum((w for p, w in self.atoms if lo <= p < hi), start=ZERO)
-        for a, b, d in self.pieces:
-            left = max(a, lo)
-            right = min(b, hi)
-            if left < right:
-                total += (right - left) * d
-        return total
+        return self._mass_below(hi, False) - self._mass_below(lo, False)
 
     def measure_of_arc(self, arc: Arc) -> Fraction:
         return sum(
@@ -163,12 +195,11 @@ class CircleMeasure:
 
     def cdf(self, x: Fraction) -> Fraction:
         """Mass of [0, x), for x in [0, 1]."""
-        return self.measure_of_interval(ZERO, x)
+        return self._mass_below(x, False)
 
     def cdf_closed(self, x: Fraction) -> Fraction:
         """Mass of [0, x]."""
-        extra = sum((w for p, w in self.atoms if p == x), start=ZERO)
-        return self.measure_of_interval(ZERO, x) + extra
+        return self._mass_below(x, True)
 
     # -- operations
 
@@ -177,10 +208,12 @@ class CircleMeasure:
         pieces: list[tuple[Fraction, Fraction, Fraction]] = []
         bps = f.breakpoints
         for lo, hi, d in self.pieces:
-            cuts = [lo] + [b for b in bps if lo < b < hi] + [hi]
-            for i in range(len(cuts) - 1):
-                a, b = cuts[i], cuts[i + 1]
-                fa, fb = f.lift_evaluate(a), f.lift_evaluate(b)
+            i, j = bisect_right(bps, lo), bisect_left(bps, hi)
+            cuts = [lo, *bps[i:j], hi]
+            lifts = [f.lift_evaluate(lo), *f.lift_values[i:j], f.lift_evaluate(hi)]
+            for m in range(len(cuts) - 1):
+                a, b = cuts[m], cuts[m + 1]
+                fa, fb = lifts[m], lifts[m + 1]
                 if fa == fb:
                     atoms.append((mod1(fa), d * (b - a)))
                     continue
@@ -226,7 +259,7 @@ class CircleMeasure:
         return CircleMeasure(atoms=atoms, pieces=pieces)
 
     def cylinder_vector(self, ell: int, p: int) -> "CylinderSpec":
-        scale = ell**p
+        scale = _word_count(ell, p)
         values = {}
         for v in range(scale):
             lo = Fraction(v, scale)
@@ -263,6 +296,22 @@ class CircleMeasure:
 # Cylinder specs
 
 
+def _word_count(ell: int, level: int) -> int:
+    """ell**level, the number of level-``level`` words; ``ResourceCap`` above
+    ``MAX_CYLINDER_CELLS``, checked before anything is enumerated."""
+    if ell < 2:
+        raise InvalidInput("alphabet size must be >= 2")
+    if level < 1:
+        raise InvalidInput("cylinder level must be >= 1")
+    # 2**level > the cap already when level exceeds its bit length
+    if level > MAX_CYLINDER_CELLS.bit_length() or ell**level > MAX_CYLINDER_CELLS:
+        raise ResourceCap(
+            f"cylinder spec at level {level} over {ell} letters has "
+            f"{ell}^{level} words, above the cap {MAX_CYLINDER_CELLS}"
+        )
+    return ell**level
+
+
 @dataclass(frozen=True)
 class CylinderSpec:
     """A measure described by its values on the level-p base-l intervals."""
@@ -272,10 +321,7 @@ class CylinderSpec:
     values: dict[tuple[int, ...], Fraction]
 
     def __post_init__(self) -> None:
-        if self.ell < 2:
-            raise InvalidInput("alphabet size must be >= 2")
-        if self.level < 1:
-            raise InvalidInput("cylinder level must be >= 1")
+        _word_count(self.ell, self.level)
         full = dict(self.values)
         for w in all_words(self.ell, self.level):
             full.setdefault(w.digits, ZERO)
@@ -292,7 +338,7 @@ class CylinderSpec:
 
     @staticmethod
     def lebesgue(ell: int, p: int) -> "CylinderSpec":
-        v = Fraction(1, ell**p)
+        v = Fraction(1, _word_count(ell, p))
         return CylinderSpec(
             ell, p, {w.digits: v for w in all_words(ell, p)}
         )
@@ -306,6 +352,7 @@ class CylinderSpec:
         ell = len(probs)
         if sum(probs, start=ZERO) != ONE:
             raise InvalidInput("digit probabilities must sum to 1")
+        _word_count(ell, p)
         values = {}
         for w in all_words(ell, p):
             v = ONE
@@ -360,7 +407,7 @@ class CylinderSpec:
 
     # -- stationary extension (used to extend targets below their level)
 
-    def extension_table(self, depth: int, max_cells: int = 1_000_000
+    def extension_table(self, depth: int, max_cells: int = MAX_CYLINDER_CELLS
                         ) -> list[dict[tuple[int, ...], Fraction]]:
         """Positive cylinder values at levels 1..depth.
 

@@ -22,6 +22,7 @@ from .exact import (
     Arc,
     IntervalSet,
     Iv,
+    as_fraction,
     circle_dist,
     mod1,
 )
@@ -54,8 +55,8 @@ class PLCircleMap:
         breakpoints: Sequence[Fraction],
         lift_values: Sequence[Fraction],
     ):
-        bps = tuple(Fraction(b) for b in breakpoints)
-        vals = tuple(Fraction(v) for v in lift_values)
+        bps = tuple(as_fraction(b) for b in breakpoints)
+        vals = tuple(as_fraction(v) for v in lift_values)
         if len(bps) != len(vals) or len(bps) < 2:
             raise InvalidInput("need equally many breakpoints and lift values, at least two")
         if bps[0] != ZERO or bps[-1] != ONE:
@@ -157,7 +158,7 @@ class PLCircleMap:
 
     @staticmethod
     def rotation(angle: Fraction) -> "PLCircleMap":
-        a = mod1(Fraction(angle))
+        a = mod1(as_fraction(angle))
         return PLCircleMap([ZERO, ONE], [a, a + 1])
 
     @staticmethod
@@ -170,8 +171,8 @@ class PLCircleMap:
         """
         if len(points) < 2:
             raise InvalidInput("need at least two lift points")
-        ts = [Fraction(t) for t, _ in points]
-        ws = [Fraction(w) for _, w in points]
+        ts = [as_fraction(t) for t, _ in points]
+        ws = [as_fraction(w) for _, w in points]
         if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
             raise InvalidInput("lift point abscissas must be strictly increasing")
         if ts[-1] - ts[0] != ONE:
@@ -663,8 +664,8 @@ class Observable:
     __slots__ = ("breakpoints", "values", "_slopes", "_bps_float")
 
     def __init__(self, breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-        bps = tuple(Fraction(b) for b in breakpoints)
-        vals = tuple(Fraction(v) for v in values)
+        bps = tuple(as_fraction(b) for b in breakpoints)
+        vals = tuple(as_fraction(v) for v in values)
         if len(bps) != len(vals) or len(bps) < 2:
             raise InvalidInput("need equally many breakpoints and values")
         if bps[0] != ZERO or bps[-1] != ONE:
@@ -683,12 +684,12 @@ class Observable:
 
     @staticmethod
     def constant(c: Fraction) -> "Observable":
-        return Observable([ZERO, ONE], [Fraction(c), Fraction(c)])
+        return Observable([ZERO, ONE], [c, c])
 
     @staticmethod
     def tent(center: Fraction) -> "Observable":
         """Peak 1 at ``center``, 0 at the antipode, slopes +-2."""
-        c = mod1(Fraction(center))
+        c = mod1(as_fraction(center))
         anti = mod1(c + HALF)
 
         def val(x: Fraction) -> Fraction:

@@ -68,6 +68,20 @@ class TestFormats:
         # a word key that is not a base-ell digit string
         with pytest.raises(InvalidInput):
             formats.spec_from_record({"ell": 2, "p": 1, "values": {"x": "1/1"}})
+        # floats are not exact rationals, in maps or in measures
+        with pytest.raises(InvalidInput):
+            PLCircleMap([0, 0.3, 1], [0, F(1, 2), 1])
+        with pytest.raises(InvalidInput):
+            CircleMeasure(pieces=[(0, 0.5, 2)])
+        with pytest.raises(InvalidInput):
+            CircleMeasure(atoms=[(0.25, 1)])
+        with pytest.raises(InvalidInput):
+            Observable([0, 0.5, 1], [0, 1, 0])
+        # every other coordinate is stored as a Fraction
+        mu = CircleMeasure(atoms=[(1, F(1, 2))], pieces=[(0, F(1, 2), 1)])
+        f = PLCircleMap([0, "1/3", 1], [0, F(1, 2), 1])
+        coords = [*mu.atoms[0], *mu.pieces[0], *f.breakpoints, *f.lift_values]
+        assert all(type(x) is Fraction for x in coords)
 
 
 @pytest.fixture
@@ -254,6 +268,22 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    def test_cylinder_spec_cap_exit_code(self, workdir, tmp_path, capsys):
+        # 10^9 words at ell 10, level 9: capped before any word is listed
+        spec = {"ell": 10, "p": 9, "values": {"000000000": "1/1"}}
+        (tmp_path / "huge.json").write_text(formats.dumps(spec))
+        code = main(
+            [
+                "--out-dir", str(workdir / "outH"),
+                "wicked", str(workdir / "identity.json"),
+                str(tmp_path / "huge.json"),
+                "--ell", "10", "--eps", "1/4", "--n", "3",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "10^9 words" in err and "1000000" in err
 
     def test_verify_command(self, workdir):
         main(

@@ -18,6 +18,7 @@ from circledyn.measures import (
     restrict_normalize,
     spec_distance,
     w1_distance,
+    _word_count,
 )
 from circledyn.plmaps import Observable, PLCircleMap
 from circledyn.shredder import shred
@@ -287,6 +288,19 @@ class TestCylinderSpec:
     def test_values_must_sum_to_one(self):
         with pytest.raises(InvalidInput):
             CylinderSpec(2, 1, {(0,): F(1, 2), (1,): F(1, 4)})
+
+    def test_word_count_capped_before_listing(self, lebesgue):
+        # each of these would list 10^9 (or 2^(10^9)) words without the cap
+        with pytest.raises(ResourceCap, match=r"10\^9 words, above the cap 1000000"):
+            CylinderSpec.dirac_zero(10, 9)
+        with pytest.raises(ResourceCap):
+            CylinderSpec.lebesgue(2, 10**9)
+        with pytest.raises(ResourceCap):
+            CylinderSpec.bernoulli([F(1, 10)] * 10, 9)
+        with pytest.raises(ResourceCap):
+            lebesgue.cylinder_vector(10, 9)
+        # the cap itself is allowed: 10^6 words at ell 10, level 6
+        assert _word_count(10, 6) == 10**6
 
     def test_extension_dirac_sparse(self):
         spec = CylinderSpec.dirac_zero(2, 3)

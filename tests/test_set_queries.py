@@ -14,7 +14,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledyn.exact import IntervalSet, Iv, mod1
+from circledyn.exact import Arc, IntervalSet, Iv, circle_dist, mod1
 from circledyn.plmaps import PLCircleMap
 
 F = Fraction
@@ -140,24 +140,42 @@ def test_covers_matches_scan(s, t):
     assert s.covers(t) == expected
 
 
+def circle_boundary(s: IntervalSet) -> list[Fraction]:
+    """Endpoints of s (mod 1) that s does not hold together with both sides."""
+    cuts = sorted({mod1(e) for iv in s.ivs for e in (iv.lo, iv.hi)})
+    out = []
+    for i, c in enumerate(cuts):
+        before = cuts[i - 1] if i else cuts[-1] - 1
+        after = cuts[i + 1] if i + 1 < len(cuts) else cuts[0] + 1
+        sides = ((before + c) / 2, c, (c + after) / 2)
+        if not all(on_circle(s, x) for x in sides):
+            out.append(c)
+    return out
+
+
 @settings(max_examples=400, deadline=None)
 @given(interval_sets(), interval_sets())
 def test_min_gap_matches_scan(s, t):
-    gaps = [
-        min(iv.lo - host.lo, host.hi - iv.hi)
+    matched = [
+        iv
         for iv in t.ivs
-        for host in s.ivs
-        if host.lo <= iv.lo and iv.hi <= host.hi
+        if any(host.lo <= iv.lo and iv.hi <= host.hi for host in s.ivs)
     ]
-    if gaps:
-        assert s.min_gap_to_boundary(t) == min(gaps)
-    else:
+    if not matched:
         try:
             s.min_gap_to_boundary(t)
         except ValueError:
-            pass
-        else:
-            raise AssertionError("uncovered inner set was not rejected")
+            return
+        raise AssertionError("uncovered inner set was not rejected")
+    boundary = circle_boundary(s)
+    gap = s.min_gap_to_boundary(t)
+    if not boundary:
+        # s is the whole circle
+        assert gap >= 1
+        return
+    assert gap == min(
+        circle_dist(e, b) for iv in matched for e in (iv.lo, iv.hi) for b in boundary
+    )
 
 
 def test_covers_identifies_one_with_zero():
@@ -169,3 +187,15 @@ def test_covers_identifies_one_with_zero():
     # and the other way round: [0, 1/4] with 0 supplied by the point 1
     s = IntervalSet([Iv(F(0), False, F(1, 4), True), Iv(F(1), True, F(1), True)])
     assert s.covers(IntervalSet.closed(F(0), F(1, 4)))
+
+
+def test_min_gap_runs_across_the_seam():
+    # (3/4, 1] u [0, 1/4) holds 0 ~ 1 in its interior; the nearest
+    # boundary points to [15/16, 1/16] are 3/4 and 1/4
+    wrap = IntervalSet.from_arc_open(Arc(F(3, 4), F(1, 2)))
+    inner = IntervalSet.from_arc_closed(Arc(F(15, 16), F(1, 8)))
+    assert wrap.covers(inner)
+    assert wrap.min_gap_to_boundary(inner) == F(3, 16)
+    # a near end across the seam bounds the gap of a part that ends at 1
+    s = IntervalSet([Iv(F(1, 2), False, F(1), True), Iv(F(0), True, F(1, 100), False)])
+    assert s.min_gap_to_boundary(IntervalSet.closed(F(3, 4), F(1))) == F(1, 100)
