@@ -293,6 +293,8 @@ class IntervalSet:
 
     @staticmethod
     def _canonical(items: list[Iv]) -> tuple[Iv, ...]:
+        if len(items) < 2:
+            return tuple(items)
         items = sorted(items, key=lambda iv: (iv.lo, not iv.lo_closed))
         out: list[Iv] = []
         for iv in items:
@@ -357,9 +359,7 @@ class IntervalSet:
         parts = a.intervals()
         if not parts:
             return IntervalSet.point(a.start)
-        return IntervalSet.union_all(
-            IntervalSet.closed(lo, hi) for lo, hi in parts
-        )
+        return IntervalSet([Iv(lo, True, hi, True) for lo, hi in parts])
 
     @staticmethod
     def union_all(sets: Iterable["IntervalSet"]) -> "IntervalSet":

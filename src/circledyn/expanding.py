@@ -17,10 +17,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from .errors import InvalidInput, ResourceCap
-from .exact import HALF, ONE, ZERO, Arc, circle_dist, mod1
+from .exact import HALF, ONE, ZERO, Arc, mod1
 from .measures import CylinderSpec
 from .partitions import ConsistentFamily, family_from_homeo, homeo_from_family
-from .plmaps import PLCircleMap
+from .plmaps import PLCircleMap, sup_dist_to_int
 
 DEFAULT_CELL_CAP = 500_000
 
@@ -222,21 +222,9 @@ def _sup_circle_distance_affine(
             t = b + k
             if lo < t < hi:
                 cuts.add(t)
-    pts = sorted(cuts)
-    deltas = [g.lift_evaluate(t) - (a0 + slope * (t - lo)) for t in pts]
-    best = ZERO
-    for i in range(len(pts) - 1):
-        u, v = deltas[i], deltas[i + 1]
-        dlo, dhi = (u, v) if u <= v else (v, u)
-        m_lo = math.ceil(2 * dlo)
-        m_hi = math.floor(2 * dhi)
-        has_odd = m_lo <= m_hi and (m_lo % 2 == 1 or m_lo + 1 <= m_hi)
-        cand = HALF if has_odd else max(
-            circle_dist(u, ZERO), circle_dist(v, ZERO)
-        )
-        if cand > best:
-            best = cand
-    return best
+    return sup_dist_to_int(
+        [g.lift_evaluate(t) - (a0 + slope * (t - lo)) for t in sorted(cuts)]
+    )
 
 
 def wicked_perturb(

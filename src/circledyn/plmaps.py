@@ -23,7 +23,6 @@ from .exact import (
     IntervalSet,
     Iv,
     as_fraction,
-    circle_dist,
     mod1,
 )
 
@@ -70,31 +69,24 @@ class PLCircleMap:
         shift = vals[0].numerator // vals[0].denominator
         if shift:
             vals = tuple(v - shift for v in vals)
-        bps, vals = self._strip_collinear(bps, vals)
+        slopes = [
+            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
+            for i in range(len(bps) - 1)
+        ]
+        # drop breakpoint i exactly when the pieces on both sides of it share
+        # a slope; a merged piece keeps that common slope
+        keep = [0]
+        keep.extend(i for i in range(1, len(slopes)) if slopes[i - 1] != slopes[i])
+        if len(keep) < len(slopes):
+            slopes = [slopes[i] for i in keep]
+            keep.append(len(bps) - 1)
+            bps = tuple(bps[i] for i in keep)
+            vals = tuple(vals[i] for i in keep)
         self.breakpoints = bps
         self.lift_values = vals
         self.degree = int(deg)
-        self._slopes = tuple(
-            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-            for i in range(len(bps) - 1)
-        )
+        self._slopes = tuple(slopes)
         self._bps_float = [float(b) for b in bps]
-
-    @staticmethod
-    def _strip_collinear(
-        bps: tuple[Fraction, ...], vals: tuple[Fraction, ...]
-    ) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        keep_b = [bps[0]]
-        keep_v = [vals[0]]
-        for i in range(1, len(bps) - 1):
-            sl = (vals[i] - keep_v[-1]) / (bps[i] - keep_b[-1])
-            sr = (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-            if sl != sr:
-                keep_b.append(bps[i])
-                keep_v.append(vals[i])
-        keep_b.append(bps[-1])
-        keep_v.append(vals[-1])
-        return tuple(keep_b), tuple(keep_v)
 
     # -- basic structure
 
@@ -259,26 +251,34 @@ class PLCircleMap:
     # -- distance
 
     def c0_distance(self, other: "PLCircleMap") -> Fraction:
-        """Exact sup over the circle of d(f(x), g(x))."""
-        bps = sorted(set(self.breakpoints) | set(other.breakpoints))
-        deltas = [self.lift_evaluate(b) - other.lift_evaluate(b) for b in bps]
-        best = ZERO
-        for i in range(len(bps) - 1):
-            u, v = deltas[i], deltas[i + 1]
-            lo, hi = (u, v) if u <= v else (v, u)
-            # sup of dist-to-integers over an affine segment is 1/2 as soon as
-            # the value range contains a half-integer
-            m_lo = math.ceil(2 * lo)
-            m_hi = math.floor(2 * hi)
-            has_odd = m_lo <= m_hi and (m_lo % 2 == 1 or m_lo + 1 <= m_hi)
-            cand = HALF if has_odd else max(
-                circle_dist(u, ZERO), circle_dist(v, ZERO)
-            )
-            if cand > best:
-                best = cand
-            if best == HALF:
-                return HALF
-        return best
+        """Exact sup over the circle of d(f(x), g(x)).
+
+        One merge walk over the two sorted breakpoint tuples: at a map's own
+        breakpoint its lift value is read by index, at the other map's
+        breakpoints it comes from the current piece's affine formula.
+        """
+        fb, fv, fs = self.breakpoints, self.lift_values, self._slopes
+        gb, gv, gs = other.breakpoints, other.lift_values, other._slopes
+        last = len(fb) - 1
+        deltas = []
+        i = j = 0
+        # both tuples start at 0 and end at 1: a breakpoint ahead of the
+        # other map's next one lies inside that map's previous piece
+        while True:
+            x, y = fb[i], gb[j]
+            if x == y:
+                deltas.append(fv[i] - gv[j])
+                if i == last:
+                    break
+                i += 1
+                j += 1
+            elif x < y:
+                deltas.append(fv[i] - (gv[j - 1] + gs[j - 1] * (x - gb[j - 1])))
+                i += 1
+            else:
+                deltas.append(fv[i - 1] + fs[i - 1] * (y - fb[i - 1]) - gv[j])
+                j += 1
+        return sup_dist_to_int(deltas)
 
     # -- fixed and periodic points
 
@@ -456,34 +456,46 @@ class PLCircleMap:
     # -- set images and preimages (endpoint topology exact)
 
     def image_of_set(self, s: IntervalSet) -> IntervalSet:
-        """Exact image of an interval set under the map."""
-        pieces: list[IntervalSet] = []
+        """Exact image of an interval set inside [0, 1] under the map."""
+        if s.ivs and (s.ivs[0].lo < ZERO or s.ivs[-1].hi > ONE):
+            raise InvalidInput("image_of_set needs a set inside [0, 1]")
+        pieces: list[Iv] = []
         for iv in s.ivs:
             pieces.extend(self._image_of_iv(iv))
-        return IntervalSet.union_all(pieces)
+        return IntervalSet(pieces)
 
-    def _image_of_iv(self, iv: Iv) -> list[IntervalSet]:
-        out: list[IntervalSet] = []
-        bps = self.breakpoints
-        i_lo = bisect_right(bps, iv.lo)
-        i_hi = bisect_right(bps, iv.hi) - 1
-        inner = [b for b in bps[i_lo : i_hi + 1] if b < iv.hi]
-        cuts = [iv.lo] + inner + [iv.hi]
-        for j in range(len(cuts) - 1):
-            a, b = cuts[j], cuts[j + 1]
-            fa, fb = self.lift_evaluate(a), self.lift_evaluate(b)
-            a_closed = iv.lo_closed if a == iv.lo else True
-            b_closed = iv.hi_closed if b == iv.hi else True
+    def _image_of_iv(self, iv: Iv) -> list[Iv]:
+        """Image of one interval inside [0, 1], piece by piece.
+
+        Each end is located once (``_locate``); the lift values at the
+        breakpoints strictly between the ends are read by index and the two
+        end values come from the affine formula of the located piece.
+        """
+        bps, vals, slopes = self.breakpoints, self.lift_values, self._slopes
+        lo, hi = iv.lo, iv.hi
+        p = _locate(bps, self._bps_float, lo)
+        v_lo = vals[p] if bps[p] == lo else vals[p] + slopes[p] * (lo - bps[p])
+        if lo == hi:
+            return [_point(v_lo)]
+        q = _locate(bps, self._bps_float, hi)
+        if bps[q] == hi:
+            j, v_hi = q, vals[q]
+        else:
+            j, v_hi = q + 1, vals[q] + slopes[q] * (hi - bps[q])
+        lifts = [v_lo, *vals[p + 1 : j], v_hi]
+        out: list[Iv] = []
+        last = len(lifts) - 2
+        for k in range(last + 1):
+            fa, fb = lifts[k], lifts[k + 1]
             if fa == fb:
-                out.append(IntervalSet.point(mod1(fa)))
+                out.append(_point(fa))
                 continue
+            a_closed = iv.lo_closed if k == 0 else True
+            b_closed = iv.hi_closed if k == last else True
             if fa < fb:
-                lo, loc, hi, hic = fa, a_closed, fb, b_closed
+                out.extend(_wrap_lift_interval(fa, a_closed, fb, b_closed))
             else:
-                lo, loc, hi, hic = fb, b_closed, fa, a_closed
-            out.append(_wrap_lift_interval(lo, loc, hi, hic))
-        if iv.lo == iv.hi:
-            out.append(IntervalSet.point(self.evaluate(iv.lo)))
+                out.extend(_wrap_lift_interval(fb, b_closed, fa, a_closed))
         return out
 
     def preimage_of_set(self, s: IntervalSet) -> IntervalSet:
@@ -539,19 +551,48 @@ class PLCircleMap:
         return IntervalSet(out)
 
 
+def sup_dist_to_int(deltas: Sequence[Fraction]) -> Fraction:
+    """Sup of the distance to the nearest integer over a polygon.
+
+    The polygon joins consecutive ``deltas`` by affine segments.  A segment
+    from u to v spans a half-integer exactly when an odd integer lies between
+    ceil(2 min(u, v)) and floor(2 max(u, v)); then the sup is 1/2.  The
+    floor and ceiling of each 2·delta are computed once, as integers.
+    """
+    prev_ce = prev_fl = None
+    for d in deltas:
+        twice, den = 2 * d.numerator, d.denominator
+        fl = twice // den
+        ce = -(-twice // den)
+        if prev_ce is not None:
+            m_lo = min(ce, prev_ce)
+            m_hi = max(fl, prev_fl)
+            if m_lo <= m_hi and (m_lo % 2 == 1 or m_lo < m_hi):
+                return HALF
+        prev_ce, prev_fl = ce, fl
+    # no value is a half-integer and no segment crosses one, so every value
+    # lies in the same band (k - 1/2, k + 1/2), where the distance is |d - k|
+    k = (prev_fl + 1) // 2
+    return max(max(deltas) - k, k - min(deltas))
+
+
+def _point(v: Fraction) -> Iv:
+    """The circle point of a lift value, as a closed point in [0, 1)."""
+    x = mod1(v)
+    return Iv(x, True, x, True)
+
+
 def _wrap_lift_interval(
     lo: Fraction, loc: bool, hi: Fraction, hic: bool
-) -> IntervalSet:
+) -> list[Iv]:
     """Wrap a lift-space interval into circle representatives in [0, 1]."""
     if hi - lo >= ONE:
-        return IntervalSet.closed(ZERO, ONE)
+        return [Iv(ZERO, True, ONE, True)]
     shift = lo.numerator // lo.denominator
     lo, hi = lo - shift, hi - shift
     if hi <= ONE:
-        return IntervalSet([Iv(lo, loc, hi, hic)])
-    return IntervalSet(
-        [Iv(lo, loc, ONE, True), Iv(ZERO, True, hi - ONE, hic)]
-    )
+        return [Iv(lo, loc, hi, hic)]
+    return [Iv(lo, loc, ONE, True), Iv(ZERO, True, hi - ONE, hic)]
 
 
 def _identity_on_arc(g: PLCircleMap, arc: Arc) -> bool:

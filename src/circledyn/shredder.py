@@ -26,7 +26,7 @@ from .exact import (
     signed_circle_offset,
 )
 from .orbits import orbit_averages
-from .plmaps import Observable, PLCircleMap
+from .plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,12 @@ class ShredConfig:
         if subs * eps <= 1:
             raise InvalidInput(
                 f"subdivision count {subs} must exceed 1/eps = {1 / eps}"
+            )
+        breakpoints = 3 * cells * subs + 1
+        if breakpoints > DEFAULT_BREAKPOINT_CAP:
+            raise ResourceCap(
+                f"{cells} cells x {subs} subdivisions would give {breakpoints} "
+                f"breakpoints, above the breakpoint cap {DEFAULT_BREAKPOINT_CAP}"
             )
         sub_len = Fraction(1, cells * subs)
         delta = self.delta
@@ -162,31 +168,38 @@ class ShredVerification:
 
 
 def _tau_orbits(tau: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
-    """Periodic orbits of a functional graph and the orbit index of each i."""
+    """Periodic orbits of a functional graph and the orbit index of each i.
+
+    One pass: each walk follows tau from an unvisited node until it meets a
+    node seen before; a node on the walk itself closes a new cycle.  Orbits
+    are ordered by their least member and listed from it.
+    """
     n = len(tau)
-    landing = []
+    cycle_of = [-1] * n  # index into cycles; -2 while on the current walk
+    cycles: list[list[int]] = []
     for i in range(n):
+        walk = []
         j = i
-        for _ in range(n):
+        while cycle_of[j] == -1:
+            cycle_of[j] = -2
+            walk.append(j)
             j = tau[j]
-        landing.append(j)
-    cyclic = sorted(set(landing))
-    orbits: list[tuple[int, ...]] = []
-    assigned: dict[int, int] = {}
-    for c in cyclic:
-        if c in assigned:
-            continue
-        orbit = [c]
-        j = tau[c]
-        while j != c:
-            orbit.append(j)
-            j = tau[j]
-        idx = len(orbits)
-        orbits.append(tuple(orbit))
-        for member in orbit:
-            assigned[member] = idx
-    basin = [assigned[landing[i]] for i in range(n)]
-    return tuple(orbits), basin
+        if cycle_of[j] == -2:
+            cid = len(cycles)
+            cycles.append(walk[walk.index(j):])
+        else:
+            cid = cycle_of[j]
+        for k in walk:
+            cycle_of[k] = cid
+    order = sorted(range(len(cycles)), key=lambda c: min(cycles[c]))
+    rank = [0] * len(cycles)
+    orbits = []
+    for r, c in enumerate(order):
+        rank[c] = r
+        cyc = cycles[c]
+        start = cyc.index(min(cyc))
+        orbits.append(tuple(cyc[start:] + cyc[:start]))
+    return tuple(orbits), [rank[c] for c in cycle_of]
 
 
 def shred(
@@ -252,9 +265,11 @@ def shred(
     g = PLCircleMap(bps, vals)
 
     orbits, basin = _tau_orbits(tau)
+    basins: list[list[int]] = [[] for _ in orbits]
+    for i, r in enumerate(basin):
+        basins[r].append(i)
     regions = []
-    for r in range(len(orbits)):
-        members = tuple(i for i in range(n_cells) if basin[i] == r)
+    for r, members in enumerate(map(tuple, basins)):
         for j in range(n_subs):
             regions.append(
                 Region(
@@ -294,26 +309,6 @@ def shred(
 # Verification
 
 
-def _is_plateau(g: PLCircleMap, arc: Arc) -> Fraction | None:
-    """The constant value of g on the closed arc, or None if not constant."""
-    from bisect import bisect_left, bisect_right
-
-    vals = set()
-    for lo, hi in arc.intervals():
-        vals.add(g.lift_evaluate(lo))
-        vals.add(g.lift_evaluate(hi))
-        i_lo = bisect_right(g.breakpoints, lo)
-        i_hi = bisect_left(g.breakpoints, hi)
-        vals.update(
-            g.lift_evaluate(b) for b in g.breakpoints[i_lo:i_hi]
-        )
-        if len(vals) > 1:
-            return None
-    if len(vals) == 1:
-        return mod1(vals.pop())
-    return None
-
-
 def _first_overlap(regions: Sequence[Region]) -> str:
     """Name the first region whose arcs overlap each other or an earlier region."""
     seen = IntervalSet()
@@ -338,10 +333,18 @@ def verify_shredding(
     items: dict[str, ItemVerdict] = {}
     n_steps = len(report.tau)
 
+    # one closed image per distinct arc; regions and cycles share them
+    arc_images: dict[Arc, IntervalSet] = {}
+
+    def image(arc: Arc) -> IntervalSet:
+        img = arc_images.get(arc)
+        if img is None:
+            img = arc_images[arc] = g.image_of_set(IntervalSet.from_arc_closed(arc))
+        return img
+
     region_open = {reg.label: reg.open_set() for reg in report.regions}
-    region_closed = {reg.label: reg.closed_set() for reg in report.regions}
     region_images = {
-        reg.label: g.image_of_set(region_closed[reg.label])
+        reg.label: IntervalSet.union_all(image(a) for a in reg.arcs)
         for reg in report.regions
     }
 
@@ -424,9 +427,8 @@ def verify_shredding(
             break
         # (b) cyclic forward containment
         for idx in range(k):
-            w_closed = IntervalSet.from_arc_closed(cyc[idx])
             nxt = IntervalSet.from_arc_open(cyc[(idx + 1) % k])
-            img = g.image_of_set(w_closed)
+            img = image(cyc[idx])
             if not nxt.covers(img):
                 ok_v = False
                 details_v.append(f"{reg.label}: g(cl W^{idx+1}) escapes")
@@ -439,18 +441,25 @@ def verify_shredding(
         w_union_open = IntervalSet.union_all(
             IntervalSet.from_arc_open(w) for w in cyc
         )
+        # the plateau route needs a single lift value on each closed arc of
+        # positive length: its image is one point, and an arc that wraps past
+        # 0 meets the lift at 1 and at 0, whose values differ by the degree
         plateau_values = []
-        plateaus_ok = True
         for arc in reg.arcs:
-            v = _is_plateau(g, arc)
-            if v is None:
-                plateaus_ok = False
+            img = image(arc).ivs
+            if (
+                arc.length == 0
+                or (g.degree and arc.start + arc.length > ONE)
+                or len(img) != 1
+                or img[0].lo != img[0].hi
+            ):
                 break
-            plateau_values.append(v)
-        if plateaus_ok:
+            plateau_values.append(img[0].lo)
+        if len(plateau_values) == len(reg.arcs):
             # g collapses each interior to a point, so absorption reduces to
-            # chasing the anchor chain: g^m(closure arc) = {y_m} for m >= 1
-            for arc, v in zip(reg.arcs, plateau_values):
+            # chasing the anchor chain: g^m(closure arc) = {y_m} for m >= 1;
+            # arcs with the same plateau value share one chase
+            for v in dict.fromkeys(plateau_values):
                 y = v
                 absorbed = False
                 for _ in range(n_steps):
@@ -466,10 +475,11 @@ def verify_shredding(
                     break
         else:
             # general route: iterated preimages of the open cycle union
+            closure = reg.closed_set()
             s = w_union_open
             absorbed = False
             for _ in range(n_steps + 1):
-                if s.covers(region_closed[reg.label]):
+                if s.covers(closure):
                     absorbed = True
                     break
                 s = s.union(g.preimage_of_set(s))
@@ -479,7 +489,7 @@ def verify_shredding(
                         f"{len(s.ivs)} intervals, above the interval cap "
                         f"{preimage_interval_cap}"
                     )
-            if not (absorbed or s.covers(region_closed[reg.label])):
+            if not (absorbed or s.covers(closure)):
                 ok_v = False
                 details_v.append(f"{reg.label}: closure(U) not absorbed")
         if not ok_v:

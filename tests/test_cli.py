@@ -285,6 +285,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert "10^9 words" in err and "1000000" in err
 
+    def test_shred_cap_exit_code(self, workdir, capsys):
+        # 3000001 cells x 1000001 subdivisions: capped before shred allocates
+        code = main(
+            [
+                "--out-dir", str(workdir / "outS"),
+                "shred", str(workdir / "e2.json"), "--eps", "1/1000000",
+            ]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "9000012000004 breakpoints" in err and "cap 1000000" in err
+        assert not (workdir / "outS" / "perturbed.json").exists()
+
     def test_verify_command(self, workdir):
         main(
             [

@@ -1,15 +1,18 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circledyn.errors import InvalidInput, ResourceCap, VerificationFailure
 from circledyn.exact import Arc
 from circledyn.expanding import expanding_map
-from circledyn.plmaps import Observable, PLCircleMap
+from circledyn.plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap
 from circledyn.shredder import (
     Region,
     ShredConfig,
     TrappingReport,
+    _tau_orbits,
     birkhoff_gap_bound,
     shred,
     singularity_witness,
@@ -211,3 +214,161 @@ def test_preimage_cap_message_states_used_and_limit():
     used = int(message.split(" reached ")[1].split()[0])
     assert used > 1
     assert message.endswith("above the interval cap 1")
+
+
+def test_shred_capped_before_allocating():
+    # the doubling map at eps 1/10^6 would need 3000001 cells x 1000001
+    # subdivisions; the cap trips in ShredConfig.resolved, before any arc
+    with pytest.raises(ResourceCap) as info:
+        shred(expanding_map(2), F(1, 10**6))
+    message = str(info.value)
+    assert str(3 * 3_000_001 * 1_000_001 + 1) in message
+    assert message.endswith(f"above the breakpoint cap {DEFAULT_BREAKPOINT_CAP}")
+
+
+def reference_tau_orbits(tau):
+    """Land every node on its cycle by n steps of tau, then list the cycles
+    in order of their least member."""
+    n = len(tau)
+    landing = []
+    for i in range(n):
+        j = i
+        for _ in range(n):
+            j = tau[j]
+        landing.append(j)
+    orbits, assigned = [], {}
+    for c in sorted(set(landing)):
+        if c in assigned:
+            continue
+        orbit = [c]
+        j = tau[c]
+        while j != c:
+            orbit.append(j)
+            j = tau[j]
+        for member in orbit:
+            assigned[member] = len(orbits)
+        orbits.append(tuple(orbit))
+    return tuple(orbits), [assigned[landing[i]] for i in range(n)]
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.integers(1, 40).flatmap(
+        lambda n: st.lists(st.integers(0, n - 1), min_size=n, max_size=n)
+    )
+)
+def test_tau_orbits_matches_landing_loop(tau):
+    assert _tau_orbits(tau) == reference_tau_orbits(tau)
+
+
+# Hand-built certificates that shred never makes.  The expected rows are the
+# verdicts, slacks and details the per-region verifier printed before the
+# per-arc images were shared; they pin which route item (v) takes.
+EIGHTHS = [F(k, 8) for k in (0, 1, 3, 5, 7, 8)]
+# lift constant 1/4 on [1/8, 3/8] and 3/4 on [5/8, 7/8], degree 1
+TWO_PLATEAUS = PLCircleMap(EIGHTHS, [F(0), F(1, 4), F(1, 4), F(3, 4), F(3, 4), F(1)])
+# constant on [3/8, 5/8] and on the arc [7/8, 1/8] across 0: degree 1, so
+# the lift there takes the values 0 and 1; degree 0, a single value
+SEAM_DEGREE_1 = PLCircleMap(EIGHTHS, [F(0), F(0), F(1, 2), F(1, 2), F(1), F(1)])
+SEAM_DEGREE_0 = PLCircleMap(EIGHTHS, [F(0), F(0), F(1, 2), F(1, 2), F(0), F(0)])
+A, B = Arc(F(1, 8), F(1, 4)), Arc(F(5, 8), F(1, 4))
+SEAM, MID = Arc(F(7, 8), F(1, 4)), Arc(F(3, 8), F(1, 4))
+PASS_I = ("i", True, F(1, 8), "g(cl U) strictly inside U")
+PASS_IV = ("iv", True, F(3, 16), "images crushed")
+TWO_QUARTERS = [
+    PASS_I,
+    ("ii", True, F(1, 2), "max m(U) = 1/4"),
+    ("iii", True, F(1, 4), "m(union U) = 1/2"),
+    PASS_IV,
+]
+ONE_QUARTER = [
+    PASS_I,
+    ("ii", True, F(1, 2), "max m(U) = 1/4"),
+    ("iii", False, F(0), "m(union U) = 1/4"),
+    PASS_IV,
+]
+ABSORBED = ("v", True, F(1, 8), "cycles absorb the regions")
+
+
+def _report(regions, cycles):
+    return TrappingReport(
+        eps=F(3, 4),
+        delta=F(1, 100),
+        cells=(),
+        subcells=(),
+        tau=(0, 1),
+        interior_cells=(),
+        anchors=(),
+        orbits=(),
+        regions=tuple(
+            Region(label=label, arcs=arcs, cell_indices=())
+            for label, arcs in regions
+        ),
+        cycles=cycles,
+    )
+
+
+@pytest.mark.parametrize(
+    "g, regions, cycles, expected",
+    [
+        pytest.param(
+            TWO_PLATEAUS,
+            [((0, 0), (A,)), ((1, 0), (B, A))],
+            {(0, 0): (A,), (1, 0): (B,)},
+            [
+                PASS_I,
+                ("ii", True, F(1, 4), "max m(U) = 1/2"),
+                (
+                    "iii", False, F(1, 4),
+                    "m(union U) = 1/2, but the arcs sum to 3/4: "
+                    "region (1, 0) overlaps an earlier region",
+                ),
+                PASS_IV,
+                ("v", False, F(1, 8), "(1, 0): plateau value never reaches cycle"),
+            ],
+            id="arc-in-two-regions",
+        ),
+        pytest.param(
+            SEAM_DEGREE_1,
+            [((0, 0), (SEAM,)), ((1, 0), (MID,))],
+            {(0, 0): (SEAM,), (1, 0): (MID,)},
+            TWO_QUARTERS + [ABSORBED],
+            id="wrapping-arc-absorbed",
+        ),
+        pytest.param(
+            SEAM_DEGREE_1,
+            [((0, 0), (SEAM,))],
+            {(0, 0): (MID,)},
+            ONE_QUARTER + [("v", False, F(1, 8), "(0, 0): closure(U) not absorbed")],
+            id="wrapping-arc-degree-1-preimage-route",
+        ),
+        pytest.param(
+            SEAM_DEGREE_0,
+            [((0, 0), (SEAM,))],
+            {(0, 0): (MID,)},
+            ONE_QUARTER
+            + [("v", False, F(1, 8), "(0, 0): plateau value never reaches cycle")],
+            id="wrapping-arc-degree-0-plateau-route",
+        ),
+        pytest.param(
+            TWO_PLATEAUS,
+            [((0, 0), (A, Arc.degenerate(F(1, 4)))), ((1, 0), (B,))],
+            {(0, 0): (A,), (1, 0): (B,)},
+            TWO_QUARTERS + [ABSORBED],
+            id="zero-length-arc-inside",
+        ),
+        pytest.param(
+            TWO_PLATEAUS,
+            [((0, 0), (A, Arc.degenerate(F(1, 2)))), ((1, 0), (B,))],
+            {(0, 0): (A,), (1, 0): (B,)},
+            [("i", False, None, "region (0, 0): image escapes")]
+            + TWO_QUARTERS[1:]
+            + [("v", False, F(1, 8), "(0, 0): closure(U) not absorbed")],
+            id="zero-length-arc-preimage-route",
+        ),
+    ],
+)
+def test_handbuilt_report_rows(g, regions, cycles, expected):
+    verification = verify_shredding(g, _report(regions, cycles))
+    rows = [(k, v.passed, v.slack, v.detail) for k, v in verification.items.items()]
+    assert rows == expected
