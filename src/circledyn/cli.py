@@ -171,7 +171,7 @@ def cmd_wicked(args: argparse.Namespace) -> int:
     written = {
         out / "window.csv": csv_lines(("k", "spec_distance", "in_window"), rows),
         out / "cesaro.csv": csv_lines(("n", "spec_distance"), cesaro_rows),
-        out / "family.json": dumps(family_to_record(result.to_family()))
+        out / "family.json": dumps(family_to_record(result))
         if result.depth <= args.family_dump_depth_cap
         else dumps({"omitted": "family too deep to dump"}),
     }

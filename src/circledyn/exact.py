@@ -143,23 +143,6 @@ class Arc:
         return Arc(mod1(self.start + delta), self.length - 2 * delta)
 
 
-def arc_measure(a: Arc) -> Fraction:
-    return a.measure
-
-
-def arc_contains(a: Arc, x: Fraction) -> bool:
-    return a.contains(mod1(x))
-
-
-def arcs_measure(arcs: Iterable[Arc]) -> Fraction:
-    """Total measure of a union of pairwise disjoint arcs."""
-    return sum((a.length for a in arcs), start=ZERO)
-
-
-def arcs_contain(arcs: Iterable[Arc], x: Fraction) -> bool:
-    return any(a.contains(x) for a in arcs)
-
-
 # ---------------------------------------------------------------------------
 # Base-l words
 
@@ -219,14 +202,6 @@ class Word:
         p = len(self.digits)
         scale = self.base**p
         return Arc(Fraction(self.value, scale), Fraction(1, scale))
-
-
-def word_concat(a: Word, b: Word) -> Word:
-    return a.concat(b)
-
-
-def word_interval(a: Word) -> Arc:
-    return a.interval()
 
 
 def all_words(base: int, length: int) -> Iterator[Word]:

@@ -314,7 +314,10 @@ def _word_count(ell: int, level: int) -> int:
 
 @dataclass(frozen=True)
 class CylinderSpec:
-    """A measure described by its values on the level-p base-l intervals."""
+    """A measure described by its values on the level-p base-l intervals.
+
+    ``values`` holds the positive values only; every other word has value 0.
+    """
 
     ell: int
     level: int
@@ -322,17 +325,17 @@ class CylinderSpec:
 
     def __post_init__(self) -> None:
         _word_count(self.ell, self.level)
-        full = dict(self.values)
-        for w in all_words(self.ell, self.level):
-            full.setdefault(w.digits, ZERO)
-        for w, v in full.items():
+        for w, v in self.values.items():
             if len(w) != self.level:
                 raise InvalidInput(f"word {w} has wrong length")
             if v < 0:
                 raise InvalidInput("cylinder values must be >= 0")
-        if sum(full.values(), start=ZERO) != ONE:
+        if sum(self.values.values(), start=ZERO) != ONE:
             raise InvalidInput("cylinder values must sum to 1")
-        object.__setattr__(self, "values", full)
+        # sparse: only positive values are stored, ``value`` reads 0 elsewhere
+        object.__setattr__(
+            self, "values", {w: v for w, v in self.values.items() if v > 0}
+        )
 
     # -- constructors
 
@@ -402,7 +405,8 @@ class CylinderSpec:
         if self.ell != other.ell or self.level != other.level:
             raise InvalidInput("cylinder specs have mismatched dimensions")
         return max(
-            abs(self.values[w] - other.values[w]) for w in self.values
+            abs(self.value(w) - other.value(w))
+            for w in self.values.keys() | other.values.keys()
         )
 
     # -- stationary extension (used to extend targets below their level)
@@ -452,10 +456,6 @@ class CylinderSpec:
 # Module-level operations
 
 
-def pushforward(f: PLCircleMap, mu: CircleMeasure) -> CircleMeasure:
-    return mu.pushforward(f)
-
-
 def cesaro(
     f: PLCircleMap,
     mu0: CircleMeasure,
@@ -480,22 +480,6 @@ def cesaro(
     return CircleMeasure.convex_combination(parts)
 
 
-def integrate(phi: Observable, mu: CircleMeasure) -> Fraction:
-    return mu.integrate(phi)
-
-
-def cylinder_vector(mu: CircleMeasure, ell: int, p: int) -> CylinderSpec:
-    return mu.cylinder_vector(ell, p)
-
-
-def w1_distance(mu: CircleMeasure, nu: CircleMeasure) -> Fraction:
-    return mu.w1_distance(nu)
-
-
-def spec_distance(a: CylinderSpec, b: CylinderSpec) -> Fraction:
-    return a.distance(b)
-
-
 def neighborhood_member(
     mu: CircleMeasure,
     observables: Sequence[Observable],
@@ -509,10 +493,6 @@ def neighborhood_member(
         if abs(mu.integrate(phi) - t) >= e:
             return False
     return True
-
-
-def restrict_normalize(mu: CircleMeasure, arcs: Sequence[Arc]) -> CircleMeasure:
-    return mu.restrict_normalize(arcs)
 
 
 def dirac_periodic(f: PLCircleMap, p: Fraction, k: int) -> CircleMeasure:

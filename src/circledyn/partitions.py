@@ -5,17 +5,26 @@ partition into l^k cells, laid counterclockwise from a common basepoint in
 word order, with each cell equal to the union of its children.  Families
 with all cells of positive length correspond exactly to orientation
 preserving PL circle homeomorphisms pulling back the standard base-l grid.
+Push-forwards of Lebesgue under iterates of the expanding map E_l through
+such a chart are read off the cells exactly, at the level of base-l
+cylinder values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Sequence
 
 from .errors import InvalidInput
-from .exact import ONE, ZERO, Arc, Word, mod1
-from .plmaps import PLCircleMap
+from .exact import HALF, ONE, ZERO, Arc, Word, mod1
+from .measures import CylinderSpec
+from .plmaps import PLCircleMap, sup_dist_to_int
+
+# the positive cells of one level: word -> (lift position, length)
+Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
 
 
 @dataclass(frozen=True)
@@ -25,110 +34,248 @@ class ConsistencyViolation:
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ConsistentFamily:
-    """Levels 1..depth of nested circular partitions.
+    """Levels 1..depth of nested circular partitions, stored by positive cells.
 
-    ``levels[k-1]`` lists the l^k cells of level k in base-l word order.
-    Cells may have zero length only when ``allow_degenerate`` was set at
-    construction (needed for targets with vanishing cylinder masses); such
-    families validate but cannot be realized by a homeomorphism.
+    ``tables[k-1]`` maps each level-k word whose cell has positive length to
+    the cell's (lift position, length), in word order.  Positions are
+    cumulative from ``basepoint`` in [0, 1), so they live in [basepoint,
+    basepoint + 1).  A word missing from its table is an empty cell: such
+    (degenerate) families describe targets with vanishing cylinder masses;
+    they validate but cannot be realized by a homeomorphism.
+
+    ``ConsistentFamily(ell, depth, levels)`` reads the dense form:
+    ``levels[k-1]`` lists the l^k arcs of level k in word order, and
+    zero-length arcs are accepted only with ``allow_degenerate``.
+    ``from_tables`` takes the sparse form.  ``levels`` and ``cells(k)``
+    give the dense form back.
     """
 
     ell: int
-    depth: int
-    levels: tuple[tuple[Arc, ...], ...]
-    allow_degenerate: bool = field(default=False, compare=False)
+    basepoint: Fraction
+    tables: tuple[Table, ...]
 
-    def __post_init__(self) -> None:
-        ok, violation = self._validate()
-        if not ok:
-            raise InvalidInput(
-                f"inconsistent family at level {violation.level}, "
-                f"word {''.join(map(str, violation.word))}: {violation.reason}"
-            )
+    def __init__(
+        self,
+        ell: int,
+        depth: int,
+        levels: Sequence[Sequence[Arc]],
+        allow_degenerate: bool = False,
+    ):
+        violation, tables = _from_levels(ell, depth, levels, allow_degenerate)
+        _raise(violation)
+        self._store(ell=ell, basepoint=levels[0][0].start, tables=tables)
 
-    def _validate(self) -> tuple[bool, ConsistencyViolation | None]:
-        if self.ell < 2:
-            return False, ConsistencyViolation(0, (), "alphabet size must be >= 2")
-        if self.depth < 1 or len(self.levels) != self.depth:
-            return False, ConsistencyViolation(0, (), "level count != depth")
-        if not self.levels[0]:
-            return False, ConsistencyViolation(1, (), "empty level")
-        base = self.levels[0][0].start
-        for k in range(1, self.depth + 1):
-            cells = self.levels[k - 1]
-            if len(cells) != self.ell**k:
-                return False, ConsistencyViolation(
-                    k, (), f"expected {self.ell ** k} cells, got {len(cells)}"
-                )
-            total = ZERO
-            for idx, cell in enumerate(cells):
-                w = Word.from_value(idx, self.ell, k).digits
-                if cell.length < 0:
-                    return False, ConsistencyViolation(k, w, "negative length")
-                if cell.length == 0 and not self.allow_degenerate:
-                    return False, ConsistencyViolation(k, w, "empty cell")
-                total += cell.length
-            if total != ONE:
-                return False, ConsistencyViolation(
-                    k, (), f"cell lengths sum to {total}, not 1"
-                )
-            if cells[0].start != base:
-                return False, ConsistencyViolation(
-                    k, (0,) * k, "basepoint differs from level 1"
-                )
-            pos = base
-            for idx, cell in enumerate(cells):
-                w = Word.from_value(idx, self.ell, k).digits
-                if cell.start != mod1(pos):
-                    return False, ConsistencyViolation(
-                        k, w, "cells not laid consecutively in word order"
-                    )
-                pos += cell.length
-        for k in range(1, self.depth):
-            parents = self.levels[k - 1]
-            children = self.levels[k]
-            for idx, parent in enumerate(parents):
-                w = Word.from_value(idx, self.ell, k).digits
-                kids = children[idx * self.ell : (idx + 1) * self.ell]
-                if kids[0].start != parent.start and parent.length > 0:
-                    return False, ConsistencyViolation(
-                        k, w, "children do not start at parent"
-                    )
-                if sum((c.length for c in kids), start=ZERO) != parent.length:
-                    return False, ConsistencyViolation(
-                        k, w, "children lengths do not sum to parent"
-                    )
-        return True, None
+    @classmethod
+    def from_tables(
+        cls, ell: int, basepoint: Fraction, tables: Sequence[Table], **fields
+    ) -> "ConsistentFamily":
+        """Build from the sparse form; ``fields`` fill a subclass's own fields."""
+        fam = cls.__new__(cls)
+        fam._store(ell=ell, basepoint=basepoint, tables=tuple(tables), **fields)
+        return fam
 
-    # -- accessors
+    def _store(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        _raise(_table_violation(self.ell, self.basepoint, self.tables))
 
-    def cells(self, level: int) -> tuple[Arc, ...]:
-        if not 1 <= level <= self.depth:
-            raise InvalidInput(f"level {level} outside 1..{self.depth}")
-        return self.levels[level - 1]
+    # -- views
 
-    def cell(self, word: Word | tuple[int, ...]) -> Arc:
-        digits = word.digits if isinstance(word, Word) else tuple(word)
-        level = len(digits)
-        idx = 0
-        for d in digits:
-            idx = idx * self.ell + d
-        return self.cells(level)[idx]
-
-    def cell_measure(self, word: Word | tuple[int, ...]) -> Fraction:
-        return self.cell(word).length
+    @property
+    def depth(self) -> int:
+        return len(self.tables)
 
     @property
     def is_degenerate(self) -> bool:
-        return any(
-            c.length == 0 for level in self.levels for c in level
-        )
+        return any(len(t) < self.ell**k for k, t in enumerate(self.tables, 1))
+
+    def cells(self, level: int) -> tuple[Arc, ...]:
+        """The l^level cells of a level in word order, empty ones included."""
+        if not 1 <= level <= self.depth:
+            raise InvalidInput(f"level {level} outside 1..{self.depth}")
+        table = self.tables[level - 1]
+        out = []
+        pos = self.basepoint
+        for w in product(range(self.ell), repeat=level):
+            entry = table.get(w)
+            length = entry[1] if entry else ZERO
+            out.append(Arc(mod1(pos), length))
+            pos += length
+        return tuple(out)
 
     @property
-    def basepoint(self) -> Fraction:
-        return self.levels[0][0].start
+    def levels(self) -> tuple[tuple[Arc, ...], ...]:
+        return tuple(self.cells(k) for k in range(1, self.depth + 1))
+
+    def cell_measure(self, word: Word | tuple[int, ...]) -> Fraction:
+        digits = word.digits if isinstance(word, Word) else tuple(word)
+        if not 1 <= len(digits) <= self.depth:
+            raise InvalidInput(f"level {len(digits)} outside 1..{self.depth}")
+        entry = self.tables[len(digits) - 1].get(digits)
+        return entry[1] if entry else ZERO
+
+    def homeomorphism(self) -> PLCircleMap:
+        return homeo_from_family(self)
+
+    # -- exact cylinder computations
+
+    def cylinder_pushforward(self, q: int, p: int) -> CylinderSpec:
+        """Cylinder values of the q-th expanding push-forward of the chart.
+
+        Each value is the total length of the cells whose words end in the
+        given suffix, q levels deeper than the requested cylinder level.
+        """
+        if q < 0 or p < 1:
+            raise InvalidInput("need q >= 0 and p >= 1")
+        if q + p > self.depth:
+            raise InvalidInput(
+                f"family depth {self.depth} insufficient for level {q + p}"
+            )
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for w, (_, length) in self.tables[q + p - 1].items():
+            alpha = w[q:]
+            acc[alpha] = acc.get(alpha, ZERO) + length
+        return CylinderSpec(self.ell, p, acc)
+
+    def cesaro_spec(self, horizon: int, p: int) -> CylinderSpec:
+        """(1/horizon) sum over k < horizon of the k-th push-forward cylinders."""
+        if horizon < 1:
+            raise InvalidInput("horizon must be >= 1")
+        acc: dict[tuple[int, ...], Fraction] = {}
+        for k in range(horizon):
+            for w, v in self.cylinder_pushforward(k, p).values.items():
+                acc[w] = acc.get(w, ZERO) + v
+        inv = Fraction(1, horizon)
+        return CylinderSpec(self.ell, p, {w: v * inv for w, v in acc.items()})
+
+    # -- metric view
+
+    def c0_distance_to(self, g: PLCircleMap) -> Fraction:
+        """Exact sup_x d(g(x), h'(x)) for the (possibly jump-) realization.
+
+        The realization maps each positive deepest cell affinely onto its
+        grid interval and jumps across the grid intervals of empty cells;
+        jump positions take the right-continuous value, which coincides with
+        the next cell's start, so the supremum is attained over the closures
+        of the positive cells.
+        """
+        scale = Fraction(1, self.ell**self.depth)
+        best = ZERO
+        for w, (pos, length) in self.tables[-1].items():
+            a_w = Word(self.ell, w).value * scale
+            sup = _sup_circle_distance_affine(g, pos, pos + length, a_w, scale / length)
+            if sup > best:
+                best = sup
+            if best == HALF:
+                break
+        return best
+
+
+def _raise(violation: ConsistencyViolation | None) -> None:
+    if violation is not None:
+        raise InvalidInput(
+            f"inconsistent family at level {violation.level}, "
+            f"word {''.join(map(str, violation.word))}: {violation.reason}"
+        )
+
+
+def _from_levels(
+    ell: int, depth: int, levels: Sequence[Sequence[Arc]], allow_degenerate: bool
+) -> tuple[ConsistencyViolation | None, tuple[Table, ...]]:
+    """Check what only the dense form states (cell counts, empty cells and
+    arc starts) and convert it to tables of its positive cells."""
+    if ell < 2:
+        return ConsistencyViolation(0, (), "alphabet size must be >= 2"), ()
+    if depth < 1 or len(levels) != depth:
+        return ConsistencyViolation(0, (), "level count != depth"), ()
+    if not levels[0]:
+        return ConsistencyViolation(1, (), "empty level"), ()
+    tables = []
+    for k, cells in enumerate(levels, 1):
+        if len(cells) != ell**k:
+            return ConsistencyViolation(
+                k, (), f"expected {ell ** k} cells, got {len(cells)}"
+            ), ()
+        table: Table = {}
+        pos = levels[0][0].start
+        for w, cell in zip(product(range(ell), repeat=k), cells):
+            if cell.length == 0 and not allow_degenerate:
+                return ConsistencyViolation(k, w, "empty cell"), ()
+            if cell.start != mod1(pos):
+                return ConsistencyViolation(
+                    k, w, "cells not laid consecutively in word order"
+                ), ()
+            if cell.length:
+                table[w] = (pos, cell.length)
+            pos += cell.length
+        tables.append(table)
+    return None, tuple(tables)
+
+
+def _table_violation(
+    ell: int, basepoint: Fraction, tables: Sequence[Table]
+) -> ConsistencyViolation | None:
+    """The first violation of the sparse form, or None.
+
+    Each level must lay positive cells consecutively from the basepoint in
+    word order and sum to 1, and each cell must lie inside its parent.  As
+    both levels tile [basepoint, basepoint + 1), the children of a cell then
+    tile it, so their lengths sum to the parent's.
+    """
+    if ell < 2:
+        return ConsistencyViolation(0, (), "alphabet size must be >= 2")
+    if not tables:
+        return ConsistencyViolation(0, (), "depth must be >= 1")
+    if not ZERO <= basepoint < ONE:
+        return ConsistencyViolation(0, (), f"basepoint {basepoint} outside [0, 1)")
+    parents: Table = {(): (basepoint, ONE)}
+    for k, table in enumerate(tables, 1):
+        pos, prev = basepoint, None
+        for w, (start, length) in table.items():
+            if len(w) != k or not 0 <= w[-1] < ell:
+                return ConsistencyViolation(k, w, f"not a level-{k} word")
+            if prev is not None and w <= prev:
+                return ConsistencyViolation(k, w, "words not in word order")
+            if length <= 0:
+                return ConsistencyViolation(k, w, "a listed cell must have positive length")
+            if start != pos:
+                return ConsistencyViolation(
+                    k, w, "cells not laid consecutively in word order"
+                )
+            pos = start + length
+            parent = parents.get(w[:-1])
+            if parent is None or start < parent[0] or pos > parent[0] + parent[1]:
+                return ConsistencyViolation(k, w, "cell outside its parent")
+            prev = w
+        if pos != basepoint + ONE:
+            return ConsistencyViolation(
+                k, (), f"cell lengths sum to {pos - basepoint}, not 1"
+            )
+        parents = table
+    return None
+
+
+def _sup_circle_distance_affine(
+    g: PLCircleMap,
+    lo: Fraction,
+    hi: Fraction,
+    a0: Fraction,
+    slope: Fraction,
+) -> Fraction:
+    """Sup over [lo, hi] of circle distance between g and an affine lift."""
+    cuts = {lo, hi}
+    for b in g.breakpoints[:-1]:
+        k_min = math.ceil(lo - b)
+        k_max = math.floor(hi - b)
+        for k in range(k_min, k_max + 1):
+            t = b + k
+            if lo < t < hi:
+                cuts.add(t)
+    return sup_dist_to_int(
+        [g.lift_evaluate(t) - (a0 + slope * (t - lo)) for t in sorted(cuts)]
+    )
 
 
 def family_from_homeo(h: PLCircleMap, ell: int, depth: int) -> ConsistentFamily:
@@ -138,15 +285,18 @@ def family_from_homeo(h: PLCircleMap, ell: int, depth: int) -> ConsistentFamily:
     if depth < 1:
         raise InvalidInput("depth must be >= 1")
     g = h.invert()
-    levels = []
+    count = ell**depth
+    lifts = [g.lift_evaluate(Fraction(i, count)) for i in range(count + 1)]
+    # positions count from the basepoint mod1(lifts[0])
+    shift = lifts[0].numerator // lifts[0].denominator
+    tables = []
     for k in range(1, depth + 1):
-        count = ell**k
-        lifts = [g.lift_evaluate(Fraction(i, count)) for i in range(count + 1)]
-        cells = tuple(
-            Arc(mod1(lifts[i]), lifts[i + 1] - lifts[i]) for i in range(count)
-        )
-        levels.append(cells)
-    return ConsistentFamily(ell, depth, tuple(levels))
+        grid = lifts[:: ell ** (depth - k)]
+        tables.append({
+            w: (grid[i] - shift, grid[i + 1] - grid[i])
+            for i, w in enumerate(product(range(ell), repeat=k))
+        })
+    return ConsistentFamily.from_tables(ell, lifts[0] - shift, tables)
 
 
 def homeo_from_family(fam: ConsistentFamily) -> PLCircleMap:
@@ -155,28 +305,23 @@ def homeo_from_family(fam: ConsistentFamily) -> PLCircleMap:
         raise InvalidInput(
             "family has empty cells; no homeomorphism realizes it"
         )
-    deepest = fam.cells(fam.depth)
-    count = len(deepest)
-    scale = Fraction(1, count)
-    pos = fam.basepoint
-    points = []
-    for idx, cell in enumerate(deepest):
-        points.append((pos, idx * scale))
-        pos += cell.length
-    points.append((pos, ONE))
+    scale = Fraction(1, fam.ell**fam.depth)
+    points = [(pos, idx * scale) for idx, (pos, _) in enumerate(fam.tables[-1].values())]
+    points.append((fam.basepoint + ONE, ONE))
     return PLCircleMap.from_lift_points(points)
 
 
 def consistency_check(
     fam_or_parts: ConsistentFamily | tuple[int, int, Sequence[Sequence[Arc]]],
 ) -> tuple[bool, ConsistencyViolation | None]:
-    """Validate a family (or raw parts) and report the first violation."""
+    """Validate a family, or dense parts (ell, depth, levels) with empty
+    cells allowed, and report the first violation."""
     if isinstance(fam_or_parts, ConsistentFamily):
-        return fam_or_parts._validate()
-    ell, depth, levels = fam_or_parts
-    probe = object.__new__(ConsistentFamily)
-    object.__setattr__(probe, "ell", ell)
-    object.__setattr__(probe, "depth", depth)
-    object.__setattr__(probe, "levels", tuple(tuple(lv) for lv in levels))
-    object.__setattr__(probe, "allow_degenerate", True)
-    return probe._validate()
+        fam = fam_or_parts
+        violation = _table_violation(fam.ell, fam.basepoint, fam.tables)
+    else:
+        ell, depth, levels = fam_or_parts
+        violation, tables = _from_levels(ell, depth, levels, True)
+        if violation is None:
+            violation = _table_violation(ell, levels[0][0].start, tables)
+    return violation is None, violation

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -335,7 +335,7 @@ class PLCircleMap:
                 cur = a
         return 0
 
-    def fixed_point_components(self) -> list["FixedComponent"]:
+    def fixed_point_components(self) -> list["PeriodicComponent"]:
         """Maximal solution components of f(x) = x on the circle.
 
         Point solutions carry a transversality tag (strict sign change of the
@@ -376,7 +376,7 @@ class PLCircleMap:
 
         total = sum((hi - lo for lo, hi, _ in raw), start=ZERO)
         if total == ONE:
-            return [FixedComponent(Arc.full(), transversal=False)]
+            return [PeriodicComponent(Arc.full(), transversal=False)]
 
         # Solutions at x=1 (level k) and x=0 (level k - (degree-1)) are the
         # same circle point and always occur together; glue them.
@@ -388,7 +388,7 @@ class PLCircleMap:
                 (c for c in raw if c[0] == ZERO and c[2] == end_comp[2] - shift),
                 None,
             )
-        out: list[FixedComponent] = []
+        out: list[PeriodicComponent] = []
         for lo, hi, k in raw:
             if end_comp is not None and (lo, hi, k) == end_comp:
                 continue
@@ -399,11 +399,11 @@ class PLCircleMap:
                     left = self._psi_sign_beyond(ONE, Fraction(ek), -1)
                     right = self._psi_sign_beyond(ZERO, Fraction(k), +1)
                     out.append(
-                        FixedComponent(ZERO, transversal=(left * right < 0))
+                        PeriodicComponent(ZERO, transversal=(left * right < 0))
                     )
                 else:
                     out.append(
-                        FixedComponent(
+                        PeriodicComponent(
                             Arc.make(mod1(elo), length), transversal=False
                         )
                     )
@@ -411,15 +411,12 @@ class PLCircleMap:
             if lo == hi:
                 left = self._psi_sign_beyond(lo, Fraction(k), -1)
                 right = self._psi_sign_beyond(hi, Fraction(k), +1)
-                out.append(FixedComponent(lo, transversal=(left * right < 0)))
+                out.append(PeriodicComponent(lo, transversal=(left * right < 0)))
             else:
                 out.append(
-                    FixedComponent(Arc.make(mod1(lo), hi - lo), transversal=False)
+                    PeriodicComponent(Arc.make(mod1(lo), hi - lo), transversal=False)
                 )
         return out
-
-    def fixed_points(self) -> list["FixedComponent"]:
-        return self.fixed_point_components()
 
     def periodic_points(
         self, period: int, max_breakpoints: int | None = None
@@ -440,7 +437,6 @@ class PLCircleMap:
                     if y == p:
                         minimal = d
                         break
-                out.append(PeriodicComponent(c.set, c.transversal, minimal))
             else:
                 minimal = period
                 for d in range(1, period):
@@ -450,7 +446,7 @@ class PLCircleMap:
                     if _identity_on_arc(gd, c.arc):
                         minimal = d
                         break
-                out.append(PeriodicComponent(c.set, c.transversal, minimal))
+            out.append(replace(c, minimal_period=minimal))
         return out
 
     # -- set images and preimages (endpoint topology exact)
@@ -585,8 +581,13 @@ def _point(v: Fraction) -> Iv:
 def _wrap_lift_interval(
     lo: Fraction, loc: bool, hi: Fraction, hic: bool
 ) -> list[Iv]:
-    """Wrap a lift-space interval into circle representatives in [0, 1]."""
-    if hi - lo >= ONE:
+    """Wrap a lift-space interval into circle representatives in [0, 1].
+
+    A span of exactly one turn open at both ends misses the one circle point
+    mod1(lo); it wraps into [0, x) u (x, 1], or (0, 1) when x is 0.
+    """
+    span = hi - lo
+    if span > ONE or (span == ONE and (loc or hic)):
         return [Iv(ZERO, True, ONE, True)]
     shift = lo.numerator // lo.denominator
     lo, hi = lo - shift, hi - shift
@@ -612,34 +613,16 @@ def _identity_on_arc(g: PLCircleMap, arc: Arc) -> bool:
 
 
 @dataclass(frozen=True)
-class FixedComponent:
-    """A maximal fixed-point component: a point or a tangential arc."""
-
-    set: Fraction | Arc
-    transversal: bool
-
-    @property
-    def is_point(self) -> bool:
-        return isinstance(self.set, Fraction)
-
-    @property
-    def point(self) -> Fraction:
-        if not self.is_point:
-            raise ValueError("component is an arc")
-        return self.set  # type: ignore[return-value]
-
-    @property
-    def arc(self) -> Arc:
-        if self.is_point:
-            raise ValueError("component is a point")
-        return self.set  # type: ignore[return-value]
-
-
-@dataclass(frozen=True)
 class PeriodicComponent:
+    """A maximal solution component of f^n(x) = x: a point or a tangential arc.
+
+    ``minimal_period`` is the least n that fixes it; a fixed-point component
+    has 1.
+    """
+
     set: Fraction | Arc
     transversal: bool
-    minimal_period: int
+    minimal_period: int = 1
 
     @property
     def is_point(self) -> bool:
@@ -656,43 +639,6 @@ class PeriodicComponent:
         if self.is_point:
             raise ValueError("component is a point")
         return self.set  # type: ignore[return-value]
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation aliases matching the documented API
-
-
-def evaluate(f: PLCircleMap, x: Fraction) -> Fraction:
-    return f.evaluate(x)
-
-
-def lift_evaluate(f: PLCircleMap, t: Fraction) -> Fraction:
-    return f.lift_evaluate(t)
-
-
-def compose(f: PLCircleMap, g: PLCircleMap, max_breakpoints: int | None = None) -> PLCircleMap:
-    """f after g."""
-    return f.compose(g, max_breakpoints=max_breakpoints)
-
-
-def iterate(f: PLCircleMap, n: int, max_breakpoints: int | None = None) -> PLCircleMap:
-    return f.iterate(n, max_breakpoints=max_breakpoints)
-
-
-def invert(f: PLCircleMap) -> PLCircleMap:
-    return f.invert()
-
-
-def c0_distance(f: PLCircleMap, g: PLCircleMap) -> Fraction:
-    return f.c0_distance(g)
-
-
-def fixed_points(f: PLCircleMap) -> list[FixedComponent]:
-    return f.fixed_point_components()
-
-
-def periodic_points(f: PLCircleMap, period: int) -> list[PeriodicComponent]:
-    return f.periodic_points(period)
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,6 @@ from circledyn.measures import (
     CircleMeasure,
     CylinderSpec,
     cesaro,
-    pushforward,
-    restrict_normalize,
-    spec_distance,
 )
 from circledyn.plmaps import Observable, PLCircleMap
 from circledyn.shredder import (
@@ -100,14 +97,14 @@ def test_criterion_3_wicked_window_exactness():
     res = wicked_perturb(ident, 2, target, F(1, 4), 8)
     assert res.n0 == 2
     for k in range(2, 8):
-        assert spec_distance(res.cylinder_pushforward(k, 3), target) == 0
+        assert res.cylinder_pushforward(k, 3).distance(target) == 0
     d1 = res.c0_distance_to(ident)
     assert d1 < F(1, 4)
 
     bern = CylinderSpec.bernoulli([F(2, 3), F(1, 3)], 2)
     res2 = wicked_perturb(ident, 2, bern, F(1, 4), 8)
     for k in range(2, 8):
-        assert spec_distance(res2.cylinder_pushforward(k, 2), bern) == 0
+        assert res2.cylinder_pushforward(k, 2).distance(bern) == 0
     h_prime = res2.homeomorphism()
     d2 = ident.c0_distance(h_prime)
     assert d2 < F(1, 4)
@@ -204,7 +201,7 @@ def test_criterion_7_pushforward_oracle():
     worst = 0.0
     for trial in range(5):
         f = random_pl_map(rng, n_break=6, degree=rng.choice([1, 2, 2, 3, -2]))
-        exact = pushforward(f, lebesgue)
+        exact = lebesgue.pushforward(f)
         gen = numpy.random.default_rng(100 + trial)
         xs = gen.random(1_000_000)
         ys = numpy.interp(
@@ -219,7 +216,7 @@ def test_criterion_7_pushforward_oracle():
         worst = max(worst, l1)
         assert l1 < 5e-3, (trial, l1)
     for ell in (2, 3, 4):
-        assert pushforward(expanding_map(ell), lebesgue) == lebesgue
+        assert lebesgue.pushforward(expanding_map(ell)) == lebesgue
     report(
         f"criterion 7: exact push-forward within L1 {worst:.2e} of the "
         f"1e6-sample Monte-Carlo CDF on 5 random maps; Lebesgue exactly "
@@ -267,8 +264,8 @@ def test_criterion_9_cesaro_split_and_w5_implies_w4():
         lhs = cesaro(f, lebesgue, n)
         rhs = CircleMeasure.convex_combination(
             [
-                (mass_c, cesaro(f, restrict_normalize(lebesgue, comp), n)),
-                (mass_a, cesaro(f, restrict_normalize(lebesgue, a_set), n)),
+                (mass_c, cesaro(f, lebesgue.restrict_normalize(comp), n)),
+                (mass_a, cesaro(f, lebesgue.restrict_normalize(a_set), n)),
             ]
         )
         assert lhs == rhs

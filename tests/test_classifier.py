@@ -10,7 +10,7 @@ from circledyn.classifier import (
 )
 from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map, wicked_perturb
-from circledyn.measures import CircleMeasure, CylinderSpec, cesaro, integrate
+from circledyn.measures import CircleMeasure, CylinderSpec, cesaro
 from circledyn.orbits import birkhoff_average, birkhoff_gap, orbit_averages
 from circledyn.plmaps import Observable, PLCircleMap
 from circledyn.shredder import shred, verify_shredding
@@ -261,6 +261,6 @@ def test_cesaro_window_bounded_by_complement_mass():
     )
     phi = Observable.tent(F(1, 4))
     leb = CircleMeasure.lebesgue()
-    vals = [integrate(phi, cesaro(f, leb, n)) for n in range(5, 11)]
+    vals = [cesaro(f, leb, n).integrate(phi) for n in range(5, 11)]
     spread = max(vals) - min(vals)
     assert spread <= F(1, 2)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -383,3 +384,62 @@ def test_malformed_rational_exits_invalid(workdir, capsys, argv):
     argv = [a.format(e2=workdir / "e2.json") for a in argv]
     assert main(["--out-dir", str(workdir / "bad"), *argv]) == 2
     assert "not a rational number" in capsys.readouterr().err
+
+
+# sha256 of each artifact of ``circledyn wicked`` and of its stdout; None
+# where the artifact is not written (a degenerate family has no h_prime.json)
+WICKED_DIGESTS = {
+    "dirac": {
+        "stdout": "169db3686e66f59f91b1c43ad9a870d8845c05ec39f71c8697b38baabd73ac42",
+        "family.json": "c375235bd2353869a4f0d69f50b61639ec197ddf98f2d75d081a6f5b4204a571",
+        "window.csv": "1cdd2c17e755069a1453b7a8a645a6beca72d65bcf0a8e26bc2e7dec72f13765",
+        "cesaro.csv": "ce82b0e751b6b0ae616f8eb8f51fe5a1a9db05bfa66935fe6c481267d98c5a44",
+        "h_prime.json": None,
+    },
+    "lebesgue": {
+        "stdout": "6cadac9b517158f0c4efb6a333998edb7cf9bd7edec0b34ff0c14e227133cb2a",
+        "family.json": "cc0f2cd6ba572aa08db710fe0b9d368cc43c3dd22e9d7ebe15d6be7f62062e49",
+        "window.csv": "db544cc3bdf72bea9564a77f7fd96cb4744637b9570c1958cab14cd2565f0aba",
+        "cesaro.csv": "6098312a2a2247f6ca848c9e4eb963a18c2ab3dc4f23f9ae7798048a23596218",
+        "h_prime.json": "4777a1abcce4c9518ca7c9f4ee37b02e6ef495b3ce9562330302354b316961c9",
+    },
+    "bernoulli": {
+        "stdout": "45ab476e0b45b18280ff02ee9b92caa294a1ca2b9b24dc6401c10c23558bcd4e",
+        "family.json": "48dc6cb746bef0a5ddf65c488138d00d17674a5849ebe4d958040bfd9317c5aa",
+        "window.csv": "0f9b6ec99422fdeca6b2062483602a92cd0ea20f7652729cd35b8b51a6f01f19",
+        "cesaro.csv": "5b28b007c36177a53ae7f34cd3ae506e0e44bbc39185ca6008a0b7d363a9a984",
+        "h_prime.json": "972664de46d9720a75996c03ea80214e62c0bef561270bcf6295fadeb8c23ac5",
+    },
+}
+
+
+def _wicked_case(name: str) -> tuple[PLCircleMap, CylinderSpec, str, str]:
+    """(homeomorphism, target, eps, n) of a pinned ``wicked`` run."""
+    if name == "dirac":
+        return PLCircleMap.identity(), CylinderSpec.dirac_zero(2, 3), "1/4", "8"
+    if name == "lebesgue":
+        return PLCircleMap.identity(), CylinderSpec.lebesgue(2, 2), "1/4", "7"
+    h = PLCircleMap([F(0), F(1, 3), F(3, 4), F(1)], [F(1, 8), F(1, 2), F(5, 6), F(9, 8)])
+    return h, CylinderSpec.bernoulli([F(2, 3), F(1, 3)], 2), "1/8", "8"
+
+
+@pytest.mark.parametrize("name", sorted(WICKED_DIGESTS))
+def test_wicked_artifacts_pinned(tmp_path, capsys, name):
+    h, target, eps, n = _wicked_case(name)
+    (tmp_path / "h.json").write_text(formats.dumps(formats.map_to_record(h)))
+    (tmp_path / "t.json").write_text(formats.dumps(formats.spec_to_record(target)))
+    code = main(
+        [
+            "--out-dir", str(tmp_path / "out"),
+            "wicked", str(tmp_path / "h.json"), str(tmp_path / "t.json"),
+            "--ell", "2", "--eps", eps, "--n", n,
+        ]
+    )
+    assert code == 0
+    digests = {"stdout": hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()}
+    for artifact in ("family.json", "window.csv", "cesaro.csv", "h_prime.json"):
+        path = tmp_path / "out" / artifact
+        digests[artifact] = (
+            hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else None
+        )
+    assert digests == WICKED_DIGESTS[name]

@@ -7,12 +7,8 @@ from circledyn.exact import (
     IntervalSet,
     Word,
     all_words,
-    arc_contains,
-    arc_measure,
     circle_dist,
     mod1,
-    word_concat,
-    word_interval,
 )
 
 F = Fraction
@@ -21,29 +17,29 @@ F = Fraction
 def test_word_concat_examples():
     a = Word.from_string("010", 2)
     b = Word.from_string("11", 2)
-    assert str(word_concat(a, b)) == "01011"
-    assert word_concat(Word(8, ()), Word.from_string("7", 8)).digits == (7,)
-    assert str(word_concat(Word.from_string("21", 3), Word.from_string("02", 3))) == "2102"
+    assert str(a.concat(b)) == "01011"
+    assert Word(8, ()).concat(Word.from_string("7", 8)).digits == (7,)
+    assert str(Word.from_string("21", 3).concat(Word.from_string("02", 3))) == "2102"
 
 
 def test_word_concat_mismatched_alphabets():
     with pytest.raises(ValueError):
-        word_concat(Word.from_string("01", 2), Word.from_string("01", 3))
+        Word.from_string("01", 2).concat(Word.from_string("01", 3))
 
 
 def test_word_interval_examples():
-    assert word_interval(Word.from_string("000", 2)) == Arc(F(0), F(1, 8))
-    assert word_interval(Word.from_string("111", 2)) == Arc(F(7, 8), F(1, 8))
-    assert word_interval(Word(3, ())) == Arc(F(0), F(1))
+    assert Word.from_string("000", 2).interval() == Arc(F(0), F(1, 8))
+    assert Word.from_string("111", 2).interval() == Arc(F(7, 8), F(1, 8))
+    assert Word(3, ()).interval() == Arc(F(0), F(1))
 
 
 def test_arc_measure_and_membership():
-    assert arc_measure(Arc(F(0), F(1, 8))) == F(1, 8)
+    assert Arc(F(0), F(1, 8)).measure == F(1, 8)
     wrap = Arc(F(3, 4), F(1, 2))
-    assert arc_contains(wrap, F(1, 8))
-    assert not arc_contains(wrap, F(1, 2))
-    assert not arc_contains(Arc(F(0), F(1, 8)), F(1, 8))
-    assert arc_contains(Arc(F(0), F(1, 8)), F(0))
+    assert wrap.contains(mod1(F(1, 8)))
+    assert not wrap.contains(mod1(F(1, 2)))
+    assert not Arc(F(0), F(1, 8)).contains(mod1(F(1, 8)))
+    assert Arc(F(0), F(1, 8)).contains(mod1(F(0)))
 
 
 @pytest.mark.parametrize("ell", [2, 3, 4])
@@ -51,7 +47,7 @@ def test_arc_measure_and_membership():
 def test_word_intervals_partition_circle(ell, p):
     if ell**p > 100_000:
         pytest.skip("covered by smaller sizes")
-    arcs = [word_interval(w) for w in all_words(ell, p)]
+    arcs = [w.interval() for w in all_words(ell, p)]
     assert sum(a.length for a in arcs) == 1
     for i in range(len(arcs) - 1):
         assert arcs[i].end == arcs[i + 1].start
@@ -61,8 +57,8 @@ def test_word_intervals_partition_circle(ell, p):
 def test_word_interval_refinement():
     for ell in (2, 3):
         for w in all_words(ell, 3):
-            parent = word_interval(w)
-            kids = [word_interval(w.concat(Word(ell, (c,)))) for c in range(ell)]
+            parent = w.interval()
+            kids = [w.concat(Word(ell, (c,))).interval() for c in range(ell)]
             assert kids[0].start == parent.start
             assert sum(k.length for k in kids) == parent.length
             for i in range(len(kids) - 1):

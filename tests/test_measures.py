@@ -4,20 +4,14 @@ from fractions import Fraction
 import pytest
 
 from circledyn.errors import InvalidInput, ResourceCap
-from circledyn.exact import Arc
+from circledyn.exact import Arc, all_words
 from circledyn.expanding import expanding_map
 from circledyn.measures import (
     CircleMeasure,
     CylinderSpec,
     cesaro,
-    cylinder_vector,
     dirac_periodic,
-    integrate,
     neighborhood_member,
-    pushforward,
-    restrict_normalize,
-    spec_distance,
-    w1_distance,
     _word_count,
 )
 from circledyn.plmaps import Observable, PLCircleMap
@@ -52,11 +46,11 @@ def compose_observable(phi: Observable, f: PLCircleMap) -> Observable:
 class TestPushforward:
     @pytest.mark.parametrize("ell", [2, 3])
     def test_lebesgue_invariant(self, ell, lebesgue):
-        assert pushforward(expanding_map(ell), lebesgue) == lebesgue
+        assert lebesgue.pushforward(expanding_map(ell)) == lebesgue
 
     def test_dirac(self):
         f = expanding_map(2)
-        assert pushforward(f, CircleMeasure.dirac(F(1, 3))) == CircleMeasure.dirac(F(2, 3))
+        assert CircleMeasure.dirac(F(1, 3)).pushforward(f) == CircleMeasure.dirac(F(2, 3))
 
     def test_flat_piece_makes_atom(self, lebesgue):
         # constant value 3/8 on [1/4, 1/2), an arc of measure 1/4
@@ -64,30 +58,30 @@ class TestPushforward:
             [F(0), F(1, 4), F(1, 2), F(1)],
             [F(1, 8), F(3, 8), F(3, 8), F(9, 8)],
         )
-        mu = pushforward(f, lebesgue)
+        mu = lebesgue.pushforward(f)
         assert (F(3, 8), F(1, 4)) in mu.atoms
         assert mu.total_mass == 1
 
     def test_mass_conserved_random(self, rng, lebesgue):
         for _ in range(10):
             f = random_pl_map(rng, degree=rng.choice([-2, 0, 1, 2, 3]))
-            assert pushforward(f, lebesgue).total_mass == 1
+            assert lebesgue.pushforward(f).total_mass == 1
 
     def test_linearity(self, rng, lebesgue):
         f = random_pl_map(rng, degree=2)
         nu = CircleMeasure.dirac(F(1, 7))
         a = F(1, 3)
         mix = CircleMeasure.convex_combination([(a, lebesgue), (1 - a, nu)])
-        lhs = pushforward(f, mix)
+        lhs = mix.pushforward(f)
         rhs = CircleMeasure.convex_combination(
-            [(a, pushforward(f, lebesgue)), (1 - a, pushforward(f, nu))]
+            [(a, lebesgue.pushforward(f)), (1 - a, nu.pushforward(f))]
         )
         assert lhs == rhs
 
     def test_monte_carlo_oracle_small(self, rng, lebesgue):
         numpy = pytest.importorskip("numpy")
         f = random_pl_map(rng, degree=2)
-        exact = pushforward(f, lebesgue)
+        exact = lebesgue.pushforward(f)
         n = 200_000
         gen = numpy.random.default_rng(5)
         xs = gen.random(n)
@@ -131,10 +125,10 @@ class TestCesaro:
 
 class TestIntegrate:
     def test_normalization(self, lebesgue):
-        assert integrate(Observable.constant(F(1)), lebesgue) == 1
+        assert lebesgue.integrate(Observable.constant(F(1))) == 1
 
     def test_tent_area(self, lebesgue):
-        assert integrate(Observable.tent(F(1, 2)), lebesgue) == F(1, 2)
+        assert lebesgue.integrate(Observable.tent(F(1, 2))) == F(1, 2)
 
     def test_change_of_variables(self, rng, lebesgue):
         for _ in range(5):
@@ -143,58 +137,53 @@ class TestIntegrate:
             mu = CircleMeasure.from_arcs(
                 [(Arc(F(0), F(1, 2)), F(3, 2))], atoms=[(F(2, 3), F(1, 4))]
             )
-            lhs = integrate(phi, pushforward(f, mu))
-            rhs = integrate(compose_observable(phi, f), mu)
+            lhs = mu.pushforward(f).integrate(phi)
+            rhs = mu.integrate(compose_observable(phi, f))
             assert lhs == rhs
 
 
 class TestCylinderVector:
     def test_lebesgue(self, lebesgue):
-        spec = cylinder_vector(lebesgue, 2, 3)
+        spec = lebesgue.cylinder_vector(2, 3)
         assert all(v == F(1, 8) for v in spec.values.values())
 
     def test_dirac(self):
-        spec = cylinder_vector(CircleMeasure.dirac(F(0)), 2, 2)
+        spec = CircleMeasure.dirac(F(0)).cylinder_vector(2, 2)
         assert spec.value((0, 0)) == 1
         assert sum(spec.values.values()) == 1
 
     def test_cdf_consistency(self, rng, lebesgue):
         f = random_pl_map(rng, degree=2)
-        mu = pushforward(f, lebesgue)
-        spec = cylinder_vector(mu, 2, 4)
-        for w, v in spec.values.items():
-            idx = 0
-            for d in w:
-                idx = 2 * idx + d
-            lo, hi = F(idx, 16), F(idx + 1, 16)
-            assert v == mu.cdf(hi) - mu.cdf(lo)
+        mu = lebesgue.pushforward(f)
+        spec = mu.cylinder_vector(2, 4)
+        for w in all_words(2, 4):
+            lo, hi = F(w.value, 16), F(w.value + 1, 16)
+            assert spec.value(w.digits) == mu.cdf(hi) - mu.cdf(lo)
 
 
 class TestDistances:
     def test_w1_examples(self, lebesgue):
-        assert w1_distance(lebesgue, lebesgue) == 0
-        assert w1_distance(CircleMeasure.dirac(F(0)), CircleMeasure.dirac(F(1, 2))) == F(1, 2)
+        assert lebesgue.w1_distance(lebesgue) == 0
+        assert CircleMeasure.dirac(F(0)).w1_distance(CircleMeasure.dirac(F(1, 2))) == F(1, 2)
 
     def test_spec_distance_example(self):
-        assert spec_distance(
-            CylinderSpec.lebesgue(2, 3), CylinderSpec.dirac_zero(2, 3)
-        ) == F(7, 8)
+        assert CylinderSpec.lebesgue(2, 3).distance(CylinderSpec.dirac_zero(2, 3)) == F(7, 8)
 
     def test_spec_distance_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
-            spec_distance(CylinderSpec.lebesgue(2, 2), CylinderSpec.lebesgue(2, 3))
+            CylinderSpec.lebesgue(2, 2).distance(CylinderSpec.lebesgue(2, 3))
 
 
 class TestNeighborhood:
     def test_self_membership(self, lebesgue):
         phis = [Observable.tent(F(j, 4)) for j in range(4)]
-        targets = [integrate(p, lebesgue) for p in phis]
+        targets = [lebesgue.integrate(p) for p in phis]
         eps = [F(1, 100)] * 4
         assert neighborhood_member(lebesgue, phis, targets, eps)
 
     def test_dirac_outside(self, lebesgue):
         phi = Observable.tent(F(1, 2))
-        target = integrate(phi, lebesgue)
+        target = lebesgue.integrate(phi)
         assert not neighborhood_member(
             CircleMeasure.dirac(F(0)), [phi], [target], [F(1, 4)]
         )
@@ -202,7 +191,7 @@ class TestNeighborhood:
     def test_monotone_in_epsilon(self, rng, lebesgue):
         mu = CircleMeasure.dirac(F(1, 3))
         phi = Observable.tent(F(0))
-        target = integrate(phi, lebesgue)
+        target = lebesgue.integrate(phi)
         small = neighborhood_member(mu, [phi], [target], [F(1, 10)])
         big = neighborhood_member(mu, [phi], [target], [F(9, 10)])
         assert big or not small
@@ -210,17 +199,15 @@ class TestNeighborhood:
 
 class TestRestrictNormalize:
     def test_lebesgue_half(self, lebesgue):
-        mu = restrict_normalize(lebesgue, [Arc(F(0), F(1, 2))])
+        mu = lebesgue.restrict_normalize([Arc(F(0), F(1, 2))])
         assert mu.pieces == ((F(0), F(1, 2), F(2)),)
 
     def test_full_circle_identity(self, lebesgue):
-        assert restrict_normalize(lebesgue, [Arc.full()]) == lebesgue
+        assert lebesgue.restrict_normalize([Arc.full()]) == lebesgue
 
     def test_zero_mass_rejected(self):
         with pytest.raises(InvalidInput):
-            restrict_normalize(
-                CircleMeasure.dirac(F(0)), [Arc(F(1, 4), F(1, 4))]
-            )
+            CircleMeasure.dirac(F(0)).restrict_normalize([Arc(F(1, 4), F(1, 4))])
 
     def test_cesaro_split_identity(self, rng, lebesgue):
         # exact decomposition of the Cesaro average by a conditioning set
@@ -235,8 +222,8 @@ class TestRestrictNormalize:
             lhs = cesaro(f, lebesgue, n)
             rhs = CircleMeasure.convex_combination(
                 [
-                    (mass_c, cesaro(f, restrict_normalize(lebesgue, comp), n)),
-                    (mass_a, cesaro(f, restrict_normalize(lebesgue, a_set), n)),
+                    (mass_c, cesaro(f, lebesgue.restrict_normalize(comp), n)),
+                    (mass_a, cesaro(f, lebesgue.restrict_normalize(a_set), n)),
                 ]
             )
             assert lhs == rhs
@@ -254,7 +241,7 @@ class TestDiracPeriodic:
     def test_invariance(self):
         rot = PLCircleMap.rotation(F(2, 5))
         mu = dirac_periodic(rot, F(1, 10), 5)
-        assert pushforward(rot, mu) == mu
+        assert mu.pushforward(rot) == mu
 
     def test_wrong_period_rejected(self):
         rot = PLCircleMap.rotation(F(1, 2))
@@ -301,6 +288,17 @@ class TestCylinderSpec:
             lebesgue.cylinder_vector(10, 9)
         # the cap itself is allowed: 10^6 words at ell 10, level 6
         assert _word_count(10, 6) == 10**6
+
+    def test_sparse_values(self):
+        # only positive values are stored; every other word reads 0
+        spec = CylinderSpec.dirac_zero(10, 6)
+        assert spec.values == {(0,) * 6: 1}
+        assert spec.value((9,) * 6) == 0
+        assert CylinderSpec.bernoulli([F(1), F(0)], 3).values == {(0, 0, 0): 1}
+        # the distance runs over the words either spec holds
+        ones = CylinderSpec.from_strings(2, 2, {"11": F(1)})
+        assert CylinderSpec.dirac_zero(2, 2).distance(ones) == 1
+        assert ones.distance(CylinderSpec.lebesgue(2, 2)) == F(3, 4)
 
     def test_extension_dirac_sparse(self):
         spec = CylinderSpec.dirac_zero(2, 3)

@@ -4,7 +4,7 @@ import pytest
 
 from circledyn.errors import InvalidInput
 from circledyn.exact import Arc
-from circledyn.measures import CircleMeasure, pushforward
+from circledyn.measures import CircleMeasure
 from circledyn.partitions import (
     ConsistentFamily,
     consistency_check,
@@ -35,7 +35,7 @@ def test_cell_measures_match_pushforward(rng):
     for _ in range(3):
         h = random_pl_homeo(rng)
         fam = family_from_homeo(h, 2, 3)
-        hm = pushforward(h, CircleMeasure.lebesgue())
+        hm = CircleMeasure.lebesgue().pushforward(h)
         spec = hm.cylinder_vector(2, 3)
         for idx, cell in enumerate(fam.cells(3)):
             w = tuple(int(c) for c in format(idx, "03b"))

@@ -107,7 +107,8 @@ def reference_strip(bps, vals):
 
 
 def _wrap(lo, loc, hi, hic) -> IntervalSet:
-    if hi - lo >= ONE:
+    # a span of exactly one turn misses its shared end unless one end is closed
+    if hi - lo > ONE or (hi - lo == ONE and (loc or hic)):
         return IntervalSet.closed(ZERO, ONE)
     shift = math.floor(lo)
     lo, hi = lo - shift, hi - shift
@@ -201,6 +202,28 @@ def test_image_of_iv_at_the_ends_of_the_circle():
     # (1/2, 3/4) lifts to (3/4, 3/2), which wraps past 1
     wrap = f.image_of_set(IntervalSet([Iv(F(1, 2), False, F(3, 4), False)]))
     assert wrap.ivs == (Iv(F(0), True, F(1, 2), False), Iv(F(3, 4), False, F(1), True))
+
+
+def test_image_of_an_open_turn_misses_one_point():
+    # an open interval whose lift spans exactly one turn covers the circle
+    # except the point its two ends share
+    image = PLCircleMap.rotation(F(1, 3)).image_of_set(IntervalSet.open(F(0), F(1)))
+    assert image.ivs == (Iv(F(0), True, F(1, 3), False), Iv(F(1, 3), False, F(1), True))
+    assert not image.contains_point(F(1, 3))
+    assert image.contains_point(F(0)) and image.contains_point(F(2, 3))
+    # the missing point is 0 ~ 1
+    doubling = PLCircleMap([F(0), F(1)], [F(0), F(2)])
+    for f, s in (
+        (PLCircleMap.identity(), IntervalSet.open(F(0), F(1))),
+        (doubling, IntervalSet.open(F(0), F(1, 2))),
+        (doubling, IntervalSet.open(F(1, 2), F(1))),
+    ):
+        image = f.image_of_set(s)
+        assert image == IntervalSet.open(F(0), F(1))
+        assert not image.contains_point(F(0)) and not image.contains_point(F(1))
+    # a closed end holds the shared point: the whole circle
+    half_open = IntervalSet([Iv(F(1, 4), True, F(3, 4), False)])
+    assert doubling.image_of_set(half_open) == IntervalSet.closed(F(0), F(1))
 
 
 def test_image_of_set_outside_unit_interval_is_invalid():
