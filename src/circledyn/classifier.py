@@ -225,7 +225,6 @@ class WProtocol:
     wicked_tol: Fraction = Fraction(1, 16)
     max_period: int = 16
     denominator_bit_cap: int = 4096
-    cylinder_level: int = 2
     cesaro_horizons: tuple[int, ...] = (1, 2, 4, 8)
     cesaro_complexity_cap: int = 20000
 

@@ -357,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default="circledyn-out")
     parser.add_argument(
         "--max-breakpoints", type=int, default=None,
-        help="complexity cap for compositions and measure iterations",
+        help="measure complexity cap; only cesaro reads it",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InvalidInput
 
@@ -202,12 +202,6 @@ class Word:
         p = len(self.digits)
         scale = self.base**p
         return Arc(Fraction(self.value, scale), Fraction(1, scale))
-
-
-def all_words(base: int, length: int) -> Iterator[Word]:
-    """All base-l words of the given length, in base-l numeric order."""
-    for v in range(base**length):
-        yield Word.from_value(v, base, length)
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,18 @@ def wicked_perturb(
         raise InvalidInput(f"window end n must exceed n0 + p = {n0 + p_t}")
     depth = n - 1 + p_t
 
+    ext = target.extension_table(depth - n0, max_cells=cell_cap)
+    # kept level k holds ell^k cells, and a deeper level one cell per kept
+    # level-n0 cell and extension value, as both are positive: count them
+    # all before any is listed
+    total_cells = (ell ** (n0 + 1) - ell) // (ell - 1) + ell**n0 * sum(map(len, ext))
+    if total_cells > cell_cap:
+        raise ResourceCap(
+            f"family needs {total_cells} positive cells, above the cap {cell_cap}"
+        )
     base = family_from_homeo(h, ell, n0)
     tables = list(base.tables)
-    total_cells = sum(map(len, tables))
-    # extension values and base cells are positive, so is every product
-    for mu_table in target.extension_table(depth - n0, max_cells=cell_cap):
+    for mu_table in ext:
         gamma_order = sorted(mu_table)
         table = {}
         for beta, (pos_b, len_b) in tables[n0 - 1].items():
@@ -147,12 +154,6 @@ def wicked_perturb(
                 table[beta + gamma] = (cursor, length)
                 cursor += length
         tables.append(table)
-        total_cells += len(table)
-        if total_cells > cell_cap:
-            raise ResourceCap(
-                f"family reached {total_cells} positive cells, "
-                f"above the cap {cell_cap}"
-            )
 
     return PerturbedConjugator.from_tables(
         ell, base.basepoint, tables, n0=n0, n=n, target=target

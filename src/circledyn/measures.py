@@ -12,11 +12,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, Arc, all_words, as_fraction, mod1, Word
+from .exact import ONE, ZERO, Arc, as_fraction, mod1, Word
 from .plmaps import Observable, PLCircleMap
 
 DEFAULT_COMPLEXITY_CAP = 100_000
@@ -206,11 +207,8 @@ class CircleMeasure:
     def pushforward(self, f: PLCircleMap) -> "CircleMeasure":
         atoms = [(f.evaluate(p), w) for p, w in self.atoms]
         pieces: list[tuple[Fraction, Fraction, Fraction]] = []
-        bps = f.breakpoints
         for lo, hi, d in self.pieces:
-            i, j = bisect_right(bps, lo), bisect_left(bps, hi)
-            cuts = [lo, *bps[i:j], hi]
-            lifts = [f.lift_evaluate(lo), *f.lift_values[i:j], f.lift_evaluate(hi)]
+            cuts, lifts = f._walk(lo, hi)
             for m in range(len(cuts) - 1):
                 a, b = cuts[m], cuts[m + 1]
                 fa, fb = lifts[m], lifts[m + 1]
@@ -342,9 +340,7 @@ class CylinderSpec:
     @staticmethod
     def lebesgue(ell: int, p: int) -> "CylinderSpec":
         v = Fraction(1, _word_count(ell, p))
-        return CylinderSpec(
-            ell, p, {w.digits: v for w in all_words(ell, p)}
-        )
+        return CylinderSpec(ell, p, dict.fromkeys(product(range(ell), repeat=p), v))
 
     @staticmethod
     def dirac_zero(ell: int, p: int) -> "CylinderSpec":
@@ -356,12 +352,10 @@ class CylinderSpec:
         if sum(probs, start=ZERO) != ONE:
             raise InvalidInput("digit probabilities must sum to 1")
         _word_count(ell, p)
-        values = {}
-        for w in all_words(ell, p):
-            v = ONE
-            for d in w.digits:
-                v *= probs[d]
-            values[w.digits] = v
+        # level by level, one multiplication per word
+        values = {(): ONE}
+        for _ in range(p):
+            values = {w + (d,): v * probs[d] for w, v in values.items() for d in range(ell)}
         return CylinderSpec(ell, p, values)
 
     @staticmethod

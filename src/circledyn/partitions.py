@@ -12,7 +12,6 @@ cylinder values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -165,7 +164,9 @@ class ConsistentFamily:
         best = ZERO
         for w, (pos, length) in self.tables[-1].items():
             a_w = Word(self.ell, w).value * scale
-            sup = _sup_circle_distance_affine(g, pos, pos + length, a_w, scale / length)
+            slope = scale / length
+            cuts, lifts = g._walk(pos, pos + length)
+            sup = sup_dist_to_int([v - a_w - slope * (t - pos) for t, v in zip(cuts, lifts)])
             if sup > best:
                 best = sup
             if best == HALF:
@@ -255,27 +256,6 @@ def _table_violation(
             )
         parents = table
     return None
-
-
-def _sup_circle_distance_affine(
-    g: PLCircleMap,
-    lo: Fraction,
-    hi: Fraction,
-    a0: Fraction,
-    slope: Fraction,
-) -> Fraction:
-    """Sup over [lo, hi] of circle distance between g and an affine lift."""
-    cuts = {lo, hi}
-    for b in g.breakpoints[:-1]:
-        k_min = math.ceil(lo - b)
-        k_max = math.floor(hi - b)
-        for k in range(k_min, k_max + 1):
-            t = b + k
-            if lo < t < hi:
-                cuts.add(t)
-    return sup_dist_to_int(
-        [g.lift_evaluate(t) - (a0 + slope * (t - lo)) for t in sorted(cuts)]
-    )
 
 
 def family_from_homeo(h: PLCircleMap, ell: int, depth: int) -> ConsistentFamily:

@@ -44,6 +44,55 @@ def _locate(bps: tuple[Fraction, ...], hints: list[float], x: Fraction) -> int:
     return i
 
 
+def _pl_graph(breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
+    """Validated breakpoints, values, slopes and float hints of a PL graph
+    over [0, 1]."""
+    bps = tuple(as_fraction(b) for b in breakpoints)
+    vals = tuple(as_fraction(v) for v in values)
+    if len(bps) != len(vals) or len(bps) < 2:
+        raise InvalidInput("need equally many breakpoints and values, at least two")
+    if bps[0] != ZERO or bps[-1] != ONE:
+        raise InvalidInput("breakpoints must start at 0 and end at 1")
+    if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
+        raise InvalidInput("breakpoints must be strictly increasing")
+    slopes = [
+        (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)
+    ]
+    return bps, vals, slopes, [float(b) for b in bps]
+
+
+def _lift_walk(bps, vals, slopes, hints, degree: int, lo: Fraction, hi: Fraction):
+    """Cuts and exact values of a PL graph over [lo, hi], lo <= hi.
+
+    The graph is extended by F(t + 1) = F(t) + degree, so [lo, hi] may span
+    several turns.  The cuts are lo, every lifted breakpoint b + k strictly
+    between lo and hi, and hi, in increasing order.  Interior values are read
+    by slice and shifted by k * degree; the two end values come from the
+    affine formula of the piece each end is located in.  Cost O(log |bps| +
+    output).
+    """
+    k_lo = lo.numerator // lo.denominator
+    k_hi = hi.numerator // hi.denominator
+    # adding or subtracting a zero would rebuild a Fraction for nothing
+    t_lo = lo - k_lo if k_lo else lo
+    t_hi = hi - k_hi if k_hi else hi
+    p = _locate(bps, hints, t_lo)
+    q = _locate(bps, hints, t_hi)
+    v_lo = vals[p] if t_lo == bps[p] else vals[p] + slopes[p] * (t_lo - bps[p])
+    v_hi = vals[q] if t_hi == bps[q] else vals[q] + slopes[q] * (t_hi - bps[q])
+    cuts, lifts = [lo], [v_lo + k_lo * degree if k_lo * degree else v_lo]
+    start = p + 1
+    for k in range(k_lo, k_hi + 1):
+        stop = len(bps) - 1 if k < k_hi else q + (bps[q] < t_hi)
+        cuts.extend([b + k for b in bps[start:stop]] if k else bps[start:stop])
+        shift = k * degree
+        lifts.extend([v + shift for v in vals[start:stop]] if shift else vals[start:stop])
+        start = 0
+    cuts.append(hi)
+    lifts.append(v_hi + k_hi * degree if k_hi * degree else v_hi)
+    return cuts, lifts
+
+
 class PLCircleMap:
     """Continuous piecewise-linear circle map given by its lift."""
 
@@ -54,14 +103,7 @@ class PLCircleMap:
         breakpoints: Sequence[Fraction],
         lift_values: Sequence[Fraction],
     ):
-        bps = tuple(as_fraction(b) for b in breakpoints)
-        vals = tuple(as_fraction(v) for v in lift_values)
-        if len(bps) != len(vals) or len(bps) < 2:
-            raise InvalidInput("need equally many breakpoints and lift values, at least two")
-        if bps[0] != ZERO or bps[-1] != ONE:
-            raise InvalidInput("breakpoints must start at 0 and end at 1")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise InvalidInput("breakpoints must be strictly increasing")
+        bps, vals, slopes, hints = _pl_graph(breakpoints, lift_values)
         deg = vals[-1] - vals[0]
         if deg.denominator != 1:
             raise InvalidInput(f"lift endpoint difference must be an integer, got {deg}")
@@ -69,10 +111,6 @@ class PLCircleMap:
         shift = vals[0].numerator // vals[0].denominator
         if shift:
             vals = tuple(v - shift for v in vals)
-        slopes = [
-            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-            for i in range(len(bps) - 1)
-        ]
         # drop breakpoint i exactly when the pieces on both sides of it share
         # a slope; a merged piece keeps that common slope
         keep = [0]
@@ -82,11 +120,12 @@ class PLCircleMap:
             keep.append(len(bps) - 1)
             bps = tuple(bps[i] for i in keep)
             vals = tuple(vals[i] for i in keep)
+            hints = [hints[i] for i in keep]
         self.breakpoints = bps
         self.lift_values = vals
         self.degree = int(deg)
         self._slopes = tuple(slopes)
-        self._bps_float = [float(b) for b in bps]
+        self._bps_float = hints
 
     # -- basic structure
 
@@ -129,6 +168,13 @@ class PLCircleMap:
         base = self.lift_values[i] + self._slopes[i] * (t0 - self.breakpoints[i])
         return base + k * self.degree
 
+    def _walk(self, lo: Fraction, hi: Fraction) -> tuple[list[Fraction], list[Fraction]]:
+        """Cuts and lift values over [lo, hi]; see ``_lift_walk``."""
+        return _lift_walk(
+            self.breakpoints, self.lift_values, self._slopes, self._bps_float,
+            self.degree, lo, hi,
+        )
+
     def evaluate(self, x: Fraction) -> Fraction:
         return mod1(self.lift_evaluate(mod1(x)))
 
@@ -164,72 +210,51 @@ class PLCircleMap:
         if len(points) < 2:
             raise InvalidInput("need at least two lift points")
         ts = [as_fraction(t) for t, _ in points]
-        ws = [as_fraction(w) for _, w in points]
-        if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
-            raise InvalidInput("lift point abscissas must be strictly increasing")
         if ts[-1] - ts[0] != ONE:
             raise InvalidInput("lift points must span exactly one period")
-        deg = ws[-1] - ws[0]
-        if deg.denominator != 1:
-            raise InvalidInput("degree (period ordinate change) must be an integer")
-        degree = int(deg)
-
-        def raw(t: Fraction) -> Fraction:
-            # evaluate the input graph extended by periodicity
-            k = 0
-            tt = t
-            while tt < ts[0]:
-                tt += ONE
-                k -= 1
-            while tt >= ts[-1]:
-                tt -= ONE
-                k += 1
-            i = bisect_right(ts, tt) - 1
-            if i == len(ts) - 1:
-                i -= 1
-            s = (ws[i + 1] - ws[i]) / (ts[i + 1] - ts[i])
-            return ws[i] + s * (tt - ts[i]) + k * degree
-
-        bset = {ZERO, ONE}
-        for t in ts[:-1]:
-            bset.add(mod1(t))
-        bps = sorted(bset)
-        vals = [raw(b) for b in bps]
-        return PLCircleMap(bps, vals)
+        # the points as a map starting at ts[0], walked back onto [0, 1]
+        graph = PLCircleMap([t - ts[0] for t in ts], [w for _, w in points])
+        cuts, lifts = graph._walk(-ts[0], ONE - ts[0])
+        return PLCircleMap([c + ts[0] for c in cuts], lifts)
 
     # -- composition and friends
 
     def compose(
         self, inner: "PLCircleMap", max_breakpoints: int | None = None
     ) -> "PLCircleMap":
-        """Exact composition self(inner(x))."""
+        """Exact composition self(inner(x)).
+
+        Each inner piece [a, b] spans a lift range (a point if flat); one walk
+        of the outer lift over it gives the cuts inside the piece, in order,
+        with their values.  Cost O(|inner| log |self| + output).
+        """
         cap = DEFAULT_BREAKPOINT_CAP if max_breakpoints is None else max_breakpoints
-        g = inner
-        f = self
-        cuts = set(g.breakpoints)
-        levels = [mod1(b) for b in f.breakpoints[:-1]]
-        for i in range(len(g.breakpoints) - 1):
-            a, b = g.breakpoints[i], g.breakpoints[i + 1]
-            s = g._slopes[i]
-            if s == 0:
-                continue
-            ga, gb = g.lift_values[i], g.lift_values[i + 1]
-            lo, hi = (ga, gb) if ga < gb else (gb, ga)
-            for c in levels:
-                kmin = math.ceil(lo - c)
-                kmax = math.floor(hi - c)
-                for k in range(kmin, kmax + 1):
-                    t = a + (c + k - ga) / s
-                    if a < t < b:
-                        cuts.add(t)
-            if len(cuts) > cap:
+        gb, gv, gs = inner.breakpoints, inner.lift_values, inner._slopes
+        pieces = len(gb) - 1
+        bps: list[Fraction] = []
+        vals: list[Fraction] = []
+        for i in range(pieces):
+            a, s, ga = gb[i], gs[i], gv[i]
+            if s < 0:
+                us, fus = self._walk(gv[i + 1], ga)
+                us.reverse()
+                fus.reverse()
+            else:
+                us, fus = self._walk(ga, gv[i + 1])
+            bps.append(a)
+            bps.extend(a + (u - ga) / s for u in us[1:-1])
+            vals.extend(fus[:-1])
+            # the inner map's later breakpoints count as cuts already; a flat
+            # piece adds none and is not checked
+            count = len(bps) + pieces - i
+            if s and count > cap:
                 raise ResourceCap(
-                    f"composition reached {len(cuts)} breakpoints after "
-                    f"{i + 1} of {len(g.breakpoints) - 1} inner pieces, "
+                    f"composition reached {count} breakpoints after "
+                    f"{i + 1} of {pieces} inner pieces, "
                     f"above the breakpoint cap {cap}"
                 )
-        bps = sorted(cuts)
-        vals = [f.lift_evaluate(g.lift_evaluate(b)) for b in bps]
+        bps.append(ONE)
+        vals.append(fus[-1])
         return PLCircleMap(bps, vals)
 
     def iterate(self, n: int, max_breakpoints: int | None = None) -> "PLCircleMap":
@@ -463,22 +488,12 @@ class PLCircleMap:
     def _image_of_iv(self, iv: Iv) -> list[Iv]:
         """Image of one interval inside [0, 1], piece by piece.
 
-        Each end is located once (``_locate``); the lift values at the
-        breakpoints strictly between the ends are read by index and the two
-        end values come from the affine formula of the located piece.
+        One walk gives the lift values at the ends and at the breakpoints
+        strictly between them.
         """
-        bps, vals, slopes = self.breakpoints, self.lift_values, self._slopes
-        lo, hi = iv.lo, iv.hi
-        p = _locate(bps, self._bps_float, lo)
-        v_lo = vals[p] if bps[p] == lo else vals[p] + slopes[p] * (lo - bps[p])
-        if lo == hi:
-            return [_point(v_lo)]
-        q = _locate(bps, self._bps_float, hi)
-        if bps[q] == hi:
-            j, v_hi = q, vals[q]
-        else:
-            j, v_hi = q + 1, vals[q] + slopes[q] * (hi - bps[q])
-        lifts = [v_lo, *vals[p + 1 : j], v_hi]
+        lifts = self._walk(iv.lo, iv.hi)[1]
+        if iv.lo == iv.hi:
+            return [_point(lifts[0])]
         out: list[Iv] = []
         last = len(lifts) - 2
         for k in range(last + 1):
@@ -599,16 +614,10 @@ def _wrap_lift_interval(
 def _identity_on_arc(g: PLCircleMap, arc: Arc) -> bool:
     """True iff g equals the identity pointwise on the (closed) arc."""
     for lo, hi in arc.intervals():
-        samples = [lo, hi] + [b for b in g.breakpoints if lo < b < hi]
-        for t in samples:
-            if g.lift_evaluate(t) - t != round(g.lift_evaluate(t) - t):
-                return False
-        vals = sorted(set(samples))
-        for j in range(len(vals) - 1):
-            if g.lift_evaluate(vals[j]) - vals[j] != g.lift_evaluate(
-                vals[j + 1]
-            ) - vals[j + 1]:
-                return False
+        cuts, lifts = g._walk(lo, hi)
+        moved = {v - t for t, v in zip(cuts, lifts)}
+        if len(moved) > 1 or moved.pop().denominator != 1:
+            return False
     return True
 
 
@@ -651,23 +660,18 @@ class Observable:
     __slots__ = ("breakpoints", "values", "_slopes", "_bps_float")
 
     def __init__(self, breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-        bps = tuple(as_fraction(b) for b in breakpoints)
-        vals = tuple(as_fraction(v) for v in values)
-        if len(bps) != len(vals) or len(bps) < 2:
-            raise InvalidInput("need equally many breakpoints and values")
-        if bps[0] != ZERO or bps[-1] != ONE:
-            raise InvalidInput("observable breakpoints must span [0, 1]")
-        if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-            raise InvalidInput("breakpoints must be strictly increasing")
+        bps, vals, slopes, self._bps_float = _pl_graph(breakpoints, values)
         if vals[0] != vals[-1]:
             raise InvalidInput("observable must close up: value(1) == value(0)")
         self.breakpoints = bps
         self.values = vals
-        self._slopes = tuple(
-            (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i])
-            for i in range(len(bps) - 1)
+        self._slopes = tuple(slopes)
+
+    def _walk(self, lo: Fraction, hi: Fraction) -> tuple[list[Fraction], list[Fraction]]:
+        """Cuts and values over [lo, hi]; see ``_lift_walk``."""
+        return _lift_walk(
+            self.breakpoints, self.values, self._slopes, self._bps_float, 0, lo, hi
         )
-        self._bps_float = [float(b) for b in bps]
 
     @staticmethod
     def constant(c: Fraction) -> "Observable":
@@ -704,13 +708,7 @@ class Observable:
         """Exact (min, max) over the closed arc."""
         cands: list[Fraction] = []
         for lo, hi in arc.intervals() or [(arc.start, arc.start)]:
-            cands.append(self.evaluate(lo))
-            cands.append(self.evaluate(hi))
-            cands.extend(
-                self.values[i]
-                for i, b in enumerate(self.breakpoints)
-                if lo < b < hi
-            )
+            cands.extend(self._walk(lo, hi)[1])
         return min(cands), max(cands)
 
     def oscillation_on_arc(self, arc: Arc) -> Fraction:
@@ -721,9 +719,8 @@ class Observable:
         """Exact integral over [lo, hi] inside [0, 1]."""
         if lo >= hi:
             return ZERO
-        cuts = [lo] + [b for b in self.breakpoints if lo < b < hi] + [hi]
+        cuts, vals = self._walk(lo, hi)
         total = ZERO
         for i in range(len(cuts) - 1):
-            a, b = cuts[i], cuts[i + 1]
-            total += (b - a) * (self.evaluate(a) + self.evaluate(b)) / 2
+            total += (cuts[i + 1] - cuts[i]) * (vals[i] + vals[i + 1]) / 2
         return total

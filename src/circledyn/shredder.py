@@ -136,13 +136,6 @@ class TrappingReport:
     def region_count(self) -> int:
         return len(self.regions)
 
-    def region_of_point(self, x: Fraction) -> Region | None:
-        x = mod1(x)
-        for reg in self.regions:
-            if any(a.contains(x) and a.length > 0 for a in reg.arcs):
-                return reg
-        return None
-
 
 @dataclass
 class ShredVerification:

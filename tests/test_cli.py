@@ -286,6 +286,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert "10^9 words" in err and "1000000" in err
 
+    def test_wicked_cap_exit_code(self, workdir, capsys, monkeypatch):
+        # eps 10^-9 keeps n0 = 30 levels of 2^k cells: capped before any is
+        # listed, so the chart is never pulled back
+        def listed(*args):
+            raise AssertionError("family_from_homeo ran before the cap check")
+
+        monkeypatch.setattr("circledyn.expanding.family_from_homeo", listed)
+        code = main(
+            [
+                "--out-dir", str(workdir / "outW"),
+                "wicked", str(workdir / "identity.json"), str(workdir / "dirac.json"),
+                "--ell", "2", "--eps", "1/1000000000", "--n", "40",
+            ]
+        )
+        assert code == 3
+        assert "above the cap 500000" in capsys.readouterr().err
+
     def test_shred_cap_exit_code(self, workdir, capsys):
         # 3000001 cells x 1000001 subdivisions: capped before shred allocates
         code = main(

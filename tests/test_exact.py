@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -6,7 +7,6 @@ from circledyn.exact import (
     Arc,
     IntervalSet,
     Word,
-    all_words,
     circle_dist,
     mod1,
 )
@@ -47,7 +47,7 @@ def test_arc_measure_and_membership():
 def test_word_intervals_partition_circle(ell, p):
     if ell**p > 100_000:
         pytest.skip("covered by smaller sizes")
-    arcs = [w.interval() for w in all_words(ell, p)]
+    arcs = [Word(ell, d).interval() for d in product(range(ell), repeat=p)]
     assert sum(a.length for a in arcs) == 1
     for i in range(len(arcs) - 1):
         assert arcs[i].end == arcs[i + 1].start
@@ -56,7 +56,8 @@ def test_word_intervals_partition_circle(ell, p):
 
 def test_word_interval_refinement():
     for ell in (2, 3):
-        for w in all_words(ell, 3):
+        for d in product(range(ell), repeat=3):
+            w = Word(ell, d)
             parent = w.interval()
             kids = [w.concat(Word(ell, (c,))).interval() for c in range(ell)]
             assert kids[0].start == parent.start

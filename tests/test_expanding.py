@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from circledyn.errors import InvalidInput
+from circledyn import expanding
+from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.expanding import (
     cesaro_cylinder,
     conjugate,
@@ -11,7 +13,6 @@ from circledyn.expanding import (
     rotation_companions,
     wicked_perturb,
 )
-from circledyn.exact import all_words
 from circledyn.measures import CircleMeasure, CylinderSpec
 from circledyn.partitions import ConsistentFamily, family_from_homeo
 from circledyn.plmaps import PLCircleMap
@@ -182,6 +183,19 @@ class TestWickedPerturb:
         with pytest.raises(InvalidInput):
             wicked_perturb(PLCircleMap.identity(), 2, bad, F(1, 4), 8)
 
+    def test_cell_cap_checked_before_the_kept_levels_are_listed(self, monkeypatch):
+        # the n0 = 16 kept levels hold 131 070 cells and the three deeper
+        # levels 3 * 2^16 more
+        def listed(*args):
+            raise AssertionError("family_from_homeo ran before the cap check")
+
+        monkeypatch.setattr(expanding, "family_from_homeo", listed)
+        with pytest.raises(ResourceCap, match=r"needs 327678 positive cells, above the cap 1000$"):
+            wicked_perturb(
+                PLCircleMap.identity(), 2, CylinderSpec.dirac_zero(2, 1), F(1, 2**16), 19,
+                cell_cap=1000,
+            )
+
     def test_window_length_validated(self):
         target = CylinderSpec.dirac_zero(2, 3)
         with pytest.raises(InvalidInput):
@@ -241,7 +255,7 @@ class TestCesaroCylinder:
         target = CylinderSpec.bernoulli([F(2, 3), F(1, 3)], 2)
         res = wicked_perturb(PLCircleMap.identity(), 2, target, F(1, 4), 8)
         n = 6
-        acc = {w.digits: F(0) for w in all_words(2, 2)}
+        acc = dict.fromkeys(product(range(2), repeat=2), F(0))
         for k in range(n):
             for w in acc:
                 acc[w] += res.cylinder_pushforward(k, 2).value(w) / n

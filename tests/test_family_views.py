@@ -4,13 +4,16 @@
 ``family_from_homeo`` builds them directly, and ``wicked_perturb``'s result
 is such a family.  The dense construction (``to_family``), the dense
 ``idx % scale`` push-forward loop, the Cesaro loop and the dense
-homeomorphism chart they replaced are kept here as references.  The tables,
-the dense levels, the family record, the cylinder push-forwards, the Cesaro
-specs, ``c0_distance_to`` and ``homeomorphism()`` must equal theirs.
+homeomorphism chart they replaced are kept here as references, with the
+per-cell distance loop that ``c0_distance_to`` used before it read ``g``
+through the lift walk.  The tables, the dense levels, the family record,
+the cylinder push-forwards, the Cesaro specs, ``c0_distance_to`` and
+``homeomorphism()`` must equal theirs.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -24,11 +27,10 @@ from circledyn.expanding import cesaro_cylinder, cylinder_pushforward, wicked_pe
 from circledyn.measures import CylinderSpec
 from circledyn.partitions import (
     ConsistentFamily,
-    _sup_circle_distance_affine,
     consistency_check,
     family_from_homeo,
 )
-from circledyn.plmaps import PLCircleMap
+from circledyn.plmaps import PLCircleMap, sup_dist_to_int
 
 F = Fraction
 
@@ -142,6 +144,29 @@ def ref_homeo(levels) -> PLCircleMap:
         pos += cell.length
     points.append((pos, ONE))
     return PLCircleMap.from_lift_points(points)
+
+
+def _sup_circle_distance_affine(
+    g: PLCircleMap,
+    lo: Fraction,
+    hi: Fraction,
+    a0: Fraction,
+    slope: Fraction,
+) -> Fraction:
+    """Sup over [lo, hi] of circle distance between g and an affine lift:
+    every lifted breakpoint of g is tested against [lo, hi] and g's lift is
+    evaluated at each cut."""
+    cuts = {lo, hi}
+    for b in g.breakpoints[:-1]:
+        k_min = math.ceil(lo - b)
+        k_max = math.floor(hi - b)
+        for k in range(k_min, k_max + 1):
+            t = b + k
+            if lo < t < hi:
+                cuts.add(t)
+    return sup_dist_to_int(
+        [g.lift_evaluate(t) - (a0 + slope * (t - lo)) for t in sorted(cuts)]
+    )
 
 
 def ref_c0(ell: int, depth: int, tables, g: PLCircleMap) -> Fraction:
