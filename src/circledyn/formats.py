@@ -212,6 +212,15 @@ def _label_from_record(value: Any) -> tuple[int, ...]:
     return tuple(value)
 
 
+def _tau_from_record(value: Any) -> tuple[int, ...]:
+    """tau maps the cells to themselves: integers in [0, len(tau))."""
+    if not isinstance(value, list) or not all(
+        type(t) is int and 0 <= t < len(value) for t in value
+    ):
+        raise ValueError(f"tau {value!r} is not a list of integers in [0, len(tau))")
+    return tuple(value)
+
+
 def report_from_record(rec: dict) -> TrappingReport:
     try:
         regions = tuple(
@@ -236,7 +245,7 @@ def report_from_record(rec: dict) -> TrappingReport:
                 tuple(_arc_from_record(a) for a in row)
                 for row in rec["subcells"]
             ),
-            tau=tuple(rec["tau"]),
+            tau=_tau_from_record(rec["tau"]),
             interior_cells=tuple(
                 tuple(_arc_from_record(a) for a in row)
                 for row in rec["interiorCells"]

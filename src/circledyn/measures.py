@@ -323,16 +323,24 @@ class CylinderSpec:
 
     def __post_init__(self) -> None:
         _word_count(self.ell, self.level)
-        for w, v in self.values.items():
-            if len(w) != self.level:
-                raise InvalidInput(f"word {w} has wrong length")
-            if v < 0:
-                raise InvalidInput("cylinder values must be >= 0")
-        if sum(self.values.values(), start=ZERO) != ONE:
+        # integer arithmetic only: the numerators summed per denominator,
+        # then once over the lcm of the distinct denominators
+        sums: dict[int, int] = {}
+        try:
+            for w, v in self.values.items():
+                if len(w) != self.level:
+                    raise InvalidInput(f"word {w} has wrong length")
+                if v.numerator < 0:
+                    raise InvalidInput("cylinder values must be >= 0")
+                sums[v.denominator] = sums.get(v.denominator, 0) + v.numerator
+        except AttributeError:
+            raise InvalidInput("cylinder values must be exact rationals") from None
+        lcm = math.lcm(*sums)
+        if sum(n * (lcm // d) for d, n in sums.items()) != lcm:
             raise InvalidInput("cylinder values must sum to 1")
         # sparse: only positive values are stored, ``value`` reads 0 elsewhere
         object.__setattr__(
-            self, "values", {w: v for w, v in self.values.items() if v > 0}
+            self, "values", {w: v for w, v in self.values.items() if v.numerator > 0}
         )
 
     # -- constructors

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import itemgetter
 from typing import Sequence
 
 from .errors import InvalidInput, ResourceCap
@@ -27,6 +28,7 @@ from .exact import (
 )
 
 DEFAULT_BREAKPOINT_CAP = 10**6
+_KEY = itemgetter(0)
 
 
 def _locate(bps: tuple[Fraction, ...], hints: list[float], x: Fraction) -> int:
@@ -61,23 +63,37 @@ def _pl_graph(breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
     return bps, vals, slopes, [float(b) for b in bps]
 
 
-def _lift_walk(bps, vals, slopes, hints, degree: int, lo: Fraction, hi: Fraction):
+def _walk_ends(bps, hints, lo: Fraction, hi: Fraction):
+    """Turn, offset in [0, 1) and located piece of each end of [lo, hi]."""
+    k_lo = lo.numerator // lo.denominator
+    k_hi = hi.numerator // hi.denominator
+    # adding or subtracting a zero would rebuild a Fraction for nothing
+    t_lo = lo - k_lo if k_lo else lo
+    t_hi = hi - k_hi if k_hi else hi
+    return k_lo, t_lo, _locate(bps, hints, t_lo), k_hi, t_hi, _locate(bps, hints, t_hi)
+
+
+def _cut_count(bps, ends) -> int:
+    """How many cuts ``_lift_walk`` lists for the located ends, in O(1)."""
+    k_lo, _, p, k_hi, t_hi, q = ends
+    stop = q + (bps[q] < t_hi)
+    if k_lo == k_hi:
+        return 2 + max(stop - p - 1, 0)
+    pieces = len(bps) - 1
+    return 2 + (pieces - p - 1) + (k_hi - k_lo - 1) * pieces + stop
+
+
+def _lift_walk(bps, vals, slopes, degree: int, lo: Fraction, hi: Fraction, ends):
     """Cuts and exact values of a PL graph over [lo, hi], lo <= hi.
 
     The graph is extended by F(t + 1) = F(t) + degree, so [lo, hi] may span
     several turns.  The cuts are lo, every lifted breakpoint b + k strictly
     between lo and hi, and hi, in increasing order.  Interior values are read
     by slice and shifted by k * degree; the two end values come from the
-    affine formula of the piece each end is located in.  Cost O(log |bps| +
-    output).
+    affine formula of the piece each end is located in (``ends``, from
+    ``_walk_ends``).  Cost O(log |bps| + output).
     """
-    k_lo = lo.numerator // lo.denominator
-    k_hi = hi.numerator // hi.denominator
-    # adding or subtracting a zero would rebuild a Fraction for nothing
-    t_lo = lo - k_lo if k_lo else lo
-    t_hi = hi - k_hi if k_hi else hi
-    p = _locate(bps, hints, t_lo)
-    q = _locate(bps, hints, t_hi)
+    k_lo, t_lo, p, k_hi, t_hi, q = ends
     v_lo = vals[p] if t_lo == bps[p] else vals[p] + slopes[p] * (t_lo - bps[p])
     v_hi = vals[q] if t_hi == bps[q] else vals[q] + slopes[q] * (t_hi - bps[q])
     cuts, lifts = [lo], [v_lo + k_lo * degree if k_lo * degree else v_lo]
@@ -96,7 +112,9 @@ def _lift_walk(bps, vals, slopes, hints, degree: int, lo: Fraction, hi: Fraction
 class PLCircleMap:
     """Continuous piecewise-linear circle map given by its lift."""
 
-    __slots__ = ("breakpoints", "lift_values", "degree", "_slopes", "_bps_float")
+    __slots__ = (
+        "breakpoints", "lift_values", "degree", "_slopes", "_bps_float", "_preimages"
+    )
 
     def __init__(
         self,
@@ -126,6 +144,7 @@ class PLCircleMap:
         self.degree = int(deg)
         self._slopes = tuple(slopes)
         self._bps_float = hints
+        self._preimages = None
 
     # -- basic structure
 
@@ -170,9 +189,10 @@ class PLCircleMap:
 
     def _walk(self, lo: Fraction, hi: Fraction) -> tuple[list[Fraction], list[Fraction]]:
         """Cuts and lift values over [lo, hi]; see ``_lift_walk``."""
+        bps = self.breakpoints
         return _lift_walk(
-            self.breakpoints, self.lift_values, self._slopes, self._bps_float,
-            self.degree, lo, hi,
+            bps, self.lift_values, self._slopes, self.degree, lo, hi,
+            _walk_ends(bps, self._bps_float, lo, hi),
         )
 
     def evaluate(self, x: Fraction) -> Fraction:
@@ -226,33 +246,37 @@ class PLCircleMap:
 
         Each inner piece [a, b] spans a lift range (a point if flat); one walk
         of the outer lift over it gives the cuts inside the piece, in order,
-        with their values.  Cost O(|inner| log |self| + output).
+        with their values.  The cap is checked on each piece's cut count,
+        known from the two located ends, before its cuts are listed.  Cost
+        O(|inner| log |self| + output).
         """
         cap = DEFAULT_BREAKPOINT_CAP if max_breakpoints is None else max_breakpoints
+        fb, fv, fs, fh = self.breakpoints, self.lift_values, self._slopes, self._bps_float
         gb, gv, gs = inner.breakpoints, inner.lift_values, inner._slopes
         pieces = len(gb) - 1
         bps: list[Fraction] = []
         vals: list[Fraction] = []
         for i in range(pieces):
             a, s, ga = gb[i], gs[i], gv[i]
-            if s < 0:
-                us, fus = self._walk(gv[i + 1], ga)
-                us.reverse()
-                fus.reverse()
-            else:
-                us, fus = self._walk(ga, gv[i + 1])
-            bps.append(a)
-            bps.extend(a + (u - ga) / s for u in us[1:-1])
-            vals.extend(fus[:-1])
-            # the inner map's later breakpoints count as cuts already; a flat
-            # piece adds none and is not checked
-            count = len(bps) + pieces - i
+            lo, hi = (gv[i + 1], ga) if s < 0 else (ga, gv[i + 1])
+            ends = _walk_ends(fb, fh, lo, hi)
+            # the piece adds its cuts but the last; the inner map's later
+            # breakpoints count as cuts already; a flat piece adds none and
+            # is not checked
+            count = len(bps) + _cut_count(fb, ends) - 1 + pieces - i
             if s and count > cap:
                 raise ResourceCap(
                     f"composition reached {count} breakpoints after "
                     f"{i + 1} of {pieces} inner pieces, "
                     f"above the breakpoint cap {cap}"
                 )
+            us, fus = _lift_walk(fb, fv, fs, self.degree, lo, hi, ends)
+            if s < 0:
+                us.reverse()
+                fus.reverse()
+            bps.append(a)
+            bps.extend(a + (u - ga) / s for u in us[1:-1])
+            vals.extend(fus[:-1])
         bps.append(ONE)
         vals.append(fus[-1])
         return PLCircleMap(bps, vals)
@@ -509,56 +533,80 @@ class PLCircleMap:
                 out.extend(_wrap_lift_interval(fb, b_closed, fa, a_closed))
         return out
 
-    def preimage_of_set(self, s: IntervalSet) -> IntervalSet:
-        """Exact full preimage of an interval set (as a subset of [0,1]).
+    def _preimage_index(self) -> tuple[list[tuple[float, int, int]], Fraction]:
+        """Sorted shifted lift ranges of the pieces, built on first use.
 
-        A piece whose lift range is [lo_v, hi_v] can only meet the shifts
-        ``s + k`` with ceil(lo_v) - ceil(max s) <= k <= floor(hi_v) -
-        floor(min s), which is ceil(lo_v) - 1 <= k <= floor(hi_v) for a set
-        inside [0, 1].  For each shift a bisection over the sorted ``hi``
-        endpoints of ``s`` finds the first interval that meets the range, and
-        the walk stops at the first one past it.  Cost:
-        O(pieces * (turns + log |s|) + output), where turns bounds the shifts
-        a piece's lift range spans.
+        One entry (key, i, k) for every piece i and every shift k with
+        ceil(lo_i) - 1 <= k <= floor(hi_i), the shifts at which the piece's
+        lift range [lo_i, hi_i] can meet a set inside [0, 1] shifted by k.
+        ``key`` is lo_i - k as a correctly rounded float, so it is monotone
+        in the exact value.  The entries are sorted by key, and the index
+        also holds ``span``, the exact largest hi_i - lo_i.  Cost O(P log P)
+        once, for P entries.
+        """
+        if self._preimages is None:
+            vals = self.lift_values
+            entries = []
+            span = ZERO
+            for i in range(len(vals) - 1):
+                lo, hi = sorted(vals[i : i + 2])
+                span = max(span, hi - lo)
+                n, d = lo.numerator, lo.denominator
+                entries.extend(
+                    ((n - k * d) / d, i, k)
+                    for k in range(-(-n // d) - 1, hi.numerator // hi.denominator + 1)
+                )
+            entries.sort()
+            self._preimages = (entries, span)
+        return self._preimages
+
+    def preimage_of_set(self, s: IntervalSet) -> IntervalSet:
+        """Exact full preimage of an interval set inside [0, 1].
+
+        An entry (key, i, k) of ``_preimage_index`` meets an interval iv
+        exactly when lo_i - k <= iv.hi and hi_i - k >= iv.lo, so its exact
+        key lies in [iv.lo - span, iv.hi].  Bisection of the float keys
+        over the rounded ends of that range finds every such entry; the
+        floats are hints, and each candidate is tested exactly before its
+        piece is solved for the shifted interval.  Cost O(P log P) once per
+        map, then O(|s| log P + candidates + output) per call.
         """
         ivs = s.ivs
         if not ivs:
             return IntervalSet()
+        if ivs[0].lo < ZERO or ivs[-1].hi > ONE:
+            raise InvalidInput("preimage_of_set needs a set inside [0, 1]")
+        entries, span = self._preimage_index()
+        bps, vals, slopes = self.breakpoints, self.lift_values, self._slopes
         out: list[Iv] = []
-        his = [iv.hi for iv in ivs]
-        s_ceil, s_floor = math.ceil(his[-1]), math.floor(ivs[0].lo)
-        n = len(ivs)
-        bps = self.breakpoints
-        vals = self.lift_values
-        for i in range(len(bps) - 1):
-            a, b = bps[i], bps[i + 1]
-            fa, fb = vals[i], vals[i + 1]
-            slope = self._slopes[i]
-            lo_v, hi_v = (fa, fb) if fa <= fb else (fb, fa)
-            for k in range(math.ceil(lo_v) - s_ceil, math.floor(hi_v) - s_floor + 1):
-                j = bisect_left(his, lo_v - k)
-                top = hi_v - k
-                while j < n and ivs[j].lo <= top:
-                    iv = ivs[j]
-                    j += 1
-                    if slope == 0:
-                        if iv.contains(fa - k):
-                            out.append(Iv(a, True, b, True))
-                        continue
-                    t1 = a + (iv.lo + k - fa) / slope
-                    t2 = a + (iv.hi + k - fa) / slope
-                    if slope > 0:
-                        plo, ploc, phi, phic = t1, iv.lo_closed, t2, iv.hi_closed
-                    else:
-                        plo, ploc, phi, phic = t2, iv.hi_closed, t1, iv.lo_closed
-                    # clip to the piece [a, b] (closed)
-                    if plo < a:
-                        plo, ploc = a, True
-                    if phi > b:
-                        phi, phic = b, True
-                    if plo > phi or (plo == phi and not (ploc and phic)):
-                        continue
-                    out.append(Iv(plo, ploc, phi, phic))
+        for iv in ivs:
+            first = bisect_left(entries, float(iv.lo - span), key=_KEY)
+            stop = bisect_right(entries, float(iv.hi), key=_KEY)
+            for _, i, k in entries[first:stop]:
+                fa, fb = vals[i], vals[i + 1]
+                lo_v, hi_v = (fa, fb) if fa <= fb else (fb, fa)
+                if lo_v - k > iv.hi or hi_v - k < iv.lo:
+                    continue
+                a, b = bps[i], bps[i + 1]
+                slope = slopes[i]
+                if slope == 0:
+                    if iv.contains(fa - k):
+                        out.append(Iv(a, True, b, True))
+                    continue
+                t1 = a + (iv.lo + k - fa) / slope
+                t2 = a + (iv.hi + k - fa) / slope
+                if slope > 0:
+                    plo, ploc, phi, phic = t1, iv.lo_closed, t2, iv.hi_closed
+                else:
+                    plo, ploc, phi, phic = t2, iv.hi_closed, t1, iv.lo_closed
+                # clip to the piece [a, b] (closed)
+                if plo < a:
+                    plo, ploc = a, True
+                if phi > b:
+                    phi, phic = b, True
+                if plo > phi or (plo == phi and not (ploc and phic)):
+                    continue
+                out.append(Iv(plo, ploc, phi, phic))
         return IntervalSet(out)
 
 
@@ -669,8 +717,10 @@ class Observable:
 
     def _walk(self, lo: Fraction, hi: Fraction) -> tuple[list[Fraction], list[Fraction]]:
         """Cuts and values over [lo, hi]; see ``_lift_walk``."""
+        bps = self.breakpoints
         return _lift_walk(
-            self.breakpoints, self.values, self._slopes, self._bps_float, 0, lo, hi
+            bps, self.values, self._slopes, 0, lo, hi,
+            _walk_ends(bps, self._bps_float, lo, hi),
         )
 
     @staticmethod

@@ -385,6 +385,18 @@ class TestReportSoundness:
         assert self._verify(workdir, "badlabel", rec) == 2
         assert "is not a list of integers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["x", "len", -1, True, 1.0, "no list"])
+    def test_tau_outside_the_cells_is_invalid(self, workdir, capsys, bad):
+        rec = self._shred(workdir, "shred")
+        tau = rec["tau"]
+        if bad == "no list":
+            rec["tau"] = len(tau)
+        else:
+            # a first entry that names no cell
+            rec["tau"] = [len(tau) if bad == "len" else bad, *tau[1:]]
+        assert self._verify(workdir, "badtau", rec) == 2
+        assert "is not a list of integers in [0, len(tau))" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize(
     "argv",

@@ -22,7 +22,8 @@ from hypothesis import strategies as st
 
 from circledyn.errors import ResourceCap
 from circledyn.exact import ONE, ZERO, Arc, as_fraction, mod1
-from circledyn.expanding import wicked_perturb
+from circledyn import plmaps
+from circledyn.expanding import expanding_map, wicked_perturb
 from circledyn.partitions import family_from_homeo
 from circledyn.plmaps import (
     DEFAULT_BREAKPOINT_CAP,
@@ -221,6 +222,21 @@ def test_compose_matches_reference(f, g, cap):
         return
     got = f.compose(g, max_breakpoints=cap)
     assert got == want and got.degree == want.degree
+
+
+def test_compose_cap_fires_before_a_long_piece_is_listed(monkeypatch):
+    # the one inner piece of E_200000 spans 200 000 turns of the outer lift;
+    # its cut count comes from the two located ends, so no cut is listed
+    def no_walk(*args):
+        raise AssertionError("a cut was listed before the cap fired")
+
+    monkeypatch.setattr(plmaps, "_lift_walk", no_walk)
+    with pytest.raises(ResourceCap) as exc:
+        PLCircleMap.identity().compose(expanding_map(200_000), max_breakpoints=10)
+    assert str(exc.value) == (
+        "composition reached 200001 breakpoints after 1 of 1 inner pieces, "
+        "above the breakpoint cap 10"
+    )
 
 
 @settings(max_examples=300, deadline=None)

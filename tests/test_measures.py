@@ -277,6 +277,10 @@ class TestCylinderSpec:
         with pytest.raises(InvalidInput):
             CylinderSpec(2, 1, {(0,): F(1, 2), (1,): F(1, 4)})
 
+    def test_values_must_be_exact(self):
+        with pytest.raises(InvalidInput, match="exact rationals"):
+            CylinderSpec(2, 1, {(0,): 0.5, (1,): 0.5})
+
     def test_word_count_capped_before_listing(self, lebesgue):
         # each of these would list 10^9 (or 2^(10^9)) words without the cap
         with pytest.raises(ResourceCap, match=r"10\^9 words, above the cap 1000000"):

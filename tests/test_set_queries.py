@@ -1,9 +1,9 @@
 """Property tests for the bisecting set queries.
 
 ``PLCircleMap.preimage_of_set`` is compared with the plain pieces x intervals
-loop it replaced, and with pointwise membership; the ``IntervalSet`` queries
-are compared with brute-force scans on the circle, where 0 and 1 are the
-same point.
+loop it replaced, and with pointwise membership, on small maps and on large
+ones whose float index keys tie; the ``IntervalSet`` queries are compared
+with brute-force scans on the circle, where 0 and 1 are the same point.
 """
 
 from __future__ import annotations
@@ -11,9 +11,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledyn.errors import InvalidInput
 from circledyn.exact import Arc, IntervalSet, Iv, circle_dist, mod1
 from circledyn.plmaps import PLCircleMap
 
@@ -92,6 +94,61 @@ def reference_preimage(f: PLCircleMap, s: IntervalSet) -> IntervalSet:
     return IntervalSet.union_all(out)
 
 
+TINY = F(1, 2**70)
+
+
+@st.composite
+def large_maps(draw) -> PLCircleMap:
+    """Maps of 50-400 pieces with denominators near 2**40, plateaus, one
+    piece whose lift spans at least three turns, and a few lift values
+    within 2**-70 of another one, so that float keys tie."""
+    rnd = draw(st.randoms(use_true_random=False))
+    pieces = draw(st.integers(50, 400))
+    den = 2**40 + rnd.randrange(-999, 1000)
+    xs = sorted(rnd.sample(range(1, den), pieces - 1))
+    bps = [F(0)] + [F(x, den) for x in xs] + [F(1)]
+    vals = []
+    for _ in bps:
+        if vals and rnd.randrange(8) == 0:
+            vals.append(vals[-1])
+        elif vals and rnd.randrange(8) == 0:
+            vals.append(rnd.choice(vals) + rnd.randrange(-3, 4) * TINY)
+        else:
+            d = 2**40 + rnd.randrange(-999, 1000)
+            vals.append(F(rnd.randrange(-2 * d, 3 * d), d))
+    wide = rnd.randrange(pieces - 1)
+    vals[wide + 1] = vals[wide] + rnd.choice([-1, 1]) * (3 + F(rnd.randrange(den), den))
+    vals[-1] = vals[0] + draw(st.integers(-2, 3))
+    return PLCircleMap(bps, vals)
+
+
+@st.composite
+def tied_sets(draw, f: PLCircleMap) -> IntervalSet:
+    """Sets inside [0, 1] whose ends sit on shifted lift values of f, within
+    2**-70 of one, or within 2**-70 of each other."""
+    rnd = draw(st.randoms(use_true_random=False))
+    ends = []
+    for _ in range(2 * draw(st.integers(1, 8))):
+        pick = rnd.randrange(3)
+        if pick == 0:
+            x = mod1(rnd.choice(f.lift_values))
+        elif pick == 1:
+            x = mod1(rnd.choice(f.lift_values)) + rnd.randrange(-2, 3) * TINY
+        else:
+            x = F(rnd.randrange(2**40 + 1), 2**40)
+        ends.append(min(max(x, F(0)), F(1)))
+        if rnd.randrange(4) == 0:
+            ends.append(min(ends[-1] + rnd.randrange(1, 3) * TINY, F(1)))
+    ends.sort()
+    ivs = []
+    for lo, hi in zip(ends[::2], ends[1::2]):
+        if lo == hi or rnd.randrange(5) == 0:
+            ivs.append(Iv(lo, True, lo, True))
+        else:
+            ivs.append(Iv(lo, rnd.randrange(2) == 0, hi, rnd.randrange(2) == 0))
+    return IntervalSet(ivs)
+
+
 def on_line(s: IntervalSet, x: Fraction) -> bool:
     return any(iv.contains(x) for iv in s.ivs)
 
@@ -116,6 +173,32 @@ def probes(*sets: IntervalSet, extra=()) -> list[Fraction]:
 @given(pl_maps(), interval_sets())
 def test_preimage_matches_reference_loop(f, s):
     assert f.preimage_of_set(s).ivs == reference_preimage(f, s).ivs
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_preimage_of_large_maps_matches_reference_loop(data):
+    f = data.draw(large_maps())
+    vals = f.lift_values
+    assert max(abs(vals[i + 1] - vals[i]) for i in range(len(vals) - 1)) >= 3
+    for _ in range(3):
+        s = data.draw(tied_sets(f))
+        assert f.preimage_of_set(s).ivs == reference_preimage(f, s).ivs
+
+
+@pytest.mark.parametrize(
+    "iv",
+    [
+        Iv(F(-1, 4), True, F(1, 2), True),
+        Iv(F(1, 2), True, F(5, 4), False),
+        Iv(F(2), True, F(2), True),
+        Iv(-TINY, False, F(0), True),
+    ],
+)
+def test_preimage_of_a_set_outside_the_unit_interval_is_invalid(iv):
+    f = PLCircleMap([F(0), F(1, 3), F(1)], [F(1, 5), F(2), F(11, 5)])
+    with pytest.raises(InvalidInput, match="needs a set inside"):
+        f.preimage_of_set(IntervalSet([Iv(F(1, 8), True, F(1, 8), True), iv]))
 
 
 @settings(max_examples=400, deadline=None)
