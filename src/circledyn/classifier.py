@@ -20,7 +20,7 @@ from typing import Sequence
 from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, Arc, IntervalSet, mod1
 from .measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
-from .orbits import birkhoff_average, birkhoff_gap, orbit_averages
+from .orbits import orbit_averages
 from .plmaps import Observable, PLCircleMap, PeriodicComponent
 from .shredder import TrappingReport, singularity_witness
 
@@ -30,8 +30,6 @@ __all__ = [
     "BasinDecomposition",
     "PhysicalMeasure",
     "basin_decomposition",
-    "birkhoff_average",
-    "birkhoff_gap",
     "WProtocol",
     "LabelVerdict",
     "WDiagnostics",

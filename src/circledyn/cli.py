@@ -86,6 +86,13 @@ def _parse_observable(text: str) -> Observable:
     return observable_from_record(_load_json(text))
 
 
+def _parse_horizons(text: str) -> list[int]:
+    try:
+        return [int(s) for s in text.split(",")]
+    except ValueError as exc:
+        raise InvalidInput(f"horizons must be comma-separated integers: {exc}") from exc
+
+
 def _finish(args, inputs: list[str], written: dict[Path, str]) -> None:
     out = _out_dir(args)
     for path, text in written.items():
@@ -226,8 +233,7 @@ def cmd_birkhoff(args: argparse.Namespace) -> int:
     f = map_from_record(_load_json(args.map))
     phi = _parse_observable(args.obs)
     x = parse_rational(args.x)
-    horizons = [int(s) for s in args.horizons.split(",")]
-    res = orbit_averages(f, x, [phi], horizons)
+    res = orbit_averages(f, x, [phi], _parse_horizons(args.horizons))
     rows = [
         (n, format_rational(res.averages[0][n]))
         for n in sorted(res.averages[0])
@@ -259,7 +265,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     f = map_from_record(_load_json(args.map))
     protocol = WProtocol(
         grid_size=args.grid,
-        horizons=tuple(int(s) for s in args.horizons.split(",")),
+        horizons=tuple(_parse_horizons(args.horizons)),
         tol=parse_rational(args.tol),
         max_period=args.max_period,
     )

@@ -18,6 +18,10 @@ from .plmaps import Observable, PLCircleMap
 from .shredder import Region, TrappingReport
 
 
+# what reading a record of the wrong shape or with bad rationals raises
+_MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError)
+
+
 def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
@@ -40,7 +44,7 @@ def map_from_record(rec: dict) -> PLCircleMap:
     try:
         bps = [parse_rational(s) for s in rec["breakpoints"]]
         vals = [parse_rational(s) for s in rec["liftValues"]]
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed map record: {exc}") from exc
     return PLCircleMap(bps, vals)
 
@@ -56,7 +60,7 @@ def observable_from_record(rec: dict) -> Observable:
     try:
         bps = [parse_rational(s) for s in rec["breakpoints"]]
         vals = [parse_rational(s) for s in rec["values"]]
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed observable record: {exc}") from exc
     return Observable(bps, vals)
 
@@ -90,7 +94,7 @@ def measure_from_record(rec: dict) -> CircleMeasure:
             arc = Arc.make(start, length)
             for lo, hi in arc.intervals():
                 pieces.append((lo, hi, density))
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed measure record: {exc}") from exc
     return CircleMeasure(atoms=atoms, pieces=pieces)
 
@@ -116,7 +120,7 @@ def spec_from_record(rec: dict) -> CylinderSpec:
         p = int(rec["p"])
         table = {k: parse_rational(v) for k, v in rec["values"].items()}
         return CylinderSpec.from_strings(ell, p, table)
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed cylinder spec record: {exc}") from exc
 
 
@@ -148,7 +152,7 @@ def family_from_record(rec: dict, allow_degenerate: bool = False) -> ConsistentF
             )
             for level in rec["levels"]
         )
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed family record: {exc}") from exc
     return ConsistentFamily(ell, depth, levels, allow_degenerate=allow_degenerate)
 
@@ -258,10 +262,13 @@ def report_from_record(rec: dict) -> TrappingReport:
             regions=regions,
             cycles=cycles,
         )
-    except (KeyError, ValueError, ZeroDivisionError) as exc:
+    except _MALFORMED as exc:
         raise InvalidInput(f"malformed report record: {exc}") from exc
     if not regions:
         raise InvalidInput("malformed report record: no regions")
+    empty = [reg.label for reg in regions if not reg.arcs]
+    if empty:
+        raise InvalidInput(f"malformed report record: region {empty[0]} has no arcs")
     missing = [reg.label for reg in regions if reg.label not in cycles]
     if missing:
         raise InvalidInput(

@@ -8,7 +8,6 @@ are closed operations on this class and produce exact rationals.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .exact import (
     IntervalSet,
     Iv,
     as_fraction,
+    circle_dist,
     mod1,
 )
 
@@ -331,141 +331,47 @@ class PLCircleMap:
 
     # -- fixed and periodic points
 
-    def _displacement_values(self) -> list[Fraction]:
-        return [v - b for v, b in zip(self.lift_values, self.breakpoints)]
-
-    def _psi_sign_beyond(self, pos: Fraction, k: Fraction, direction: int) -> int:
-        """Sign of F(x) - x - k immediately left (-1) or right (+1) of pos.
-
-        Walks across flat-zero stretches, wrapping around the circle with the
-        level shifted by degree - 1 per wrap.  Returns 0 when the displacement
-        vanishes identically around the whole circle.
-        """
-        bps = self.breakpoints
-        psi = self._displacement_values()
-        shift = self.degree - 1
-        level = Fraction(k)
-        cur = pos
-        traveled = ZERO
-        while traveled <= ONE:
-            if direction > 0:
-                if cur >= ONE:
-                    cur -= ONE
-                    level -= shift
-                i = bisect_right(bps, cur) - 1
-                if i == len(bps) - 1:
-                    i -= 1
-                a, b = bps[i], bps[i + 1]
-                ua, ub = psi[i] - level, psi[i + 1] - level
-                vcur = ua + (ub - ua) * (cur - a) / (b - a)
-                if vcur != 0:
-                    return 1 if vcur > 0 else -1
-                if ub != 0:
-                    return 1 if ub > 0 else -1
-                traveled += b - cur
-                cur = b
-            else:
-                if cur <= ZERO:
-                    cur += ONE
-                    level += shift
-                i = bisect_right(bps, cur) - 1
-                if i >= 1 and bps[i] == cur:
-                    i -= 1
-                if i == len(bps) - 1:
-                    i -= 1
-                a, b = bps[i], bps[i + 1]
-                ua, ub = psi[i] - level, psi[i + 1] - level
-                vcur = ua + (ub - ua) * (cur - a) / (b - a)
-                if vcur != 0:
-                    return 1 if vcur > 0 else -1
-                if ua != 0:
-                    return 1 if ua > 0 else -1
-                traveled += cur - a
-                cur = a
-        return 0
-
     def fixed_point_components(self) -> list["PeriodicComponent"]:
         """Maximal solution components of f(x) = x on the circle.
 
-        Point solutions carry a transversality tag (strict sign change of the
-        displacement); interval solutions are tangential arcs.  The whole
-        circle is returned as a single tangential full arc for the identity.
+        They are the preimage of 0 under the displacement map
+        d(x) = F(x) - x, of degree one less than f's.  The part that ends
+        at 1 and the part that starts at 0 are one component.  A point is
+        transversal when the slopes of d on its two sides share a sign; a
+        component is maximal, so neither slope is 0.  Arcs are tangential,
+        and the identity gives one full arc.  Components are ordered by the
+        integer lift value of d on them, then by position, the component
+        through 0 ~ 1 at position 0.
         """
         bps = self.breakpoints
-        psi = self._displacement_values()
-        lo_psi = min(psi)
-        hi_psi = max(psi)
-        # merged solution components of F(x) - x = k on [0, 1], per level k
-        raw: list[tuple[Fraction, Fraction, int]] = []
-        for k in range(math.ceil(lo_psi), math.floor(hi_psi) + 1):
-            comps: list[tuple[Fraction, Fraction]] = []
-            for i in range(len(bps) - 1):
-                a, b = bps[i], bps[i + 1]
-                ua, ub = psi[i] - k, psi[i + 1] - k
-                if ua == 0 and ub == 0:
-                    comps.append((a, b))
-                elif ua == 0:
-                    comps.append((a, a))
-                elif ub == 0:
-                    comps.append((b, b))
-                elif (ua < 0 < ub) or (ub < 0 < ua):
-                    t = a + (-ua) * (b - a) / (ub - ua)
-                    comps.append((t, t))
-            comps.sort()
-            merged: list[list[Fraction]] = []
-            for lo, hi in comps:
-                if merged and lo <= merged[-1][1]:
-                    merged[-1][1] = max(merged[-1][1], hi)
-                else:
-                    merged.append([lo, hi])
-            raw.extend((lo, hi, k) for lo, hi in merged)
-
-        if not raw:
+        d = PLCircleMap(bps, [v - b for v, b in zip(self.lift_values, bps)])
+        ivs = list(d.preimage_of_set(IntervalSet.point(ZERO)).ivs)
+        if not ivs:
             return []
-
-        total = sum((hi - lo for lo, hi, _ in raw), start=ZERO)
-        if total == ONE:
+        if ivs[0].lo == ZERO and ivs[0].hi == ONE:
             return [PeriodicComponent(Arc.full(), transversal=False)]
-
-        # Solutions at x=1 (level k) and x=0 (level k - (degree-1)) are the
-        # same circle point and always occur together; glue them.
-        shift = self.degree - 1
-        end_comp = next((c for c in raw if c[1] == ONE), None)
-        start_comp = None
-        if end_comp is not None:
-            start_comp = next(
-                (c for c in raw if c[0] == ZERO and c[2] == end_comp[2] - shift),
-                None,
-            )
-        out: list[PeriodicComponent] = []
-        for lo, hi, k in raw:
-            if end_comp is not None and (lo, hi, k) == end_comp:
-                continue
-            if start_comp is not None and (lo, hi, k) == start_comp:
-                elo, _ehi, ek = end_comp
-                length = (ONE - elo) + hi
-                if length == 0:
-                    left = self._psi_sign_beyond(ONE, Fraction(ek), -1)
-                    right = self._psi_sign_beyond(ZERO, Fraction(k), +1)
-                    out.append(
-                        PeriodicComponent(ZERO, transversal=(left * right < 0))
-                    )
-                else:
-                    out.append(
-                        PeriodicComponent(
-                            Arc.make(mod1(elo), length), transversal=False
-                        )
-                    )
-                continue
-            if lo == hi:
-                left = self._psi_sign_beyond(lo, Fraction(k), -1)
-                right = self._psi_sign_beyond(hi, Fraction(k), +1)
-                out.append(PeriodicComponent(lo, transversal=(left * right < 0)))
+        # d(1) - d(0) is an integer, so a part ends at 1 exactly when one
+        # starts at 0
+        if ivs[-1].hi == ONE:
+            last = ivs.pop()
+            ivs[0] = Iv(last.lo - ONE, True, ivs[0].hi, True)
+        d_bps, d_vals, slopes = d.breakpoints, d.lift_values, d._slopes
+        keyed = []
+        for iv in ivs:
+            pos = max(iv.lo, ZERO)
+            i = _locate(d_bps, d._bps_float, pos)
+            level = d_vals[i] + slopes[i] * (pos - d_bps[i])
+            if iv.lo == iv.hi:
+                # the left neighbour of 0 is the last piece
+                left = slopes[i - 1] if d_bps[i] == pos else slopes[i]
+                comp = PeriodicComponent(pos, transversal=left * slopes[i] > 0)
             else:
-                out.append(
-                    PeriodicComponent(Arc.make(mod1(lo), hi - lo), transversal=False)
+                comp = PeriodicComponent(
+                    Arc.make(mod1(iv.lo), iv.hi - iv.lo), transversal=False
                 )
-        return out
+            keyed.append((level, pos, comp))
+        keyed.sort(key=itemgetter(0, 1))
+        return [comp for _, _, comp in keyed]
 
     def periodic_points(
         self, period: int, max_breakpoints: int | None = None
@@ -734,9 +640,7 @@ class Observable:
         anti = mod1(c + HALF)
 
         def val(x: Fraction) -> Fraction:
-            r = mod1(x - c)
-            d = r if r <= HALF else ONE - r
-            return ONE - 2 * d
+            return ONE - 2 * circle_dist(x, c)
 
         bset = sorted({ZERO, c, anti})
         bps = bset + [ONE]

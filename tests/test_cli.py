@@ -397,6 +397,21 @@ class TestReportSoundness:
         assert self._verify(workdir, "badtau", rec) == 2
         assert "is not a list of integers in [0, len(tau))" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field", ["cells", "arcs"])
+    def test_region_field_not_a_list_is_invalid(self, workdir, capsys, field):
+        rec = self._shred(workdir, "shred")
+        rec["regions"][0][field] = 5
+        assert self._verify(workdir, "badfield", rec) == 2
+        assert "invalid input: malformed report record" in capsys.readouterr().err
+
+    def test_region_without_arcs_is_invalid(self, workdir, capsys):
+        rec = self._shred(workdir, "shred")
+        rec["regions"][0]["arcs"] = []
+        label = tuple(rec["regions"][0]["label"])
+        assert self._verify(workdir, "noarcs", rec) == 2
+        err = capsys.readouterr().err
+        assert f"invalid input: malformed report record: region {label} has no arcs" in err
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -413,6 +428,45 @@ def test_malformed_rational_exits_invalid(workdir, capsys, argv):
     argv = [a.format(e2=workdir / "e2.json") for a in argv]
     assert main(["--out-dir", str(workdir / "bad"), *argv]) == 2
     assert "not a rational number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "{w}/list.json", "{w}/list.json"], "malformed map record"),
+        (["pushforward", "{w}/e2.json", "{w}/atoms.json"], "malformed measure record"),
+        (
+            ["wicked", "{w}/identity.json", "{w}/values.json",
+             "--ell", "2", "--eps", "1/4", "--n", "3"],
+            "malformed cylinder spec record",
+        ),
+        (
+            ["birkhoff", "{w}/e2.json", "--x", "1/3", "--obs", "{w}/list.json"],
+            "malformed observable record",
+        ),
+        (
+            ["classify", "{w}/e2.json", "--grid", "2",
+             "--declared-specs", "{w}/list.json"],
+            "malformed cylinder spec record",
+        ),
+        (
+            ["birkhoff", "{w}/e2.json", "--x", "1/3", "--obs", "tent:1/3",
+             "--horizons", "5,x"],
+            "horizons must be comma-separated integers",
+        ),
+        (
+            ["classify", "{w}/e2.json", "--grid", "2", "--horizons", "5,x"],
+            "horizons must be comma-separated integers",
+        ),
+    ],
+)
+def test_input_of_the_wrong_shape_exits_invalid(workdir, capsys, argv, message):
+    (workdir / "list.json").write_text("[1, 2]")
+    (workdir / "atoms.json").write_text('{"atoms": 3}')
+    (workdir / "values.json").write_text('{"ell": 2, "p": 1, "values": ["0", "1"]}')
+    argv = [a.format(w=workdir) for a in argv]
+    assert main(["--out-dir", str(workdir / "bad"), *argv]) == 2
+    assert f"invalid input: {message}" in capsys.readouterr().err
 
 
 # sha256 of each artifact of ``circledyn wicked`` and of its stdout; None
