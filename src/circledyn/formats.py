@@ -11,7 +11,7 @@ from fractions import Fraction
 from typing import Any, Sequence
 
 from .errors import InvalidInput
-from .exact import Arc, format_rational, parse_rational
+from .exact import ONE, ZERO, Arc, format_rational, parse_rational
 from .measures import CircleMeasure, CylinderSpec
 from .partitions import ConsistentFamily
 from .plmaps import Observable, PLCircleMap
@@ -264,6 +264,11 @@ def report_from_record(rec: dict) -> TrappingReport:
         )
     except _MALFORMED as exc:
         raise InvalidInput(f"malformed report record: {exc}") from exc
+    # the scale the report certifies; shred refuses the same range
+    if not ZERO < report.eps < ONE:
+        raise InvalidInput(
+            f"malformed report record: eps {report.eps} must lie in (0, 1)"
+        )
     if not regions:
         raise InvalidInput("malformed report record: no regions")
     empty = [reg.label for reg in regions if not reg.arcs]

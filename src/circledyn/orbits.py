@@ -9,13 +9,22 @@ complexity, and such points are reported inconclusive rather than
 approximated); or at the last horizon.  Each horizon, the preperiod, the
 cycle and a partial cycle are then slices of that one recorded orbit.
 
+Per-step cost: the map's integer step table (A, B, D per piece, built once
+per map) gives f(p/q) = ((A*q + B*p) mod D*q) / (D*q), so a step costs three
+big-integer products, one ``%``, one ``gcd`` and one cell lookup.  Tie rule
+of the lookup: the cell is decided by the correctly rounded float of p/q
+against the floats of the cuts; rounding is monotone, so a strict float
+inequality holds exactly, and the exact integer comparison runs only when
+the float of p/q equals a cut's float.
+
 Refinement invariant: every observable of a battery is affine on each cell of
 the battery's common breakpoint refinement, and continuous, so either
 neighbour's formula is exact at a cut.  The sum of the battery over a slice
 therefore needs only two integers per (cell, denominator q): the number of
 visits and the sum of the numerators p.  The closing scales each observable's
-intercept and slope on each cell to integers by one common multiple and
-builds one Fraction per distinct q.
+intercept and slope on each cell to integers by one common multiple, puts
+the slice's points over one lcm of their denominators and builds one
+Fraction per observable.
 """
 
 from __future__ import annotations
@@ -65,17 +74,21 @@ class OrbitAverages:
 def _cell(
     cuts: Sequence[tuple[int, int]], hints: Sequence[float], p: int, q: int
 ) -> int:
-    """Index i with cuts[i] <= p/q < cuts[i+1]; float bisect hint, exact fixup.
+    """Index i with cuts[i] <= p/q < cuts[i+1], for 0 <= p/q < 1, decided
+    by floats.
 
     ``cuts`` holds the breakpoints 0 = b0 < ... < bm = 1 as (numerator,
-    denominator) pairs and ``hints`` the floats of b0, ..., b(m-1), so the
-    hint lies in [0, m-1] for any 0 <= p/q < 1.
+    denominator) pairs and ``hints`` the correctly rounded floats of b0, ...,
+    b(m-1); ``p / q`` is correctly rounded too.  Rounding is monotone, so a
+    strict float inequality holds exactly: bisection puts p/q strictly
+    below cuts[i+1] (and below bm = 1).  Tie rule: only when the float of
+    p/q equals hints[i] is cuts[i] compared exactly, by two integer
+    products, and the index moves down while cuts[i] > p/q.  Cost one
+    integer division and one bisection, plus two products per tied hint.
     """
-    last = len(cuts) - 2
-    i = bisect_right(hints, p / q) - 1
-    while i < last and cuts[i + 1][0] * q <= p * cuts[i + 1][1]:
-        i += 1
-    while i > 0 and cuts[i][0] * q > p * cuts[i][1]:
+    x = p / q
+    i = bisect_right(hints, x) - 1
+    while hints[i] == x and i and cuts[i][0] * q > p * cuts[i][1]:
         i -= 1
     return i
 
@@ -89,14 +102,10 @@ def _walk(
     ``denominator_bit_cap`` bits, or after ``n_max`` steps.  Returns the
     visited points mapped to their step (the dict keeps orbit order), the
     number of steps taken, the point the walk stopped at and whether it
-    stopped at the cap.
+    stopped at the cap.  A step reads the map's cached step table: one
+    ``_cell`` lookup, three products, one ``%`` and one ``gcd``.
     """
-    cuts = [(b.numerator, b.denominator) for b in f.breakpoints]
-    pieces = [
-        (s.numerator, s.denominator, v.numerator, v.denominator)
-        for s, v in zip(f._slopes, f.lift_values)
-    ]
-    hints = f._bps_float[:-1]
+    cuts, hints, table = f._step_table()
     seen: dict[tuple[int, int], int] = {}
     p, q = x.numerator, x.denominator
     step = 0
@@ -108,13 +117,9 @@ def _walk(
         if q.bit_length() > denominator_bit_cap:
             return seen, step, key, True
         step += 1
-        i = _cell(cuts, hints, p, q)
-        bn, bd = cuts[i]
-        sn, sd, vn, vd = pieces[i]
-        tn = p * bd - bn * q
-        td = q * bd
-        yd = vd * sd * td
-        yn = (vn * sd * td + vd * sn * tn) % yd
+        a, b, d = table[_cell(cuts, hints, p, q)]
+        yd = d * q
+        yn = (a * q + b * p) % yd
         g = gcd(yn, yd)
         p, q = yn // g, yd // g
     return seen, step, (p, q), False
@@ -127,8 +132,10 @@ class _Closing:
     breakpoint refinement, with intercept a and slope s.  A cell visited N
     times by points p/q with one denominator q, numerators summing to P,
     contributes N*a + s*P/q.  With A = a*L and S = s*L integers for one
-    common L, a slice of the orbit sums to
-    sum_q (sum_cells q*N*A + S*P) / (q*L): one Fraction per distinct q.
+    common L, and M the lcm of the slice's denominators q, a slice sums to
+    (M * sum_cells A*N + sum_cells S*P') / (M*L), where N counts every
+    visit to a cell and P' sums p*(M/q) over them: one Fraction per
+    observable.
     """
 
     def __init__(self, observables: Sequence[Observable]):
@@ -171,15 +178,20 @@ class _Closing:
                 row = stats[q] = [0] * (2 * n_cells)
             row[c] += 1
             row[n_cells + c] += p
-        out = []
-        for A, S in self.coeffs:
-            total = ZERO
-            for q, row in stats.items():
-                visits, psums = row[:n_cells], row[n_cells:]
-                num = q * sum(map(mul, A, visits)) + sum(map(mul, S, psums))
-                total += Fraction(num, q * self.scale)
-            out.append(total)
-        return out
+        # every q divides m: a point p/q is p*(m/q) / m
+        m = lcm(*stats)
+        visits = [0] * n_cells
+        psums = [0] * n_cells
+        for q, row in stats.items():
+            w = m // q
+            for c in range(n_cells):
+                visits[c] += row[c]
+                psums[c] += w * row[n_cells + c]
+        den = m * self.scale
+        return [
+            Fraction(m * sum(map(mul, A, visits)) + sum(map(mul, S, psums)), den)
+            for A, S in self.coeffs
+        ]
 
 
 def orbit_averages(

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -32,16 +33,20 @@ _KEY = itemgetter(0)
 
 
 def _locate(bps: tuple[Fraction, ...], hints: list[float], x: Fraction) -> int:
-    """Index i with bps[i] <= x < bps[i+1]; float bisect hint, exact fixup."""
-    i = bisect_right(hints, float(x)) - 1
-    if i < 0:
-        i = 0
-    last = len(bps) - 2
-    if i > last:
-        i = last
-    while i < last and bps[i + 1] <= x:
-        i += 1
-    while i > 0 and bps[i] > x:
+    """Index i with bps[i] <= x < bps[i+1], for 0 <= x <= 1 (the last piece
+    at x = 1), decided by floats.
+
+    ``hints`` are the correctly rounded floats of ``bps``, and so is
+    ``float(x)``.  Rounding is monotone, so a strict float inequality holds
+    exactly: bisection puts x strictly below bps[i+1].  Tie rule: only when
+    the float of x equals hints[i] is bps[i] compared exactly, and the index
+    moves down while bps[i] > x; breakpoints closer than the float spacing
+    share a hint, so the walk down may take several steps.  Cost one
+    bisection, plus one exact comparison per tied hint.
+    """
+    xf = float(x)
+    i = min(bisect_right(hints, xf) - 1, len(bps) - 2)
+    while hints[i] == xf and i and bps[i] > x:
         i -= 1
     return i
 
@@ -113,7 +118,8 @@ class PLCircleMap:
     """Continuous piecewise-linear circle map given by its lift."""
 
     __slots__ = (
-        "breakpoints", "lift_values", "degree", "_slopes", "_bps_float", "_preimages"
+        "breakpoints", "lift_values", "degree", "_slopes", "_bps_float",
+        "_preimages", "_steps",
     )
 
     def __init__(
@@ -145,6 +151,7 @@ class PLCircleMap:
         self._slopes = tuple(slopes)
         self._bps_float = hints
         self._preimages = None
+        self._steps = None
 
     # -- basic structure
 
@@ -207,6 +214,32 @@ class PLCircleMap:
         for _ in range(n - 1):
             pts.append(self.evaluate(pts[-1]))
         return pts
+
+    def _step_table(
+        self,
+    ) -> tuple[list[tuple[int, int]], list[float], list[tuple[int, int, int]]]:
+        """Integer form of the map for orbit walks, built on first use.
+
+        Returns the breakpoints as (numerator, denominator) pairs, the float
+        hints of all but the last, and per piece i a triple (A, B, D) of
+        integers with A/D the intercept v_i - s_i*b_i mod 1 and B/D the
+        slope s_i, so that f(p/q) = ((A*q + B*p) mod D*q) / (D*q) for p/q on
+        piece i.  Cost O(pieces) once per map.
+        """
+        if self._steps is None:
+            bps = self.breakpoints
+            steps = []
+            for b, v, s in zip(bps, self.lift_values, self._slopes):
+                a = v - s * b
+                d = lcm(a.denominator, s.denominator)
+                steps.append((
+                    a.numerator * (d // a.denominator) % d,
+                    s.numerator * (d // s.denominator),
+                    d,
+                ))
+            cuts = [(b.numerator, b.denominator) for b in bps]
+            self._steps = (cuts, self._bps_float[:-1], steps)
+        return self._steps
 
     # -- constructors
 

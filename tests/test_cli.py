@@ -397,6 +397,15 @@ class TestReportSoundness:
         assert self._verify(workdir, "badtau", rec) == 2
         assert "is not a list of integers in [0, len(tau))" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["2/1", "1", "0", "-1/5"])
+    def test_eps_outside_unit_interval_is_invalid(self, workdir, capsys, eps):
+        rec = self._shred(workdir, "shred")
+        rec["eps"] = eps
+        assert self._verify(workdir, "badeps", rec) == 2
+        err = capsys.readouterr().err
+        assert "malformed report record: eps" in err
+        assert "must lie in (0, 1)" in err
+
     @pytest.mark.parametrize("field", ["cells", "arcs"])
     def test_region_field_not_a_list_is_invalid(self, workdir, capsys, field):
         rec = self._shred(workdir, "shred")
