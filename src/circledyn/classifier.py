@@ -13,7 +13,7 @@ decide, so evidence is witnessed or refuted only at declared tolerances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -53,8 +53,17 @@ def rotation_number(h: PLCircleMap, max_period: int = 16) -> RotationNumber:
     solvable; returns r/q at the first hit.  Otherwise returns a width-2/Q
     bracket from the lift displacement at 0 over Q = 8 * max_period steps.
     """
+    return _rotation_search(h, max_period)[0]
+
+
+def _rotation_search(
+    h: PLCircleMap, max_period: int
+) -> tuple[RotationNumber, PLCircleMap | None]:
+    """The rotation number of h, and h^q when it is detected at period q."""
     if not h.is_homeomorphism or h.degree != 1:
         raise InvalidInput("rotation number requires an orientation-preserving homeomorphism")
+    if max_period < 1:
+        raise InvalidInput(f"max period must be >= 1, got {max_period}")
     hq = PLCircleMap.identity()
     lift_zero = ZERO  # true lift orbit of 0: tracks the winding that the
     # canonical (normalized) lift of the composition discards
@@ -69,14 +78,14 @@ def rotation_number(h: PLCircleMap, max_period: int = 16) -> RotationNumber:
         r_lo = -((-lo.numerator) // lo.denominator)  # ceil
         r_hi = hi.numerator // hi.denominator  # floor
         if r_lo <= r_hi:
-            return RotationNumber(Fraction(r_lo, q), q, None)
+            return RotationNumber(Fraction(r_lo, q), q, None), hq
     big_q = 8 * max_period
     t = ZERO
     for _ in range(big_q):
         t = h.lift_evaluate(t)
     return RotationNumber(
         None, None, ((t - 1) / big_q, (t + 1) / big_q)
-    )
+    ), None
 
 
 @dataclass(frozen=True)
@@ -108,14 +117,27 @@ def basin_decomposition(
     h: PLCircleMap, max_period: int = 16
 ) -> BasinDecomposition:
     """Exact periodic set, complementary dynamics, and physical measures."""
-    rot = rotation_number(h, max_period)
+    rot, hq = _rotation_search(h, max_period)
     if rot.value is None:
         raise InvalidInput(
             f"rotation number not rational within period {max_period}; "
             f"bracket {rot.bracket}"
         )
+    return _decompose(h, rot, hq)
+
+
+def _decompose(
+    h: PLCircleMap, rot: RotationNumber, hq: PLCircleMap
+) -> BasinDecomposition:
+    """The basin decomposition of h, read from the power h^q that detected rot.
+
+    No smaller power of h has a fixed point, so r/q is in lowest terms and
+    every periodic orbit of h has minimal period q.
+    """
     period = rot.period
-    comps = tuple(h.periodic_points(period))
+    comps = tuple(
+        replace(c, minimal_period=period) for c in hq.fixed_point_components()
+    )
 
     per_set = IntervalSet.union_all(
         IntervalSet.point(c.point)
@@ -124,8 +146,6 @@ def basin_decomposition(
         for c in comps
     )
     per_measure = per_set.measure()
-
-    hq = h.iterate(period)
 
     def displacement_level(x: Fraction) -> Fraction:
         return hq.lift_evaluate(x) - x
@@ -149,7 +169,6 @@ def basin_decomposition(
 
     complementary: list[tuple[Arc, str]] = []
     basins: dict[Fraction, list[Arc]] = {}
-    rep_period: dict[Fraction, int] = {}
     for start, length in gaps:
         k_level = displacement_level(start)
         if k_level.denominator != 1:
@@ -166,25 +185,17 @@ def basin_decomposition(
         else:
             raise InvalidInput("interior of a complementary interval contains periodic points")
         complementary.append((arc, side))
-        orbit = [att]
-        y = h.evaluate(att)
-        while y != att:
-            orbit.append(y)
-            y = h.evaluate(y)
-        rep = min(orbit)
-        basins.setdefault(rep, []).append(arc)
-        rep_period[rep] = len(orbit)
+        basins.setdefault(min(h.orbit(att, period)), []).append(arc)
 
     physical = []
     for rep in sorted(basins):
         arcs = tuple(basins[rep])
         total = sum((a.length for a in arcs), start=ZERO)
-        mu = dirac_periodic(h, rep, rep_period[rep])
         physical.append(
             PhysicalMeasure(
-                measure=mu,
+                measure=dirac_periodic(h, rep, period),
                 orbit_representative=rep,
-                period=rep_period[rep],
+                period=period,
                 basin_arcs=arcs,
                 basin_measure=total,
             )
@@ -293,7 +304,7 @@ def _classify_homeo(
     trajectory: Sequence[tuple[int, CylinderSpec]] | None,
     declared_specs: Sequence[CylinderSpec] | None,
 ) -> WDiagnostics:
-    rot = rotation_number(h, protocol.max_period)
+    rot, hq = _rotation_search(h, protocol.max_period)
     if rot.value is None:
         ev = {"rotation_bracket": rot.bracket}
         labels = {
@@ -301,7 +312,7 @@ def _classify_homeo(
         }
         return WDiagnostics(labels, protocol=protocol)
 
-    decomp = basin_decomposition(h, protocol.max_period)
+    decomp = _decompose(h, rot, hq)
     coverage = decomp.basin_total
     ev_common = {
         "rotation_number": rot.value,

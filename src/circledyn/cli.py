@@ -408,9 +408,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizons", default="100,1000,10000")
     p.set_defaults(func=cmd_birkhoff)
 
+    max_period_help = (
+        "largest period q (at least 1) tried for an exact rotation number "
+        "p/q of a homeomorphism"
+    )
     p = sub.add_parser("rotation", help="exact rotation number of a homeomorphism")
     p.add_argument("map")
-    p.add_argument("--max-period", type=int, default=16)
+    p.add_argument("--max-period", type=int, default=16, help=max_period_help)
     p.set_defaults(func=cmd_rotation)
 
     p = sub.add_parser("classify", help="w-taxonomy diagnostics")
@@ -420,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=1000)
     p.add_argument("--horizons", default="100,1000,10000")
     p.add_argument("--tol", default="1/100")
-    p.add_argument("--max-period", type=int, default=16)
+    p.add_argument("--max-period", type=int, default=16, help=max_period_help)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("demo", help="built-in demonstration runs")

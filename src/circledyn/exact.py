@@ -189,14 +189,6 @@ class Word:
             v = v * self.base + d
         return v
 
-    def concat(self, other: "Word") -> "Word":
-        if self.base != other.base:
-            raise ValueError(
-                f"cannot concatenate words over different alphabets "
-                f"({self.base} vs {other.base})"
-            )
-        return Word(self.base, self.digits + other.digits)
-
     def interval(self) -> Arc:
         """The cylinder arc [v/base^p, (v+1)/base^p) coded by this word."""
         p = len(self.digits)
@@ -344,9 +336,6 @@ class IntervalSet:
 
     def measure(self) -> Fraction:
         return sum((iv.hi - iv.lo for iv in self.ivs), start=ZERO)
-
-    def is_empty(self) -> bool:
-        return not self.ivs
 
     def _candidate(self, x: Fraction) -> Iv | None:
         """The last interval with lo <= x: the only one that can hold x."""

@@ -245,24 +245,3 @@ def orbit_averages(
         hs, averages, period is not None, start, period, limits,
         inconclusive, steps, cycle_min=cycle_min,
     )
-
-
-def birkhoff_average(
-    f: PLCircleMap, x: Fraction, phi: Observable, n: int
-) -> Fraction:
-    """Exact finite Birkhoff average (1/n) sum_{k<n} phi(f^k(x))."""
-    res = orbit_averages(f, x, [phi], [n])
-    return res.averages[0][n]
-
-
-def birkhoff_gap(
-    f: PLCircleMap,
-    x: Fraction,
-    phi: Observable,
-    horizons: Sequence[int],
-) -> Fraction:
-    """Spread max-min of the exact averages over the given horizons."""
-    res = orbit_averages(f, x, [phi], horizons)
-    if res.inconclusive:
-        raise InvalidInput("orbit complexity exceeded the exact-arithmetic cap")
-    return max(res.averages[0].values()) - min(res.averages[0].values())

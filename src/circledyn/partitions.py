@@ -108,13 +108,6 @@ class ConsistentFamily:
     def levels(self) -> tuple[tuple[Arc, ...], ...]:
         return tuple(self.cells(k) for k in range(1, self.depth + 1))
 
-    def cell_measure(self, word: Word | tuple[int, ...]) -> Fraction:
-        digits = word.digits if isinstance(word, Word) else tuple(word)
-        if not 1 <= len(digits) <= self.depth:
-            raise InvalidInput(f"level {len(digits)} outside 1..{self.depth}")
-        entry = self.tables[len(digits) - 1].get(digits)
-        return entry[1] if entry else ZERO
-
     def homeomorphism(self) -> PLCircleMap:
         return homeo_from_family(self)
 

@@ -2,14 +2,14 @@
 
 A map is stored through its lift: rational breakpoints 0 = x0 < ... < xm = 1
 and lift values F(x0), ..., F(xm), extended by F(t+1) = F(t) + degree.
-Composition, inversion, iteration, C0 distance, and periodic-point solving
+Composition, inversion, iteration, C0 distance, and fixed-point solving
 are closed operations on this class and produce exact rationals.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import itemgetter
@@ -362,7 +362,7 @@ class PLCircleMap:
                 j += 1
         return sup_dist_to_int(deltas)
 
-    # -- fixed and periodic points
+    # -- fixed points
 
     def fixed_point_components(self) -> list["PeriodicComponent"]:
         """Maximal solution components of f(x) = x on the circle.
@@ -405,37 +405,6 @@ class PLCircleMap:
             keyed.append((level, pos, comp))
         keyed.sort(key=itemgetter(0, 1))
         return [comp for _, _, comp in keyed]
-
-    def periodic_points(
-        self, period: int, max_breakpoints: int | None = None
-    ) -> list["PeriodicComponent"]:
-        """Solution components of f^period(x) = x with exact minimal periods."""
-        if period < 1:
-            raise InvalidInput("period must be >= 1")
-        g = self.iterate(period, max_breakpoints=max_breakpoints)
-        comps = g.fixed_point_components()
-        out = []
-        for c in comps:
-            if c.is_point:
-                p = c.point
-                minimal = period
-                y = p
-                for d in range(1, period + 1):
-                    y = self.evaluate(y)
-                    if y == p:
-                        minimal = d
-                        break
-            else:
-                minimal = period
-                for d in range(1, period):
-                    if period % d:
-                        continue
-                    gd = self.iterate(d, max_breakpoints=max_breakpoints)
-                    if _identity_on_arc(gd, c.arc):
-                        minimal = d
-                        break
-            out.append(replace(c, minimal_period=minimal))
-        return out
 
     # -- set images and preimages (endpoint topology exact)
 
@@ -596,16 +565,6 @@ def _wrap_lift_interval(
     if hi <= ONE:
         return [Iv(lo, loc, hi, hic)]
     return [Iv(lo, loc, ONE, True), Iv(ZERO, True, hi - ONE, hic)]
-
-
-def _identity_on_arc(g: PLCircleMap, arc: Arc) -> bool:
-    """True iff g equals the identity pointwise on the (closed) arc."""
-    for lo, hi in arc.intervals():
-        cuts, lifts = g._walk(lo, hi)
-        moved = {v - t for t, v in zip(cuts, lifts)}
-        if len(moved) > 1 or moved.pop().denominator != 1:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ from circledyn.classifier import (
 from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map, wicked_perturb
 from circledyn.measures import CircleMeasure, CylinderSpec, cesaro
-from circledyn.orbits import birkhoff_average, birkhoff_gap, orbit_averages
+from circledyn.orbits import orbit_averages
 from circledyn.plmaps import Observable, PLCircleMap
 from circledyn.shredder import shred, verify_shredding
 
@@ -27,6 +27,24 @@ def attracting_homeo() -> PLCircleMap:
     return PLCircleMap(
         [F(0), F(1, 4), F(1, 2), F(3, 4), F(1)],
         [F(0), F(3, 8), F(1, 2), F(5, 8), F(1)],
+    )
+
+
+def period_two_homeo() -> PLCircleMap:
+    # rotation number 1/2; transversal period-2 orbits {0, 1/2} and
+    # {1/4, 3/4}; the graph of h^2 is pushed off the diagonal between them
+    return PLCircleMap.from_lift_points(
+        [
+            (F(0), F(1, 2)),
+            (F(1, 8), F(11, 16)),
+            (F(1, 4), F(3, 4)),
+            (F(3, 8), F(13, 16)),
+            (F(1, 2), F(1)),
+            (F(5, 8), F(19, 16)),
+            (F(3, 4), F(5, 4)),
+            (F(7, 8), F(21, 16)),
+            (F(1), F(3, 2)),
+        ]
     )
 
 
@@ -92,22 +110,7 @@ class TestBasinDecomposition:
             assert len(bd.physical_measures) == pairs
 
     def test_period_two_orbits(self):
-        # rotation number 1/2; transversal period-2 orbits {0, 1/2} and
-        # {1/4, 3/4}; the graph of h^2 is pushed off the diagonal between them
-        h = PLCircleMap.from_lift_points(
-            [
-                (F(0), F(1, 2)),
-                (F(1, 8), F(11, 16)),
-                (F(1, 4), F(3, 4)),
-                (F(3, 8), F(13, 16)),
-                (F(1, 2), F(1)),
-                (F(5, 8), F(19, 16)),
-                (F(3, 4), F(5, 4)),
-                (F(7, 8), F(21, 16)),
-                (F(1), F(3, 2)),
-            ]
-        )
-        bd = basin_decomposition(h)
+        bd = basin_decomposition(period_two_homeo())
         assert bd.rotation == F(1, 2)
         assert bd.period == 2
         assert bd.periodic_set_measure == 0
@@ -153,21 +156,27 @@ class TestBasinDecomposition:
             assert abs(best - predicted) < 1e-6
 
 
+def average_spread(res) -> Fraction:
+    """Spread max - min of the first observable's averages over the horizons."""
+    assert not res.inconclusive
+    return max(res.averages[0].values()) - min(res.averages[0].values())
+
+
 class TestBirkhoffAverages:
     def test_identity(self):
         phi = Observable.tent(F(1, 3))
         x = F(2, 7)
-        assert birkhoff_average(PLCircleMap.identity(), x, phi, 50) == phi.evaluate(x)
-        assert birkhoff_gap(PLCircleMap.identity(), x, phi, [10, 100]) == 0
+        res = orbit_averages(PLCircleMap.identity(), x, [phi], [10, 50, 100])
+        assert res.averages[0][50] == phi.evaluate(x)
+        assert average_spread(res) == 0
 
     def test_half_rotation_alternates(self):
         rot = PLCircleMap.rotation(F(1, 2))
         phi = Observable.tent(F(1, 2))
         limit = (phi.evaluate(F(0)) + phi.evaluate(F(1, 2))) / 2
-        assert birkhoff_average(rot, F(0), phi, 1000) == limit
-        odd = birkhoff_average(rot, F(0), phi, 999)
-        assert odd != limit
         res = orbit_averages(rot, F(0), [phi], [999, 1000])
+        assert res.averages[0][1000] == limit
+        assert res.averages[0][999] != limit
         assert res.eventually_periodic and res.limits[0] == limit
 
     def test_shredded_gap_matches_bracket(self):
@@ -178,7 +187,7 @@ class TestBirkhoffAverages:
         x = report.cycles[label][0].midpoint
         from circledyn.shredder import birkhoff_gap_bound
 
-        gap = birkhoff_gap(g, x, phi, [100, 1000, 10000])
+        gap = average_spread(orbit_averages(g, x, [phi], [100, 1000, 10000]))
         br = birkhoff_gap_bound(g, report, phi, x, 100)
         assert gap <= 2 * br.oscillation + 2 * F(br.remainder + 1, 100) * phi.sup_norm
 

@@ -439,6 +439,33 @@ def test_malformed_rational_exits_invalid(workdir, capsys, argv):
     assert "not a rational number" in capsys.readouterr().err
 
 
+def tented_rotation() -> PLCircleMap:
+    """x + 29/97 plus a PL tent of height 1/4850, breakpoints 0, 1/4, 3/4, 1."""
+    a, bump = F(29, 97), F(1, 4850)
+    return PLCircleMap(
+        [F(0), F(1, 4), F(3, 4), F(1)],
+        [a, F(1, 4) + a + bump, F(3, 4) + a - bump, 1 + a],
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rotation", "{h}", "--max-period", "0"],
+        ["rotation", "{h}", "--max-period", "-3"],
+        ["classify", "{h}", "--grid", "2", "--max-period", "0"],
+    ],
+)
+def test_max_period_below_one_exits_invalid(tmp_path, capsys, argv):
+    h = tmp_path / "h.json"
+    h.write_text(formats.dumps(formats.map_to_record(tented_rotation())))
+    argv = [a.format(h=h) for a in argv]
+    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"invalid input: max period must be >= 1, got {argv[-1]}" in err
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

