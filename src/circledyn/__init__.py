@@ -6,7 +6,7 @@ conjugacy charts with window perturbations, and finite-scale ergodic
 classification.
 """
 
-from .exact import Arc, Word, mod1, circle_dist
+from .exact import Arc, mod1, circle_dist
 from .plmaps import Observable, PLCircleMap
 from .measures import CircleMeasure, CylinderSpec
 from .partitions import ConsistentFamily, family_from_homeo, homeo_from_family
@@ -34,7 +34,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "Word",
     "mod1",
     "circle_dist",
     "Observable",

@@ -237,6 +237,14 @@ class WProtocol:
     cesaro_horizons: tuple[int, ...] = (1, 2, 4, 8)
     cesaro_complexity_cap: int = 20000
 
+    def __post_init__(self) -> None:
+        if self.grid_size < 1:
+            raise InvalidInput(f"grid size must be >= 1, got {self.grid_size}")
+        if self.max_period < 1:
+            raise InvalidInput(f"max period must be >= 1, got {self.max_period}")
+        if not ZERO < self.tol < ONE:
+            raise InvalidInput(f"tol must lie in (0, 1), got {self.tol}")
+
 
 @dataclass
 class LabelVerdict:

@@ -199,6 +199,8 @@ def cmd_wicked(args: argparse.Namespace) -> int:
 def cmd_pushforward(args: argparse.Namespace) -> int:
     f = map_from_record(_load_json(args.map))
     mu = measure_from_record(_load_json(args.measure))
+    if args.iters < 0:
+        raise InvalidInput(f"iteration count must be >= 0, got {args.iters}")
     for _ in range(args.iters):
         mu = mu.pushforward(f)
     out = _out_dir(args)

@@ -1,4 +1,4 @@
-"""Exact substrate: rational circle points, arcs, base-l words, interval sets.
+"""Exact substrate: rational circle points, arcs, interval sets.
 
 Everything here is arbitrary-precision rational arithmetic via
 ``fractions.Fraction``.  Circle points are Fractions normalized into [0, 1);
@@ -141,59 +141,6 @@ class Arc:
         if 2 * delta >= self.length:
             raise ValueError("delta too large for arc")
         return Arc(mod1(self.start + delta), self.length - 2 * delta)
-
-
-# ---------------------------------------------------------------------------
-# Base-l words
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite word over the alphabet {0, ..., base-1}."""
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"alphabet size must be >= 2, got {self.base}")
-        for d in self.digits:
-            if not 0 <= d < self.base:
-                raise ValueError(f"digit {d} outside alphabet of size {self.base}")
-
-    @staticmethod
-    def from_string(text: str, base: int) -> "Word":
-        return Word(base, tuple(int(c) for c in text))
-
-    @staticmethod
-    def from_value(value: int, base: int, length: int) -> "Word":
-        digits = []
-        for _ in range(length):
-            value, d = divmod(value, base)
-            digits.append(d)
-        if value:
-            raise ValueError("value does not fit in word length")
-        return Word(base, tuple(reversed(digits)))
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits)
-
-    @property
-    def value(self) -> int:
-        """The word read as a natural number in base ``base``."""
-        v = 0
-        for d in self.digits:
-            v = v * self.base + d
-        return v
-
-    def interval(self) -> Arc:
-        """The cylinder arc [v/base^p, (v+1)/base^p) coded by this word."""
-        p = len(self.digits)
-        scale = self.base**p
-        return Arc(Fraction(self.value, scale), Fraction(1, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -109,7 +109,6 @@ def spec_to_record(spec: CylinderSpec) -> dict:
         "values": {
             "".join(map(str, w)): _rat(v)
             for w, v in sorted(spec.values.items())
-            if v > 0
         },
     }
 
@@ -141,7 +140,7 @@ def family_to_record(fam: ConsistentFamily) -> dict:
     }
 
 
-def family_from_record(rec: dict, allow_degenerate: bool = False) -> ConsistentFamily:
+def family_from_record(rec: dict) -> ConsistentFamily:
     try:
         ell = int(rec["ell"])
         depth = int(rec["depth"])
@@ -154,7 +153,7 @@ def family_from_record(rec: dict, allow_degenerate: bool = False) -> ConsistentF
         )
     except _MALFORMED as exc:
         raise InvalidInput(f"malformed family record: {exc}") from exc
-    return ConsistentFamily(ell, depth, levels, allow_degenerate=allow_degenerate)
+    return ConsistentFamily(ell, depth, levels)
 
 
 # -- trapping reports

@@ -12,12 +12,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, Arc, as_fraction, mod1, Word
+from .exact import ONE, ZERO, Arc, as_fraction, mod1
 from .plmaps import Observable, PLCircleMap
 
 DEFAULT_COMPLEXITY_CAP = 100_000
@@ -258,11 +258,11 @@ class CircleMeasure:
 
     def cylinder_vector(self, ell: int, p: int) -> "CylinderSpec":
         scale = _word_count(ell, p)
-        values = {}
-        for v in range(scale):
-            lo = Fraction(v, scale)
-            hi = Fraction(v + 1, scale)
-            values[Word.from_value(v, ell, p).digits] = self.measure_of_interval(lo, hi)
+        # product enumerates the words in value order
+        values = {
+            w: self.measure_of_interval(Fraction(v, scale), Fraction(v + 1, scale))
+            for v, w in enumerate(product(range(ell), repeat=p))
+        }
         return CylinderSpec(ell, p, values)
 
     def w1_distance(self, other: "CircleMeasure") -> Fraction:
@@ -314,7 +314,8 @@ def _word_count(ell: int, level: int) -> int:
 class CylinderSpec:
     """A measure described by its values on the level-p base-l intervals.
 
-    ``values`` holds the positive values only; every other word has value 0.
+    A word is a tuple of ``level`` digits in 0..ell-1.  ``values`` holds the
+    positive values only; every other word has value 0.
     """
 
     ell: int
@@ -335,6 +336,11 @@ class CylinderSpec:
                 sums[v.denominator] = sums.get(v.denominator, 0) + v.numerator
         except AttributeError:
             raise InvalidInput("cylinder values must be exact rationals") from None
+        # one C-level pass over every digit: a per-digit Python loop would
+        # dominate the dense constructors
+        bad = set(chain.from_iterable(self.values)).difference(range(self.ell))
+        if bad:
+            raise InvalidInput(f"word digits {bad} outside 0..{self.ell - 1}")
         lcm = math.lcm(*sums)
         if sum(n * (lcm // d) for d, n in sums.items()) != lcm:
             raise InvalidInput("cylinder values must sum to 1")
@@ -368,9 +374,7 @@ class CylinderSpec:
 
     @staticmethod
     def from_strings(ell: int, p: int, table: dict[str, Fraction]) -> "CylinderSpec":
-        return CylinderSpec(
-            ell, p, {Word.from_string(k, ell).digits: v for k, v in table.items()}
-        )
+        return CylinderSpec(ell, p, {tuple(map(int, k)): v for k, v in table.items()})
 
     # -- queries
 
@@ -424,7 +428,7 @@ class CylinderSpec:
         tables: list[dict[tuple[int, ...], Fraction]] = []
         for q in range(1, min(depth, self.level) + 1):
             marg = self.marginal(q) if q < self.level else self
-            tables.append({w: v for w, v in marg.values.items() if v > 0})
+            tables.append(dict(marg.values))
         if depth <= self.level:
             return tables
         ctx_mass: dict[tuple[int, ...], Fraction] = {}

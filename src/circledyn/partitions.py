@@ -18,19 +18,12 @@ from itertools import product
 from typing import Sequence
 
 from .errors import InvalidInput
-from .exact import HALF, ONE, ZERO, Arc, Word, mod1
+from .exact import HALF, ONE, ZERO, Arc, mod1
 from .measures import CylinderSpec
 from .plmaps import PLCircleMap, sup_dist_to_int
 
 # the positive cells of one level: word -> (lift position, length)
 Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
-
-
-@dataclass(frozen=True)
-class ConsistencyViolation:
-    level: int
-    word: tuple[int, ...]
-    reason: str
 
 
 @dataclass(frozen=True, init=False)
@@ -45,25 +38,18 @@ class ConsistentFamily:
     they validate but cannot be realized by a homeomorphism.
 
     ``ConsistentFamily(ell, depth, levels)`` reads the dense form:
-    ``levels[k-1]`` lists the l^k arcs of level k in word order, and
-    zero-length arcs are accepted only with ``allow_degenerate``.
-    ``from_tables`` takes the sparse form.  ``levels`` and ``cells(k)``
-    give the dense form back.
+    ``levels[k-1]`` lists the l^k arcs of level k in word order, a
+    zero-length arc being an empty cell.  ``from_tables`` takes the sparse
+    form.  ``levels`` and ``cells(k)`` give the dense form back.  Both
+    constructors raise ``InvalidInput`` naming the first inconsistent cell.
     """
 
     ell: int
     basepoint: Fraction
     tables: tuple[Table, ...]
 
-    def __init__(
-        self,
-        ell: int,
-        depth: int,
-        levels: Sequence[Sequence[Arc]],
-        allow_degenerate: bool = False,
-    ):
-        violation, tables = _from_levels(ell, depth, levels, allow_degenerate)
-        _raise(violation)
+    def __init__(self, ell: int, depth: int, levels: Sequence[Sequence[Arc]]):
+        tables = _from_levels(ell, depth, levels)
         self._store(ell=ell, basepoint=levels[0][0].start, tables=tables)
 
     @classmethod
@@ -78,7 +64,7 @@ class ConsistentFamily:
     def _store(self, **fields) -> None:
         for name, value in fields.items():
             object.__setattr__(self, name, value)
-        _raise(_table_violation(self.ell, self.basepoint, self.tables))
+        _check_tables(self.ell, self.basepoint, self.tables)
 
     # -- views
 
@@ -156,7 +142,10 @@ class ConsistentFamily:
         scale = Fraction(1, self.ell**self.depth)
         best = ZERO
         for w, (pos, length) in self.tables[-1].items():
-            a_w = Word(self.ell, w).value * scale
+            value = 0
+            for d in w:
+                value = value * self.ell + d
+            a_w = value * scale
             slope = scale / length
             cuts, lifts = g._walk(pos, pos + length)
             sup = sup_dist_to_int([v - a_w - slope * (t - pos) for t, v in zip(cuts, lifts)])
@@ -167,51 +156,46 @@ class ConsistentFamily:
         return best
 
 
-def _raise(violation: ConsistencyViolation | None) -> None:
-    if violation is not None:
-        raise InvalidInput(
-            f"inconsistent family at level {violation.level}, "
-            f"word {''.join(map(str, violation.word))}: {violation.reason}"
-        )
+def _inconsistent(level: int, word: tuple[int, ...], reason: str) -> InvalidInput:
+    return InvalidInput(
+        f"inconsistent family at level {level}, "
+        f"word {''.join(map(str, word))}: {reason}"
+    )
 
 
 def _from_levels(
-    ell: int, depth: int, levels: Sequence[Sequence[Arc]], allow_degenerate: bool
-) -> tuple[ConsistencyViolation | None, tuple[Table, ...]]:
-    """Check what only the dense form states (cell counts, empty cells and
-    arc starts) and convert it to tables of its positive cells."""
+    ell: int, depth: int, levels: Sequence[Sequence[Arc]]
+) -> tuple[Table, ...]:
+    """Check what only the dense form states (cell counts and arc starts)
+    and convert it to tables of its positive cells."""
     if ell < 2:
-        return ConsistencyViolation(0, (), "alphabet size must be >= 2"), ()
+        raise _inconsistent(0, (), "alphabet size must be >= 2")
     if depth < 1 or len(levels) != depth:
-        return ConsistencyViolation(0, (), "level count != depth"), ()
+        raise _inconsistent(0, (), "level count != depth")
     if not levels[0]:
-        return ConsistencyViolation(1, (), "empty level"), ()
+        raise _inconsistent(1, (), "empty level")
     tables = []
     for k, cells in enumerate(levels, 1):
         if len(cells) != ell**k:
-            return ConsistencyViolation(
+            raise _inconsistent(
                 k, (), f"expected {ell ** k} cells, got {len(cells)}"
-            ), ()
+            )
         table: Table = {}
         pos = levels[0][0].start
         for w, cell in zip(product(range(ell), repeat=k), cells):
-            if cell.length == 0 and not allow_degenerate:
-                return ConsistencyViolation(k, w, "empty cell"), ()
             if cell.start != mod1(pos):
-                return ConsistencyViolation(
+                raise _inconsistent(
                     k, w, "cells not laid consecutively in word order"
-                ), ()
+                )
             if cell.length:
                 table[w] = (pos, cell.length)
             pos += cell.length
         tables.append(table)
-    return None, tuple(tables)
+    return tuple(tables)
 
 
-def _table_violation(
-    ell: int, basepoint: Fraction, tables: Sequence[Table]
-) -> ConsistencyViolation | None:
-    """The first violation of the sparse form, or None.
+def _check_tables(ell: int, basepoint: Fraction, tables: Sequence[Table]) -> None:
+    """Raise ``InvalidInput`` at the first violation of the sparse form.
 
     Each level must lay positive cells consecutively from the basepoint in
     word order and sum to 1, and each cell must lie inside its parent.  As
@@ -219,36 +203,35 @@ def _table_violation(
     tile it, so their lengths sum to the parent's.
     """
     if ell < 2:
-        return ConsistencyViolation(0, (), "alphabet size must be >= 2")
+        raise _inconsistent(0, (), "alphabet size must be >= 2")
     if not tables:
-        return ConsistencyViolation(0, (), "depth must be >= 1")
+        raise _inconsistent(0, (), "depth must be >= 1")
     if not ZERO <= basepoint < ONE:
-        return ConsistencyViolation(0, (), f"basepoint {basepoint} outside [0, 1)")
+        raise _inconsistent(0, (), f"basepoint {basepoint} outside [0, 1)")
     parents: Table = {(): (basepoint, ONE)}
     for k, table in enumerate(tables, 1):
         pos, prev = basepoint, None
         for w, (start, length) in table.items():
             if len(w) != k or not 0 <= w[-1] < ell:
-                return ConsistencyViolation(k, w, f"not a level-{k} word")
+                raise _inconsistent(k, w, f"not a level-{k} word")
             if prev is not None and w <= prev:
-                return ConsistencyViolation(k, w, "words not in word order")
+                raise _inconsistent(k, w, "words not in word order")
             if length <= 0:
-                return ConsistencyViolation(k, w, "a listed cell must have positive length")
+                raise _inconsistent(k, w, "a listed cell must have positive length")
             if start != pos:
-                return ConsistencyViolation(
+                raise _inconsistent(
                     k, w, "cells not laid consecutively in word order"
                 )
             pos = start + length
             parent = parents.get(w[:-1])
             if parent is None or start < parent[0] or pos > parent[0] + parent[1]:
-                return ConsistencyViolation(k, w, "cell outside its parent")
+                raise _inconsistent(k, w, "cell outside its parent")
             prev = w
         if pos != basepoint + ONE:
-            return ConsistencyViolation(
+            raise _inconsistent(
                 k, (), f"cell lengths sum to {pos - basepoint}, not 1"
             )
         parents = table
-    return None
 
 
 def family_from_homeo(h: PLCircleMap, ell: int, depth: int) -> ConsistentFamily:
@@ -282,19 +265,3 @@ def homeo_from_family(fam: ConsistentFamily) -> PLCircleMap:
     points = [(pos, idx * scale) for idx, (pos, _) in enumerate(fam.tables[-1].values())]
     points.append((fam.basepoint + ONE, ONE))
     return PLCircleMap.from_lift_points(points)
-
-
-def consistency_check(
-    fam_or_parts: ConsistentFamily | tuple[int, int, Sequence[Sequence[Arc]]],
-) -> tuple[bool, ConsistencyViolation | None]:
-    """Validate a family, or dense parts (ell, depth, levels) with empty
-    cells allowed, and report the first violation."""
-    if isinstance(fam_or_parts, ConsistentFamily):
-        fam = fam_or_parts
-        violation = _table_violation(fam.ell, fam.basepoint, fam.tables)
-    else:
-        ell, depth, levels = fam_or_parts
-        violation, tables = _from_levels(ell, depth, levels, True)
-        if violation is None:
-            violation = _table_violation(ell, levels[0][0].start, tables)
-    return violation is None, violation

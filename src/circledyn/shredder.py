@@ -46,6 +46,8 @@ class ShredConfig:
         lip = f.lipschitz
         min_cells = math.floor((lip + 1) / eps) + 1
         cells = self.cells if self.cells is not None else min_cells
+        if cells < 1:
+            raise InvalidInput(f"cell count must be >= 1, got {cells}")
         if (lip + 1) * Fraction(1, cells) >= eps:
             raise InvalidInput(
                 f"infeasible fineness: {cells} cells cannot keep the "

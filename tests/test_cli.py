@@ -7,6 +7,7 @@ import pytest
 
 from circledyn import formats
 from circledyn.cli import main
+from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map
 from circledyn.measures import CircleMeasure, CylinderSpec
 from circledyn.partitions import family_from_homeo
@@ -59,8 +60,6 @@ class TestFormats:
         assert phi2.values == phi.values
 
     def test_malformed_rejected(self):
-        from circledyn.errors import InvalidInput
-
         with pytest.raises(InvalidInput):
             formats.map_from_record({"breakpoints": ["0/1"]})
         # numbers where "num/den" strings belong
@@ -173,6 +172,14 @@ class TestCli:
             k, dist, inw = line.split(",")
             if int(inw) and int(k) >= 2:
                 assert dist == "0/1"
+        # the Dirac target leaves empty cells: the family record reads back
+        # byte for byte, and only the homeomorphism is refused
+        text = (workdir / "out4" / "family.json").read_text()
+        fam = formats.family_from_record(json.loads(text))
+        assert fam.is_degenerate
+        assert formats.dumps(formats.family_to_record(fam)) == text
+        with pytest.raises(InvalidInput, match="family has empty cells"):
+            fam.homeomorphism()
 
     def test_wicked_lebesgue_target_all_zeros(self, workdir, tmp_path):
         leb_spec = formats.dumps(
@@ -464,6 +471,31 @@ def test_max_period_below_one_exits_invalid(tmp_path, capsys, argv):
     out, err = capsys.readouterr()
     assert out == ""
     assert f"invalid input: max period must be >= 1, got {argv[-1]}" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["classify", "{e2}", "--horizons", "10", "--grid", "0"], "grid size must be >= 1, got 0"),
+        (["classify", "{e2}", "--horizons", "10", "--grid", "-5"],
+         "grid size must be >= 1, got -5"),
+        (["classify", "{e2}", "--horizons", "10", "--tol", "2"], "tol must lie in (0, 1), got 2"),
+        (["classify", "{e2}", "--horizons", "10", "--max-period", "-5"],
+         "max period must be >= 1, got -5"),
+        (["shred", "{e2}", "--eps", "1/5", "--cells", "0"], "cell count must be >= 1, got 0"),
+        (["shred", "{e2}", "--eps", "1/5", "--cells", "-3"], "cell count must be >= 1, got -3"),
+        (["pushforward", "{e2}", "{leb}", "--iters", "-1"],
+         "iteration count must be >= 0, got -1"),
+    ],
+)
+def test_count_out_of_range_exits_invalid(workdir, capsys, argv, message):
+    # the doubling map: classify takes the general path, not the rotation search
+    argv = [a.format(e2=workdir / "e2.json", leb=workdir / "lebesgue.json") for a in argv]
+    assert main(["--out-dir", str(workdir / "bad"), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"invalid input: {message}" in err
+    assert not (workdir / "bad").exists()
 
 
 @pytest.mark.parametrize(

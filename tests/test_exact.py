@@ -1,38 +1,45 @@
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
+from circledyn import formats
+from circledyn.errors import InvalidInput
 from circledyn.exact import (
     Arc,
     IntervalSet,
-    Word,
     circle_dist,
     mod1,
 )
+from circledyn.measures import CylinderSpec
+from circledyn.partitions import family_from_homeo
+from circledyn.plmaps import PLCircleMap
 
 F = Fraction
 
 
-def test_word_concat_examples():
-    a = Word.from_string("010", 2)
-    b = Word.from_string("11", 2)
-    assert str(Word(2, a.digits + b.digits)) == "01011"
-    assert Word(8, Word(8, ()).digits + Word.from_string("7", 8).digits).digits == (7,)
-    c, d = Word.from_string("21", 3), Word.from_string("02", 3)
-    assert str(Word(3, c.digits + d.digits)) == "2102"
+# Words are digit tuples; the level-p cells of the identity chart are their
+# intervals [v/ell^p, (v+1)/ell^p), in word order.
+
+
+def word_intervals(ell: int, p: int) -> tuple[Arc, ...]:
+    return family_from_homeo(PLCircleMap.identity(), ell, p).cells(p)
 
 
 def test_word_concat_mismatched_alphabets():
     # a base-3 digit does not fit the base-2 alphabet
-    with pytest.raises(ValueError):
-        Word(2, Word.from_string("01", 2).digits + Word.from_string("21", 3).digits)
+    with pytest.raises(InvalidInput, match=r"word digits \{2\} outside 0..1"):
+        CylinderSpec(2, 2, {(0, 1): F(1, 2), (2, 1): F(1, 2)})
+    rec = {"ell": 2, "p": 2, "values": {"01": "1/2", "21": "1/2"}}
+    with pytest.raises(InvalidInput, match=r"word digits \{2\} outside 0..1"):
+        formats.spec_from_record(rec)
 
 
 def test_word_interval_examples():
-    assert Word.from_string("000", 2).interval() == Arc(F(0), F(1, 8))
-    assert Word.from_string("111", 2).interval() == Arc(F(7, 8), F(1, 8))
-    assert Word(3, ()).interval() == Arc(F(0), F(1))
+    cells = word_intervals(2, 3)
+    assert cells[0] == Arc(F(0), F(1, 8))
+    assert cells[-1] == Arc(F(7, 8), F(1, 8))
+    third = F(1, 3)
+    assert word_intervals(3, 1) == (Arc(F(0), third), Arc(third, third), Arc(2 * third, third))
 
 
 def test_arc_measure_and_membership():
@@ -49,7 +56,8 @@ def test_arc_measure_and_membership():
 def test_word_intervals_partition_circle(ell, p):
     if ell**p > 100_000:
         pytest.skip("covered by smaller sizes")
-    arcs = [Word(ell, d).interval() for d in product(range(ell), repeat=p)]
+    arcs = word_intervals(ell, p)
+    assert len(arcs) == ell**p
     assert sum(a.length for a in arcs) == 1
     for i in range(len(arcs) - 1):
         assert arcs[i].end == arcs[i + 1].start
@@ -57,15 +65,18 @@ def test_word_intervals_partition_circle(ell, p):
 
 
 def test_word_interval_refinement():
-    for ell in (2, 3):
-        for d in product(range(ell), repeat=3):
-            w = Word(ell, d)
-            parent = w.interval()
-            kids = [Word(ell, d + (c,)).interval() for c in range(ell)]
-            assert kids[0].start == parent.start
-            assert sum(k.length for k in kids) == parent.length
-            for i in range(len(kids) - 1):
-                assert kids[i].end == kids[i + 1].start
+    for ell in (2, 3, 4):
+        fam = family_from_homeo(PLCircleMap.identity(), ell, 4)
+        for k in range(1, 4):
+            children = fam.cells(k + 1)
+            # word v (in value order) has the children ell*v .. ell*v + ell - 1
+            for v, parent in enumerate(fam.cells(k)):
+                kids = children[ell * v : ell * (v + 1)]
+                assert parent == Arc(F(v, ell**k), F(1, ell**k))
+                assert kids[0].start == parent.start
+                assert sum(kid.length for kid in kids) == parent.length
+                for i in range(len(kids) - 1):
+                    assert kids[i].end == kids[i + 1].start
 
 
 def test_rational_arithmetic_exact(rng):

@@ -27,7 +27,6 @@ from circledyn.expanding import cesaro_cylinder, cylinder_pushforward, wicked_pe
 from circledyn.measures import CylinderSpec
 from circledyn.partitions import (
     ConsistentFamily,
-    consistency_check,
     family_from_homeo,
 )
 from circledyn.plmaps import PLCircleMap, sup_dist_to_int
@@ -242,12 +241,13 @@ def check_views(fam: ConsistentFamily, ell: int, depth: int, basepoint, tables, 
     assert [list(t.items()) for t in fam.tables] == [list(t.items()) for t in tables]
     assert fam.levels == tuple(levels)
     assert formats.dumps(formats.family_to_record(fam)) == ref_record(ell, depth, levels)
-    assert consistency_check(fam) == (True, None)
-    assert consistency_check((ell, depth, levels)) == (True, None)
     degenerate = any(c.length == 0 for level in levels for c in level)
     assert fam.is_degenerate == degenerate
-    # the dense constructor reads the dense view back into the same tables
-    dense = ConsistentFamily(ell, depth, levels, allow_degenerate=degenerate)
+    # both constructors validate: the sparse form passed when fam was built,
+    # and the dense constructor reads the dense view, empty cells included,
+    # back into the same tables
+    assert ConsistentFamily.from_tables(ell, fam.basepoint, fam.tables).tables == fam.tables
+    dense = ConsistentFamily(ell, depth, levels)
     assert dense.tables == fam.tables and dense.basepoint == fam.basepoint
     for p in range(1, min(depth, 3) + 1):
         for q in range(depth - p + 1):
@@ -306,11 +306,13 @@ def test_dense_violations_are_reported():
     levels[1][0] = Arc(F(0), F(3, 8))
     levels[1][1] = Arc(F(3, 8), F(1, 4))
     levels[1][2] = Arc(F(5, 8), F(1, 8))
-    ok, violation = consistency_check((2, 2, levels))
-    assert not ok and (violation.level, violation.word) == (2, (0, 1))
-    assert violation.reason == "cell outside its parent"
     with pytest.raises(InvalidInput, match="level 2, word 01: cell outside its parent"):
         ConsistentFamily(2, 2, levels)
+    # an empty cell is accepted, but not a positive child of one
+    level1 = (Arc(F(0), ONE), Arc.degenerate(F(0)))
+    level2 = (Arc(F(0), HALF), Arc(HALF, F(1, 4)), Arc(F(3, 4), F(1, 4)), Arc.degenerate(F(0)))
+    with pytest.raises(InvalidInput, match="level 2, word 10: cell outside its parent"):
+        ConsistentFamily(2, 2, (level1, level2))
 
 
 def test_sparse_violations_are_reported():

@@ -277,6 +277,12 @@ class TestCylinderSpec:
         with pytest.raises(InvalidInput):
             CylinderSpec(2, 1, {(0,): F(1, 2), (1,): F(1, 4)})
 
+    def test_word_digits_must_lie_in_the_alphabet(self):
+        # digits 7 and -1 name no base-2 interval; the mass would vanish
+        # from every extension level
+        with pytest.raises(InvalidInput, match="outside 0..1"):
+            CylinderSpec(2, 2, {(0, 7): F(1, 2), (-1, 0): F(1, 2)})
+
     def test_values_must_be_exact(self):
         with pytest.raises(InvalidInput, match="exact rationals"):
             CylinderSpec(2, 1, {(0,): 0.5, (1,): 0.5})

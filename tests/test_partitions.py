@@ -7,7 +7,6 @@ from circledyn.exact import Arc
 from circledyn.measures import CircleMeasure
 from circledyn.partitions import (
     ConsistentFamily,
-    consistency_check,
     family_from_homeo,
     homeo_from_family,
 )
@@ -81,39 +80,40 @@ def test_level_measures_sum_to_one(rng):
 
 def test_consistency_check_passes_on_valid(rng):
     fam = family_from_homeo(random_pl_homeo(rng), 2, 3)
-    ok, violation = consistency_check(fam)
-    assert ok and violation is None
+    # both forms validate on construction
+    assert ConsistentFamily.from_tables(fam.ell, fam.basepoint, fam.tables) == fam
+    assert ConsistentFamily(2, 3, fam.levels) == fam
 
 
 def test_swapped_cells_detected():
     fam = family_from_homeo(PLCircleMap.identity(), 2, 2)
     levels = [list(level) for level in fam.levels]
     levels[1][1], levels[1][2] = levels[1][2], levels[1][1]
-    ok, violation = consistency_check((2, 2, levels))
-    assert not ok
-    assert violation.level == 2
+    match = "level 2, word 01: cells not laid consecutively in word order"
+    with pytest.raises(InvalidInput, match=match):
+        ConsistentFamily(2, 2, levels)
 
 
 def test_shrunken_cell_detected():
     fam = family_from_homeo(PLCircleMap.identity(), 2, 2)
     levels = [list(level) for level in fam.levels]
     levels[1][0] = Arc(F(0), F(1, 8))
-    ok, violation = consistency_check((2, 2, levels))
-    assert not ok
+    match = "level 2, word 01: cells not laid consecutively in word order"
+    with pytest.raises(InvalidInput, match=match):
+        ConsistentFamily(2, 2, levels)
 
 
 def test_degenerate_family_rejected_by_homeo():
+    # the dense form accepts an empty cell; only the homeomorphism is refused
     cells1 = (Arc(F(0), F(1)), Arc.degenerate(F(0)))
-    fam = ConsistentFamily(2, 1, (cells1,), allow_degenerate=True)
+    fam = ConsistentFamily(2, 1, (cells1,))
     assert fam.is_degenerate
-    with pytest.raises(InvalidInput):
+    assert fam.tables == ({(0,): (F(0), F(1))},)
+    assert fam.cells(1) == cells1
+    with pytest.raises(InvalidInput, match="family has empty cells"):
         homeo_from_family(fam)
-
-
-def test_empty_cell_rejected_without_flag():
-    cells1 = (Arc(F(0), F(1)), Arc.degenerate(F(0)))
-    with pytest.raises(InvalidInput):
-        ConsistentFamily(2, 1, (cells1,))
+    with pytest.raises(InvalidInput, match="family has empty cells"):
+        fam.homeomorphism()
 
 
 def test_non_homeo_rejected(rng):
