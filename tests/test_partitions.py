@@ -104,14 +104,19 @@ def test_shrunken_cell_detected():
 
 
 def test_degenerate_family_rejected_by_homeo():
-    # the dense form accepts an empty cell; only the homeomorphism is refused
     cells1 = (Arc(F(0), F(1)), Arc.degenerate(F(0)))
     fam = ConsistentFamily(2, 1, (cells1,))
-    assert fam.is_degenerate
     assert fam.tables == ({(0,): (F(0), F(1))},)
     assert fam.cells(1) == cells1
     with pytest.raises(InvalidInput, match="family has empty cells"):
         homeo_from_family(fam)
+
+
+def test_empty_cell_rejected_without_flag():
+    # the dense form accepts an empty cell; only the homeomorphism is refused
+    cells1 = (Arc(F(0), F(1)), Arc.degenerate(F(0)))
+    fam = ConsistentFamily(2, 1, (cells1,))
+    assert fam.is_degenerate
     with pytest.raises(InvalidInput, match="family has empty cells"):
         fam.homeomorphism()
 
