@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from math import ceil, floor
 from typing import Sequence
 
 from .errors import InvalidInput, ResourceCap
@@ -47,45 +48,60 @@ class RotationNumber:
 
 
 def rotation_number(h: PLCircleMap, max_period: int = 16) -> RotationNumber:
-    """Exact rational rotation number by minimal-period lift solving.
-
-    Searches q = 1..max_period for an integer r with lift(h^q)(x) = x + r
-    solvable; returns r/q at the first hit.  Otherwise returns a width-2/Q
-    bracket from the lift displacement at 0 over Q = 8 * max_period steps.
+    """Exact rotation number p/q: the first mediant (q <= max_period) of a
+    Stern–Brocot descent with lift(h^q)(x) = x + p solvable; otherwise the
+    Farey neighbours a/b < c/d of order max_period around it.
     """
     return _rotation_search(h, max_period)[0]
+
+
+# Cap on one rotation search; composing powers f and g is charged
+# (|f| + |g|) * (bits_f + bits_g + 64), with bits as in ``bits`` below.
+_SEARCH_COST_CAP = 2**27
 
 
 def _rotation_search(
     h: PLCircleMap, max_period: int
 ) -> tuple[RotationNumber, PLCircleMap | None]:
-    """The rotation number of h, and h^q when it is detected at period q."""
+    """The rotation number of h, and h^q when it is detected at period q.
+
+    A Stern–Brocot descent (Graham, Knuth and Patashnik, Concrete
+    Mathematics, §4.5) between Farey neighbours a/b < rho < c/d, each end
+    (a, b, h^b, w) with H^b = h^b + w the true lift.  The sign of
+    H^q(x) - x - p on the mediant's power h^b∘h^d detects rho = p/q or names
+    the end it replaces; no denominator on the path to r/s reaches s, so the
+    first power with a fixed point is h^s.
+    """
     if not h.is_homeomorphism or h.degree != 1:
         raise InvalidInput("rotation number requires an orientation-preserving homeomorphism")
     if max_period < 1:
         raise InvalidInput(f"max period must be >= 1, got {max_period}")
-    hq = PLCircleMap.identity()
-    lift_zero = ZERO  # true lift orbit of 0: tracks the winding that the
-    # canonical (normalized) lift of the composition discards
-    for q in range(1, max_period + 1):
-        hq = h.compose(hq)
-        lift_zero = h.lift_evaluate(lift_zero)
-        winding = lift_zero - hq.lift_values[0]
-        if winding.denominator != 1:
-            raise InvalidInput("lift bookkeeping failed")
-        disp = [v - b + winding for v, b in zip(hq.lift_values, hq.breakpoints)]
-        lo, hi = min(disp), max(disp)
-        r_lo = -((-lo.numerator) // lo.denominator)  # ceil
-        r_hi = hi.numerator // hi.denominator  # floor
-        if r_lo <= r_hi:
-            return RotationNumber(Fraction(r_lo, q), q, None), hq
-    big_q = 8 * max_period
-    t = ZERO
-    for _ in range(big_q):
-        t = h.lift_evaluate(t)
-    return RotationNumber(
-        None, None, ((t - 1) / big_q, (t + 1) / big_q)
-    ), None
+
+    def bits(g: PLCircleMap) -> int:  # largest denominator bit length
+        return max(v.denominator.bit_length() for v in g.breakpoints + g.lift_values)
+
+    disp = [v - x for x, v in zip(h.breakpoints, h.lift_values)]
+    r, cost = ceil(min(disp)), 0
+    if r <= max(disp):
+        return RotationNumber(Fraction(r), 1, None), h
+    ends = [(r - 1, 1, h, 0), (r, 1, h, 0)]
+    while ends[0][1] + ends[1][1] <= max_period:
+        (a, b, f, wf), (c, d, g, wg) = ends
+        cost += (len(f.breakpoints) + len(g.breakpoints)) * (bits(f) + bits(g) + 64)
+        if cost > _SEARCH_COST_CAP:
+            raise ResourceCap(
+                f"rotation search at bracket ({a}/{b}, {c}/{d}) would charge "
+                f"{cost}, above the search cost cap {_SEARCH_COST_CAP}"
+            )
+        hq = f.compose(g)
+        w = wf + wg + floor(f.lift_evaluate(g.lift_values[0]))
+        disp = [v - x + w - a - c for x, v in zip(hq.breakpoints, hq.lift_values)]
+        if min(disp) <= 0 <= max(disp):
+            return RotationNumber(Fraction(a + c, b + d), b + d, None), hq
+        # below rho the mediant replaces a/b, above it c/d
+        ends[max(disp) < 0] = (a + c, b + d, hq, w)
+    (a, b, _, _), (c, d, _, _) = ends
+    return RotationNumber(None, None, (Fraction(a, b), Fraction(c, d))), None
 
 
 @dataclass(frozen=True)
@@ -150,22 +166,14 @@ def _decompose(
     def displacement_level(x: Fraction) -> Fraction:
         return hq.lift_evaluate(x) - x
 
-    gaps: list[tuple[Fraction, Fraction]] = []  # (start, length), start in [0,1)
     ivs = per_set.ivs
     if not ivs:
         raise InvalidInput(
             "homeomorphism with rational rotation number must have periodic points"
         )
-    if per_measure != ONE:
-        for idx in range(len(ivs)):
-            cur_hi = ivs[idx].hi
-            if idx + 1 < len(ivs):
-                nxt_lo = ivs[idx + 1].lo
-            else:
-                nxt_lo = ivs[0].lo + ONE
-            length = nxt_lo - cur_hi
-            if length > 0:
-                gaps.append((mod1(cur_hi), length))
+    # (start in [0, 1), length) of each gap between periodic components
+    nexts = [iv.lo for iv in ivs[1:]] + [ivs[0].lo + ONE]
+    gaps = [(mod1(iv.hi), nxt - iv.hi) for iv, nxt in zip(ivs, nexts) if nxt > iv.hi]
 
     complementary: list[tuple[Arc, str]] = []
     basins: dict[Fraction, list[Arc]] = {}

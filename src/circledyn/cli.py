@@ -33,7 +33,7 @@ from .formats import (
     report_to_record,
     spec_from_record,
 )
-from .measures import cesaro
+from .measures import CircleMeasure, _capped, cesaro
 from .orbits import orbit_averages
 from .plmaps import Observable, PLCircleMap
 from .shredder import ShredConfig, shred, verify_shredding
@@ -196,13 +196,7 @@ def cmd_wicked(args: argparse.Namespace) -> int:
     return EXIT_OK if window_exact and dist < parse_rational(args.eps) else EXIT_VERIFICATION
 
 
-def cmd_pushforward(args: argparse.Namespace) -> int:
-    f = map_from_record(_load_json(args.map))
-    mu = measure_from_record(_load_json(args.measure))
-    if args.iters < 0:
-        raise InvalidInput(f"iteration count must be >= 0, got {args.iters}")
-    for _ in range(args.iters):
-        mu = mu.pushforward(f)
+def _write_measure(args: argparse.Namespace, mu: CircleMeasure) -> int:
     out = _out_dir(args)
     _finish(
         args,
@@ -215,20 +209,20 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def cmd_pushforward(args: argparse.Namespace) -> int:
+    f = map_from_record(_load_json(args.map))
+    mu = measure_from_record(_load_json(args.measure))
+    if args.iters < 0:
+        raise InvalidInput(f"iteration count must be >= 0, got {args.iters}")
+    for _ in range(args.iters):
+        mu = _capped(mu.pushforward(f), args.max_breakpoints)
+    return _write_measure(args, mu)
+
+
 def cmd_cesaro(args: argparse.Namespace) -> int:
     f = map_from_record(_load_json(args.map))
     mu = measure_from_record(_load_json(args.measure))
-    avg = cesaro(f, mu, args.n, complexity_cap=args.max_breakpoints)
-    out = _out_dir(args)
-    _finish(
-        args,
-        [args.map, args.measure],
-        {
-            out / "measure.json": dumps(measure_to_record(avg)),
-            out / "cdf.csv": csv_lines(("x", "cdf"), cdf_samples(avg)),
-        },
-    )
-    return EXIT_OK
+    return _write_measure(args, cesaro(f, mu, args.n, complexity_cap=args.max_breakpoints))
 
 
 def cmd_birkhoff(args: argparse.Namespace) -> int:
@@ -365,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out-dir", default="circledyn-out")
     parser.add_argument(
         "--max-breakpoints", type=int, default=None,
-        help="measure complexity cap; only cesaro reads it",
+        help="measure complexity cap of pushforward and cesaro iterates",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

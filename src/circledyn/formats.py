@@ -12,7 +12,7 @@ from typing import Any, Sequence
 
 from .errors import InvalidInput
 from .exact import ONE, ZERO, Arc, format_rational, parse_rational
-from .measures import CircleMeasure, CylinderSpec
+from .measures import _DIGITS, CircleMeasure, CylinderSpec
 from .partitions import ConsistentFamily
 from .plmaps import Observable, PLCircleMap
 from .shredder import Region, TrappingReport
@@ -103,11 +103,13 @@ def measure_from_record(rec: dict) -> CircleMeasure:
 
 
 def spec_to_record(spec: CylinderSpec) -> dict:
+    if spec.ell > len(_DIGITS):
+        raise InvalidInput(f"words over {spec.ell} letters have no string form")
     return {
         "ell": spec.ell,
         "p": spec.level,
         "values": {
-            "".join(map(str, w)): _rat(v)
+            "".join(map(_DIGITS.__getitem__, w)): _rat(v)
             for w, v in sorted(spec.values.items())
         },
     }

@@ -310,6 +310,10 @@ def _word_count(ell: int, level: int) -> int:
     return ell**level
 
 
+# A word's string form has one character per digit, so at most 36 letters.
+_DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
 @dataclass(frozen=True)
 class CylinderSpec:
     """A measure described by its values on the level-p base-l intervals.
@@ -374,7 +378,12 @@ class CylinderSpec:
 
     @staticmethod
     def from_strings(ell: int, p: int, table: dict[str, Fraction]) -> "CylinderSpec":
-        return CylinderSpec(ell, p, {tuple(map(int, k)): v for k, v in table.items()})
+        if ell > len(_DIGITS):
+            raise InvalidInput(f"words over {ell} letters have no string form")
+        bad = set("".join(table)).difference(_DIGITS)
+        if bad:
+            raise InvalidInput(f"word characters {sorted(bad)} are not digits 0-9a-z")
+        return CylinderSpec(ell, p, {tuple(map(_DIGITS.index, k)): v for k, v in table.items()})
 
     # -- queries
 
@@ -471,19 +480,22 @@ def cesaro(
     """(1/n) sum of the first n push-forward iterates of mu0."""
     if n < 1:
         raise InvalidInput("cesaro horizon must be >= 1")
-    cap = DEFAULT_COMPLEXITY_CAP if complexity_cap is None else complexity_cap
     weight = Fraction(1, n)
     parts = []
     mu = mu0
     for k in range(n):
         if k:
-            mu = mu.pushforward(f)
-            if mu.complexity > cap:
-                raise ResourceCap(
-                    f"measure complexity {mu.complexity} exceeds cap {cap}"
-                )
+            mu = _capped(mu.pushforward(f), complexity_cap)
         parts.append((weight, mu))
     return CircleMeasure.convex_combination(parts)
+
+
+def _capped(mu: CircleMeasure, cap: int | None) -> CircleMeasure:
+    """mu, checked against the complexity cap (default when None)."""
+    cap = DEFAULT_COMPLEXITY_CAP if cap is None else cap
+    if mu.complexity > cap:
+        raise ResourceCap(f"measure complexity {mu.complexity} exceeds cap {cap}")
+    return mu
 
 
 def neighborhood_member(

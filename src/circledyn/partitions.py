@@ -19,7 +19,7 @@ from typing import Sequence
 
 from .errors import InvalidInput
 from .exact import HALF, ONE, ZERO, Arc, mod1
-from .measures import CylinderSpec
+from .measures import _DIGITS, CylinderSpec
 from .plmaps import PLCircleMap, sup_dist_to_int
 
 # the positive cells of one level: word -> (lift position, length)
@@ -157,10 +157,9 @@ class ConsistentFamily:
 
 
 def _inconsistent(level: int, word: tuple[int, ...], reason: str) -> InvalidInput:
-    return InvalidInput(
-        f"inconsistent family at level {level}, "
-        f"word {''.join(map(str, word))}: {reason}"
-    )
+    if all(0 <= d < len(_DIGITS) for d in word):
+        word = "".join(map(_DIGITS.__getitem__, word))
+    return InvalidInput(f"inconsistent family at level {level}, word {word}: {reason}")
 
 
 def _from_levels(

@@ -2,7 +2,7 @@
 
 A map is stored through its lift: rational breakpoints 0 = x0 < ... < xm = 1
 and lift values F(x0), ..., F(xm), extended by F(t+1) = F(t) + degree.
-Composition, inversion, iteration, C0 distance, and fixed-point solving
+Composition, inversion, C0 distance, and fixed-point solving
 are closed operations on this class and produce exact rationals.
 """
 
@@ -313,14 +313,6 @@ class PLCircleMap:
         bps.append(ONE)
         vals.append(fus[-1])
         return PLCircleMap(bps, vals)
-
-    def iterate(self, n: int, max_breakpoints: int | None = None) -> "PLCircleMap":
-        if n < 0:
-            raise InvalidInput("iteration count must be >= 0")
-        result = PLCircleMap.identity()
-        for _ in range(n):
-            result = self.compose(result, max_breakpoints=max_breakpoints)
-        return result
 
     def invert(self) -> "PLCircleMap":
         if not self.is_homeomorphism:

@@ -35,12 +35,11 @@ class ShredConfig:
 
     ``cells`` is the coarse cell count (must satisfy the fineness condition
     (Lip(f)+1)/cells < eps), ``subdivisions`` the per-cell subcell count
-    (must exceed 1/eps), ``delta`` the collar half-width.
+    (must exceed 1/eps); the collar half-width is min(1, eps)/4 subcells.
     """
 
     cells: int | None = None
     subdivisions: int | None = None
-    delta: Fraction | None = None
 
     def resolved(self, f: PLCircleMap, eps: Fraction) -> "ResolvedConfig":
         lip = f.lipschitz
@@ -69,15 +68,7 @@ class ShredConfig:
                 f"breakpoints, above the breakpoint cap {DEFAULT_BREAKPOINT_CAP}"
             )
         sub_len = Fraction(1, cells * subs)
-        delta = self.delta
-        if delta is None:
-            delta = min(sub_len / 4, eps * sub_len / 4)
-        if not (ZERO < delta < sub_len / 2):
-            raise InvalidInput("delta must lie in (0, subcell/2)")
-        if 2 * delta * cells * subs >= eps:
-            raise InvalidInput(
-                "delta too large: interiors would not cover measure > 1 - eps"
-            )
+        delta = min(sub_len / 4, eps * sub_len / 4)
         return ResolvedConfig(cells, subs, delta, sub_len)
 
 

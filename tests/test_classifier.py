@@ -62,12 +62,12 @@ class TestRotationNumber:
             assert rotation_number(conj).value == F(1, 3)
 
     def test_undetected_gives_bracket(self):
+        # the Stern–Brocot descent toward 13/89 passes 1/2, 1/3, 1/4, 1/5;
+        # the next mediant 1/6 is beyond period 5
         rot = PLCircleMap.rotation(F(13, 89))
         res = rotation_number(rot, max_period=5)
         assert res.value is None
-        lo, hi = res.bracket
-        assert lo < F(13, 89) < hi
-        assert hi - lo <= F(2, 40)
+        assert res.bracket == (F(0), F(1, 5))
 
     def test_non_homeo_rejected(self):
         with pytest.raises(InvalidInput):

@@ -38,6 +38,27 @@ class TestFormats:
         rec = formats.spec_to_record(spec)
         assert formats.spec_from_record(rec) == spec
 
+    def test_spec_roundtrip_over_twelve_letters(self):
+        # digits 10 and 11 are written "a" and "b"
+        probs = [F(1, 2), *[F(1, 22)] * 11]
+        for spec in (CylinderSpec.lebesgue(12, 1), CylinderSpec.bernoulli(probs, 2)):
+            rec = json.loads(formats.dumps(formats.spec_to_record(spec)))
+            assert formats.spec_from_record(rec) == spec
+        assert formats.spec_to_record(CylinderSpec.dirac_zero(12, 2)) == {
+            "ell": 12, "p": 2, "values": {"00": "1/1"}
+        }
+        assert formats.spec_to_record(CylinderSpec(12, 2, {(11, 10): F(1)}))[
+            "values"
+        ] == {"ba": "1/1"}
+
+    def test_spec_over_36_letters_has_no_record(self):
+        with pytest.raises(InvalidInput, match="37 letters have no string form"):
+            formats.spec_to_record(CylinderSpec.dirac_zero(37, 1))
+        with pytest.raises(InvalidInput, match="37 letters have no string form"):
+            formats.spec_from_record({"ell": 37, "p": 1, "values": {"0": "1/1"}})
+        with pytest.raises(InvalidInput, match=r"word characters \['A'\]"):
+            formats.spec_from_record({"ell": 12, "p": 1, "values": {"A": "1/1"}})
+
     def test_family_roundtrip(self, rng):
         fam = family_from_homeo(random_pl_homeo(rng), 2, 3)
         rec = formats.family_to_record(fam)
@@ -277,6 +298,40 @@ class TestCli:
         )
         assert code == 3
 
+    def test_pushforward_cap_exit_code(self, workdir, tmp_path, capsys):
+        # the same per-iterate cap as cesaro, read from --max-breakpoints
+        bumpy = formats.map_to_record(
+            PLCircleMap([F(0), F(1, 5), F(1)], [F(0), F(3, 2), F(2)])
+        )
+        (tmp_path / "bumpy.json").write_text(formats.dumps(bumpy))
+        code = main(
+            [
+                "--out-dir", str(workdir / "outP"),
+                "--max-breakpoints", "10",
+                "pushforward", str(tmp_path / "bumpy.json"),
+                str(workdir / "lebesgue.json"), "--iters", "20",
+            ]
+        )
+        assert code == 3
+        assert "exceeds cap 10" in capsys.readouterr().err
+        assert not (workdir / "outP" / "measure.json").exists()
+
+    def test_wicked_over_twelve_letters(self, workdir, tmp_path, capsys):
+        target = CylinderSpec.bernoulli([F(1, 2), *[F(1, 22)] * 11], 1)
+        (tmp_path / "t12.json").write_text(
+            formats.dumps(formats.spec_to_record(target))
+        )
+        code = main(
+            [
+                "--out-dir", str(workdir / "out12"),
+                "wicked", str(workdir / "identity.json"),
+                str(tmp_path / "t12.json"),
+                "--ell", "12", "--eps", "1/4", "--n", "3",
+            ]
+        )
+        assert code == 0
+        assert "window exact: True" in capsys.readouterr().out
+
     def test_cylinder_spec_cap_exit_code(self, workdir, tmp_path, capsys):
         # 10^9 words at ell 10, level 9: capped before any word is listed
         spec = {"ell": 10, "p": 9, "values": {"000000000": "1/1"}}
@@ -453,6 +508,40 @@ def tented_rotation() -> PLCircleMap:
         [F(0), F(1, 4), F(3, 4), F(1)],
         [a, F(1, 4) + a + bump, F(3, 4) + a - bump, 1 + a],
     )
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["rotation", "{h}", "--max-period", "200"], "undetected; bracket [55/184, 29/97]\n"),
+        (["classify", "{h}", "--grid", "2", "--max-period", "200"], None),
+    ],
+    ids=["rotation", "classify"],
+)
+def test_tented_rotation_gives_farey_bracket(tmp_path, capsys, argv, stdout):
+    # the search stops at the Farey neighbours of order 200, whose printed
+    # form is short; the old exact lift walk outgrew int-to-str here
+    h = tmp_path / "h.json"
+    h.write_text(formats.dumps(formats.map_to_record(tented_rotation())))
+    argv = [a.format(h=h) for a in argv]
+    assert main(["--out-dir", str(tmp_path / "out"), *argv]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    if stdout is not None:
+        assert out == stdout
+    else:
+        rec = json.loads((tmp_path / "out" / "classification.json").read_text())
+        assert rec["wonderful"]["status"] == "inconclusive"
+
+
+def test_rotation_search_cost_cap_exits_resource(tmp_path, capsys):
+    h = tmp_path / "h.json"
+    h.write_text(formats.dumps(formats.map_to_record(tented_rotation())))
+    code = main(["rotation", str(h), "--max-period", "100000"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.startswith("resource cap: rotation search at bracket")
 
 
 @pytest.mark.parametrize(

@@ -334,3 +334,12 @@ def test_sparse_violations_are_reported():
             ConsistentFamily.from_tables(2, fam.basepoint, tables)
     with pytest.raises(InvalidInput, match="basepoint"):
         ConsistentFamily.from_tables(2, fam.basepoint + 1, good)
+
+
+def test_violation_names_the_word_one_character_per_digit():
+    # digits 10 and 11 are "a" and "b"; a digit past "z" has no character,
+    # and the word is shown as its tuple
+    for ell, (lo, hi), word in ((12, (11, 10), "a"), (40, (38, 37), r"\(37,\)")):
+        table = {(0,): (ZERO, HALF), (lo,): (HALF, F(1, 4)), (hi,): (F(3, 4), F(1, 4))}
+        with pytest.raises(InvalidInput, match=f"level 1, word {word}: words not in word order"):
+            ConsistentFamily.from_tables(ell, ZERO, [table])

@@ -36,7 +36,7 @@ class TestCompose:
 
     def test_rotation_cycle(self):
         rot = PLCircleMap.rotation(F(1, 3))
-        assert rot.iterate(3) == PLCircleMap.identity()
+        assert rot.compose(rot.compose(rot)) == PLCircleMap.identity()
 
     def test_degree_multiplies(self, rng):
         for _ in range(10):
@@ -53,8 +53,10 @@ class TestCompose:
 
     def test_breakpoint_cap(self):
         e2 = expanding_map(2)
+        power = e2
         with pytest.raises(ResourceCap):
-            e2.iterate(40, max_breakpoints=1000)
+            for _ in range(40):
+                power = e2.compose(power, max_breakpoints=1000)
 
     def test_breakpoint_cap_message_states_used_and_limit(self):
         e2 = expanding_map(2)

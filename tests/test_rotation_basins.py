@@ -6,7 +6,10 @@ search detected with.  The older code ran the search twice, composed h^q
 again to solve f^q(x) = x, searched the divisors of q for minimal periods
 (``periodic_points`` and its identity-on-arc test) and composed h^q a fourth
 time for the gaps.  Those functions are kept here as references, and the
-results must be equal.
+results must be equal.  The rotation search itself is a Stern–Brocot
+descent; the per-q search it replaced is the reference here.  Where the
+reference detects r/q the results are equal; where it does not, both
+brackets hold the rotation number, so they meet.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from itertools import product
+from math import floor, gcd
 
 import pytest
 
@@ -23,6 +27,7 @@ from circledyn.classifier import (
     PhysicalMeasure,
     RotationNumber,
     WProtocol,
+    _rotation_search,
     basin_decomposition,
     classify,
     rotation_number,
@@ -43,6 +48,14 @@ SMALL = WProtocol(grid_size=20, horizons=(10, 100))
 # ---------------------------------------------------------------------------
 # references: the search, the periodic-point solver and the decomposition
 # as they were before the one search
+
+
+def power(f: PLCircleMap, n: int) -> PLCircleMap:
+    """f^n by n compositions, f^0 the identity."""
+    result = PLCircleMap.identity()
+    for _ in range(n):
+        result = f.compose(result)
+    return result
 
 
 def ref_rotation_number(h: PLCircleMap, max_period: int = 16) -> RotationNumber:
@@ -83,7 +96,7 @@ def ref_identity_on_arc(g: PLCircleMap, arc: Arc) -> bool:
 def ref_periodic_points(f: PLCircleMap, period: int) -> list[PeriodicComponent]:
     if period < 1:
         raise InvalidInput("period must be >= 1")
-    g = f.iterate(period)
+    g = power(f, period)
     comps = g.fixed_point_components()
     out = []
     for c in comps:
@@ -101,7 +114,7 @@ def ref_periodic_points(f: PLCircleMap, period: int) -> list[PeriodicComponent]:
             for d in range(1, period):
                 if period % d:
                     continue
-                gd = f.iterate(d)
+                gd = power(f, d)
                 if ref_identity_on_arc(gd, c.arc):
                     minimal = d
                     break
@@ -129,7 +142,7 @@ def ref_basin_decomposition(
     )
     per_measure = per_set.measure()
 
-    hq = h.iterate(period)
+    hq = power(h, period)
 
     def displacement_level(x: Fraction) -> Fraction:
         return hq.lift_evaluate(x) - x
@@ -265,28 +278,66 @@ def reversed_homeos() -> list[PLCircleMap]:
 # equality with the references
 
 
+def assert_farey_bracket(bracket, max_period: int) -> None:
+    """Farey neighbours a/b < c/d of order max_period: bc - ad = 1 and
+    b, d <= max_period < b + d."""
+    (a, b), (c, d) = (x.as_integer_ratio() for x in bracket)
+    assert b <= max_period and d <= max_period < b + d
+    assert b * c - a * d == 1
+
+
+def meet(bracket, other) -> bool:
+    return max(bracket[0], other[0]) < min(bracket[1], other[1])
+
+
 @pytest.mark.parametrize("family", sorted(MAPS))
 def test_rotation_number_matches_reference(family):
     for h in MAPS[family]():
         for max_period in (1, 5, 16):
-            assert rotation_number(h, max_period) == ref_rotation_number(h, max_period)
+            expected = ref_rotation_number(h, max_period)
+            rot, hq = _rotation_search(h, max_period)
+            if expected.value is None:
+                assert (rot.value, rot.period, hq) == (None, None, None)
+                assert_farey_bracket(rot.bracket, max_period)
+                assert meet(rot.bracket, expected.bracket)
+            else:
+                assert rot == expected
+                assert hq == power(h, rot.period)
 
 
 def test_reference_maps_include_undetected_brackets():
     assert any(ref_rotation_number(h).value is None for h in pl_homeos())
 
 
+@pytest.mark.parametrize("q", range(17, 41))
+def test_undetected_bracket_is_farey_pair(q):
+    for p in range(q):
+        if gcd(p, q) == 1:
+            rot = rotation_number(PLCircleMap.rotation(F(p, q)), 16)
+            assert rot.value is None
+            assert_farey_bracket(rot.bracket, 16)
+            assert rot.bracket[0] < F(p, q) < rot.bracket[1]
+
+
 @pytest.mark.parametrize("family", sorted(MAPS))
 def test_basin_decomposition_matches_reference(family):
     for h in MAPS[family]():
-        try:
-            expected = ref_basin_decomposition(h)
-        except InvalidInput as exc:
-            with pytest.raises(InvalidInput) as got:
-                basin_decomposition(h)
-            assert str(got.value) == str(exc)
-            continue
-        assert basin_decomposition(h) == expected
+        for max_period in (1, 5, 16):
+            try:
+                expected = ref_basin_decomposition(h, max_period)
+            except InvalidInput as exc:
+                message = str(exc)
+                if ref_rotation_number(h, max_period).value is None:
+                    # the bracket in the message is the new search's
+                    message = (
+                        f"rotation number not rational within period {max_period}; "
+                        f"bracket {rotation_number(h, max_period).bracket}"
+                    )
+                with pytest.raises(InvalidInput) as got:
+                    basin_decomposition(h, max_period)
+                assert str(got.value) == message
+                continue
+            assert basin_decomposition(h, max_period) == expected
 
 
 def test_conjugated_rotations_give_one_full_arc():
@@ -300,16 +351,19 @@ def test_conjugated_rotations_give_one_full_arc():
 @pytest.mark.parametrize("family", [*sorted(MAPS), "reversed"])
 def test_classify_evidence_matches_reference(family):
     maps = reversed_homeos() if family == "reversed" else MAPS[family]()
-    for f in maps:
+    for f, max_period in product(maps, (1, 5, 16)):
         h = f if f.degree == 1 else f.compose(f)
-        diag = classify(f, SMALL)
-        rot = ref_rotation_number(h)
+        diag = classify(f, replace(SMALL, max_period=max_period))
+        rot = ref_rotation_number(h, max_period)
         if rot.value is None:
+            bracket = rotation_number(h, max_period).bracket
+            assert_farey_bracket(bracket, max_period)
+            assert meet(bracket, rot.bracket)
             for verdict in diag.labels.values():
                 assert verdict.status == "inconclusive"
-                assert verdict.evidence["rotation_bracket"] == rot.bracket
+                assert verdict.evidence["rotation_bracket"] == bracket
             continue
-        bd = ref_basin_decomposition(h)
+        bd = ref_basin_decomposition(h, max_period)
         ev = diag.labels["wonderful"].evidence
         assert (ev["rotation_number"], ev["period"]) == (bd.rotation, bd.period)
         assert ev["basin_coverage"] == bd.basin_total
@@ -338,6 +392,22 @@ def compose_calls(monkeypatch):
     return calls
 
 
+def stern_brocot_path(rho: Fraction) -> list[Fraction]:
+    """The mediants a descent from floor(rho) < rho < floor(rho) + 1 tests,
+    ending at rho; empty for an integer."""
+    if rho.denominator == 1:
+        return []
+    (a, b), (c, d) = (floor(rho), 1), (floor(rho) + 1, 1)
+    path = [F(a + c, b + d)]
+    while path[-1] != rho:
+        if path[-1] < rho:
+            a, b = a + c, b + d
+        else:
+            c, d = a + c, b + d
+        path.append(F(a + c, b + d))
+    return path
+
+
 def test_one_power_of_h(compose_calls):
     maps = [
         *conjugated_rotations(),
@@ -346,10 +416,23 @@ def test_one_power_of_h(compose_calls):
         PLCircleMap.rotation(F(5, 16)),
     ]
     for h in maps:
-        q = rotation_number(h).period
+        steps = len(stern_brocot_path(rotation_number(h).value))
         compose_calls.clear()
         basin_decomposition(h)
-        assert len(compose_calls) == q
+        assert len(compose_calls) == steps
         compose_calls.clear()
         classify(h, SMALL)
-        assert len(compose_calls) == q
+        assert len(compose_calls) == steps
+
+
+@pytest.mark.parametrize(
+    "rho, steps",
+    [*((F(1, q), q - 1) for q in (2, 3, 5, 8, 12, 16)), (F(3, 8), 4), (F(5, 13), 5)],
+)
+def test_compositions_follow_the_stern_brocot_path(compose_calls, rho, steps):
+    h = random_pl_homeo(random.Random(rho.denominator))
+    conj = h.invert().compose(PLCircleMap.rotation(rho).compose(h))
+    compose_calls.clear()
+    rot = rotation_number(conj)
+    assert (rot.value, rot.period) == (rho, rho.denominator)
+    assert len(compose_calls) == steps == len(stern_brocot_path(rho))
