@@ -55,9 +55,9 @@ def rotation_number(h: PLCircleMap, max_period: int = 16) -> RotationNumber:
     return _rotation_search(h, max_period)[0]
 
 
-# Cap on one rotation search; composing powers f and g is charged
-# (|f| + |g|) * (bits_f + bits_g + 64), with bits as in ``bits`` below.
-_SEARCH_COST_CAP = 2**27
+# The rotation search refuses a composition that costs (as in ``cost`` below)
+# over this many times h∘h: powers no larger than h pass at any max_period.
+_POWER_GROWTH_CAP = 2**15
 
 
 def _rotation_search(
@@ -65,34 +65,30 @@ def _rotation_search(
 ) -> tuple[RotationNumber, PLCircleMap | None]:
     """The rotation number of h, and h^q when it is detected at period q.
 
-    A Stern–Brocot descent (Graham, Knuth and Patashnik, Concrete
-    Mathematics, §4.5) between Farey neighbours a/b < rho < c/d, each end
-    (a, b, h^b, w) with H^b = h^b + w the true lift.  The sign of
-    H^q(x) - x - p on the mediant's power h^b∘h^d detects rho = p/q or names
-    the end it replaces; no denominator on the path to r/s reaches s, so the
-    first power with a fixed point is h^s.
+    A Stern–Brocot descent (Concrete Mathematics §4.5) between Farey
+    neighbours a/b < rho < c/d, each end (a, b, h^b, w) with h^b + w the true
+    lift.  No denominator on the path to r/s reaches s, so the first power
+    with a fixed point is h^s.
     """
     if not h.is_homeomorphism or h.degree != 1:
         raise InvalidInput("rotation number requires an orientation-preserving homeomorphism")
     if max_period < 1:
         raise InvalidInput(f"max period must be >= 1, got {max_period}")
 
-    def bits(g: PLCircleMap) -> int:  # largest denominator bit length
-        return max(v.denominator.bit_length() for v in g.breakpoints + g.lift_values)
+    def cost(f: PLCircleMap, g: PLCircleMap) -> int:  # breakpoints times bits
+        bits = sum(max(v.denominator.bit_length() for v in m.breakpoints + m.lift_values)
+                   for m in (f, g))
+        return (len(f.breakpoints) + len(g.breakpoints)) * (bits + 64)
 
     disp = [v - x for x, v in zip(h.breakpoints, h.lift_values)]
-    r, cost = ceil(min(disp)), 0
+    r = ceil(min(disp))
     if r <= max(disp):
         return RotationNumber(Fraction(r), 1, None), h
-    ends = [(r - 1, 1, h, 0), (r, 1, h, 0)]
+    ends, budget = [(r - 1, 1, h, 0), (r, 1, h, 0)], _POWER_GROWTH_CAP * cost(h, h)
     while ends[0][1] + ends[1][1] <= max_period:
         (a, b, f, wf), (c, d, g, wg) = ends
-        cost += (len(f.breakpoints) + len(g.breakpoints)) * (bits(f) + bits(g) + 64)
-        if cost > _SEARCH_COST_CAP:
-            raise ResourceCap(
-                f"rotation search at bracket ({a}/{b}, {c}/{d}) would charge "
-                f"{cost}, above the search cost cap {_SEARCH_COST_CAP}"
-            )
+        if cost(f, g) > budget:
+            raise ResourceCap(f"rotation search at bracket ({a}/{b}, {c}/{d}): powers outgrew h")
         hq = f.compose(g)
         w = wf + wg + floor(f.lift_evaluate(g.lift_values[0]))
         disp = [v - x + w - a - c for x, v in zip(hq.breakpoints, hq.lift_values)]
@@ -166,14 +162,22 @@ def _decompose(
     def displacement_level(x: Fraction) -> Fraction:
         return hq.lift_evaluate(x) - x
 
+    gaps: list[tuple[Fraction, Fraction]] = []  # (start, length), start in [0,1)
     ivs = per_set.ivs
     if not ivs:
         raise InvalidInput(
             "homeomorphism with rational rotation number must have periodic points"
         )
-    # (start in [0, 1), length) of each gap between periodic components
-    nexts = [iv.lo for iv in ivs[1:]] + [ivs[0].lo + ONE]
-    gaps = [(mod1(iv.hi), nxt - iv.hi) for iv, nxt in zip(ivs, nexts) if nxt > iv.hi]
+    if per_measure != ONE:
+        for idx in range(len(ivs)):
+            cur_hi = ivs[idx].hi
+            if idx + 1 < len(ivs):
+                nxt_lo = ivs[idx + 1].lo
+            else:
+                nxt_lo = ivs[0].lo + ONE
+            length = nxt_lo - cur_hi
+            if length > 0:
+                gaps.append((mod1(cur_hi), length))
 
     complementary: list[tuple[Arc, str]] = []
     basins: dict[Fraction, list[Arc]] = {}

@@ -12,7 +12,7 @@ from typing import Any, Sequence
 
 from .errors import InvalidInput
 from .exact import ONE, ZERO, Arc, format_rational, parse_rational
-from .measures import _DIGITS, CircleMeasure, CylinderSpec
+from .measures import CircleMeasure, CylinderSpec, _word_str
 from .partitions import ConsistentFamily
 from .plmaps import Observable, PLCircleMap
 from .shredder import Region, TrappingReport
@@ -103,13 +103,11 @@ def measure_from_record(rec: dict) -> CircleMeasure:
 
 
 def spec_to_record(spec: CylinderSpec) -> dict:
-    if spec.ell > len(_DIGITS):
-        raise InvalidInput(f"words over {spec.ell} letters have no string form")
     return {
         "ell": spec.ell,
         "p": spec.level,
         "values": {
-            "".join(map(_DIGITS.__getitem__, w)): _rat(v)
+            _word_str(w, spec.ell): _rat(v)
             for w, v in sorted(spec.values.items())
         },
     }

@@ -112,15 +112,6 @@ class CircleMeasure:
         return CircleMeasure(atoms=[(p, ONE)])
 
     @staticmethod
-    def from_arcs(arc_pieces: Iterable[tuple[Arc, Fraction]],
-                  atoms: Iterable[tuple[Fraction, Fraction]] = ()) -> "CircleMeasure":
-        flat = []
-        for arc, d in arc_pieces:
-            for lo, hi in arc.intervals():
-                flat.append((lo, hi, d))
-        return CircleMeasure(atoms=atoms, pieces=flat)
-
-    @staticmethod
     def convex_combination(
         parts: Sequence[tuple[Fraction, "CircleMeasure"]]
     ) -> "CircleMeasure":
@@ -312,6 +303,13 @@ def _word_count(ell: int, level: int) -> int:
 
 # A word's string form has one character per digit, so at most 36 letters.
 _DIGITS = "0123456789abcdefghijklmnopqrstuvwxyz"
+
+
+def _word_str(word: tuple[int, ...], ell: int) -> str:
+    """A word over ell letters, one character per digit; see ``from_strings``."""
+    if ell > len(_DIGITS) or not all(0 <= d < ell for d in word):
+        raise InvalidInput(f"words over {ell} letters have no string form")
+    return "".join(map(_DIGITS.__getitem__, word))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ cylinder values.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -19,7 +20,7 @@ from typing import Sequence
 
 from .errors import InvalidInput
 from .exact import HALF, ONE, ZERO, Arc, mod1
-from .measures import _DIGITS, CylinderSpec
+from .measures import CylinderSpec, _word_str
 from .plmaps import PLCircleMap, sup_dist_to_int
 
 # the positive cells of one level: word -> (lift position, length)
@@ -156,9 +157,9 @@ class ConsistentFamily:
         return best
 
 
-def _inconsistent(level: int, word: tuple[int, ...], reason: str) -> InvalidInput:
-    if all(0 <= d < len(_DIGITS) for d in word):
-        word = "".join(map(_DIGITS.__getitem__, word))
+def _inconsistent(ell: int, level: int, word: tuple[int, ...], reason: str) -> InvalidInput:
+    with suppress(InvalidInput):  # over 36 letters, or not a word: the tuple
+        word = _word_str(word, ell)
     return InvalidInput(f"inconsistent family at level {level}, word {word}: {reason}")
 
 
@@ -168,23 +169,23 @@ def _from_levels(
     """Check what only the dense form states (cell counts and arc starts)
     and convert it to tables of its positive cells."""
     if ell < 2:
-        raise _inconsistent(0, (), "alphabet size must be >= 2")
+        raise _inconsistent(ell, 0, (), "alphabet size must be >= 2")
     if depth < 1 or len(levels) != depth:
-        raise _inconsistent(0, (), "level count != depth")
+        raise _inconsistent(ell, 0, (), "level count != depth")
     if not levels[0]:
-        raise _inconsistent(1, (), "empty level")
+        raise _inconsistent(ell, 1, (), "empty level")
     tables = []
     for k, cells in enumerate(levels, 1):
         if len(cells) != ell**k:
             raise _inconsistent(
-                k, (), f"expected {ell ** k} cells, got {len(cells)}"
+                ell, k, (), f"expected {ell ** k} cells, got {len(cells)}"
             )
         table: Table = {}
         pos = levels[0][0].start
         for w, cell in zip(product(range(ell), repeat=k), cells):
             if cell.start != mod1(pos):
                 raise _inconsistent(
-                    k, w, "cells not laid consecutively in word order"
+                    ell, k, w, "cells not laid consecutively in word order"
                 )
             if cell.length:
                 table[w] = (pos, cell.length)
@@ -202,33 +203,33 @@ def _check_tables(ell: int, basepoint: Fraction, tables: Sequence[Table]) -> Non
     tile it, so their lengths sum to the parent's.
     """
     if ell < 2:
-        raise _inconsistent(0, (), "alphabet size must be >= 2")
+        raise _inconsistent(ell, 0, (), "alphabet size must be >= 2")
     if not tables:
-        raise _inconsistent(0, (), "depth must be >= 1")
+        raise _inconsistent(ell, 0, (), "depth must be >= 1")
     if not ZERO <= basepoint < ONE:
-        raise _inconsistent(0, (), f"basepoint {basepoint} outside [0, 1)")
+        raise _inconsistent(ell, 0, (), f"basepoint {basepoint} outside [0, 1)")
     parents: Table = {(): (basepoint, ONE)}
     for k, table in enumerate(tables, 1):
         pos, prev = basepoint, None
         for w, (start, length) in table.items():
             if len(w) != k or not 0 <= w[-1] < ell:
-                raise _inconsistent(k, w, f"not a level-{k} word")
+                raise _inconsistent(ell, k, w, f"not a level-{k} word")
             if prev is not None and w <= prev:
-                raise _inconsistent(k, w, "words not in word order")
+                raise _inconsistent(ell, k, w, "words not in word order")
             if length <= 0:
-                raise _inconsistent(k, w, "a listed cell must have positive length")
+                raise _inconsistent(ell, k, w, "a listed cell must have positive length")
             if start != pos:
                 raise _inconsistent(
-                    k, w, "cells not laid consecutively in word order"
+                    ell, k, w, "cells not laid consecutively in word order"
                 )
             pos = start + length
             parent = parents.get(w[:-1])
             if parent is None or start < parent[0] or pos > parent[0] + parent[1]:
-                raise _inconsistent(k, w, "cell outside its parent")
+                raise _inconsistent(ell, k, w, "cell outside its parent")
             prev = w
         if pos != basepoint + ONE:
             raise _inconsistent(
-                k, (), f"cell lengths sum to {pos - basepoint}, not 1"
+                ell, k, (), f"cell lengths sum to {pos - basepoint}, not 1"
             )
         parents = table
 

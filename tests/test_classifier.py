@@ -68,6 +68,9 @@ class TestRotationNumber:
         res = rotation_number(rot, max_period=5)
         assert res.value is None
         assert res.bracket == (F(0), F(1, 5))
+        # a Farey pair a/b < c/d is 1/(b*d) <= 1/max_period wide
+        lo, hi = res.bracket
+        assert hi - lo == F(1, lo.denominator * hi.denominator) <= F(1, 5)
 
     def test_non_homeo_rejected(self):
         with pytest.raises(InvalidInput):

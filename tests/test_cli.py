@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from circledyn import formats
+from circledyn import classifier, formats
 from circledyn.cli import main
 from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map
@@ -534,14 +534,25 @@ def test_tented_rotation_gives_farey_bracket(tmp_path, capsys, argv, stdout):
         assert rec["wonderful"]["status"] == "inconclusive"
 
 
-def test_rotation_search_cost_cap_exits_resource(tmp_path, capsys):
+def test_rotation_search_growth_cap_exits_resource(tmp_path, capsys, monkeypatch):
+    # the tented map's powers grow; at the real cap the search stops near
+    # period 1100, at cap 16 before its seventh composition
+    monkeypatch.setattr(classifier, "_POWER_GROWTH_CAP", 16)
     h = tmp_path / "h.json"
     h.write_text(formats.dumps(formats.map_to_record(tented_rotation())))
     code = main(["rotation", str(h), "--max-period", "100000"])
     out, err = capsys.readouterr()
     assert code == 3
     assert out == ""
-    assert err.startswith("resource cap: rotation search at bracket")
+    assert err == "resource cap: rotation search at bracket (5/17, 3/10): powers outgrew h\n"
+
+
+def test_rotation_search_growth_cap_passes_powers_that_do_not_grow(monkeypatch):
+    # every power of a rotation costs no more than the rotation, so even
+    # cap 1 lets the 999 compositions to 1/1000 through
+    monkeypatch.setattr(classifier, "_POWER_GROWTH_CAP", 1)
+    rot = classifier.rotation_number(PLCircleMap.rotation(F(1, 1000)), 1000)
+    assert (rot.value, rot.period) == (F(1, 1000), 1000)
 
 
 @pytest.mark.parametrize(

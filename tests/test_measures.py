@@ -135,8 +135,8 @@ class TestIntegrate:
         for _ in range(5):
             f = random_pl_map(rng, degree=rng.choice([1, 2]))
             phi = Observable.tent(F(rng.randrange(8), 8))
-            mu = CircleMeasure.from_arcs(
-                [(Arc(F(0), F(1, 2)), F(3, 2))], atoms=[(F(2, 3), F(1, 4))]
+            mu = CircleMeasure(
+                atoms=[(F(2, 3), F(1, 4))], pieces=[(F(0), F(1, 2), F(3, 2))]
             )
             lhs = mu.pushforward(f).integrate(phi)
             rhs = mu.integrate(compose_observable(phi, f))
