@@ -232,9 +232,22 @@ def _decompose(
 # w-taxonomy diagnostics
 
 
+# Fixed scales of the protocol: an average spread above GAP_THRESHOLD counts
+# as large; a Cesaro spec within WICKED_TOL of a declared spec hits it; orbit
+# points whose denominator outgrows DENOMINATOR_BIT_CAP bits are
+# inconclusive; the short Cesaro run of ``_wicked_verdict`` stops at the last
+# of CESARO_HORIZONS or at CESARO_COMPLEXITY_CAP.
+GAP_THRESHOLD = Fraction(1, 200)
+WICKED_TOL = Fraction(1, 16)
+DENOMINATOR_BIT_CAP = 4096
+CESARO_HORIZONS = (1, 2, 4, 8)
+CESARO_COMPLEXITY_CAP = 20000
+
+
 @dataclass(frozen=True)
 class WProtocol:
-    """Finite-scale protocol: grids, horizons, battery, tolerances."""
+    """Finite-scale protocol: grid, horizons, battery, tolerance and the
+    period bound of the rotation search."""
 
     grid_size: int = 1000
     horizons: tuple[int, ...] = (100, 1000, 10000)
@@ -242,12 +255,7 @@ class WProtocol:
         Fraction(j, 8) for j in range(8)
     )
     tol: Fraction = Fraction(1, 100)
-    gap_threshold: Fraction = Fraction(1, 200)
-    wicked_tol: Fraction = Fraction(1, 16)
     max_period: int = 16
-    denominator_bit_cap: int = 4096
-    cesaro_horizons: tuple[int, ...] = (1, 2, 4, 8)
-    cesaro_complexity_cap: int = 20000
 
     def __post_init__(self) -> None:
         if self.grid_size < 1:
@@ -398,7 +406,7 @@ def _classify_general(
     for x in grid:
         res = orbit_averages(
             f, x, battery, protocol.horizons,
-            denominator_bit_cap=protocol.denominator_bit_cap,
+            denominator_bit_cap=DENOMINATOR_BIT_CAP,
         )
         if res.inconclusive:
             inconclusive += 1
@@ -411,7 +419,7 @@ def _classify_general(
             basin_counts[key] = basin_counts.get(key, 0) + 1
         if gap < protocol.tol:
             small += 1
-        if gap > protocol.gap_threshold:
+        if gap > GAP_THRESHOLD:
             large += 1
         gap_rows.append((x, gap, res.eventually_periodic))
 
@@ -488,9 +496,7 @@ def _classify_general(
     labels["weird"] = LabelVerdict(weird_status, weird_ev)
     labels["wonderful"] = LabelVerdict(wonderful_status, wonderful_ev)
 
-    labels["wicked"] = _wicked_verdict(
-        f, protocol, trajectory, declared_specs
-    )
+    labels["wicked"] = _wicked_verdict(f, trajectory, declared_specs)
 
     diag = WDiagnostics(labels, protocol=protocol)
     diag.labels["wholesome"].evidence["gap_rows"] = gap_rows
@@ -499,7 +505,6 @@ def _classify_general(
 
 def _wicked_verdict(
     f: PLCircleMap,
-    protocol: WProtocol,
     trajectory: Sequence[tuple[int, CylinderSpec]] | None,
     declared_specs: Sequence[CylinderSpec] | None,
 ) -> LabelVerdict:
@@ -516,11 +521,8 @@ def _wicked_verdict(
         ell = declared_specs[0].ell
         mu = CircleMeasure.lebesgue()
         try:
-            for horizon in protocol.cesaro_horizons:
-                avg = cesaro(
-                    f, mu, horizon,
-                    complexity_cap=protocol.cesaro_complexity_cap,
-                )
+            for horizon in CESARO_HORIZONS:
+                avg = cesaro(f, mu, horizon, complexity_cap=CESARO_COMPLEXITY_CAP)
                 traj.append((horizon, avg.cylinder_vector(ell, level)))
         except ResourceCap:
             truncated = True
@@ -529,13 +531,13 @@ def _wicked_verdict(
         for horizon, t_spec in traj:
             if t_spec.ell != spec.ell or t_spec.level != spec.level:
                 continue
-            if t_spec.distance(spec) < protocol.wicked_tol:
+            if t_spec.distance(spec) < WICKED_TOL:
                 hits.setdefault(idx, []).append(horizon)
     ev = {
         "declared_spec_count": len(declared_specs),
         "hits": {idx: hs for idx, hs in hits.items()},
         "trajectory_horizons": [h for h, _ in traj],
-        "wicked_tol": protocol.wicked_tol,
+        "wicked_tol": WICKED_TOL,
         "truncated": truncated,
     }
     if len(hits) >= 2:

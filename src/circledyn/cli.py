@@ -257,6 +257,16 @@ def cmd_rotation(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _evidence_value(key: str, val: object) -> object:
+    """JSON form of one classify evidence entry: the rotation bracket and
+    the basins as 'num/den' strings, everything else as its ``str``."""
+    if key == "rotation_bracket":
+        return [format_rational(x) for x in val]
+    if key == "basins":
+        return [[format_rational(rep), format_rational(mass)] for rep, mass in val]
+    return str(val)
+
+
 def cmd_classify(args: argparse.Namespace) -> int:
     f = map_from_record(_load_json(args.map))
     protocol = WProtocol(
@@ -268,9 +278,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     report = None
     if args.report:
         report = report_from_record(_load_json(args.report))
-        if report.verification is None:
-            g = f
-            verify_shredding(g, report)
+        verify_shredding(f, report)
     declared = None
     if args.declared_specs:
         declared = [
@@ -281,7 +289,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         label: {
             "status": v.status,
             "evidence": {
-                k: str(val)
+                k: _evidence_value(k, val)
                 for k, val in v.evidence.items()
                 if k != "gap_rows"
             },

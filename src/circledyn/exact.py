@@ -2,7 +2,9 @@
 
 Everything here is arbitrary-precision rational arithmetic via
 ``fractions.Fraction``.  Circle points are Fractions normalized into [0, 1);
-arcs are half-open ``[start, start+length)`` taken mod 1.  No floats anywhere.
+arcs are half-open ``[start, start+length)`` taken mod 1.  Floats appear
+only in ``locate``, as hints that a strict comparison trusts and a tie
+checks exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 
@@ -67,6 +69,28 @@ def as_fraction(x: object) -> Fraction:
 def format_rational(x: Fraction) -> str:
     """Serialize as an explicit 'num/den' string."""
     return f"{x.numerator}/{x.denominator}"
+
+
+def locate(bps: Sequence[Fraction], hints: Sequence[float], p: int, q: int) -> int:
+    """Index i with bps[i] <= p/q < bps[i+1], for 0 <= p/q <= 1 (the last
+    piece at p/q = 1), decided by floats.
+
+    ``bps`` are the breakpoints 0 = b0 < ... < bm = 1 and ``hints`` the
+    correctly rounded floats of b0, ..., b(m-1); ``p / q`` is correctly
+    rounded too, and p/q need not be reduced.  Rounding is monotone, so a
+    strict float inequality holds exactly: bisection puts p/q strictly below
+    bps[i+1] (and below bm = 1, which has no hint).  Tie rule: only when the
+    float of p/q equals hints[i] is bps[i] compared exactly, by two integer
+    products, and the index moves down while bps[i] > p/q; breakpoints
+    closer than the float spacing share a hint, so the walk down may take
+    several steps.  Cost one integer division and one bisection, plus one
+    exact comparison per tied hint.
+    """
+    x = p / q
+    i = bisect_right(hints, x) - 1
+    while hints[i] == x and i and bps[i].numerator * q > p * bps[i].denominator:
+        i -= 1
+    return i
 
 
 # ---------------------------------------------------------------------------

@@ -11,11 +11,8 @@ cycle and a partial cycle are then slices of that one recorded orbit.
 
 Per-step cost: the map's integer step table (A, B, D per piece, built once
 per map) gives f(p/q) = ((A*q + B*p) mod D*q) / (D*q), so a step costs three
-big-integer products, one ``%``, one ``gcd`` and one cell lookup.  Tie rule
-of the lookup: the cell is decided by the correctly rounded float of p/q
-against the floats of the cuts; rounding is monotone, so a strict float
-inequality holds exactly, and the exact integer comparison runs only when
-the float of p/q equals a cut's float.
+big-integer products, one ``%``, one ``gcd`` and one cell lookup by
+``exact.locate``, which compares exactly only on a float tie.
 
 Refinement invariant: every observable of a battery is affine on each cell of
 the battery's common breakpoint refinement, and continuous, so either
@@ -29,7 +26,6 @@ Fraction per observable.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -38,7 +34,7 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
-from .exact import ONE, ZERO, mod1
+from .exact import ONE, ZERO, locate, mod1
 from .plmaps import Observable, PLCircleMap
 
 
@@ -71,28 +67,6 @@ class OrbitAverages:
         return max(self.gap(i) for i in range(len(self.averages)))
 
 
-def _cell(
-    cuts: Sequence[tuple[int, int]], hints: Sequence[float], p: int, q: int
-) -> int:
-    """Index i with cuts[i] <= p/q < cuts[i+1], for 0 <= p/q < 1, decided
-    by floats.
-
-    ``cuts`` holds the breakpoints 0 = b0 < ... < bm = 1 as (numerator,
-    denominator) pairs and ``hints`` the correctly rounded floats of b0, ...,
-    b(m-1); ``p / q`` is correctly rounded too.  Rounding is monotone, so a
-    strict float inequality holds exactly: bisection puts p/q strictly
-    below cuts[i+1] (and below bm = 1).  Tie rule: only when the float of
-    p/q equals hints[i] is cuts[i] compared exactly, by two integer
-    products, and the index moves down while cuts[i] > p/q.  Cost one
-    integer division and one bisection, plus two products per tied hint.
-    """
-    x = p / q
-    i = bisect_right(hints, x) - 1
-    while hints[i] == x and i and cuts[i][0] * q > p * cuts[i][1]:
-        i -= 1
-    return i
-
-
 def _walk(
     f: PLCircleMap, x: Fraction, n_max: int, denominator_bit_cap: int
 ) -> tuple[dict[tuple[int, int], int], int, tuple[int, int], bool]:
@@ -103,9 +77,9 @@ def _walk(
     visited points mapped to their step (the dict keeps orbit order), the
     number of steps taken, the point the walk stopped at and whether it
     stopped at the cap.  A step reads the map's cached step table: one
-    ``_cell`` lookup, three products, one ``%`` and one ``gcd``.
+    ``locate``, three products, one ``%`` and one ``gcd``.
     """
-    cuts, hints, table = f._step_table()
+    bps, hints, table = f.breakpoints, f._hints, f._step_table()
     seen: dict[tuple[int, int], int] = {}
     p, q = x.numerator, x.denominator
     step = 0
@@ -117,7 +91,7 @@ def _walk(
         if q.bit_length() > denominator_bit_cap:
             return seen, step, key, True
         step += 1
-        a, b, d = table[_cell(cuts, hints, p, q)]
+        a, b, d = table[locate(bps, hints, p, q)]
         yd = d * q
         yn = (a * q + b * p) % yd
         g = gcd(yn, yd)
@@ -142,14 +116,13 @@ class _Closing:
         cut_set: set[Fraction] = set()
         for phi in observables:
             cut_set.update(phi.breakpoints)
-        cuts = sorted(cut_set | {ZERO, ONE})
-        self.cuts = [(b.numerator, b.denominator) for b in cuts]
+        self.cuts = cuts = sorted(cut_set | {ZERO, ONE})
         self.hints = [float(b) for b in cuts[:-1]]
         affine = []
         for phi in observables:
             rows = []
             for lo in cuts[:-1]:
-                i = bisect_right(phi.breakpoints, lo) - 1
+                i = locate(phi.breakpoints, phi._hints, lo.numerator, lo.denominator)
                 s = phi._slopes[i]
                 rows.append((phi.values[i] - s * phi.breakpoints[i], s))
             affine.append(rows)
@@ -172,7 +145,7 @@ class _Closing:
         # q -> visits per cell, followed by the sums of p per cell
         stats: dict[int, list[int]] = {}
         for p, q in points:
-            c = _cell(cuts, hints, p, q)
+            c = locate(cuts, hints, p, q)
             row = stats.get(q)
             if row is None:
                 row = stats[q] = [0] * (2 * n_cells)

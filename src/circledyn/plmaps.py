@@ -25,6 +25,7 @@ from .exact import (
     Iv,
     as_fraction,
     circle_dist,
+    locate,
     mod1,
 )
 
@@ -32,28 +33,9 @@ DEFAULT_BREAKPOINT_CAP = 10**6
 _KEY = itemgetter(0)
 
 
-def _locate(bps: tuple[Fraction, ...], hints: list[float], x: Fraction) -> int:
-    """Index i with bps[i] <= x < bps[i+1], for 0 <= x <= 1 (the last piece
-    at x = 1), decided by floats.
-
-    ``hints`` are the correctly rounded floats of ``bps``, and so is
-    ``float(x)``.  Rounding is monotone, so a strict float inequality holds
-    exactly: bisection puts x strictly below bps[i+1].  Tie rule: only when
-    the float of x equals hints[i] is bps[i] compared exactly, and the index
-    moves down while bps[i] > x; breakpoints closer than the float spacing
-    share a hint, so the walk down may take several steps.  Cost one
-    bisection, plus one exact comparison per tied hint.
-    """
-    xf = float(x)
-    i = min(bisect_right(hints, xf) - 1, len(bps) - 2)
-    while hints[i] == xf and i and bps[i] > x:
-        i -= 1
-    return i
-
-
 def _pl_graph(breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-    """Validated breakpoints, values, slopes and float hints of a PL graph
-    over [0, 1]."""
+    """Validated breakpoints, values, slopes and ``locate`` hints (the floats
+    of all breakpoints but 1) of a PL graph over [0, 1]."""
     bps = tuple(as_fraction(b) for b in breakpoints)
     vals = tuple(as_fraction(v) for v in values)
     if len(bps) != len(vals) or len(bps) < 2:
@@ -65,7 +47,7 @@ def _pl_graph(breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
     slopes = [
         (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)
     ]
-    return bps, vals, slopes, [float(b) for b in bps]
+    return bps, vals, slopes, [float(b) for b in bps[:-1]]
 
 
 def _walk_ends(bps, hints, lo: Fraction, hi: Fraction):
@@ -75,7 +57,10 @@ def _walk_ends(bps, hints, lo: Fraction, hi: Fraction):
     # adding or subtracting a zero would rebuild a Fraction for nothing
     t_lo = lo - k_lo if k_lo else lo
     t_hi = hi - k_hi if k_hi else hi
-    return k_lo, t_lo, _locate(bps, hints, t_lo), k_hi, t_hi, _locate(bps, hints, t_hi)
+    return (
+        k_lo, t_lo, locate(bps, hints, t_lo.numerator, t_lo.denominator),
+        k_hi, t_hi, locate(bps, hints, t_hi.numerator, t_hi.denominator),
+    )
 
 
 def _cut_count(bps, ends) -> int:
@@ -118,7 +103,7 @@ class PLCircleMap:
     """Continuous piecewise-linear circle map given by its lift."""
 
     __slots__ = (
-        "breakpoints", "lift_values", "degree", "_slopes", "_bps_float",
+        "breakpoints", "lift_values", "degree", "_slopes", "_hints",
         "_preimages", "_steps",
     )
 
@@ -141,15 +126,15 @@ class PLCircleMap:
         keep.extend(i for i in range(1, len(slopes)) if slopes[i - 1] != slopes[i])
         if len(keep) < len(slopes):
             slopes = [slopes[i] for i in keep]
+            hints = [hints[i] for i in keep]
             keep.append(len(bps) - 1)
             bps = tuple(bps[i] for i in keep)
             vals = tuple(vals[i] for i in keep)
-            hints = [hints[i] for i in keep]
         self.breakpoints = bps
         self.lift_values = vals
         self.degree = int(deg)
         self._slopes = tuple(slopes)
-        self._bps_float = hints
+        self._hints = hints
         self._preimages = None
         self._steps = None
 
@@ -190,7 +175,7 @@ class PLCircleMap:
         """Affine interpolant of the lift, extended by F(t+1) = F(t) + degree."""
         k = t.numerator // t.denominator
         t0 = t - k
-        i = _locate(self.breakpoints, self._bps_float, t0)
+        i = locate(self.breakpoints, self._hints, t0.numerator, t0.denominator)
         base = self.lift_values[i] + self._slopes[i] * (t0 - self.breakpoints[i])
         return base + k * self.degree
 
@@ -199,7 +184,7 @@ class PLCircleMap:
         bps = self.breakpoints
         return _lift_walk(
             bps, self.lift_values, self._slopes, self.degree, lo, hi,
-            _walk_ends(bps, self._bps_float, lo, hi),
+            _walk_ends(bps, self._hints, lo, hi),
         )
 
     def evaluate(self, x: Fraction) -> Fraction:
@@ -215,21 +200,17 @@ class PLCircleMap:
             pts.append(self.evaluate(pts[-1]))
         return pts
 
-    def _step_table(
-        self,
-    ) -> tuple[list[tuple[int, int]], list[float], list[tuple[int, int, int]]]:
+    def _step_table(self) -> list[tuple[int, int, int]]:
         """Integer form of the map for orbit walks, built on first use.
 
-        Returns the breakpoints as (numerator, denominator) pairs, the float
-        hints of all but the last, and per piece i a triple (A, B, D) of
-        integers with A/D the intercept v_i - s_i*b_i mod 1 and B/D the
-        slope s_i, so that f(p/q) = ((A*q + B*p) mod D*q) / (D*q) for p/q on
-        piece i.  Cost O(pieces) once per map.
+        Per piece i a triple (A, B, D) of integers with A/D the intercept
+        v_i - s_i*b_i mod 1 and B/D the slope s_i, so that
+        f(p/q) = ((A*q + B*p) mod D*q) / (D*q) for p/q on piece i.  Cost
+        O(pieces) once per map.
         """
         if self._steps is None:
-            bps = self.breakpoints
             steps = []
-            for b, v, s in zip(bps, self.lift_values, self._slopes):
+            for b, v, s in zip(self.breakpoints, self.lift_values, self._slopes):
                 a = v - s * b
                 d = lcm(a.denominator, s.denominator)
                 steps.append((
@@ -237,8 +218,7 @@ class PLCircleMap:
                     s.numerator * (d // s.denominator),
                     d,
                 ))
-            cuts = [(b.numerator, b.denominator) for b in bps]
-            self._steps = (cuts, self._bps_float[:-1], steps)
+            self._steps = steps
         return self._steps
 
     # -- constructors
@@ -284,7 +264,7 @@ class PLCircleMap:
         O(|inner| log |self| + output).
         """
         cap = DEFAULT_BREAKPOINT_CAP if max_breakpoints is None else max_breakpoints
-        fb, fv, fs, fh = self.breakpoints, self.lift_values, self._slopes, self._bps_float
+        fb, fv, fs, fh = self.breakpoints, self.lift_values, self._slopes, self._hints
         gb, gv, gs = inner.breakpoints, inner.lift_values, inner._slopes
         pieces = len(gb) - 1
         bps: list[Fraction] = []
@@ -384,7 +364,7 @@ class PLCircleMap:
         keyed = []
         for iv in ivs:
             pos = max(iv.lo, ZERO)
-            i = _locate(d_bps, d._bps_float, pos)
+            i = locate(d_bps, d._hints, pos.numerator, pos.denominator)
             level = d_vals[i] + slopes[i] * (pos - d_bps[i])
             if iv.lo == iv.hi:
                 # the left neighbour of 0 is the last piece
@@ -595,10 +575,10 @@ class PeriodicComponent:
 class Observable:
     """Continuous piecewise-linear real function on the circle."""
 
-    __slots__ = ("breakpoints", "values", "_slopes", "_bps_float")
+    __slots__ = ("breakpoints", "values", "_slopes", "_hints")
 
     def __init__(self, breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-        bps, vals, slopes, self._bps_float = _pl_graph(breakpoints, values)
+        bps, vals, slopes, self._hints = _pl_graph(breakpoints, values)
         if vals[0] != vals[-1]:
             raise InvalidInput("observable must close up: value(1) == value(0)")
         self.breakpoints = bps
@@ -610,7 +590,7 @@ class Observable:
         bps = self.breakpoints
         return _lift_walk(
             bps, self.values, self._slopes, 0, lo, hi,
-            _walk_ends(bps, self._bps_float, lo, hi),
+            _walk_ends(bps, self._hints, lo, hi),
         )
 
     @staticmethod
@@ -632,7 +612,7 @@ class Observable:
 
     def evaluate(self, x: Fraction) -> Fraction:
         x = mod1(x)
-        i = _locate(self.breakpoints, self._bps_float, x)
+        i = locate(self.breakpoints, self._hints, x.numerator, x.denominator)
         return self.values[i] + self._slopes[i] * (x - self.breakpoints[i])
 
     def __call__(self, x: Fraction) -> Fraction:

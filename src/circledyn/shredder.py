@@ -35,13 +35,15 @@ class ShredConfig:
 
     ``cells`` is the coarse cell count (must satisfy the fineness condition
     (Lip(f)+1)/cells < eps), ``subdivisions`` the per-cell subcell count
-    (must exceed 1/eps); the collar half-width is min(1, eps)/4 subcells.
+    (must exceed 1/eps); the collar half-width is eps/4 subcells.
     """
 
     cells: int | None = None
     subdivisions: int | None = None
 
-    def resolved(self, f: PLCircleMap, eps: Fraction) -> "ResolvedConfig":
+    def resolved(self, f: PLCircleMap, eps: Fraction) -> "ShredConfig":
+        """This config with ``cells`` and ``subdivisions`` filled in and
+        checked for f at scale eps."""
         lip = f.lipschitz
         min_cells = math.floor((lip + 1) / eps) + 1
         cells = self.cells if self.cells is not None else min_cells
@@ -67,17 +69,7 @@ class ShredConfig:
                 f"{cells} cells x {subs} subdivisions would give {breakpoints} "
                 f"breakpoints, above the breakpoint cap {DEFAULT_BREAKPOINT_CAP}"
             )
-        sub_len = Fraction(1, cells * subs)
-        delta = min(sub_len / 4, eps * sub_len / 4)
-        return ResolvedConfig(cells, subs, delta, sub_len)
-
-
-@dataclass(frozen=True)
-class ResolvedConfig:
-    cells: int
-    subdivisions: int
-    delta: Fraction
-    subcell_length: Fraction
+        return ShredConfig(cells, subs)
 
 
 @dataclass(frozen=True)
@@ -203,13 +195,10 @@ def shred(
     if not (ZERO < eps < ONE):
         raise InvalidInput("eps must lie in (0, 1)")
     rc = (cfg or ShredConfig()).resolved(f, eps)
-    n_cells, n_subs, delta, sub_len = (
-        rc.cells,
-        rc.subdivisions,
-        rc.delta,
-        rc.subcell_length,
-    )
+    n_cells, n_subs = rc.cells, rc.subdivisions
     cell_len = Fraction(1, n_cells)
+    sub_len = Fraction(1, n_cells * n_subs)
+    delta = eps * sub_len / 4
 
     cells = tuple(Arc(Fraction(i, n_cells), cell_len) for i in range(n_cells))
     subcells = tuple(
@@ -549,10 +538,7 @@ def birkhoff_gap_bound(
     label, _ = home
     cyc = report.cycles[label]
     k = len(cyc)
-    orbit = [x]
-    for _ in range(k - 1):
-        orbit.append(g.evaluate(orbit[-1]))
-    gamma = sum((phi.evaluate(p) for p in orbit), start=ZERO) / k
+    gamma = sum((phi.evaluate(p) for p in g.orbit(x, k)), start=ZERO) / k
     osc = max(phi.oscillation_on_arc(w) for w in cyc)
     r = n % k
     norm = phi.sup_norm

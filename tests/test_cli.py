@@ -532,6 +532,25 @@ def test_tented_rotation_gives_farey_bracket(tmp_path, capsys, argv, stdout):
     else:
         rec = json.loads((tmp_path / "out" / "classification.json").read_text())
         assert rec["wonderful"]["status"] == "inconclusive"
+        for verdict in rec.values():
+            assert verdict["evidence"]["rotation_bracket"] == ["55/184", "29/97"]
+
+
+def test_classify_writes_basins_as_rationals(tmp_path, capsys):
+    # fixed points 0, 1/4, 1/2, 3/4; 1/4 and 3/4 attract, each from half
+    # the circle
+    h = PLCircleMap(
+        [F(k, 8) for k in range(9)],
+        [F(0), F(3, 16), F(1, 4), F(5, 16), F(1, 2), F(11, 16), F(3, 4), F(13, 16), F(1)],
+    )
+    path = tmp_path / "h.json"
+    path.write_text(formats.dumps(formats.map_to_record(h)))
+    assert main(["--out-dir", str(tmp_path / "out"), "classify", str(path), "--grid", "2"]) == 0
+    rec = json.loads((tmp_path / "out" / "classification.json").read_text())
+    evidence = rec["wonderful"]["evidence"]
+    assert evidence["basins"] == [["1/4", "1/2"], ["3/4", "1/2"]]
+    assert evidence["rotation_number"] == "0"
+    assert evidence["basin_coverage"] == "1"
 
 
 def test_rotation_search_growth_cap_exits_resource(tmp_path, capsys, monkeypatch):

@@ -1,14 +1,14 @@
 """Float-decided cell location against the always-exact loops it replaced.
 
-``plmaps._locate`` (a Fraction point among Fraction breakpoints) and
-``orbits._cell`` (a point p/q among breakpoints as integer pairs) decide the
-cell by the correctly rounded float of the point against the float hints,
-and compare exactly only when the point's float equals a hint.  The
-references below are the earlier loops, which fixed up the float bisection
-by exact comparisons in both directions on every call.  The inputs stress
-the ties: breakpoints closer than the float spacing, so that several share
-a hint; points on a breakpoint and within 2^-70 of one; points whose float
-rounds to 1.0; and 0.
+``exact.locate`` decides the cell of a point p/q among Fraction breakpoints
+by the correctly rounded float of p/q against the float hints, and compares
+exactly only when the point's float equals a hint.  The references below
+are the earlier loops, which fixed up the float bisection by exact
+comparisons in both directions on every call: ``ref_locate`` on a Fraction
+point, ``ref_cell`` on p/q by integer cross-products.  The inputs stress the
+ties: breakpoints closer than the float spacing, so that several share a
+hint, some with the float 1.0; points on a breakpoint and within 2^-70 of
+one; points whose float rounds to 1.0; 0 and 1; and p/q not reduced.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledyn.orbits import _cell
-from circledyn.plmaps import _locate
+from circledyn.exact import locate
 
 F = Fraction
 TINY = F(1, 2**70)
@@ -115,47 +114,34 @@ def check_cell(bps, i, x):
 # properties
 
 
-@settings(max_examples=500, deadline=None)
+@settings(max_examples=1000, deadline=None)
 @given(st.data())
 def test_locate_matches_exact_reference(data):
     bps = data.draw(clustered_breakpoints())
-    hints = [float(b) for b in bps]
-    for _ in range(8):
-        x = data.draw(located_points(bps))
-        i = _locate(bps, hints, x)
-        assert i == ref_locate(bps, hints, x)
-        check_cell(bps, i, x)
-    # x = 1 is in the last piece
-    assert _locate(bps, hints, F(1)) == ref_locate(bps, hints, F(1)) == len(bps) - 2
-
-
-@settings(max_examples=500, deadline=None)
-@given(st.data())
-def test_cell_matches_exact_reference(data):
-    bps = data.draw(clustered_breakpoints())
     cuts = [(b.numerator, b.denominator) for b in bps]
     hints = [float(b) for b in bps[:-1]]
-    for _ in range(8):
-        x = data.draw(located_points(bps))
+    # x = 1 is in the last piece
+    for x in [*(data.draw(located_points(bps)) for _ in range(8)), F(1)]:
         # p/q need not be reduced
         m = data.draw(st.sampled_from([1, 3, 2**40]))
         p, q = x.numerator * m, x.denominator * m
-        i = _cell(cuts, hints, p, q)
-        assert i == ref_cell(cuts, hints, p, q)
-        check_cell(bps, i, x)
+        i = locate(bps, hints, p, q)
+        assert i == ref_locate(bps, [*hints, 1.0], x) == ref_cell(cuts, hints, p, q)
+        if x < 1:
+            check_cell(bps, i, x)
+        else:
+            assert i == len(bps) - 2
 
 
 def test_tied_hints_are_decided_exactly():
     # three breakpoints and the point between each pair share one float
     c = F(1, 3)
     bps = [F(0), c - TINY, c, c + TINY, F(1)]
-    hints = [float(b) for b in bps]
+    hints = [float(b) for b in bps[:-1]]
     assert hints[1] == hints[2] == hints[3]
-    cuts = [(b.numerator, b.denominator) for b in bps]
     for x, want in [
         (c - 2 * TINY, 0), (c - TINY, 1), (c - TINY / 2, 1),
         (c, 2), (c + TINY / 2, 2), (c + TINY, 3), (c + 2 * TINY, 3),
     ]:
         assert float(x) == hints[2]
-        assert _locate(bps, hints, x) == want
-        assert _cell(cuts, hints[:-1], x.numerator, x.denominator) == want
+        assert locate(bps, hints, x.numerator, x.denominator) == want

@@ -138,7 +138,7 @@ def ref_walk(f, x, n_max, denominator_bit_cap):
         (s.numerator, s.denominator, v.numerator, v.denominator)
         for s, v in zip(f._slopes, f.lift_values)
     ]
-    hints = f._bps_float[:-1]
+    hints = f._hints
     seen = {}
     p, q = x.numerator, x.denominator
     step = 0
@@ -164,7 +164,8 @@ def ref_walk(f, x, n_max, denominator_bit_cap):
 
 def ref_sums(self, points):
     """One Fraction per (observable, denominator q)."""
-    cuts, hints = self.cuts, self.hints
+    cuts = [(b.numerator, b.denominator) for b in self.cuts]
+    hints = self.hints
     n_cells = len(cuts) - 1
     stats = {}
     for p, q in points:
