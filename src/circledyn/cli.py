@@ -36,7 +36,7 @@ from .formats import (
 from .measures import CircleMeasure, _capped, cesaro
 from .orbits import orbit_averages
 from .plmaps import Observable, PLCircleMap
-from .shredder import ShredConfig, shred, verify_shredding
+from .shredder import ShredConfig, ShredVerification, shred, verify_shredding
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -103,6 +103,17 @@ def _finish(args, inputs: list[str], written: dict[Path, str]) -> None:
     )
 
 
+def _verdict_table(verification: ShredVerification) -> str:
+    """One line per trapping item: key, verdict, slack and detail."""
+    lines = []
+    for key in ("i", "ii", "iii", "iv", "v"):
+        v = verification.items[key]
+        verdict = "pass" if v.passed else "FAIL"
+        slack = "-" if v.slack is None else v.slack
+        lines.append(f"{key:4}  {verdict:7}  {slack}  {v.detail}\n")
+    return "".join(lines)
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -124,9 +135,7 @@ def cmd_shred(args: argparse.Namespace) -> int:
         f"regions: {report.region_count}",
         "item  verdict  slack  detail",
     ]
-    for key, verdict, slack, detail in verification.summary_rows():
-        lines.append(f"{key:4}  {verdict:7}  {slack}  {detail}")
-    table = "\n".join(lines) + "\n"
+    table = "\n".join(lines) + "\n" + _verdict_table(verification)
     sys.stdout.write(table)
     _finish(
         args,
@@ -144,8 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     g = map_from_record(_load_json(args.map))
     report = report_from_record(_load_json(args.report))
     verification = verify_shredding(g, report)
-    for key, verdict, slack, detail in verification.summary_rows():
-        sys.stdout.write(f"{key:4}  {verdict:7}  {slack}  {detail}\n")
+    sys.stdout.write(_verdict_table(verification))
     return EXIT_OK if verification.all_passed else EXIT_VERIFICATION
 
 
@@ -257,13 +265,14 @@ def cmd_rotation(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _evidence_value(key: str, val: object) -> object:
-    """JSON form of one classify evidence entry: the rotation bracket and
-    the basins as 'num/den' strings, everything else as its ``str``."""
-    if key == "rotation_bracket":
-        return [format_rational(x) for x in val]
-    if key == "basins":
-        return [[format_rational(rep), format_rational(mass)] for rep, mass in val]
+def _evidence_value(val: object) -> object:
+    """JSON form of one classify evidence entry: a rational as a 'num/den'
+    string, a tuple or list as a list of converted items, anything else as
+    its ``str``."""
+    if isinstance(val, Fraction):
+        return format_rational(val)
+    if isinstance(val, (tuple, list)):
+        return [_evidence_value(v) for v in val]
     return str(val)
 
 
@@ -289,7 +298,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         label: {
             "status": v.status,
             "evidence": {
-                k: _evidence_value(k, val)
+                k: _evidence_value(val)
                 for k, val in v.evidence.items()
                 if k != "gap_rows"
             },

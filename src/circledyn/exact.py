@@ -156,16 +156,6 @@ class Arc:
             return [(self.start, hi)] if self.length > ZERO else []
         return [(self.start, ONE), (ZERO, hi - ONE)]
 
-    def shrink(self, delta: Fraction) -> "Arc":
-        """Closed delta-interior [start+delta, end-delta] as an arc-like span.
-
-        Returned as a half-open arc over the same span; callers that need the
-        open/closed distinction use IntervalSet helpers.
-        """
-        if 2 * delta >= self.length:
-            raise ValueError("delta too large for arc")
-        return Arc(mod1(self.start + delta), self.length - 2 * delta)
-
 
 # ---------------------------------------------------------------------------
 # Interval sets with explicit endpoint topology.
@@ -253,10 +243,6 @@ class IntervalSet:
         return tuple(out)
 
     # -- constructors
-
-    @staticmethod
-    def empty() -> "IntervalSet":
-        return IntervalSet()
 
     @staticmethod
     def closed(lo: Fraction, hi: Fraction) -> "IntervalSet":

@@ -15,7 +15,7 @@ from .exact import ONE, ZERO, Arc, format_rational, parse_rational
 from .measures import CircleMeasure, CylinderSpec, _word_str
 from .partitions import ConsistentFamily
 from .plmaps import Observable, PLCircleMap
-from .shredder import Region, TrappingReport
+from .shredder import Region, TrappingReport, _grid
 
 
 # what reading a record of the wrong shape or with bad rationals raises
@@ -26,8 +26,8 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _rat(x: Fraction) -> str:
-    return format_rational(x)
+def _arc_record(a: Arc) -> dict:
+    return {"start": format_rational(a.start), "length": format_rational(a.length)}
 
 
 # -- maps
@@ -35,8 +35,8 @@ def _rat(x: Fraction) -> str:
 
 def map_to_record(f: PLCircleMap) -> dict:
     return {
-        "breakpoints": [_rat(b) for b in f.breakpoints],
-        "liftValues": [_rat(v) for v in f.lift_values],
+        "breakpoints": [format_rational(b) for b in f.breakpoints],
+        "liftValues": [format_rational(v) for v in f.lift_values],
     }
 
 
@@ -51,8 +51,8 @@ def map_from_record(rec: dict) -> PLCircleMap:
 
 def observable_to_record(phi: Observable) -> dict:
     return {
-        "breakpoints": [_rat(b) for b in phi.breakpoints],
-        "values": [_rat(v) for v in phi.values],
+        "breakpoints": [format_rational(b) for b in phi.breakpoints],
+        "values": [format_rational(v) for v in phi.values],
     }
 
 
@@ -71,10 +71,15 @@ def observable_from_record(rec: dict) -> Observable:
 def measure_to_record(mu: CircleMeasure) -> dict:
     return {
         "atoms": [
-            {"at": _rat(p), "mass": _rat(w)} for p, w in mu.atoms
+            {"at": format_rational(p), "mass": format_rational(w)}
+            for p, w in mu.atoms
         ],
         "pieces": [
-            {"start": _rat(lo), "length": _rat(hi - lo), "density": _rat(d)}
+            {
+                "start": format_rational(lo),
+                "length": format_rational(hi - lo),
+                "density": format_rational(d),
+            }
             for lo, hi, d in mu.pieces
         ],
     }
@@ -107,7 +112,7 @@ def spec_to_record(spec: CylinderSpec) -> dict:
         "ell": spec.ell,
         "p": spec.level,
         "values": {
-            _word_str(w, spec.ell): _rat(v)
+            _word_str(w, spec.ell): format_rational(v)
             for w, v in sorted(spec.values.items())
         },
     }
@@ -130,13 +135,7 @@ def family_to_record(fam: ConsistentFamily) -> dict:
     return {
         "ell": fam.ell,
         "depth": fam.depth,
-        "levels": [
-            [
-                {"start": _rat(c.start), "length": _rat(c.length)}
-                for c in level
-            ]
-            for level in fam.levels
-        ],
+        "levels": [[_arc_record(c) for c in level] for level in fam.levels],
     }
 
 
@@ -159,24 +158,35 @@ def family_from_record(rec: dict) -> ConsistentFamily:
 # -- trapping reports
 
 
-def _arc_record(a: Arc) -> dict:
-    return {"start": _rat(a.start), "length": _rat(a.length)}
+def _grid_record(report: TrappingReport) -> dict:
+    """The six fields of a report record that eps, tau and the subdivision
+    count fix: the grid of ``shredder._grid`` and the orbits of tau."""
+    m = report.subdivisions
+    delta, sub_len, inner_len, rows = _grid(report.eps, len(report.tau), m)
+    cell_s = format_rational(m * sub_len)
+    sub_s = format_rational(sub_len)
+    inner_s = format_rational(inner_len)
+    starts = [[format_rational(s) for s, _, _ in row] for row in rows]
+    return {
+        "delta": format_rational(delta),
+        "cells": [{"start": row[0], "length": cell_s} for row in starts],
+        "subcells": [
+            [{"start": s, "length": sub_s} for s in row] for row in starts
+        ],
+        "interiorCells": [
+            [{"start": format_rational(b), "length": inner_s} for _, b, _ in row]
+            for row in rows
+        ],
+        "anchors": [[format_rational(c) for _, _, c in row] for row in rows],
+        "orbits": [list(o) for o in report.orbits],
+    }
 
 
 def report_to_record(report: TrappingReport) -> dict:
     rec = {
-        "eps": _rat(report.eps),
-        "delta": _rat(report.delta),
-        "cells": [_arc_record(c) for c in report.cells],
-        "subcells": [
-            [_arc_record(c) for c in row] for row in report.subcells
-        ],
+        "eps": format_rational(report.eps),
         "tau": list(report.tau),
-        "interiorCells": [
-            [_arc_record(c) for c in row] for row in report.interior_cells
-        ],
-        "anchors": [[_rat(p) for p in row] for row in report.anchors],
-        "orbits": [list(o) for o in report.orbits],
+        **_grid_record(report),
         "regions": [
             {
                 "label": list(reg.label),
@@ -197,7 +207,7 @@ def report_to_record(report: TrappingReport) -> dict:
         rec["verification"] = {
             key: {
                 "passed": v.passed,
-                "slack": None if v.slack is None else _rat(v.slack),
+                "slack": None if v.slack is None else format_rational(v.slack),
                 "detail": v.detail,
             }
             for key, v in report.verification.items.items()
@@ -225,6 +235,8 @@ def _tau_from_record(value: Any) -> tuple[int, ...]:
 
 
 def report_from_record(rec: dict) -> TrappingReport:
+    """Read a report record; the fields that eps, tau and the subdivision
+    count fix must be exactly what ``report_to_record`` writes."""
     try:
         regions = tuple(
             Region(
@@ -240,24 +252,11 @@ def report_from_record(rec: dict) -> TrappingReport:
             )
             for c in rec["cycles"]
         }
+        subcells = rec["subcells"]
         report = TrappingReport(
             eps=parse_rational(rec["eps"]),
-            delta=parse_rational(rec["delta"]),
-            cells=tuple(_arc_from_record(a) for a in rec["cells"]),
-            subcells=tuple(
-                tuple(_arc_from_record(a) for a in row)
-                for row in rec["subcells"]
-            ),
             tau=_tau_from_record(rec["tau"]),
-            interior_cells=tuple(
-                tuple(_arc_from_record(a) for a in row)
-                for row in rec["interiorCells"]
-            ),
-            anchors=tuple(
-                tuple(parse_rational(p) for p in row)
-                for row in rec["anchors"]
-            ),
-            orbits=tuple(tuple(o) for o in rec["orbits"]),
+            subdivisions=len(subcells[0]) if subcells else 0,
             regions=regions,
             cycles=cycles,
         )
@@ -278,6 +277,22 @@ def report_from_record(rec: dict) -> TrappingReport:
         raise InvalidInput(
             f"malformed report record: region {missing[0]} has no cycles entry"
         )
+    n, m = len(report.tau), report.subdivisions
+    if not n or not m:
+        raise InvalidInput("malformed report record: tau and subcells must not be empty")
+    # the grid derived below is as large as the subcells the record holds
+    if len(subcells) != n or not all(
+        isinstance(row, list) and len(row) == m for row in subcells
+    ):
+        raise InvalidInput(
+            f"malformed report record: subcells is not {n} rows of {m} subcells"
+        )
+    for key, value in _grid_record(report).items():
+        if rec.get(key) != value:
+            raise InvalidInput(
+                f"malformed report record: {key} differs from what eps, tau "
+                f"and {m} subdivisions give"
+            )
     return report
 
 
@@ -295,5 +310,6 @@ def cdf_samples(mu: CircleMeasure, count: int = 256) -> list[tuple[str, str]]:
     rows = []
     for i in range(count + 1):
         x = Fraction(i, count)
-        rows.append((_rat(x), _rat(mu.cdf_closed(x) if x < 1 else mu.total_mass)))
+        y = mu.cdf_closed(x) if x < 1 else mu.total_mass
+        rows.append((format_rational(x), format_rational(y)))
     return rows

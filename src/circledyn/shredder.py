@@ -103,16 +103,15 @@ class ItemVerdict:
 
 @dataclass
 class TrappingReport:
-    """Everything the shredder built, plus verification results."""
+    """The certificate the shredder built, plus verification results.
+
+    ``eps``, ``tau`` and ``subdivisions`` fix the grid (see ``_grid``);
+    ``regions`` and ``cycles`` are what ``verify_shredding`` checks.
+    """
 
     eps: Fraction
-    delta: Fraction
-    cells: tuple[Arc, ...]
-    subcells: tuple[tuple[Arc, ...], ...]
     tau: tuple[int, ...]
-    interior_cells: tuple[tuple[Arc, ...], ...]
-    anchors: tuple[tuple[Fraction, ...], ...]
-    orbits: tuple[tuple[int, ...], ...]  # periodic orbits of tau
+    subdivisions: int
     regions: tuple[Region, ...]
     cycles: dict[tuple[int, int], tuple[Arc, ...]]
     verification: "ShredVerification | None" = None
@@ -120,6 +119,11 @@ class TrappingReport:
     @property
     def region_count(self) -> int:
         return len(self.regions)
+
+    @property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Periodic orbits of tau."""
+        return _tau_orbits(self.tau)[0]
 
 
 @dataclass
@@ -129,16 +133,6 @@ class ShredVerification:
     @property
     def all_passed(self) -> bool:
         return all(v.passed for v in self.items.values())
-
-    def summary_rows(self) -> list[tuple[str, str, str, str]]:
-        rows = []
-        for key in ("i", "ii", "iii", "iv", "v"):
-            v = self.items[key]
-            slack = "-" if v.slack is None else f"{v.slack}"
-            rows.append(
-                (key, "pass" if v.passed else "FAIL", slack, v.detail)
-            )
-        return rows
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +174,29 @@ def _tau_orbits(tau: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], list[i
     return tuple(orbits), [rank[c] for c in cycle_of]
 
 
+def _grid(eps: Fraction, n: int, m: int) -> tuple[Fraction, Fraction, Fraction, list]:
+    """The shredding grid of n cells of m subcells each at scale eps.
+
+    Subcell (i, j) starts at (i*m + j)/(n*m).  With delta = eps/(4*n*m), its
+    interior is [start + delta, start + 1/(n*m) - delta] and its anchor is
+    start + 1/(2*n*m).  Returns delta, the subcell length, the interior
+    length and, per cell, the (start, interior start, anchor) of each of its
+    subcells.
+    """
+    nm = n * m
+    sub_len = Fraction(1, nm)
+    delta = eps / (4 * nm)
+    half = Fraction(1, 2 * nm)
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(i * m, i * m + m):
+            start = Fraction(k, nm)
+            row.append((start, start + delta, start + half))
+        rows.append(row)
+    return delta, sub_len, sub_len - 2 * delta, rows
+
+
 def shred(
     f: PLCircleMap,
     eps: Fraction,
@@ -188,39 +205,21 @@ def shred(
     """Perturb f at scale eps into a map with small trapping regions.
 
     Returns the perturbed map g (c0-distance to f strictly below eps) and the
-    report describing cells, anchors, regions, and cycles.  Verification is
-    left to ``verify_shredding``.
+    report describing the grid, regions, and cycles.  Verification is left
+    to ``verify_shredding``.
     """
     eps = Fraction(eps)
     if not (ZERO < eps < ONE):
         raise InvalidInput("eps must lie in (0, 1)")
     rc = (cfg or ShredConfig()).resolved(f, eps)
     n_cells, n_subs = rc.cells, rc.subdivisions
-    cell_len = Fraction(1, n_cells)
-    sub_len = Fraction(1, n_cells * n_subs)
-    delta = eps * sub_len / 4
-
-    cells = tuple(Arc(Fraction(i, n_cells), cell_len) for i in range(n_cells))
-    subcells = tuple(
-        tuple(
-            Arc(Fraction(i, n_cells) + j * sub_len, sub_len)
-            for j in range(n_subs)
-        )
-        for i in range(n_cells)
-    )
-    interiors = tuple(
-        tuple(sc.shrink(delta) for sc in row) for row in subcells
-    )
-    anchors = tuple(tuple(sc.midpoint for sc in row) for row in subcells)
+    _, _, inner_len, grid = _grid(eps, n_cells, n_subs)
+    interiors = [[Arc(b, inner_len) for _, b, _ in row] for row in grid]
 
     # cell transition: where the midpoint of each cell lands
-    tau = []
-    mid_images = []
-    for i in range(n_cells):
-        y = f.evaluate(cells[i].midpoint)
-        mid_images.append(y)
-        tau.append(int(y * n_cells))  # floor: y in [t/n, (t+1)/n)
-    tau = tuple(tau)
+    mids = [Fraction(2 * i + 1, 2 * n_cells) for i in range(n_cells)]
+    # floor: y in [t/n, (t+1)/n)
+    tau = tuple(int(f.evaluate(x) * n_cells) for x in mids)
 
     # perturbed map: keep f at subcell boundaries, constant anchor on the
     # interior, affine collars; anchor lift representative chosen nearest the
@@ -228,12 +227,10 @@ def shred(
     bps: list[Fraction] = []
     vals: list[Fraction] = []
     for i in range(n_cells):
-        y_hat = f.lift_evaluate(cells[i].midpoint)
-        for j in range(n_subs):
-            a = subcells[i][j].start
-            target = anchors[tau[i]][j]
+        y_hat = f.lift_evaluate(mids[i])
+        for (a, b, _), (_, _, target) in zip(grid[i], grid[tau[i]]):
             a_hat = y_hat + signed_circle_offset(target, mod1(y_hat))
-            bps.extend([a, a + delta, a + sub_len - delta])
+            bps.extend([a, b, b + inner_len])
             vals.extend([f.lift_evaluate(a), a_hat, a_hat])
     bps.append(ONE)
     vals.append(f.lift_evaluate(ONE))
@@ -253,27 +250,17 @@ def shred(
                     cell_indices=members,
                 )
             )
-    cycles: dict[tuple[int, int], tuple[Arc, ...]] = {}
-    for r, orbit in enumerate(orbits):
-        alpha = min(orbit)
-        k = len(orbit)
-        chain = []
-        cur = alpha
-        for _ in range(k):
-            cur = tau[cur]
-            chain.append(cur)
-        for j in range(n_subs):
-            cycles[(r, j)] = tuple(interiors[i][j] for i in chain)
+    # cycle sets run from tau(alpha) round to alpha, the orbit's least member
+    cycles = {
+        (r, j): tuple(interiors[i][j] for i in orbit[1:] + orbit[:1])
+        for r, orbit in enumerate(orbits)
+        for j in range(n_subs)
+    }
 
     report = TrappingReport(
         eps=eps,
-        delta=delta,
-        cells=cells,
-        subcells=subcells,
         tau=tau,
-        interior_cells=interiors,
-        anchors=anchors,
-        orbits=orbits,
+        subdivisions=n_subs,
         regions=tuple(regions),
         cycles=cycles,
     )

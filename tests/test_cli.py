@@ -6,13 +6,13 @@ from pathlib import Path
 import pytest
 
 from circledyn import classifier, formats
-from circledyn.cli import main
 from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map
 from circledyn.measures import CircleMeasure, CylinderSpec
 from circledyn.partitions import family_from_homeo
 from circledyn.plmaps import Observable, PLCircleMap
-from circledyn.shredder import shred, verify_shredding
+from circledyn.cli import figure3_map, main
+from circledyn.shredder import ShredConfig, shred, verify_shredding
 
 from conftest import random_pl_homeo, random_pl_map
 
@@ -73,6 +73,27 @@ class TestFormats:
         assert report2.cycles == report.cycles
         assert verify_shredding(g, report2).all_passed
 
+    @pytest.mark.parametrize("eps", [F(1, 2), F(1, 5), F(1, 10)])
+    @pytest.mark.parametrize("name", ["e2", "e3", "random"])
+    def test_report_record_round_trips(self, name, eps, rng):
+        if name == "random":
+            f = random_pl_map(rng, n_break=5, degree=1, den=16)
+        else:
+            f = expanding_map(int(name[1]))
+        _, report = shred(f, eps)
+        rec = json.loads(formats.dumps(formats.report_to_record(report)))
+        assert formats.report_from_record(rec) == report
+
+    @pytest.mark.parametrize("cells, subdivisions", [(7, 3), (16, 5), (40, 3)])
+    def test_report_record_round_trips_explicit_grid(self, cells, subdivisions):
+        _, report = shred(
+            expanding_map(2), F(1, 2), ShredConfig(cells, subdivisions)
+        )
+        assert report.subdivisions == subdivisions
+        rec = formats.report_to_record(report)
+        assert len(rec["cells"]) == cells
+        assert formats.report_from_record(rec) == report
+
     def test_observable_roundtrip(self):
         phi = Observable.tent(F(3, 8))
         rec = formats.observable_to_record(phi)
@@ -130,6 +151,12 @@ class TestCli:
         out = capsys.readouterr().out
         assert code == 0
         assert "trapping regions: 8" in out
+
+    def test_demo_report_reads_back(self, workdir):
+        assert main(["--out-dir", str(workdir / "out"), "demo", "--figure3"]) == 0
+        rec = json.loads((workdir / "out" / "demo_report.json").read_text())
+        _, report = shred(figure3_map(), F(3, 4), ShredConfig(cells=5, subdivisions=4))
+        assert formats.report_from_record(rec) == report
 
     def test_shred_identity(self, workdir, capsys):
         code = main(
@@ -484,6 +511,45 @@ class TestReportSoundness:
         assert f"invalid input: malformed report record: region {label} has no arcs" in err
 
 
+    @pytest.mark.parametrize(
+        "field, tamper",
+        [
+            ("anchors", lambda rec: rec["anchors"][3].__setitem__(1, "1/3")),
+            ("delta", lambda rec: rec.__setitem__("delta", "1/1000")),
+            (
+                "interiorCells",
+                lambda rec: rec["interiorCells"][2][0].__setitem__("length", "1/97"),
+            ),
+            ("subcells", lambda rec: rec["subcells"].pop()),
+            ("cells", lambda rec: rec["cells"][1].__setitem__("start", "1/17")),
+            ("orbits", lambda rec: rec["orbits"][0].append(1)),
+            # a new scale inside (0, 1) no longer matches the stored delta
+            ("delta", lambda rec: rec.__setitem__("eps", "1/4")),
+        ],
+        ids=["anchors", "delta", "interiorCells", "subcells", "cells", "orbits", "eps"],
+    )
+    def test_grid_field_that_eps_tau_and_subcells_do_not_give_is_invalid(
+        self, workdir, capsys, field, tamper
+    ):
+        rec = self._shred(workdir, "shred")
+        tamper(rec)
+        capsys.readouterr()
+        assert self._verify(workdir, "badgrid", rec) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"invalid input: malformed report record: {field} " in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("tau", []), ("subcells", []), ("subcells", [[]])]
+    )
+    def test_empty_tau_or_subcells_is_invalid(self, workdir, capsys, field, value):
+        rec = self._shred(workdir, "shred")
+        rec[field] = value
+        capsys.readouterr()
+        assert self._verify(workdir, "emptygrid", rec) == 2
+        err = capsys.readouterr().err
+        assert "malformed report record: tau and subcells must not be empty" in err
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -549,8 +615,8 @@ def test_classify_writes_basins_as_rationals(tmp_path, capsys):
     rec = json.loads((tmp_path / "out" / "classification.json").read_text())
     evidence = rec["wonderful"]["evidence"]
     assert evidence["basins"] == [["1/4", "1/2"], ["3/4", "1/2"]]
-    assert evidence["rotation_number"] == "0"
-    assert evidence["basin_coverage"] == "1"
+    assert evidence["rotation_number"] == "0/1"
+    assert evidence["basin_coverage"] == "1/1"
 
 
 def test_rotation_search_growth_cap_exits_resource(tmp_path, capsys, monkeypatch):

@@ -54,8 +54,7 @@ def test_region_count_formula(rng):
     for f in [PLCircleMap.identity(), expanding_map(2), random_pl_map(rng)]:
         g, report = shred(f, F(1, 5))
         s = len(report.orbits)
-        n_subs = len(report.subcells[0])
-        assert report.region_count == s * n_subs
+        assert report.region_count == s * report.subdivisions
 
 
 def test_figure3_eight_regions():
@@ -93,13 +92,8 @@ def test_handbuilt_trapping_arc_passes_item_i():
     arc = Arc(F(1, 4), F(1, 4))
     report = TrappingReport(
         eps=F(1, 2),
-        delta=F(1, 100),
-        cells=(Arc.full(),),
-        subcells=((arc,),),
         tau=(0,),
-        interior_cells=((arc,),),
-        anchors=((arc.midpoint,),),
-        orbits=((0,),),
+        subdivisions=1,
         regions=(Region(label=(0, 0), arcs=(arc,), cell_indices=(0,)),),
         cycles={(0, 0): (arc,)},
     )
@@ -174,7 +168,7 @@ class TestBirkhoffBracket:
 
     def test_point_outside_cycles_rejected(self):
         g, report = shred(expanding_map(2), F(1, 2))
-        outside = report.subcells[0][0].start  # boundary point, not interior
+        outside = F(0)  # start of subcell (0, 0): a boundary point, not interior
         with pytest.raises(InvalidInput):
             birkhoff_gap_bound(g, report, Observable.tent(F(0)), outside, 10)
 
@@ -293,13 +287,8 @@ ABSORBED = ("v", True, F(1, 8), "cycles absorb the regions")
 def _report(regions, cycles):
     return TrappingReport(
         eps=F(3, 4),
-        delta=F(1, 100),
-        cells=(),
-        subcells=(),
         tau=(0, 1),
-        interior_cells=(),
-        anchors=(),
-        orbits=(),
+        subdivisions=1,
         regions=tuple(
             Region(label=label, arcs=arcs, cell_indices=())
             for label, arcs in regions
