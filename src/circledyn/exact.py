@@ -2,9 +2,15 @@
 
 Everything here is arbitrary-precision rational arithmetic via
 ``fractions.Fraction``.  Circle points are Fractions normalized into [0, 1);
-arcs are half-open ``[start, start+length)`` taken mod 1.  Floats appear
-only in ``locate``, as hints that a strict comparison trusts and a tie
-checks exactly.
+arcs are half-open ``[start, start+length)`` taken mod 1.
+
+One float rule: the correctly rounded float of a rational is a hint.
+Rounding is monotone, so a strict order between two floats holds between
+the rationals, and only a float tie is settled by an exact comparison.
+Floats decide nothing else and are never returned.  The rule is applied by
+``locate`` (the cell of a point among breakpoints) and by the order of
+``IntervalSet`` ends (sorting, merging and the interval that can hold a
+point); ``PLCircleMap.preimage_of_set`` keys its piece index the same way.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from math import lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
@@ -24,7 +30,9 @@ HALF = Fraction(1, 2)
 
 def mod1(x: Fraction) -> Fraction:
     """Reduce a rational to its representative in [0, 1)."""
-    return x - (x.numerator // x.denominator)
+    k = x.numerator // x.denominator
+    # subtracting a zero would rebuild a Fraction for nothing
+    return x - k if k else x
 
 
 def circle_dist(x: Fraction, y: Fraction) -> Fraction:
@@ -42,10 +50,18 @@ def signed_circle_offset(x: Fraction, y: Fraction) -> Fraction:
 def parse_rational(text: str) -> Fraction:
     """Parse a 'num/den' (or plain integer) string.
 
-    Malformed text and a zero denominator raise ``InvalidInput``.
+    Malformed text and a zero denominator raise ``InvalidInput``.  What
+    ``Fraction`` accepts is accepted, with the same value: decimal digits
+    with an optional sign, '/' and decimal digits are read as two integers,
+    and anything else is left to ``Fraction``.
     """
     try:
-        return Fraction(text.strip())
+        body = text.strip()
+        num, slash, den = body.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if slash and digits.isdecimal() and den.isdecimal():
+            return Fraction(int(num), int(den))
+        return Fraction(body)
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not a rational number: {text!r}") from exc
 
@@ -71,24 +87,29 @@ def format_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def locate(bps: Sequence[Fraction], hints: Sequence[float], p: int, q: int) -> int:
-    """Index i with bps[i] <= p/q < bps[i+1], for 0 <= p/q <= 1 (the last
-    piece at p/q = 1), decided by floats.
+def locate(keys: Sequence[Fraction], hints: Sequence[float], p: int, q: int) -> int:
+    """The last index i < len(hints) with keys[i] <= p/q, or -1 when
+    keys[0] > p/q, decided by floats.
 
-    ``bps`` are the breakpoints 0 = b0 < ... < bm = 1 and ``hints`` the
-    correctly rounded floats of b0, ..., b(m-1); ``p / q`` is correctly
+    ``keys`` strictly increase and ``hints`` are the correctly rounded
+    floats of the first len(hints) of them; ``p / q`` (q > 0) is correctly
     rounded too, and p/q need not be reduced.  Rounding is monotone, so a
     strict float inequality holds exactly: bisection puts p/q strictly below
-    bps[i+1] (and below bm = 1, which has no hint).  Tie rule: only when the
-    float of p/q equals hints[i] is bps[i] compared exactly, by two integer
-    products, and the index moves down while bps[i] > p/q; breakpoints
-    closer than the float spacing share a hint, so the walk down may take
-    several steps.  Cost one integer division and one bisection, plus one
-    exact comparison per tied hint.
+    every key whose hint is above its float.  Tie rule: only when the float
+    of p/q equals hints[i] is keys[i] compared exactly, by two integer
+    products, and the index moves down while keys[i] > p/q; keys closer than
+    the float spacing share a hint, so the walk down may take several steps.
+    Cost one integer division and one bisection, plus one exact comparison
+    per tied hint.
+
+    For a map's breakpoints 0 = b0 < ... < bm = 1 and the hints of b0, ...,
+    b(m-1), and 0 <= p/q <= 1, this is the piece with bps[i] <= p/q <
+    bps[i+1] (the last piece at p/q = 1).  ``IntervalSet`` locates a point
+    among the low ends of its intervals the same way.
     """
     x = p / q
     i = bisect_right(hints, x) - 1
-    while hints[i] == x and i and bps[i].numerator * q > p * bps[i].denominator:
+    while i >= 0 and hints[i] == x and keys[i].numerator * q > p * keys[i].denominator:
         i -= 1
     return i
 
@@ -191,9 +212,6 @@ class Iv:
         return True
 
 
-_LO = attrgetter("lo")
-
-
 class IntervalSet:
     """Finite union of intervals in [0, 1] with exact endpoint topology.
 
@@ -205,40 +223,50 @@ class IntervalSet:
     Invariant the queries rely on: both ``lo`` and ``hi`` strictly increase
     along ``ivs``, and each interval ends no later than the next one starts.
     So the only interval that can hold a point x is the last one with
-    ``lo <= x``, found by bisection; a scan is never needed.
+    ``lo <= x``, found by ``locate`` on the floats of the low ends, which a
+    set builds on its first query; a scan is never needed.
     """
 
-    __slots__ = ("ivs",)
+    __slots__ = ("ivs", "_index")
 
     def __init__(self, ivs: Iterable[Iv] = ()):
         self.ivs: tuple[Iv, ...] = self._canonical(list(ivs))
+        # the low ends and their floats, for locate
+        self._index: tuple[list[Fraction], list[float]] | None = None
 
     @staticmethod
     def _canonical(items: list[Iv]) -> tuple[Iv, ...]:
         if len(items) < 2:
             return tuple(items)
-        items = sorted(items, key=lambda iv: (iv.lo, not iv.lo_closed))
-        out: list[Iv] = []
-        for iv in items:
-            if not out:
-                out.append(iv)
-                continue
-            last = out[-1]
+        # floats decide the order of two ends unless they tie (see locate):
+        # sort by lo, closed before open, comparing Fractions on a float tie
+        items.sort(
+            key=lambda iv: (iv.lo.numerator / iv.lo.denominator, iv.lo, not iv.lo_closed)
+        )
+        last = items[0]
+        hi_f = last.hi.numerator / last.hi.denominator  # the float of last.hi
+        out = [last]
+        for iv in items[1:]:
+            lo_f = iv.lo.numerator / iv.lo.denominator
             # merge when overlapping or touching with at least one closed end
-            if iv.lo < last.hi or (
-                iv.lo == last.hi and (iv.lo_closed or last.hi_closed)
+            if lo_f < hi_f or lo_f == hi_f and (
+                iv.lo < last.hi
+                or iv.lo == last.hi and (iv.lo_closed or last.hi_closed)
             ):
-                if iv.hi > last.hi:
-                    hi, hic = iv.hi, iv.hi_closed
-                elif iv.hi == last.hi:
-                    hi, hic = last.hi, last.hi_closed or iv.hi_closed
-                else:
-                    hi, hic = last.hi, last.hi_closed
-                lo, loc = last.lo, last.lo_closed or (
-                    iv.lo == last.lo and iv.lo_closed
-                )
-                out[-1] = Iv(lo, loc, hi, hic)
+                # last.lo <= iv.lo, and closed sorts first at an equal lo,
+                # so last keeps its low end; only its high end can grow
+                f = iv.hi.numerator / iv.hi.denominator
+                if f > hi_f or f == hi_f and iv.hi > last.hi:
+                    last = out[-1] = Iv(last.lo, last.lo_closed, iv.hi, iv.hi_closed)
+                    hi_f = f
+                elif (
+                    f == hi_f and iv.hi_closed and not last.hi_closed
+                    and iv.hi == last.hi
+                ):
+                    last = out[-1] = Iv(last.lo, last.lo_closed, last.hi, True)
             else:
+                last = iv
+                hi_f = iv.hi.numerator / iv.hi.denominator
                 out.append(iv)
         return tuple(out)
 
@@ -292,11 +320,23 @@ class IntervalSet:
         return IntervalSet(self.ivs + other.ivs)
 
     def measure(self) -> Fraction:
-        return sum((iv.hi - iv.lo for iv in self.ivs), start=ZERO)
+        """Total length, summed as integers over one common denominator."""
+        den = lcm(*(x.denominator for iv in self.ivs for x in (iv.lo, iv.hi)))
+        return Fraction(
+            sum(
+                den // iv.hi.denominator * iv.hi.numerator
+                - den // iv.lo.denominator * iv.lo.numerator
+                for iv in self.ivs
+            ),
+            den,
+        )
 
     def _candidate(self, x: Fraction) -> Iv | None:
         """The last interval with lo <= x: the only one that can hold x."""
-        i = bisect_right(self.ivs, x, key=_LO) - 1
+        if self._index is None:
+            los = [iv.lo for iv in self.ivs]
+            self._index = los, [lo.numerator / lo.denominator for lo in los]
+        i = locate(*self._index, x.numerator, x.denominator)
         return self.ivs[i] if i >= 0 else None
 
     def contains_point(self, x: Fraction) -> bool:

@@ -182,7 +182,17 @@ def _grid_record(report: TrappingReport) -> dict:
     }
 
 
+def _region_cells(
+    basins: tuple[tuple[int, ...], ...], label: tuple[int, ...]
+) -> list[int] | None:
+    """The ``cells`` of a region record: the tau basin of the orbit its label
+    names, or None when the label names no orbit."""
+    r = label[0] if label else -1
+    return list(basins[r]) if 0 <= r < len(basins) else None
+
+
 def report_to_record(report: TrappingReport) -> dict:
+    basins = report.basins
     rec = {
         "eps": format_rational(report.eps),
         "tau": list(report.tau),
@@ -190,7 +200,7 @@ def report_to_record(report: TrappingReport) -> dict:
         "regions": [
             {
                 "label": list(reg.label),
-                "cells": list(reg.cell_indices),
+                "cells": _region_cells(basins, reg.label),
                 "arcs": [_arc_record(a) for a in reg.arcs],
             }
             for reg in report.regions
@@ -236,13 +246,13 @@ def _tau_from_record(value: Any) -> tuple[int, ...]:
 
 def report_from_record(rec: dict) -> TrappingReport:
     """Read a report record; the fields that eps, tau and the subdivision
-    count fix must be exactly what ``report_to_record`` writes."""
+    count fix, and the cells of each region, must be exactly what
+    ``report_to_record`` writes."""
     try:
         regions = tuple(
             Region(
                 label=_label_from_record(r["label"]),
                 arcs=tuple(_arc_from_record(a) for a in r["arcs"]),
-                cell_indices=tuple(r["cells"]),
             )
             for r in rec["regions"]
         )
@@ -292,6 +302,14 @@ def report_from_record(rec: dict) -> TrappingReport:
             raise InvalidInput(
                 f"malformed report record: {key} differs from what eps, tau "
                 f"and {m} subdivisions give"
+            )
+    basins = report.basins
+    for reg, r in zip(regions, rec["regions"]):
+        cells, want = r.get("cells"), _region_cells(basins, reg.label)
+        if want is None or cells != want or any(type(c) is not int for c in cells):
+            raise InvalidInput(
+                f"malformed report record: cells of region {reg.label} are "
+                f"not the tau basin of its orbit"
             )
     return report
 

@@ -108,10 +108,6 @@ class CircleMeasure:
         return CircleMeasure(pieces=[(ZERO, ONE, ONE)])
 
     @staticmethod
-    def dirac(p: Fraction) -> "CircleMeasure":
-        return CircleMeasure(atoms=[(p, ONE)])
-
-    @staticmethod
     def convex_combination(
         parts: Sequence[tuple[Fraction, "CircleMeasure"]]
     ) -> "CircleMeasure":
@@ -494,21 +490,6 @@ def _capped(mu: CircleMeasure, cap: int | None) -> CircleMeasure:
     if mu.complexity > cap:
         raise ResourceCap(f"measure complexity {mu.complexity} exceeds cap {cap}")
     return mu
-
-
-def neighborhood_member(
-    mu: CircleMeasure,
-    observables: Sequence[Observable],
-    targets: Sequence[Fraction],
-    epsilons: Sequence[Fraction],
-) -> bool:
-    """Membership in a weak*-basis neighborhood given by finitely many tests."""
-    if not (len(observables) == len(targets) == len(epsilons)):
-        raise InvalidInput("observables, targets, epsilons must align")
-    for phi, t, e in zip(observables, targets, epsilons):
-        if abs(mu.integrate(phi) - t) >= e:
-            return False
-    return True
 
 
 def dirac_periodic(f: PLCircleMap, p: Fraction, k: int) -> CircleMeasure:

@@ -174,10 +174,16 @@ class PLCircleMap:
     def lift_evaluate(self, t: Fraction) -> Fraction:
         """Affine interpolant of the lift, extended by F(t+1) = F(t) + degree."""
         k = t.numerator // t.denominator
-        t0 = t - k
-        i = locate(self.breakpoints, self._hints, t0.numerator, t0.denominator)
-        base = self.lift_values[i] + self._slopes[i] * (t0 - self.breakpoints[i])
-        return base + k * self.degree
+        # adding, subtracting or multiplying by a zero would rebuild a
+        # Fraction for nothing
+        if k:
+            t = t - k
+        i = locate(self.breakpoints, self._hints, t.numerator, t.denominator)
+        value, slope, b = self.lift_values[i], self._slopes[i], self.breakpoints[i]
+        if slope and t != b:
+            value = value + slope * (t - b)
+        shift = k * self.degree
+        return value + shift if shift else value
 
     def _walk(self, lo: Fraction, hi: Fraction) -> tuple[list[Fraction], list[Fraction]]:
         """Cuts and lift values over [lo, hi]; see ``_lift_walk``."""

@@ -78,7 +78,6 @@ class Region:
 
     label: tuple[int, int]  # (orbit index r, subdivision j)
     arcs: tuple[Arc, ...]  # open delta-interiors
-    cell_indices: tuple[int, ...]
 
     def measure(self) -> Fraction:
         return sum((a.length for a in self.arcs), start=ZERO)
@@ -124,6 +123,12 @@ class TrappingReport:
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Periodic orbits of tau."""
         return _tau_orbits(self.tau)[0]
+
+    @property
+    def basins(self) -> tuple[tuple[int, ...], ...]:
+        """The cells tau carries into each orbit, in increasing order; the
+        region labelled (r, j) lies over the cells of basin r."""
+        return _tau_basins(self.tau)
 
 
 @dataclass
@@ -172,6 +177,16 @@ def _tau_orbits(tau: Sequence[int]) -> tuple[tuple[tuple[int, ...], ...], list[i
         start = cyc.index(min(cyc))
         orbits.append(tuple(cyc[start:] + cyc[:start]))
     return tuple(orbits), [rank[c] for c in cycle_of]
+
+
+def _tau_basins(tau: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """Per periodic orbit of tau (in ``_tau_orbits`` order), the cells of its
+    basin in increasing order."""
+    orbits, basin = _tau_orbits(tau)
+    members: list[list[int]] = [[] for _ in orbits]
+    for i, r in enumerate(basin):
+        members[r].append(i)
+    return tuple(map(tuple, members))
 
 
 def _grid(eps: Fraction, n: int, m: int) -> tuple[Fraction, Fraction, Fraction, list]:
@@ -236,24 +251,15 @@ def shred(
     vals.append(f.lift_evaluate(ONE))
     g = PLCircleMap(bps, vals)
 
-    orbits, basin = _tau_orbits(tau)
-    basins: list[list[int]] = [[] for _ in orbits]
-    for i, r in enumerate(basin):
-        basins[r].append(i)
-    regions = []
-    for r, members in enumerate(map(tuple, basins)):
-        for j in range(n_subs):
-            regions.append(
-                Region(
-                    label=(r, j),
-                    arcs=tuple(interiors[i][j] for i in members),
-                    cell_indices=members,
-                )
-            )
+    regions = [
+        Region(label=(r, j), arcs=tuple(interiors[i][j] for i in members))
+        for r, members in enumerate(_tau_basins(tau))
+        for j in range(n_subs)
+    ]
     # cycle sets run from tau(alpha) round to alpha, the orbit's least member
     cycles = {
         (r, j): tuple(interiors[i][j] for i in orbit[1:] + orbit[:1])
-        for r, orbit in enumerate(orbits)
+        for r, orbit in enumerate(_tau_orbits(tau)[0])
         for j in range(n_subs)
     }
 
@@ -295,13 +301,16 @@ def verify_shredding(
     items: dict[str, ItemVerdict] = {}
     n_steps = len(report.tau)
 
-    # one closed image per distinct arc; regions and cycles share them
-    arc_images: dict[Arc, IntervalSet] = {}
+    # one closed image per distinct arc; regions and cycles share them.  The
+    # key is the arc's four integers: a Fraction hash costs a modular inverse
+    arc_images: dict[tuple[int, int, int, int], IntervalSet] = {}
 
     def image(arc: Arc) -> IntervalSet:
-        img = arc_images.get(arc)
+        a, b = arc.start, arc.length
+        key = a.numerator, a.denominator, b.numerator, b.denominator
+        img = arc_images.get(key)
         if img is None:
-            img = arc_images[arc] = g.image_of_set(IntervalSet.from_arc_closed(arc))
+            img = arc_images[key] = g.image_of_set(IntervalSet.from_arc_closed(arc))
         return img
 
     region_open = {reg.label: reg.open_set() for reg in report.regions}

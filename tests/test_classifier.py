@@ -9,6 +9,7 @@ from circledyn.classifier import (
     rotation_number,
 )
 from circledyn.errors import InvalidInput
+from circledyn.exact import ONE
 from circledyn.expanding import expanding_map, wicked_perturb
 from circledyn.measures import CircleMeasure, CylinderSpec, cesaro
 from circledyn.orbits import orbit_averages
@@ -85,7 +86,7 @@ class TestBasinDecomposition:
         pm = bd.physical_measures[0]
         assert pm.orbit_representative == F(1, 2)
         assert pm.basin_measure == 1
-        assert pm.measure == CircleMeasure.dirac(F(1, 2))
+        assert pm.measure == CircleMeasure(atoms=[(F(1, 2), ONE)])
         assert bd.periodic_set_measure == 0
 
     def test_rigid_half_rotation(self):

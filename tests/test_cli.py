@@ -512,6 +512,31 @@ class TestReportSoundness:
 
 
     @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda cells: "x",
+            lambda cells: [None],
+            lambda cells: cells[:-1],
+            lambda cells: [*cells[:-1], cells[-1] + 1],
+            lambda cells: [float(c) for c in cells],
+        ],
+        ids=["string", "null", "member-dropped", "member-moved", "floats"],
+    )
+    def test_region_cells_that_are_not_its_tau_basin_are_invalid(
+        self, workdir, capsys, tamper
+    ):
+        rec = self._shred(workdir, "shred")
+        region = rec["regions"][1]
+        assert len(region["cells"]) > 1
+        region["cells"] = tamper(region["cells"])
+        capsys.readouterr()
+        assert self._verify(workdir, "badcells", rec) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        label = tuple(region["label"])
+        assert f"malformed report record: cells of region {label} " in err
+
+    @pytest.mark.parametrize(
         "field, tamper",
         [
             ("anchors", lambda rec: rec["anchors"][3].__setitem__(1, "1/3")),

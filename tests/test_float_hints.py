@@ -1,0 +1,359 @@
+"""Float-decided interval sets, parsing and lift evaluation against the
+always-exact code they replaced.
+
+``IntervalSet`` orders, merges and searches its ends by their correctly
+rounded floats and compares Fractions only when two floats tie (the rule of
+``exact.locate``); ``parse_rational`` reads 'num/den' by an integer split;
+``mod1`` and ``PLCircleMap.lift_evaluate`` skip arithmetic with a zero.  The
+references below are the earlier exact versions, kept here as they were
+apart from taking a tuple of intervals in place of a set; the lift
+reference finds its piece by exact bisection.  The inputs stress the
+float ties: ends k/2^60 + j/2^70 that share one float, points within 2^-70
+of an end, values whose float is 1.0, the seam 0 ~ 1, and every pair of
+endpoint flags.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_right
+from fractions import Fraction
+from operator import attrgetter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from circledyn.errors import InvalidInput
+from circledyn.exact import ONE, ZERO, IntervalSet, Iv, mod1, parse_rational
+from circledyn.plmaps import PLCircleMap
+
+F = Fraction
+TINY = F(1, 2**70)
+_LO = attrgetter("lo")
+
+
+# ---------------------------------------------------------------------------
+# references
+
+
+def ref_canonical(items: list[Iv]) -> tuple[Iv, ...]:
+    if len(items) < 2:
+        return tuple(items)
+    items = sorted(items, key=lambda iv: (iv.lo, not iv.lo_closed))
+    out: list[Iv] = []
+    for iv in items:
+        if not out:
+            out.append(iv)
+            continue
+        last = out[-1]
+        # merge when overlapping or touching with at least one closed end
+        if iv.lo < last.hi or (
+            iv.lo == last.hi and (iv.lo_closed or last.hi_closed)
+        ):
+            if iv.hi > last.hi:
+                hi, hic = iv.hi, iv.hi_closed
+            elif iv.hi == last.hi:
+                hi, hic = last.hi, last.hi_closed or iv.hi_closed
+            else:
+                hi, hic = last.hi, last.hi_closed
+            lo, loc = last.lo, last.lo_closed or (
+                iv.lo == last.lo and iv.lo_closed
+            )
+            out[-1] = Iv(lo, loc, hi, hic)
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+def ref_measure(ivs) -> Fraction:
+    return sum((iv.hi - iv.lo for iv in ivs), start=ZERO)
+
+
+def ref_candidate(ivs, x):
+    i = bisect_right(ivs, x, key=_LO) - 1
+    return ivs[i] if i >= 0 else None
+
+
+def ref_contains_point(ivs, x) -> bool:
+    x = x - (x.numerator // x.denominator)
+    host = ref_candidate(ivs, x)
+    if host is not None and host.contains(x):
+        return True
+    if x != ZERO:
+        return False
+    host = ref_candidate(ivs, ONE)
+    return host is not None and host.contains(ONE)
+
+
+def ref_covers(ivs, other) -> bool:
+    return all(ref_covers_iv(ivs, iv) for iv in other)
+
+
+def ref_covers_iv(ivs, target: Iv) -> bool:
+    if target.lo == target.hi:
+        return ref_contains_point(ivs, target.lo)
+    pos = target.lo
+    pos_needed_closed = target.lo_closed
+    while True:
+        host = ref_candidate(ivs, pos)
+        if host is not None and not (
+            pos < host.hi
+            and (host.lo < pos or host.lo_closed or not pos_needed_closed)
+        ):
+            host = None
+        if host is None:
+            if pos_needed_closed and ref_contains_point(ivs, pos):
+                pos_needed_closed = False
+                continue
+            return False
+        if host.hi > target.hi:
+            return True
+        if host.hi == target.hi:
+            if host.hi_closed or not target.hi_closed:
+                return True
+            return target.hi == ONE and ref_contains_point(ivs, ZERO)
+        pos = host.hi
+        pos_needed_closed = not host.hi_closed
+
+
+def ref_min_gap(ivs, inner) -> Fraction:
+    seam = (
+        bool(ivs)
+        and ivs[0].lo == ZERO < ivs[0].hi
+        and ivs[-1].lo < ONE == ivs[-1].hi
+        and (ivs[0].lo_closed or ivs[-1].hi_closed)
+    )
+    best = None
+    for iv in inner:
+        host = ref_candidate(ivs, iv.lo)
+        if host is not None and iv.hi <= host.hi:
+            left, right = iv.lo - host.lo, host.hi - iv.hi
+            if seam and host.lo == ZERO:
+                left += ONE - ivs[-1].lo
+            if seam and host.hi == ONE:
+                right += ivs[0].hi
+            for gap in (left, right):
+                if best is None or gap < best:
+                    best = gap
+    if best is None:
+        raise ValueError("inner set not covered interval-by-interval")
+    return best
+
+
+def ref_parse_rational(text: str) -> Fraction:
+    try:
+        return Fraction(text.strip())
+    except (AttributeError, ValueError, ZeroDivisionError) as exc:
+        raise InvalidInput(f"not a rational number: {text!r}") from exc
+
+
+def ref_mod1(x: Fraction) -> Fraction:
+    return x - (x.numerator // x.denominator)
+
+
+def ref_lift_evaluate(f: PLCircleMap, t: Fraction) -> Fraction:
+    """The affine formula on the piece found by exact bisection."""
+    bps = f.breakpoints
+    k = t.numerator // t.denominator
+    t0 = t - k
+    i = min(bisect_right(bps, t0) - 1, len(bps) - 2)
+    slope = (f.lift_values[i + 1] - f.lift_values[i]) / (bps[i + 1] - bps[i])
+    return f.lift_values[i] + slope * (t0 - bps[i]) + k * f.degree
+
+
+# ---------------------------------------------------------------------------
+# inputs
+
+
+@st.composite
+def tied_ends(draw) -> list[Fraction]:
+    """Sorted points of [0, 1] in clusters narrower than the float spacing.
+
+    Each cluster is a centre (k/2^60, a small-denominator rational, 0, or 1)
+    plus offsets j/2^70, so its members share one float or straddle two;
+    1 - j/2^70 has the float 1.0.  The seam ends 0 and 1 are always there.
+    """
+    centres = draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 2**60 - 1).map(lambda k: F(k, 2**60)),
+                st.tuples(st.integers(1, 40), st.integers(2, 41))
+                .filter(lambda t: t[0] < t[1])
+                .map(lambda t: F(*t)),
+                st.sampled_from([ZERO, ONE]),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5, unique=True))
+    ends = {ZERO, ONE, *(c + j * TINY for c in centres for j in offsets)}
+    return sorted(e for e in ends if 0 <= e <= 1)
+
+
+@st.composite
+def tied_ivs(draw, ends) -> list[Iv]:
+    """Intervals between the given ends, with every pair of flags and
+    single points."""
+    ivs = []
+    for _ in range(draw(st.integers(0, 7))):
+        a, b = sorted(draw(st.lists(st.sampled_from(ends), min_size=2, max_size=2)))
+        if a == b:
+            ivs.append(Iv(a, True, a, True))
+        else:
+            ivs.append(Iv(a, draw(st.booleans()), b, draw(st.booleans())))
+    return ivs
+
+
+@st.composite
+def near_points(draw, ends) -> Fraction:
+    """An end, a point within 2^-70 of one, a float-1.0 point, 0 or 1."""
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        return draw(st.sampled_from([ZERO, ONE]))
+    if kind == 1:
+        return 1 - draw(st.integers(1, 2**10)) * TINY
+    e = draw(st.sampled_from(ends))
+    if kind == 2:
+        return e
+    x = e + draw(st.integers(-(2**10) + 1, 2**10 - 1)) * TINY / 2**10
+    return x if 0 <= x <= 1 else e
+
+
+# ---------------------------------------------------------------------------
+# properties
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_canonical_form_and_union_match_exact_reference(data):
+    ends = data.draw(tied_ends())
+    parts = [data.draw(tied_ivs(ends)) for _ in range(data.draw(st.integers(1, 3)))]
+    items = [iv for part in parts for iv in part]
+    want = ref_canonical(list(items))
+    assert IntervalSet(items).ivs == want
+    assert IntervalSet.union_all(IntervalSet(p) for p in parts).ivs == want
+    assert IntervalSet(parts[0]).union(IntervalSet(items)).ivs == want
+    assert IntervalSet(items).measure() == ref_measure(want)
+
+
+def _gap_outcome(gap, *args):
+    try:
+        return gap(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_queries_match_exact_reference(data):
+    ends = data.draw(tied_ends())
+    s = IntervalSet(data.draw(tied_ivs(ends)))
+    other = IntervalSet(data.draw(tied_ivs(ends)))
+    for _ in range(6):
+        x = data.draw(near_points(ends))
+        assert s.contains_point(x) == ref_contains_point(s.ivs, x)
+    for t in (other, *(IntervalSet([iv]) for iv in other.ivs)):
+        assert s.covers(t) == ref_covers(s.ivs, t.ivs)
+        # the gap raises ValueError where no interval of t lies inside one
+        # interval of s
+        assert _gap_outcome(s.min_gap_to_boundary, t) == _gap_outcome(
+            ref_min_gap, s.ivs, t.ivs
+        )
+
+
+def test_tied_ends_are_ordered_exactly():
+    # five ends share the float of 1/3; a float tie decides nothing
+    c = F(1, 3)
+    lo, mid, hi = c - TINY, c, c + TINY
+    assert float(lo) == float(mid) == float(hi)
+    s = IntervalSet([Iv(mid, False, hi, True), Iv(lo, True, mid, False)])
+    assert s.ivs == (Iv(lo, True, mid, False), Iv(mid, False, hi, True))
+    assert not s.contains_point(mid)
+    assert s.contains_point(mid - TINY / 2) and s.contains_point(mid + TINY / 2)
+    assert not s.covers(IntervalSet.closed(lo, hi))
+    assert IntervalSet([Iv(lo, True, mid, True), Iv(mid, False, hi, True)]).ivs == (
+        Iv(lo, True, hi, True),
+    )
+
+
+PARSE_CASES = [
+    "1/2", " 1/2", "1/2 ", "\t3/4\n", "1/-2", "1 / 2", "1/ 2", "1 /2", "+3/4",
+    "-3/4", "--3/4", "+-3/4", "-0/5", "1_0/3", "10/3_0", "1__0/3", "1e3",
+    "1.5", "1.5/2", "3", "-3", "1/0", "0/0", "-1/0", "/2", "1/", "+/2", "",
+    " ", "1//2", "1/2/3", "0x1/2", "١/٢", "²/3", "1/²",
+    "007/010", "inf", "nan", "1/2 x",
+]
+
+
+def _outcome(parse, text):
+    try:
+        value = parse(text)
+    except InvalidInput as exc:
+        return "InvalidInput", str(exc)
+    return type(value), value
+
+
+@pytest.mark.parametrize("text", PARSE_CASES)
+def test_parse_rational_matches_fraction(text):
+    assert _outcome(parse_rational, text) == _outcome(ref_parse_rational, text)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(
+        st.sampled_from(list("0123456789+-/_ .e١²")),
+        max_size=10,
+    ).map("".join)
+)
+def test_parse_rational_matches_fraction_on_any_text(text):
+    assert _outcome(parse_rational, text) == _outcome(ref_parse_rational, text)
+
+
+def test_parse_rational_rejects_what_is_not_text():
+    for value in (None, 3, F(1, 2)):
+        assert _outcome(parse_rational, value) == _outcome(ref_parse_rational, value)
+
+
+rationals = st.one_of(
+    st.fractions(),
+    st.integers(-(2**80), 2**80).map(F),
+    st.tuples(st.integers(-5, 5), st.integers(1, 2**10)).map(
+        lambda t: t[0] + 1 - t[1] * TINY
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(rationals)
+def test_mod1_matches_exact_reference(x):
+    r = mod1(x)
+    assert type(r) is Fraction and r == ref_mod1(x)
+    assert 0 <= r < 1
+
+
+@st.composite
+def plateau_maps(draw) -> PLCircleMap:
+    """PL maps of degree -2..3 with plateaus and breakpoints in float-tied
+    clusters."""
+    inner = [e for e in draw(tied_ends()) if 0 < e < 1]
+    bps = [ZERO, *inner, ONE]
+    vals = [F(draw(st.integers(-60, 60)), 20)]
+    for _ in bps[1:]:
+        if draw(st.integers(0, 2)) == 0:
+            vals.append(vals[-1])
+        else:
+            vals.append(F(draw(st.integers(-60, 60)), 20) + draw(st.integers(-3, 3)) * TINY)
+    vals[-1] = vals[0] + draw(st.integers(-2, 3))
+    return PLCircleMap(bps, vals)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_lift_evaluate_matches_exact_reference(data):
+    f = data.draw(plateau_maps())
+    ends = list(f.breakpoints)
+    for _ in range(6):
+        t = data.draw(near_points(ends)) + data.draw(st.integers(-3, 3))
+        assert f.lift_evaluate(t) == ref_lift_evaluate(f, t)
+        assert f.evaluate(t) == ref_mod1(ref_lift_evaluate(f, ref_mod1(t)))

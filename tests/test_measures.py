@@ -5,14 +5,13 @@ from itertools import product
 import pytest
 
 from circledyn.errors import InvalidInput, ResourceCap
-from circledyn.exact import Arc
+from circledyn.exact import ONE, Arc
 from circledyn.expanding import expanding_map
 from circledyn.measures import (
     CircleMeasure,
     CylinderSpec,
     cesaro,
     dirac_periodic,
-    neighborhood_member,
     _word_count,
 )
 from circledyn.plmaps import Observable, PLCircleMap
@@ -51,7 +50,8 @@ class TestPushforward:
 
     def test_dirac(self):
         f = expanding_map(2)
-        assert CircleMeasure.dirac(F(1, 3)).pushforward(f) == CircleMeasure.dirac(F(2, 3))
+        mu = CircleMeasure(atoms=[(F(1, 3), ONE)])
+        assert mu.pushforward(f) == CircleMeasure(atoms=[(F(2, 3), ONE)])
 
     def test_flat_piece_makes_atom(self, lebesgue):
         # constant value 3/8 on [1/4, 1/2), an arc of measure 1/4
@@ -70,7 +70,7 @@ class TestPushforward:
 
     def test_linearity(self, rng, lebesgue):
         f = random_pl_map(rng, degree=2)
-        nu = CircleMeasure.dirac(F(1, 7))
+        nu = CircleMeasure(atoms=[(F(1, 7), ONE)])
         a = F(1, 3)
         mix = CircleMeasure.convex_combination([(a, lebesgue), (1 - a, nu)])
         lhs = mix.pushforward(f)
@@ -104,7 +104,7 @@ class TestCesaro:
 
     def test_half_rotation_dirac(self):
         rot = PLCircleMap.rotation(F(1, 2))
-        avg = cesaro(rot, CircleMeasure.dirac(F(0)), 2)
+        avg = cesaro(rot, CircleMeasure(atoms=[(F(0), ONE)]), 2)
         assert avg == CircleMeasure(
             atoms=[(F(0), F(1, 2)), (F(1, 2), F(1, 2))]
         )
@@ -149,7 +149,7 @@ class TestCylinderVector:
         assert all(v == F(1, 8) for v in spec.values.values())
 
     def test_dirac(self):
-        spec = CircleMeasure.dirac(F(0)).cylinder_vector(2, 2)
+        spec = CircleMeasure(atoms=[(F(0), ONE)]).cylinder_vector(2, 2)
         assert spec.value((0, 0)) == 1
         assert sum(spec.values.values()) == 1
 
@@ -165,7 +165,8 @@ class TestCylinderVector:
 class TestDistances:
     def test_w1_examples(self, lebesgue):
         assert lebesgue.w1_distance(lebesgue) == 0
-        assert CircleMeasure.dirac(F(0)).w1_distance(CircleMeasure.dirac(F(1, 2))) == F(1, 2)
+        mu, nu = (CircleMeasure(atoms=[(p, ONE)]) for p in (F(0), F(1, 2)))
+        assert mu.w1_distance(nu) == F(1, 2)
 
     def test_spec_distance_example(self):
         assert CylinderSpec.lebesgue(2, 3).distance(CylinderSpec.dirac_zero(2, 3)) == F(7, 8)
@@ -173,29 +174,6 @@ class TestDistances:
     def test_spec_distance_dimension_mismatch(self):
         with pytest.raises(InvalidInput):
             CylinderSpec.lebesgue(2, 2).distance(CylinderSpec.lebesgue(2, 3))
-
-
-class TestNeighborhood:
-    def test_self_membership(self, lebesgue):
-        phis = [Observable.tent(F(j, 4)) for j in range(4)]
-        targets = [lebesgue.integrate(p) for p in phis]
-        eps = [F(1, 100)] * 4
-        assert neighborhood_member(lebesgue, phis, targets, eps)
-
-    def test_dirac_outside(self, lebesgue):
-        phi = Observable.tent(F(1, 2))
-        target = lebesgue.integrate(phi)
-        assert not neighborhood_member(
-            CircleMeasure.dirac(F(0)), [phi], [target], [F(1, 4)]
-        )
-
-    def test_monotone_in_epsilon(self, rng, lebesgue):
-        mu = CircleMeasure.dirac(F(1, 3))
-        phi = Observable.tent(F(0))
-        target = lebesgue.integrate(phi)
-        small = neighborhood_member(mu, [phi], [target], [F(1, 10)])
-        big = neighborhood_member(mu, [phi], [target], [F(9, 10)])
-        assert big or not small
 
 
 class TestRestrictNormalize:
@@ -208,7 +186,7 @@ class TestRestrictNormalize:
 
     def test_zero_mass_rejected(self):
         with pytest.raises(InvalidInput):
-            CircleMeasure.dirac(F(0)).restrict_normalize([Arc(F(1, 4), F(1, 4))])
+            CircleMeasure(atoms=[(F(0), ONE)]).restrict_normalize([Arc(F(1, 4), F(1, 4))])
 
     def test_cesaro_split_identity(self, rng, lebesgue):
         # exact decomposition of the Cesaro average by a conditioning set
@@ -232,7 +210,8 @@ class TestRestrictNormalize:
 
 class TestDiracPeriodic:
     def test_fixed_point(self):
-        assert dirac_periodic(expanding_map(2), F(0), 1) == CircleMeasure.dirac(F(0))
+        mu = dirac_periodic(expanding_map(2), F(0), 1)
+        assert mu == CircleMeasure(atoms=[(F(0), ONE)])
 
     def test_rotation_orbit(self):
         rot = PLCircleMap.rotation(F(1, 2))

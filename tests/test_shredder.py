@@ -94,7 +94,7 @@ def test_handbuilt_trapping_arc_passes_item_i():
         eps=F(1, 2),
         tau=(0,),
         subdivisions=1,
-        regions=(Region(label=(0, 0), arcs=(arc,), cell_indices=(0,)),),
+        regions=(Region(label=(0, 0), arcs=(arc,)),),
         cycles={(0, 0): (arc,)},
     )
     verification = verify_shredding(g, report)
@@ -289,10 +289,7 @@ def _report(regions, cycles):
         eps=F(3, 4),
         tau=(0, 1),
         subdivisions=1,
-        regions=tuple(
-            Region(label=label, arcs=arcs, cell_indices=())
-            for label, arcs in regions
-        ),
+        regions=tuple(Region(label=label, arcs=arcs) for label, arcs in regions),
         cycles=cycles,
     )
 
