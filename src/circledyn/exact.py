@@ -10,7 +10,10 @@ the rationals, and only a float tie is settled by an exact comparison.
 Floats decide nothing else and are never returned.  The rule is applied by
 ``locate`` (the cell of a point among breakpoints) and by the order of
 ``IntervalSet`` ends (sorting, merging and the interval that can hold a
-point); ``PLCircleMap.preimage_of_set`` keys its piece index the same way.
+point).  In ``plmaps`` the PL graph constructor checks that breakpoints
+strictly increase and ``PLCircleMap.c0_distance`` merges two breakpoint
+tuples by the same rule, and ``PLCircleMap.preimage_of_set`` keys its piece
+index the same way.
 """
 
 from __future__ import annotations

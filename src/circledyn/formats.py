@@ -49,13 +49,6 @@ def map_from_record(rec: dict) -> PLCircleMap:
     return PLCircleMap(bps, vals)
 
 
-def observable_to_record(phi: Observable) -> dict:
-    return {
-        "breakpoints": [format_rational(b) for b in phi.breakpoints],
-        "values": [format_rational(v) for v in phi.values],
-    }
-
-
 def observable_from_record(rec: dict) -> Observable:
     try:
         bps = [parse_rational(s) for s in rec["breakpoints"]]

@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import InvalidInput
 from .exact import HALF, ONE, ZERO, Arc, mod1
 from .measures import CylinderSpec, _word_str
-from .plmaps import PLCircleMap, sup_dist_to_int
+from .plmaps import PLCircleMap, affine_form, form_gap, sup_dist_to_int
 
 # the positive cells of one level: word -> (lift position, length)
 Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
@@ -146,10 +146,9 @@ class ConsistentFamily:
             value = 0
             for d in w:
                 value = value * self.ell + d
-            a_w = value * scale
-            slope = scale / length
+            line = affine_form(pos, value * scale, scale / length)
             cuts, lifts = g._walk(pos, pos + length)
-            sup = sup_dist_to_int([v - a_w - slope * (t - pos) for t, v in zip(cuts, lifts)])
+            sup = sup_dist_to_int([form_gap(v, line, t) for t, v in zip(cuts, lifts)])
             if sup > best:
                 best = sup
             if best == HALF:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import itemgetter
 from typing import Sequence
 
@@ -34,20 +33,49 @@ _KEY = itemgetter(0)
 
 
 def _pl_graph(breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-    """Validated breakpoints, values, slopes and ``locate`` hints (the floats
-    of all breakpoints but 1) of a PL graph over [0, 1]."""
+    """Validated breakpoints, values, slopes, ``locate`` hints (the floats
+    of all breakpoints but 1) and bends (the indices of the breakpoints
+    where the slope changes) of a PL graph over [0, 1].
+
+    The order check follows the float rule of ``exact``: the floats of two
+    neighbours decide their order unless they tie, and a tie is settled by
+    an integer cross product.  Each slope is one Fraction built from the
+    numerators and denominators of its piece's ends, and a flat piece gets
+    ``ZERO``; two slopes are compared by the cross product of those
+    integers.
+    """
     bps = tuple(as_fraction(b) for b in breakpoints)
     vals = tuple(as_fraction(v) for v in values)
     if len(bps) != len(vals) or len(bps) < 2:
         raise InvalidInput("need equally many breakpoints and values, at least two")
     if bps[0] != ZERO or bps[-1] != ONE:
         raise InvalidInput("breakpoints must start at 0 and end at 1")
-    if any(bps[i] >= bps[i + 1] for i in range(len(bps) - 1)):
-        raise InvalidInput("breakpoints must be strictly increasing")
-    slopes = [
-        (vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)
-    ]
-    return bps, vals, slopes, [float(b) for b in bps[:-1]]
+    hints = [0.0]
+    slopes = []
+    bends = []
+    p0, q0, h0 = 0, 1, 0.0
+    n0, d0 = vals[0].numerator, vals[0].denominator
+    s_num, s_den = None, 1
+    for i, (b, v) in enumerate(zip(bps[1:], vals[1:])):
+        p1, q1 = b.numerator, b.denominator
+        h1 = p1 / q1
+        if h1 <= h0 and (h1 < h0 or p1 * q0 <= p0 * q1):
+            raise InvalidInput("breakpoints must be strictly increasing")
+        n1, d1 = v.numerator, v.denominator
+        # (n1/d1 - n0/d0) / (p1/q1 - p0/q0) over integers
+        num = (n1 * d0 - n0 * d1) * q0 * q1
+        if num:
+            den = d0 * d1 * (p1 * q0 - p0 * q1)
+            slopes.append(Fraction(num, den))
+        else:
+            den = 1
+            slopes.append(ZERO)
+        if i and num * s_den != s_num * den:
+            bends.append(i)
+        hints.append(h1)
+        p0, q0, h0, n0, d0, s_num, s_den = p1, q1, h1, n1, d1, num, den
+    hints.pop()
+    return bps, vals, slopes, hints, bends
 
 
 def _walk_ends(bps, hints, lo: Fraction, hi: Fraction):
@@ -84,8 +112,12 @@ def _lift_walk(bps, vals, slopes, degree: int, lo: Fraction, hi: Fraction, ends)
     ``_walk_ends``).  Cost O(log |bps| + output).
     """
     k_lo, t_lo, p, k_hi, t_hi, q = ends
-    v_lo = vals[p] if t_lo == bps[p] else vals[p] + slopes[p] * (t_lo - bps[p])
-    v_hi = vals[q] if t_hi == bps[q] else vals[q] + slopes[q] * (t_hi - bps[q])
+    # a flat piece, or an end on a breakpoint, needs no slope product
+    v_lo, v_hi = vals[p], vals[q]
+    if slopes[p] and t_lo != bps[p]:
+        v_lo = v_lo + slopes[p] * (t_lo - bps[p])
+    if slopes[q] and t_hi != bps[q]:
+        v_hi = v_hi + slopes[q] * (t_hi - bps[q])
     cuts, lifts = [lo], [v_lo + k_lo * degree if k_lo * degree else v_lo]
     start = p + 1
     for k in range(k_lo, k_hi + 1):
@@ -112,18 +144,22 @@ class PLCircleMap:
         breakpoints: Sequence[Fraction],
         lift_values: Sequence[Fraction],
     ):
-        bps, vals, slopes, hints = _pl_graph(breakpoints, lift_values)
-        deg = vals[-1] - vals[0]
-        if deg.denominator != 1:
-            raise InvalidInput(f"lift endpoint difference must be an integer, got {deg}")
+        bps, vals, slopes, hints, bends = _pl_graph(breakpoints, lift_values)
+        n0, d0 = vals[0].numerator, vals[0].denominator
+        n1, d1 = vals[-1].numerator, vals[-1].denominator
+        # two reduced fractions differ by an integer exactly when they share
+        # a denominator and their numerators agree modulo it
+        if d1 != d0 or (n1 - n0) % d0:
+            raise InvalidInput(
+                f"lift endpoint difference must be an integer, got {vals[-1] - vals[0]}"
+            )
         # canonical lift representative: F(0) in [0, 1)
-        shift = vals[0].numerator // vals[0].denominator
+        shift = n0 // d0
         if shift:
             vals = tuple(v - shift for v in vals)
         # drop breakpoint i exactly when the pieces on both sides of it share
         # a slope; a merged piece keeps that common slope
-        keep = [0]
-        keep.extend(i for i in range(1, len(slopes)) if slopes[i - 1] != slopes[i])
+        keep = [0, *bends]
         if len(keep) < len(slopes):
             slopes = [slopes[i] for i in keep]
             hints = [hints[i] for i in keep]
@@ -132,7 +168,7 @@ class PLCircleMap:
             vals = tuple(vals[i] for i in keep)
         self.breakpoints = bps
         self.lift_values = vals
-        self.degree = int(deg)
+        self.degree = (n1 - n0) // d0
         self._slopes = tuple(slopes)
         self._hints = hints
         self._preimages = None
@@ -209,22 +245,15 @@ class PLCircleMap:
     def _step_table(self) -> list[tuple[int, int, int]]:
         """Integer form of the map for orbit walks, built on first use.
 
-        Per piece i a triple (A, B, D) of integers with A/D the intercept
-        v_i - s_i*b_i mod 1 and B/D the slope s_i, so that
-        f(p/q) = ((A*q + B*p) mod D*q) / (D*q) for p/q on piece i.  Cost
+        The ``affine_form`` (A, B, D) of each piece, so that
+        f(p/q) = ((A*q + B*p) mod D*q) / (D*q) for p/q on the piece.  Cost
         O(pieces) once per map.
         """
         if self._steps is None:
-            steps = []
-            for b, v, s in zip(self.breakpoints, self.lift_values, self._slopes):
-                a = v - s * b
-                d = lcm(a.denominator, s.denominator)
-                steps.append((
-                    a.numerator * (d // a.denominator) % d,
-                    s.numerator * (d // s.denominator),
-                    d,
-                ))
-            self._steps = steps
+            self._steps = [
+                affine_form(b, v, s)
+                for b, v, s in zip(self.breakpoints, self.lift_values, self._slopes)
+            ]
         return self._steps
 
     # -- constructors
@@ -313,30 +342,52 @@ class PLCircleMap:
     def c0_distance(self, other: "PLCircleMap") -> Fraction:
         """Exact sup over the circle of d(f(x), g(x)).
 
-        One merge walk over the two sorted breakpoint tuples: at a map's own
-        breakpoint its lift value is read by index, at the other map's
-        breakpoints it comes from the current piece's affine formula.
+        One merge walk over the two sorted breakpoint tuples, ordered by the
+        float rule of ``exact``: the hints decide unless they tie, and a tie
+        is settled by an integer cross product.  At a map's own breakpoint
+        its lift value is read by index, at the other map's breakpoints it
+        comes from the ``affine_form`` of the current piece, and each
+        difference is kept as an integer pair.
         """
         fb, fv, fs = self.breakpoints, self.lift_values, self._slopes
         gb, gv, gs = other.breakpoints, other.lift_values, other._slopes
+        # 1 closes both hint lists: a breakpoint whose float is 1.0 ties
+        # with it and is compared exactly
+        fh, gh = [*self._hints, 1.0], [*other._hints, 1.0]
         last = len(fb) - 1
         deltas = []
         i = j = 0
+        f_at = g_at = -1  # the pieces whose affine forms are held
         # both tuples start at 0 and end at 1: a breakpoint ahead of the
         # other map's next one lies inside that map's previous piece
         while True:
-            x, y = fb[i], gb[j]
+            x, y = fh[i], gh[j]
             if x == y:
-                deltas.append(fv[i] - gv[j])
+                # a float tie: the cross products decide instead
+                b, c = fb[i], gb[j]
+                x, y = b.numerator * c.denominator, c.numerator * b.denominator
+            if x == y:
+                v, w = fv[i], gv[j]
+                deltas.append((
+                    v.numerator * w.denominator - w.numerator * v.denominator,
+                    v.denominator * w.denominator,
+                ))
                 if i == last:
                     break
                 i += 1
                 j += 1
             elif x < y:
-                deltas.append(fv[i] - (gv[j - 1] + gs[j - 1] * (x - gb[j - 1])))
+                if g_at != j - 1:
+                    g_at = j - 1
+                    g_form = affine_form(gb[g_at], gv[g_at], gs[g_at])
+                deltas.append(form_gap(fv[i], g_form, fb[i]))
                 i += 1
             else:
-                deltas.append(fv[i - 1] + fs[i - 1] * (y - fb[i - 1]) - gv[j])
+                if f_at != i - 1:
+                    f_at = i - 1
+                    f_form = affine_form(fb[f_at], fv[f_at], fs[f_at])
+                n, d = form_gap(gv[j], f_form, gb[j])
+                deltas.append((-n, d))
                 j += 1
         return sup_dist_to_int(deltas)
 
@@ -496,29 +547,61 @@ class PLCircleMap:
         return IntervalSet(out)
 
 
-def sup_dist_to_int(deltas: Sequence[Fraction]) -> Fraction:
+def affine_form(b: Fraction, v: Fraction, slope: Fraction) -> tuple[int, int, int]:
+    """Integers (A, B, D), D > 0, with v + slope*(t - b) = (A + B*t)/D.
+
+    At t = p/q the line's value is (A*q + B*p)/(D*q).  A flat line keeps
+    its value's own pair; neither A nor D is reduced otherwise.
+    """
+    n, d = v.numerator, v.denominator
+    if not slope:
+        return n, 0, d
+    p, q, sn, sd = b.numerator, b.denominator, slope.numerator, slope.denominator
+    return n * sd * q - sn * p * d, sn * d * q, d * sd * q
+
+
+def form_gap(v: Fraction, form: tuple[int, int, int], t: Fraction) -> tuple[int, int]:
+    """v - (A + B*t)/D for an ``affine_form`` (A, B, D), as an integer pair
+    (numerator, denominator > 0), not reduced."""
+    a, b, d = form
+    p, q = t.numerator, t.denominator
+    n, m = v.numerator, v.denominator
+    return n * d * q - m * (a * q + b * p), m * d * q
+
+
+def sup_dist_to_int(deltas: Sequence[tuple[int, int]]) -> Fraction:
     """Sup of the distance to the nearest integer over a polygon.
 
-    The polygon joins consecutive ``deltas`` by affine segments.  A segment
-    from u to v spans a half-integer exactly when an odd integer lies between
-    ceil(2 min(u, v)) and floor(2 max(u, v)); then the sup is 1/2.  The
-    floor and ceiling of each 2·delta are computed once, as integers.
+    The polygon joins consecutive ``deltas``, integer pairs (n, d) with
+    d > 0 standing for n/d, not necessarily reduced, by affine segments.
+    A segment from u to v spans a half-integer exactly when an odd integer
+    lies between ceil(2 min(u, v)) and floor(2 max(u, v)); then the sup is
+    1/2.  The floor and ceiling of each 2·delta are computed once, as
+    integers, the largest and smallest delta are tracked by cross
+    products, and at most two Fractions are built at the end.
     """
     prev_ce = prev_fl = None
-    for d in deltas:
-        twice, den = 2 * d.numerator, d.denominator
-        fl = twice // den
-        ce = -(-twice // den)
-        if prev_ce is not None:
+    hi_n = lo_n = None
+    for n, d in deltas:
+        twice = 2 * n
+        fl = twice // d
+        ce = -(-twice // d)
+        if prev_ce is None:
+            hi_n, hi_d = lo_n, lo_d = n, d
+        else:
             m_lo = min(ce, prev_ce)
             m_hi = max(fl, prev_fl)
             if m_lo <= m_hi and (m_lo % 2 == 1 or m_lo < m_hi):
                 return HALF
+            if n * hi_d > hi_n * d:
+                hi_n, hi_d = n, d
+            elif n * lo_d < lo_n * d:
+                lo_n, lo_d = n, d
         prev_ce, prev_fl = ce, fl
     # no value is a half-integer and no segment crosses one, so every value
-    # lies in the same band (k - 1/2, k + 1/2), where the distance is |d - k|
+    # lies in the same band (k - 1/2, k + 1/2), where the distance is |n/d - k|
     k = (prev_fl + 1) // 2
-    return max(max(deltas) - k, k - min(deltas))
+    return max(Fraction(hi_n - k * hi_d, hi_d), Fraction(k * lo_d - lo_n, lo_d))
 
 
 def _point(v: Fraction) -> Iv:
@@ -584,7 +667,7 @@ class Observable:
     __slots__ = ("breakpoints", "values", "_slopes", "_hints")
 
     def __init__(self, breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-        bps, vals, slopes, self._hints = _pl_graph(breakpoints, values)
+        bps, vals, slopes, self._hints, _ = _pl_graph(breakpoints, values)
         if vals[0] != vals[-1]:
             raise InvalidInput("observable must close up: value(1) == value(0)")
         self.breakpoints = bps

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap, VerificationFailure
 from .exact import (
@@ -72,6 +72,14 @@ class ShredConfig:
         return ShredConfig(cells, subs)
 
 
+def _length_sum(arcs: Iterable[Arc]) -> Fraction:
+    """Total length of the arcs, summed as integers over one common
+    denominator, as ``IntervalSet.measure`` sums its intervals."""
+    lengths = [a.length for a in arcs]
+    den = math.lcm(*(x.denominator for x in lengths))
+    return Fraction(sum(den // x.denominator * x.numerator for x in lengths), den)
+
+
 @dataclass(frozen=True)
 class Region:
     """One trapping region: interiors of the j-th subcells over a tau basin."""
@@ -80,7 +88,7 @@ class Region:
     arcs: tuple[Arc, ...]  # open delta-interiors
 
     def measure(self) -> Fraction:
-        return sum((a.length for a in self.arcs), start=ZERO)
+        return _length_sum(self.arcs)
 
     def open_set(self) -> IntervalSet:
         return IntervalSet.union_all(
@@ -347,7 +355,7 @@ def verify_shredding(
 
     # iii) regions cover measure > 1 - eps, and are pairwise disjoint
     covered = IntervalSet.union_all(region_open.values()).measure()
-    summed = sum((reg.measure() for reg in report.regions), start=ZERO)
+    summed = _length_sum(a for reg in report.regions for a in reg.arcs)
     detail_iii = f"m(union U) = {covered}"
     if summed != covered:
         detail_iii += (
@@ -487,7 +495,7 @@ def singularity_witness(
             "singularity witness requires a fully verified report"
         )
     arcs = tuple(a for reg in report.regions for a in reg.arcs)
-    m_v = sum((a.length for a in arcs), start=ZERO)
+    m_v = _length_sum(arcs)
     closed = IntervalSet.union_all(
         IntervalSet.from_arc_closed(a) for a in arcs
     )

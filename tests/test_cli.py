@@ -95,11 +95,15 @@ class TestFormats:
         assert formats.report_from_record(rec) == report
 
     def test_observable_roundtrip(self):
-        phi = Observable.tent(F(3, 8))
-        rec = formats.observable_to_record(phi)
-        phi2 = formats.observable_from_record(rec)
-        assert phi2.breakpoints == phi.breakpoints
-        assert phi2.values == phi.values
+        # a hand-written record of the tent at 3/8: peak 1, 0 at the antipode
+        rec = {
+            "breakpoints": ["0/1", "3/8", "7/8", "1/1"],
+            "values": ["1/4", "1/1", "0/1", "1/4"],
+        }
+        phi = formats.observable_from_record(rec)
+        tent = Observable.tent(F(3, 8))
+        assert phi.breakpoints == tent.breakpoints
+        assert phi.values == tent.values
 
     def test_malformed_rejected(self):
         with pytest.raises(InvalidInput):

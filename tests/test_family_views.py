@@ -22,14 +22,14 @@ from hypothesis import strategies as st
 
 from circledyn import formats
 from circledyn.errors import InvalidInput
-from circledyn.exact import HALF, ONE, ZERO, Arc, format_rational, mod1
+from circledyn.exact import HALF, ONE, ZERO, Arc, circle_dist, format_rational, mod1
 from circledyn.expanding import cesaro_cylinder, cylinder_pushforward, wicked_perturb
 from circledyn.measures import CylinderSpec
 from circledyn.partitions import (
     ConsistentFamily,
     family_from_homeo,
 )
-from circledyn.plmaps import PLCircleMap, sup_dist_to_int
+from circledyn.plmaps import PLCircleMap
 
 F = Fraction
 
@@ -163,9 +163,16 @@ def _sup_circle_distance_affine(
             t = b + k
             if lo < t < hi:
                 cuts.add(t)
-    return sup_dist_to_int(
-        [g.lift_evaluate(t) - (a0 + slope * (t - lo)) for t in sorted(cuts)]
-    )
+    deltas = [g.lift_evaluate(t) - (a0 + slope * (t - lo)) for t in sorted(cuts)]
+    best = circle_dist(deltas[0], ZERO)
+    for u, v in zip(deltas, deltas[1:]):
+        # the segment reaches distance 1/2 exactly when it spans an odd
+        # multiple of 1/2; otherwise the distance is largest at an end
+        m_lo, m_hi = math.ceil(2 * min(u, v)), math.floor(2 * max(u, v))
+        if m_lo <= m_hi and (m_lo % 2 == 1 or m_lo + 1 <= m_hi):
+            return HALF
+        best = max(best, circle_dist(u, ZERO), circle_dist(v, ZERO))
+    return best
 
 
 def ref_c0(ell: int, depth: int, tables, g: PLCircleMap) -> Fraction:

@@ -3,7 +3,11 @@
 ``PLCircleMap.c0_distance`` (a merge walk over the two breakpoint tuples),
 the constructor (one slope per raw piece) and ``_image_of_iv`` (interior
 lift values read by index) are compared with the plain evaluate-everywhere
-versions they replaced, which are kept here as references.
+versions they replaced, which are kept here as references, with the
+Fraction slope formula the constructor used before it worked on integer
+numerators and denominators.  Both the constructor's order check and the
+merge walk order breakpoints by their floats and compare exactly only on a
+float tie, so their inputs include breakpoints closer than float spacing.
 """
 
 from __future__ import annotations
@@ -12,12 +16,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from circledyn import formats
 from circledyn.errors import InvalidInput
 from circledyn.exact import HALF, ONE, ZERO, IntervalSet, Iv, circle_dist, mod1
-from circledyn.plmaps import PLCircleMap
+from circledyn.plmaps import PLCircleMap, _pl_graph
 
 F = Fraction
 
@@ -106,6 +111,60 @@ def reference_strip(bps, vals):
     return tuple(keep_b), tuple(keep_v), slopes
 
 
+def reference_slopes(bps, vals) -> list[Fraction]:
+    """The old slope formula: two Fraction subtractions and one division per
+    piece."""
+    return [(vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)]
+
+
+@st.composite
+def tied_points(draw) -> list[Fraction]:
+    """Sorted points of (0, 1) closer than float spacing: clusters
+    k/2^60 + j/2^70 that share the float of k/2^60, points 1 - j/2^70 whose
+    float is 1.0, and a few ordinary points k/12."""
+    pts = set()
+    # k = m * 2^8 with m < 2^52 makes k/2^60 a float in [1/4, 1), and
+    # j/2^70 <= 2^-61 stays below half its spacing
+    for m in draw(st.lists(st.integers(2**50, 2**52 - 1), max_size=3)):
+        k = m << 8
+        js = draw(st.lists(st.integers(0, 2**9), min_size=1, max_size=4))
+        cluster = {F(k, 2**60) + F(j, 2**70) for j in js}
+        assert {float(x) for x in cluster} == {k / 2**60}
+        pts.update(cluster)
+    near_one = {1 - F(j, 2**70) for j in draw(st.lists(st.integers(1, 2**9), max_size=3))}
+    assert all(float(x) == 1.0 for x in near_one)
+    pts.update(near_one)
+    pts.update(F(k, 12) for k in draw(st.lists(st.integers(1, 11), max_size=2)))
+    return sorted(pts)
+
+
+@st.composite
+def tied_lifts(draw) -> tuple[list[Fraction], list[Fraction]]:
+    return draw(raw_lifts([F(0), *draw(tied_points()), F(1)]))
+
+
+@st.composite
+def tied_map_pairs(draw) -> tuple[PLCircleMap, PLCircleMap]:
+    """Two small bumps of one map, each on its own subset of tied points.
+
+    Each bump is at most 3/13, so every difference stays below 1/2 and the
+    distance rests on which exact points the two maps share."""
+    base = draw(pl_maps())
+    pool = draw(tied_points())
+    bump = st.integers(-3, 3).map(lambda k: F(k, 13))
+
+    def bumped() -> PLCircleMap:
+        inner = sorted(
+            set(base.breakpoints[1:-1]) | {p for p in pool if draw(st.booleans())}
+        )
+        bps = [F(0), *inner, F(1)]
+        vals = [base.lift_evaluate(b) + draw(bump) for b in bps]
+        vals[-1] = vals[0] + base.degree
+        return PLCircleMap(bps, vals)
+
+    return bumped(), bumped()
+
+
 def _wrap(lo, loc, hi, hic) -> IntervalSet:
     # a span of exactly one turn misses its shared end unless one end is closed
     if hi - lo > ONE or (hi - lo == ONE and (loc or hic)):
@@ -174,12 +233,50 @@ def test_c0_distance_is_a_metric(pair, h):
     assert f.c0_distance(h) <= f.c0_distance(g) + g.c0_distance(h)
 
 
+@settings(max_examples=300, deadline=None)
+@given(tied_map_pairs())
+def test_c0_distance_on_tied_floats_matches_reference(pair):
+    f, g = pair
+    assert f.c0_distance(g) == reference_c0(f, g)
+    assert g.c0_distance(f) == reference_c0(g, f)
+
+
 @settings(max_examples=500, deadline=None)
-@given(raw_lifts())
+@given(st.one_of(raw_lifts(), tied_lifts()))
 def test_constructor_matches_old_stripping(raw):
     bps, vals = raw
     f = PLCircleMap(bps, vals)
     assert (f.breakpoints, f.lift_values, f._slopes) == reference_strip(bps, vals)
+    _, _, slopes, hints, bends = _pl_graph(bps, vals)
+    assert slopes == reference_slopes(bps, vals)
+    assert hints == [float(b) for b in bps[:-1]]
+    assert bends == [i for i in range(1, len(slopes)) if slopes[i - 1] != slopes[i]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_lifts(), st.data())
+def test_equal_or_descending_breakpoints_are_invalid(raw, data):
+    bps, vals = raw
+    i = data.draw(st.integers(1, len(bps) - 2)) if len(bps) > 2 else None
+    if i is None:
+        bad = [F(0), F(0), F(1)]
+    elif data.draw(st.booleans()) or i == len(bps) - 2:
+        bad = bps[: i + 1] + bps[i:]  # bps[i] twice
+    else:
+        bad = bps[:i] + [bps[i + 1], bps[i]] + bps[i + 2 :]  # a descent
+    with pytest.raises(InvalidInput, match="strictly increasing"):
+        PLCircleMap(bad, vals[:1] * (len(bad) - 1) + vals[-1:])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(raw_lifts(), tied_lifts()))
+@example(([F(0), F(1, 3), F(1)], [F(-7, 3), F(5, 2), F(-4, 3)]))
+def test_map_record_round_trip(raw):
+    f = PLCircleMap(*raw)
+    rec = formats.map_to_record(f)
+    back = formats.map_from_record(rec)
+    assert back == f
+    assert formats.dumps(formats.map_to_record(back)) == formats.dumps(rec)
 
 
 @settings(max_examples=500, deadline=None)
