@@ -151,11 +151,10 @@ def _decompose(
         replace(c, minimal_period=period) for c in hq.fixed_point_components()
     )
 
+    arcs = [c.arc for c in comps if not c.is_point]
     per_set = IntervalSet.union_all(
-        IntervalSet.point(c.point)
-        if c.is_point
-        else IntervalSet.from_arc_closed(c.arc)
-        for c in comps
+        [IntervalSet.from_arcs(arcs, closed=True)]
+        + [IntervalSet.point(c.point) for c in comps if c.is_point]
     )
     per_measure = per_set.measure()
 

@@ -18,8 +18,8 @@ index the same way.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -50,10 +50,19 @@ def signed_circle_offset(x: Fraction, y: Fraction) -> Fraction:
     return r if r < HALF else r - ONE
 
 
+# Python reads a numeral of at most this many digits into an int (its default
+# int_max_str_digits); parse_rational refuses a decimal exponent above it,
+# since Fraction would build 10**exponent first
+MAX_EXPONENT = 4300
+# the exponent of a decimal numeral, as Fraction reads it
+_EXPONENT = re.compile(r"[-+]?\d+(_\d+)*")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse a 'num/den' (or plain integer) string.
 
-    Malformed text and a zero denominator raise ``InvalidInput``.  What
+    Malformed text, a zero denominator and a decimal exponent above
+    ``MAX_EXPONENT`` raise ``InvalidInput``.  Anything else that
     ``Fraction`` accepts is accepted, with the same value: decimal digits
     with an optional sign, '/' and decimal digits are read as two integers,
     and anything else is left to ``Fraction``.
@@ -64,7 +73,15 @@ def parse_rational(text: str) -> Fraction:
         digits = num[1:] if num[:1] in ("+", "-") else num
         if slash and digits.isdecimal() and den.isdecimal():
             return Fraction(int(num), int(den))
+        e = max(body.rfind("e"), body.rfind("E"))
+        if e >= 0 and _EXPONENT.fullmatch(body, e + 1):
+            # the rest must be well formed too, or the text is malformed
+            Fraction(body[:e] + "e0")
+            if abs(int(body[e + 1 :])) > MAX_EXPONENT:
+                raise InvalidInput(f"exponent of {text!r} is above {MAX_EXPONENT}")
         return Fraction(body)
+    except InvalidInput:
+        raise
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not a rational number: {text!r}") from exc
 
@@ -72,13 +89,16 @@ def parse_rational(text: str) -> Fraction:
 def as_fraction(x: object) -> Fraction:
     """Exact rational from a Fraction, an int, a Decimal or a 'num/den' string.
 
-    A float is rejected with ``InvalidInput``: its binary value is rarely the
-    number the caller meant (0.3 would become 5404319552844595/2**54).
+    A string is read by ``parse_rational``.  A float is rejected with
+    ``InvalidInput``: its binary value is rarely the number the caller meant
+    (0.3 would become 5404319552844595/2**54).
     """
     if type(x) is Fraction:
         return x
     if isinstance(x, float):
         raise InvalidInput(f"floats are not exact rationals: {x!r}")
+    if isinstance(x, str):
+        return parse_rational(x)
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -118,29 +138,81 @@ def locate(keys: Sequence[Fraction], hints: Sequence[float], p: int, q: int) -> 
 
 
 # ---------------------------------------------------------------------------
-# Arcs
+# Arcs and intervals: immutable values whose ends are Fractions or ints.
+#
+# Their checks compare the ends' numerators and denominators as integers.
 
 
-@dataclass(frozen=True)
-class Arc:
+_EXACT = (int, Fraction)
+
+
+class _Frozen:
+    """Base of the slotted values below: their fields are set once, by
+    ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _refuse(x: object) -> InvalidInput:
+    """The error for an end that is not a Fraction or an int, worded as in
+    ``as_fraction``."""
+    if isinstance(x, float):
+        return InvalidInput(f"floats are not exact rationals: {x!r}")
+    return InvalidInput(f"not a rational number: {x!r}")
+
+
+class Arc(_Frozen):
     """Half-open arc [start, start+length) mod 1, with 0 < length <= 1.
 
     Zero-length arcs are permitted only where a module explicitly says so
     (degenerate partition cells); construct them via ``Arc.degenerate``.
+    ``start`` and ``length`` are Fractions or ints; anything else, a float
+    included, is ``InvalidInput``.
     """
 
-    start: Fraction
-    length: Fraction
+    __slots__ = ("start", "length")
 
-    def __post_init__(self) -> None:
-        if not (ZERO <= self.start < ONE):
-            raise ValueError(f"arc start {self.start} outside [0,1)")
-        if not (ZERO <= self.length <= ONE):
-            raise ValueError(f"arc length {self.length} outside [0,1]")
+    def __init__(self, start: Fraction, length: Fraction) -> None:
+        # isinstance against Fraction goes through ABCMeta; the type test
+        # settles the common case first
+        if type(start) is not Fraction and not isinstance(start, _EXACT):
+            raise _refuse(start)
+        if type(length) is not Fraction and not isinstance(length, _EXACT):
+            raise _refuse(length)
+        if not 0 <= start.numerator < start.denominator:
+            raise ValueError(f"arc start {start} outside [0,1)")
+        if not 0 <= length.numerator <= length.denominator:
+            raise ValueError(f"arc length {length} outside [0,1]")
+        _set_start(self, start)
+        _set_length(self, length)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.start, self.length) == (other.start, other.length)
+
+    def __hash__(self) -> int:
+        return hash((self.start, self.length))
+
+    def __repr__(self) -> str:
+        return f"Arc(start={self.start!r}, length={self.length!r})"
+
+    def __reduce__(self):
+        return Arc, (self.start, self.length)
 
     @staticmethod
     def make(start: Fraction, length: Fraction) -> "Arc":
-        if length <= ZERO or length > ONE:
+        if not isinstance(start, _EXACT):
+            raise _refuse(start)
+        if not isinstance(length, _EXACT):
+            raise _refuse(length)
+        if not 0 < length.numerator <= length.denominator:
             raise ValueError(f"arc length must lie in (0,1], got {length}")
         return Arc(mod1(start), length)
 
@@ -174,11 +246,24 @@ class Arc:
         return self.length if self.length <= HALF else HALF
 
     def intervals(self) -> list[tuple[Fraction, Fraction]]:
-        """Split into non-wrapping half-open [lo, hi) pieces inside [0, 1]."""
-        hi = self.start + self.length
-        if hi <= ONE:
-            return [(self.start, hi)] if self.length > ZERO else []
-        return [(self.start, ONE), (ZERO, hi - ONE)]
+        """Split into non-wrapping half-open [lo, hi) pieces inside [0, 1].
+
+        The end start + length is one ``Fraction`` built from integers."""
+        start, length = self.start, self.length
+        ln, ld = length.numerator, length.denominator
+        if not ln:
+            return []
+        sd = start.denominator
+        den = sd * ld
+        # (start + length - 1) * den
+        over = start.numerator * ld + ln * sd - den
+        if over <= 0:
+            return [(start, Fraction(over + den, den))]
+        return [(start, ONE), (ZERO, Fraction(over, den))]
+
+
+_set_start = Arc.start.__set__
+_set_length = Arc.length.__set__
 
 
 # ---------------------------------------------------------------------------
@@ -190,29 +275,69 @@ class Arc:
 # inside [0, 1].
 
 
-@dataclass(frozen=True)
-class Iv:
-    """One interval with endpoint flags; lo == hi means a single point."""
+class Iv(_Frozen):
+    """One interval with endpoint flags; lo == hi means a single point.
 
-    lo: Fraction
-    lo_closed: bool
-    hi: Fraction
-    hi_closed: bool
+    ``lo`` and ``hi`` are Fractions or ints; anything else, a float
+    included, is ``InvalidInput``.  The order check is one integer cross
+    product.
+    """
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    __slots__ = ("lo", "lo_closed", "hi", "hi_closed")
+
+    def __init__(
+        self, lo: Fraction, lo_closed: bool, hi: Fraction, hi_closed: bool
+    ) -> None:
+        if type(lo) is not Fraction and not isinstance(lo, _EXACT):
+            raise _refuse(lo)
+        if type(hi) is not Fraction and not isinstance(hi, _EXACT):
+            raise _refuse(hi)
+        ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+        if ln * hd > hn * ld:
             raise ValueError("interval endpoints out of order")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+        # both ends are in lowest terms, so equal values have equal integers
+        if ln == hn and ld == hd and not (lo_closed and hi_closed):
             raise ValueError("degenerate interval must be a closed point")
+        _set_lo(self, lo)
+        _set_lo_closed(self, lo_closed)
+        _set_hi(self, hi)
+        _set_hi_closed(self, hi_closed)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.lo, self.lo_closed, self.hi, self.hi_closed) == (
+            other.lo, other.lo_closed, other.hi, other.hi_closed
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.lo, self.lo_closed, self.hi, self.hi_closed))
+
+    def __repr__(self) -> str:
+        return (
+            f"Iv(lo={self.lo!r}, lo_closed={self.lo_closed!r}, "
+            f"hi={self.hi!r}, hi_closed={self.hi_closed!r})"
+        )
+
+    def __reduce__(self):
+        return Iv, (self.lo, self.lo_closed, self.hi, self.hi_closed)
 
     def contains(self, x: Fraction) -> bool:
-        if x < self.lo or x > self.hi:
+        """Membership of x, decided by two integer cross products."""
+        xn, xd = x.numerator, x.denominator
+        lo, hi = self.lo, self.hi
+        # the signs of x - lo and x - hi
+        c = xn * lo.denominator - lo.numerator * xd
+        if c < 0 or not c and not self.lo_closed:
             return False
-        if x == self.lo and not self.lo_closed:
-            return False
-        if x == self.hi and not self.hi_closed:
-            return False
-        return True
+        c = xn * hi.denominator - hi.numerator * xd
+        return c < 0 or not c and self.hi_closed
+
+
+_set_lo = Iv.lo.__set__
+_set_lo_closed = Iv.lo_closed.__set__
+_set_hi = Iv.hi.__set__
+_set_hi_closed = Iv.hi_closed.__set__
 
 
 class IntervalSet:
@@ -290,25 +415,26 @@ class IntervalSet:
         return IntervalSet([Iv(x, True, x, True)])
 
     @staticmethod
-    def from_arc_open(a: Arc) -> "IntervalSet":
-        """Interior of a half-open arc as an open set in [0, 1].
+    def from_arcs(arcs: Iterable[Arc], closed: bool) -> "IntervalSet":
+        """The union of arcs in [0, 1]: of their closures when ``closed``,
+        else of their interiors.
 
         An arc that wraps strictly past 0 holds 0 ~ 1 in its interior, so
-        its two pieces are closed at 1 and at 0.
+        its two open pieces are closed at 1 and at 0.  The closure of a
+        zero-length arc is its start point, and its interior is empty.
         """
-        parts = a.intervals()
-        if len(parts) == 2:
-            (lo, _), (_, hi) = parts
-            return IntervalSet([Iv(lo, False, ONE, True), Iv(ZERO, True, hi, False)])
-        return IntervalSet([Iv(lo, False, hi, False) for lo, hi in parts])
-
-    @staticmethod
-    def from_arc_closed(a: Arc) -> "IntervalSet":
-        """Closure of an arc: [start, end] with wrap pieces closed."""
-        parts = a.intervals()
-        if not parts:
-            return IntervalSet.point(a.start)
-        return IntervalSet([Iv(lo, True, hi, True) for lo, hi in parts])
+        items: list[Iv] = []
+        for a in arcs:
+            parts = a.intervals()
+            if len(parts) == 2:
+                (lo, _), (_, hi) = parts
+                items += (Iv(lo, closed, ONE, True), Iv(ZERO, True, hi, closed))
+            elif parts:
+                ((lo, hi),) = parts
+                items.append(Iv(lo, closed, hi, closed))
+            elif closed:
+                items.append(Iv(a.start, True, a.start, True))
+        return IntervalSet(items)
 
     @staticmethod
     def union_all(sets: Iterable["IntervalSet"]) -> "IntervalSet":

@@ -439,10 +439,13 @@ class PLCircleMap:
 
     def image_of_set(self, s: IntervalSet) -> IntervalSet:
         """Exact image of an interval set inside [0, 1] under the map."""
-        if s.ivs and (s.ivs[0].lo < ZERO or s.ivs[-1].hi > ONE):
+        ivs = s.ivs
+        if ivs and (
+            ivs[0].lo.numerator < 0 or ivs[-1].hi.numerator > ivs[-1].hi.denominator
+        ):
             raise InvalidInput("image_of_set needs a set inside [0, 1]")
         pieces: list[Iv] = []
-        for iv in s.ivs:
+        for iv in ivs:
             pieces.extend(self._image_of_iv(iv))
         return IntervalSet(pieces)
 
@@ -450,21 +453,24 @@ class PLCircleMap:
         """Image of one interval inside [0, 1], piece by piece.
 
         One walk gives the lift values at the ends and at the breakpoints
-        strictly between them.
+        strictly between them.  Ends and values are compared as integers:
+        all are in lowest terms, so equal values have equal integers.
         """
-        lifts = self._walk(iv.lo, iv.hi)[1]
-        if iv.lo == iv.hi:
+        lo, hi = iv.lo, iv.hi
+        lifts = self._walk(lo, hi)[1]
+        if lo.numerator == hi.numerator and lo.denominator == hi.denominator:
             return [_point(lifts[0])]
         out: list[Iv] = []
         last = len(lifts) - 2
         for k in range(last + 1):
             fa, fb = lifts[k], lifts[k + 1]
-            if fa == fb:
+            an, ad, bn, bd = fa.numerator, fa.denominator, fb.numerator, fb.denominator
+            if an == bn and ad == bd:
                 out.append(_point(fa))
                 continue
             a_closed = iv.lo_closed if k == 0 else True
             b_closed = iv.hi_closed if k == last else True
-            if fa < fb:
+            if an * bd < bn * ad:
                 out.extend(_wrap_lift_interval(fa, a_closed, fb, b_closed))
             else:
                 out.extend(_wrap_lift_interval(fb, b_closed, fa, a_closed))

@@ -91,14 +91,10 @@ class Region:
         return _length_sum(self.arcs)
 
     def open_set(self) -> IntervalSet:
-        return IntervalSet.union_all(
-            IntervalSet.from_arc_open(a) for a in self.arcs
-        )
+        return IntervalSet.from_arcs(self.arcs, closed=False)
 
     def closed_set(self) -> IntervalSet:
-        return IntervalSet.union_all(
-            IntervalSet.from_arc_closed(a) for a in self.arcs
-        )
+        return IntervalSet.from_arcs(self.arcs, closed=True)
 
 
 @dataclass
@@ -204,20 +200,21 @@ def _grid(eps: Fraction, n: int, m: int) -> tuple[Fraction, Fraction, Fraction, 
     interior is [start + delta, start + 1/(n*m) - delta] and its anchor is
     start + 1/(2*n*m).  Returns delta, the subcell length, the interior
     length and, per cell, the (start, interior start, anchor) of each of its
-    subcells.
+    subcells.  Each value is one Fraction built from integers over the
+    common denominator 4*n*m*den(eps).
     """
+    en, ed = eps.numerator, eps.denominator
     nm = n * m
-    sub_len = Fraction(1, nm)
-    delta = eps / (4 * nm)
-    half = Fraction(1, 2 * nm)
-    rows = []
-    for i in range(n):
-        row = []
-        for k in range(i * m, i * m + m):
-            start = Fraction(k, nm)
-            row.append((start, start + delta, start + half))
-        rows.append(row)
-    return delta, sub_len, sub_len - 2 * delta, rows
+    den = 4 * nm * ed
+    step = 4 * ed  # the subcell length over den
+    rows = [
+        [
+            (Fraction(a, den), Fraction(a + en, den), Fraction(a + 2 * ed, den))
+            for a in range(i * m * step, (i + 1) * m * step, step)
+        ]
+        for i in range(n)
+    ]
+    return Fraction(en, den), Fraction(1, nm), Fraction(step - 2 * en, den), rows
 
 
 def shred(
@@ -318,7 +315,9 @@ def verify_shredding(
         key = a.numerator, a.denominator, b.numerator, b.denominator
         img = arc_images.get(key)
         if img is None:
-            img = arc_images[key] = g.image_of_set(IntervalSet.from_arc_closed(arc))
+            img = arc_images[key] = g.image_of_set(
+                IntervalSet.from_arcs((arc,), closed=True)
+            )
         return img
 
     region_open = {reg.label: reg.open_set() for reg in report.regions}
@@ -406,7 +405,7 @@ def verify_shredding(
             break
         # (b) cyclic forward containment
         for idx in range(k):
-            nxt = IntervalSet.from_arc_open(cyc[(idx + 1) % k])
+            nxt = IntervalSet.from_arcs((cyc[(idx + 1) % k],), closed=False)
             img = image(cyc[idx])
             if not nxt.covers(img):
                 ok_v = False
@@ -417,9 +416,7 @@ def verify_shredding(
         if not ok_v:
             break
         # (c) closure(U) absorbed by the cycle within n_steps preimages
-        w_union_open = IntervalSet.union_all(
-            IntervalSet.from_arc_open(w) for w in cyc
-        )
+        w_union_open = IntervalSet.from_arcs(cyc, closed=False)
         # the plateau route needs a single lift value on each closed arc of
         # positive length: its image is one point, and an arc that wraps past
         # 0 meets the lift at 1 and at 0, whose values differ by the degree
@@ -496,9 +493,7 @@ def singularity_witness(
         )
     arcs = tuple(a for reg in report.regions for a in reg.arcs)
     m_v = _length_sum(arcs)
-    closed = IntervalSet.union_all(
-        IntervalSet.from_arc_closed(a) for a in arcs
-    )
+    closed = IntervalSet.from_arcs(arcs, closed=True)
     m_gv = g.image_of_set(closed).measure()
     if not (m_v > ONE - report.eps and m_gv < report.eps):
         raise VerificationFailure(

@@ -1,12 +1,16 @@
 import hashlib
 import json
 from fractions import Fraction
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circledyn import classifier, formats
 from circledyn.errors import InvalidInput
+from circledyn.exact import format_rational, parse_rational
 from circledyn.expanding import expanding_map
 from circledyn.measures import CircleMeasure, CylinderSpec
 from circledyn.partitions import family_from_homeo
@@ -93,6 +97,29 @@ class TestFormats:
         rec = formats.report_to_record(report)
         assert len(rec["cells"]) == cells
         assert formats.report_from_record(rec) == report
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_report_record_round_trip_property(self, data):
+        # a small random PL map: breakpoints and values on the grid of 1/8
+        inner = data.draw(st.lists(st.integers(1, 7), max_size=3, unique=True))
+        bps = [F(0), *(F(k, 8) for k in sorted(inner)), F(1)]
+        vals = [F(data.draw(st.integers(0, 7)), 8) for _ in bps[:-1]]
+        vals.append(vals[0] + data.draw(st.integers(0, 2)))
+        eps = data.draw(st.sampled_from([F(1, 3), F(1, 5)]))
+        _, report = shred(PLCircleMap(bps, vals), eps)
+        text = formats.dumps(formats.report_to_record(report))
+        back = formats.report_from_record(json.loads(text))
+        fields = attrgetter("eps", "tau", "subdivisions", "regions", "cycles")
+        assert fields(back) == fields(report)
+        assert formats.dumps(formats.report_to_record(back)) == text
+        # an anchor moved by 2^-70 is no longer the grid's
+        rec = json.loads(text)
+        row = data.draw(st.sampled_from(rec["anchors"]))
+        j = data.draw(st.integers(0, len(row) - 1))
+        row[j] = format_rational(parse_rational(row[j]) + F(1, 2**70))
+        with pytest.raises(InvalidInput, match="malformed report record: anchors "):
+            formats.report_from_record(rec)
 
     def test_observable_roundtrip(self):
         # a hand-written record of the tent at 3/8: peak 1, 0 at the antipode

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from circledyn.errors import InvalidInput
 from circledyn.exact import (
     Arc,
     IntervalSet,
+    Iv,
     circle_dist,
     mod1,
 )
@@ -126,14 +129,51 @@ class TestIntervalSet:
         assert s.contains_point(F(0))
         # the interior of an arc that wraps strictly past 0 holds 0 ~ 1
         wrap = Arc(F(3, 4), F(1, 2))
-        interior = IntervalSet.from_arc_open(wrap)
+        interior = IntervalSet.from_arcs([wrap], closed=False)
         assert wrap.contains(F(0)) and interior.contains_point(F(0))
-        assert interior.covers(IntervalSet.from_arc_closed(Arc(F(7, 8), F(1, 4))))
+        assert interior.covers(
+            IntervalSet.from_arcs([Arc(F(7, 8), F(1, 4))], closed=True)
+        )
         assert not interior.contains_point(F(3, 4))
         assert not interior.contains_point(F(1, 4))
         assert interior.measure() == F(1, 2)
-        ends_at_one = IntervalSet.from_arc_open(Arc(F(3, 4), F(1, 4)))
+        ends_at_one = IntervalSet.from_arcs([Arc(F(3, 4), F(1, 4))], closed=False)
         assert not ends_at_one.contains_point(F(0))
+
+    def test_from_arcs_holds_the_closure_or_the_interior_of_each_arc(self):
+        wrap, half = Arc(F(7, 8), F(1, 4)), Arc.degenerate(F(1, 2))
+        assert IntervalSet.from_arcs([wrap, half], closed=True).ivs == (
+            Iv(F(0), True, F(1, 8), True),
+            Iv(F(1, 2), True, F(1, 2), True),
+            Iv(F(7, 8), True, F(1), True),
+        )
+        # the open pieces of a wrapping arc are closed at the seam 0 ~ 1, and
+        # the interior of a zero-length arc is empty
+        assert IntervalSet.from_arcs([wrap, half], closed=False).ivs == (
+            Iv(F(0), True, F(1, 8), False),
+            Iv(F(7, 8), False, F(1), True),
+        )
+        assert IntervalSet.from_arcs([Arc.full()], closed=False).ivs == (
+            Iv(F(0), False, F(1), False),
+        )
+        assert IntervalSet.from_arcs([], closed=True).ivs == ()
+
+    @pytest.mark.parametrize("closed", [False, True])
+    def test_from_arcs_is_the_union_of_its_arcs(self, closed):
+        # overlapping, touching, wrapping, ending at 1, zero-length and full
+        arcs = [
+            Arc(F(7, 8), F(1, 4)),
+            Arc(F(3, 4), F(1, 4)),
+            Arc(F(1, 16), F(1, 8)),
+            Arc(F(3, 16), F(1, 8)),
+            Arc.degenerate(F(5, 16)),
+            Arc.degenerate(F(1, 8)),
+        ]
+        one_by_one = [IntervalSet.from_arcs([a], closed) for a in arcs]
+        assert IntervalSet.from_arcs(arcs, closed) == IntervalSet.union_all(one_by_one)
+        assert IntervalSet.from_arcs(arcs + [Arc.full()], closed) == IntervalSet.union_all(
+            [*one_by_one, IntervalSet.from_arcs([Arc.full()], closed)]
+        )
 
     def test_min_gap(self):
         host = IntervalSet.open(F(0), F(1, 2))
@@ -147,3 +187,40 @@ def test_arc_from_wrapping_has_two_pieces():
     assert wrap.end == F(1, 8)
     assert wrap.diameter() == F(1, 4)
     assert Arc(F(0), F(3, 4)).diameter() == F(1, 2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Arc(0.5, 0.25),
+        lambda: Arc(F(1, 2), 0.25),
+        lambda: Arc.make(0.5, F(1, 4)),
+        lambda: Arc.make(F(1, 2), 0.25),
+        lambda: Iv(0.1, True, 0.2, False),
+        lambda: Iv(F(1, 10), True, 0.2, False),
+    ],
+)
+def test_float_ends_are_invalid_input(build):
+    # refused at construction, before any interval-set query reads them
+    with pytest.raises(InvalidInput, match="floats are not exact rationals"):
+        build()
+
+
+def test_ends_that_are_not_rationals_are_invalid_input():
+    with pytest.raises(InvalidInput, match="not a rational number: '1/2'"):
+        Arc("1/2", F(1, 4))
+    with pytest.raises(InvalidInput, match="not a rational number: None"):
+        Iv(F(0), True, None, True)
+
+
+def test_arcs_and_intervals_are_immutable_values():
+    arc, iv = Arc(F(1, 3), F(1, 2)), Iv(F(1, 3), False, F(1, 2), True)
+    for v, name in ((arc, "start"), (iv, "hi_closed")):
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(v, name, F(0))
+        with pytest.raises(AttributeError, match="cannot delete"):
+            delattr(v, name)
+        with pytest.raises(AttributeError):
+            v.other = 1
+        assert copy.copy(v) == v == pickle.loads(pickle.dumps(v))
+    assert {arc: 1}[Arc(F(1, 3), F(1, 2))] == 1

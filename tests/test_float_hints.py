@@ -4,17 +4,21 @@ always-exact code they replaced.
 ``IntervalSet`` orders, merges and searches its ends by their correctly
 rounded floats and compares Fractions only when two floats tie (the rule of
 ``exact.locate``); ``parse_rational`` reads 'num/den' by an integer split;
-``mod1`` and ``PLCircleMap.lift_evaluate`` skip arithmetic with a zero.  The
-references below are the earlier exact versions, kept here as they were
-apart from taking a tuple of intervals in place of a set; the lift
-reference finds its piece by exact bisection.  The inputs stress the
-float ties: ends k/2^60 + j/2^70 that share one float, points within 2^-70
-of an end, values whose float is 1.0, the seam 0 ~ 1, and every pair of
-endpoint flags.
+``mod1`` and ``PLCircleMap.lift_evaluate`` skip arithmetic with a zero;
+``Iv`` and ``Arc`` check their ends, ``Iv.contains`` and ``Arc.intervals``
+compare and add them, and ``shredder._grid`` builds its values, all on the
+integer numerators and denominators.  The references below are the
+earlier exact versions, kept here as they were apart from taking a tuple
+of intervals in place of a set, or bare ends in place of an ``Iv`` or an
+``Arc``; the lift reference finds its piece by exact bisection.  The
+inputs stress the float ties: ends k/2^60 + j/2^70 that share one float,
+points within 2^-70 of an end, values whose float is 1.0, the seam 0 ~ 1,
+and every pair of endpoint flags.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from fractions import Fraction
 from operator import attrgetter
@@ -24,8 +28,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledyn.errors import InvalidInput
-from circledyn.exact import ONE, ZERO, IntervalSet, Iv, mod1, parse_rational
+from circledyn.exact import (
+    MAX_EXPONENT,
+    ONE,
+    ZERO,
+    Arc,
+    IntervalSet,
+    Iv,
+    as_fraction,
+    mod1,
+    parse_rational,
+)
 from circledyn.plmaps import PLCircleMap
+from circledyn.shredder import _grid
 
 F = Fraction
 TINY = F(1, 2**70)
@@ -140,9 +155,82 @@ def ref_min_gap(ivs, inner) -> Fraction:
     return best
 
 
-def ref_parse_rational(text: str) -> Fraction:
+def ref_iv_check(lo, loc, hi, hic) -> str | None:
+    """The message of the ValueError that Iv raised, or None."""
+    if lo > hi:
+        return "interval endpoints out of order"
+    if lo == hi and not (loc and hic):
+        return "degenerate interval must be a closed point"
+    return None
+
+
+def ref_iv_contains(lo, loc, hi, hic, x) -> bool:
+    if x < lo or x > hi:
+        return False
+    if x == lo and not loc:
+        return False
+    if x == hi and not hic:
+        return False
+    return True
+
+
+def ref_arc_check(start, length) -> str | None:
+    """The message of the ValueError that Arc raised, or None."""
+    if not (ZERO <= start < ONE):
+        return f"arc start {start} outside [0,1)"
+    if not (ZERO <= length <= ONE):
+        return f"arc length {length} outside [0,1]"
+    return None
+
+
+def ref_arc_make_check(length) -> str | None:
+    if length <= ZERO or length > ONE:
+        return f"arc length must lie in (0,1], got {length}"
+    return None
+
+
+def ref_arc_intervals(start, length) -> list[tuple[Fraction, Fraction]]:
+    hi = start + length
+    if hi <= ONE:
+        return [(start, hi)] if length > ZERO else []
+    return [(start, ONE), (ZERO, hi - ONE)]
+
+
+def ref_grid(eps: Fraction, n: int, m: int):
+    nm = n * m
+    sub_len = Fraction(1, nm)
+    delta = eps / (4 * nm)
+    half = Fraction(1, 2 * nm)
+    rows = []
+    for i in range(n):
+        row = []
+        for k in range(i * m, i * m + m):
+            start = Fraction(k, nm)
+            row.append((start, start + delta, start + half))
+        rows.append(row)
+    return delta, sub_len, sub_len - 2 * delta, rows
+
+
+def _fraction_reads(text: str) -> bool:
     try:
-        return Fraction(text.strip())
+        Fraction(text)
+    except ValueError:
+        return False
+    return True
+
+
+def ref_parse_rational(text: str) -> Fraction:
+    """Fraction's reading, except that a well-formed numeral whose decimal
+    exponent is above MAX_EXPONENT is refused before Fraction builds
+    10**exponent."""
+    try:
+        body = text.strip()
+        m = re.fullmatch(r"(.*)[eE]([-+]?\d+(?:_\d+)*)", body, re.DOTALL)
+        if m and abs(int(m[2])) > MAX_EXPONENT and _fraction_reads(m[1] + "e0"):
+            raise InvalidInput(f"exponent of {text!r} is above {MAX_EXPONENT}")
+        return Fraction(body)
+    except InvalidInput:
+        raise
     except (AttributeError, ValueError, ZeroDivisionError) as exc:
         raise InvalidInput(f"not a rational number: {text!r}") from exc
 
@@ -283,6 +371,10 @@ PARSE_CASES = [
     "1.5", "1.5/2", "3", "-3", "1/0", "0/0", "-1/0", "/2", "1/", "+/2", "",
     " ", "1//2", "1/2/3", "0x1/2", "١/٢", "²/3", "1/²",
     "007/010", "inf", "nan", "1/2 x",
+    # Fraction would build 10**exponent: an exponent above MAX_EXPONENT is
+    # refused unless the text is malformed anyway
+    "1e4300", "-1.5E-4300", "1e4301", "1e99999999", "1e-99999999", "2E+4_301",
+    ".5e1_0000", "e10000", "1/2e9999", "1e__9999", "1e9999e1", "1ee9999",
 ]
 
 
@@ -308,6 +400,11 @@ def test_parse_rational_matches_fraction(text):
 )
 def test_parse_rational_matches_fraction_on_any_text(text):
     assert _outcome(parse_rational, text) == _outcome(ref_parse_rational, text)
+
+
+@pytest.mark.parametrize("text", PARSE_CASES)
+def test_as_fraction_reads_text_by_parse_rational(text):
+    assert _outcome(as_fraction, text) == _outcome(parse_rational, text)
 
 
 def test_parse_rational_rejects_what_is_not_text():
@@ -357,3 +454,163 @@ def test_lift_evaluate_matches_exact_reference(data):
         t = data.draw(near_points(ends)) + data.draw(st.integers(-3, 3))
         assert f.lift_evaluate(t) == ref_lift_evaluate(f, t)
         assert f.evaluate(t) == ref_mod1(ref_lift_evaluate(f, ref_mod1(t)))
+
+
+# ---------------------------------------------------------------------------
+# Iv and Arc on integers, and the shredding grid
+
+
+@st.composite
+def exact_ends(draw) -> list:
+    """Ends for intervals and arcs, sorted by value.
+
+    Clusters k/2^60 + j/2^70 that share a float, small rationals, negative
+    ends and ends above 1, the complement 1 - e of each end (so that a
+    start and a length can add up to exactly 1), and ints next to the
+    Fractions of the same value.
+    """
+    centres = draw(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**60), 2**61).map(lambda k: F(k, 2**60)),
+                st.tuples(st.integers(-40, 80), st.integers(1, 41)).map(lambda t: F(*t)),
+                st.sampled_from([ZERO, ONE]),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    offsets = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    ends = {c + j * TINY for c in centres for j in offsets}
+    ends |= {1 - e for e in ends}
+    ints = draw(st.lists(st.integers(-2, 3), max_size=3))
+    return sorted([*ends, *ints, *map(F, ints)])
+
+
+def _made(make, *args):
+    """The value built, or the message of the ValueError raised."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _fields(v) -> tuple:
+    if isinstance(v, Iv):
+        return v.lo, v.lo_closed, v.hi, v.hi_closed
+    return v.start, v.length
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_iv_checks_and_contains_match_fraction_reference(data):
+    ends = data.draw(exact_ends())
+    pick = st.sampled_from(ends)
+    points = [*ends, *(e + d for e in ends for d in (-TINY / 2, TINY / 2))]
+    for _ in range(8):
+        lo, hi = data.draw(pick), data.draw(pick)
+        loc, hic = data.draw(st.booleans()), data.draw(st.booleans())
+        iv = _made(Iv, lo, loc, hi, hic)
+        want = ref_iv_check(lo, loc, hi, hic)
+        if want is not None:
+            assert iv == ("ValueError", want)
+            continue
+        assert _fields(iv) == (lo, loc, hi, hic)
+        assert iv.lo is lo and iv.hi is hi
+        for x in points:
+            assert iv.contains(x) == ref_iv_contains(lo, loc, hi, hic, x)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_arc_checks_and_intervals_match_fraction_reference(data):
+    ends = data.draw(exact_ends())
+    pick = st.sampled_from(ends)
+    for _ in range(8):
+        start, length = data.draw(pick), data.draw(pick)
+        arc = _made(Arc, start, length)
+        want = ref_arc_check(start, length)
+        if want is not None:
+            assert arc == ("ValueError", want)
+        else:
+            assert _fields(arc) == (start, length)
+            assert arc.start is start and arc.length is length
+            assert arc.intervals() == ref_arc_intervals(start, length)
+        made = _made(Arc.make, start, length)
+        want = ref_arc_make_check(length)
+        if want is not None:
+            assert made == ("ValueError", want)
+        else:
+            assert _fields(made) == (ref_mod1(F(start)), length)
+
+
+@pytest.mark.parametrize("loc, hic", [(a, b) for a in (False, True) for b in (False, True)])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (F(1, 3), F(1, 3)),
+        (F(1, 3) + TINY, F(1, 3) + TINY),
+        (F(-5, 2), F(-5, 2)),
+        (F(7, 3), F(7, 3)),
+        (0, F(0)),
+        (F(1), 1),
+        (-2, -2),
+    ],
+)
+def test_equal_ends_with_every_flag_pair(lo, hi, loc, hic):
+    want = ref_iv_check(lo, loc, hi, hic)
+    iv = _made(Iv, lo, loc, hi, hic)
+    if want is None:
+        assert _fields(iv) == (lo, loc, hi, hic)
+        assert iv.contains(lo) and not iv.contains(lo + TINY)
+    else:
+        assert iv == ("ValueError", want)
+
+
+def test_arc_ends_that_add_up_to_one():
+    # start + length = 1 exactly stays one piece; 2^-70 more wraps
+    for start, length in [(F(3, 4), F(1, 4)), (1 - TINY, TINY), (0, 1), (F(0), F(1))]:
+        assert Arc(start, length).intervals() == ref_arc_intervals(start, length)
+        assert len(Arc(start, length).intervals()) == 1
+        assert Arc.make(start, length) == Arc(start, length)
+    wrap = Arc(F(3, 4), F(1, 4) + TINY)
+    assert wrap.intervals() == [(F(3, 4), ONE), (ZERO, TINY)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_iv_and_arc_equality_hash_and_repr_follow_their_fields(data):
+    ends = [e for e in data.draw(exact_ends()) if 0 <= e <= 1]
+    pick = st.sampled_from([*ends, 0, 1, ZERO, ONE])
+    values = []
+    for _ in range(6):
+        lo, hi = sorted([data.draw(pick), data.draw(pick)])
+        flags = (True, True) if lo == hi else (data.draw(st.booleans()), data.draw(st.booleans()))
+        values.append(Iv(lo, flags[0], hi, flags[1]))
+        start, length = data.draw(pick), data.draw(pick)
+        if start < 1:
+            values.append(Arc(start, length))
+    for v in values:
+        fields = _fields(v)
+        assert hash(v) == hash(fields)
+        names = ("lo", "lo_closed", "hi", "hi_closed") if isinstance(v, Iv) else ("start", "length")
+        shown = ", ".join(f"{n}={x!r}" for n, x in zip(names, fields))
+        assert repr(v) == f"{type(v).__name__}({shown})"
+        for w in values:
+            same = type(v) is type(w) and fields == _fields(w)
+            assert (v == w) == same and (v != w) == (not same)
+            if same:
+                assert hash(v) == hash(w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=10**6),
+        st.integers(1, 2**70 - 1).map(lambda k: F(k, 2**70)),
+    ).filter(lambda e: 0 < e < 1),
+    st.integers(1, 6),
+    st.integers(2, 6),
+)
+def test_grid_matches_fraction_sums(eps, n, m):
+    assert _grid(eps, n, m) == ref_grid(eps, n, m)

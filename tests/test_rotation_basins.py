@@ -137,7 +137,7 @@ def ref_basin_decomposition(
     per_set = IntervalSet.union_all(
         IntervalSet.point(c.point)
         if c.is_point
-        else IntervalSet.from_arc_closed(c.arc)
+        else IntervalSet.from_arcs([c.arc], closed=True)
         for c in comps
     )
     per_measure = per_set.measure()

@@ -275,8 +275,8 @@ def test_covers_identifies_one_with_zero():
 def test_min_gap_runs_across_the_seam():
     # (3/4, 1] u [0, 1/4) holds 0 ~ 1 in its interior; the nearest
     # boundary points to [15/16, 1/16] are 3/4 and 1/4
-    wrap = IntervalSet.from_arc_open(Arc(F(3, 4), F(1, 2)))
-    inner = IntervalSet.from_arc_closed(Arc(F(15, 16), F(1, 8)))
+    wrap = IntervalSet.from_arcs([Arc(F(3, 4), F(1, 2))], closed=False)
+    inner = IntervalSet.from_arcs([Arc(F(15, 16), F(1, 8))], closed=True)
     assert wrap.covers(inner)
     assert wrap.min_gap_to_boundary(inner) == F(3, 16)
     # a near end across the seam bounds the gap of a part that ends at 1
