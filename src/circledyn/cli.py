@@ -166,21 +166,21 @@ def cmd_wicked(args: argparse.Namespace) -> int:
         raise InvalidInput(
             f"diagnostic level {p} exceeds the target's level {target.level}"
         )
+    # the spec every row is measured against; target itself at its own level
+    reference = target.marginal(p)
     result = wicked_perturb(h, args.ell, target, parse_rational(args.eps), n)
     dist = result.c0_distance_to(h)
     rows = []
     window_exact = True
     for k in range(n):
-        spec_k = result.cylinder_pushforward(k, p)
-        d = spec_k.distance(target.marginal(p) if p < target.level else target)
+        d = result.cylinder_pushforward(k, p).distance(reference)
         in_window = result.n0 <= k <= n - 1
         if in_window and d != 0:
             window_exact = False
         rows.append((k, format_rational(d), int(in_window)))
     cesaro_rows = []
     for horizon in range(1, n + 1):
-        spec_c = result.cesaro_spec(horizon, p)
-        d = spec_c.distance(target.marginal(p) if p < target.level else target)
+        d = result.cesaro_spec(horizon, p).distance(reference)
         cesaro_rows.append((horizon, format_rational(d)))
     out = _out_dir(args)
     written = {

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -89,7 +90,8 @@ def parse_rational(text: str) -> Fraction:
 def as_fraction(x: object) -> Fraction:
     """Exact rational from a Fraction, an int, a Decimal or a 'num/den' string.
 
-    A string is read by ``parse_rational``.  A float is rejected with
+    A string, and a Decimal by its text, is read by ``parse_rational``, so
+    its exponent limit holds for both.  A float is rejected with
     ``InvalidInput``: its binary value is rarely the number the caller meant
     (0.3 would become 5404319552844595/2**54).
     """
@@ -97,8 +99,8 @@ def as_fraction(x: object) -> Fraction:
         return x
     if isinstance(x, float):
         raise InvalidInput(f"floats are not exact rationals: {x!r}")
-    if isinstance(x, str):
-        return parse_rational(x)
+    if isinstance(x, (str, Decimal)):
+        return parse_rational(str(x))
     try:
         return Fraction(x)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

@@ -283,7 +283,8 @@ def shred(
 
 
 def _first_overlap(regions: Sequence[Region]) -> str:
-    """Name the first region whose arcs overlap each other or an earlier region."""
+    """Name the first region whose arcs overlap each other or an earlier
+    region; called when the arcs sum to more than their union, so one does."""
     seen = IntervalSet()
     for reg in regions:
         u = reg.open_set()
@@ -293,7 +294,18 @@ def _first_overlap(regions: Sequence[Region]) -> str:
         if grown.measure() != seen.measure() + u.measure():
             return f"region {reg.label} overlaps an earlier region"
         seen = grown
-    return "two regions share a label"
+
+
+def _per_region(checks: Iterable[Fraction | str]) -> tuple[Fraction | None, str | None]:
+    """The rule of every item checked region by region: each check is a
+    margin or the detail of a failure, and the first failure ends the walk.
+    Returns the least margin seen and the failure, or None."""
+    least = None
+    for c in checks:
+        if isinstance(c, str):
+            return least, c
+        least = c if least is None or c < least else least
+    return least, None
 
 
 def verify_shredding(
@@ -301,10 +313,15 @@ def verify_shredding(
     report: TrappingReport,
     preimage_interval_cap: int = 100_000,
 ) -> ShredVerification:
-    """Exact verification of the five trapping-region properties."""
+    """Exact verification of the five trapping-region properties.
+
+    Items i, iv and v walk the listed regions by the rule of ``_per_region``.
+    The slack of item v is the least margin seen, also before a failure;
+    items i and iv report a slack only when they pass."""
     eps = report.eps
-    items: dict[str, ItemVerdict] = {}
+    regions = report.regions
     n_steps = len(report.tau)
+    items: dict[str, ItemVerdict] = {}
 
     # one closed image per distinct arc; regions and cycles share them.  The
     # key is the arc's four integers: a Fraction hash costs a modular inverse
@@ -313,165 +330,118 @@ def verify_shredding(
     def image(arc: Arc) -> IntervalSet:
         a, b = arc.start, arc.length
         key = a.numerator, a.denominator, b.numerator, b.denominator
-        img = arc_images.get(key)
-        if img is None:
-            img = arc_images[key] = g.image_of_set(
-                IntervalSet.from_arcs((arc,), closed=True)
-            )
-        return img
+        if key not in arc_images:
+            arc_images[key] = g.image_of_set(IntervalSet.from_arcs((arc,), closed=True))
+        return arc_images[key]
 
-    region_open = {reg.label: reg.open_set() for reg in report.regions}
-    region_images = {
-        reg.label: IntervalSet.union_all(image(a) for a in reg.arcs)
-        for reg in report.regions
-    }
+    # per-region data, in the listed order; measures of the open sets, so
+    # arcs listed twice or regions that overlap cannot inflate them
+    opens = [reg.open_set() for reg in regions]
+    images = [IntervalSet.union_all(image(a) for a in reg.arcs) for reg in regions]
+    measures = [u.measure() for u in opens]
 
     # i) forward invariance: g(closure U) inside the open U
-    ok_i = True
-    slack_i: Fraction | None = None
-    detail_i = ""
-    for reg in report.regions:
-        img = region_images[reg.label]
-        u = region_open[reg.label]
-        if not u.covers(img):
-            ok_i = False
-            detail_i = f"region {reg.label}: image escapes"
-            slack_i = None
-            break
-        gap = u.min_gap_to_boundary(img)
-        slack_i = gap if slack_i is None or gap < slack_i else slack_i
-    items["i"] = ItemVerdict(ok_i, slack_i, detail_i or "g(cl U) strictly inside U")
-
-    # measures of the open sets themselves, so arcs listed twice or regions
-    # that overlap cannot inflate them
-    region_measure = {label: u.measure() for label, u in region_open.items()}
+    least, failure = _per_region(
+        u.min_gap_to_boundary(img)
+        if u.covers(img)
+        else f"region {reg.label}: image escapes"
+        for reg, u, img in zip(regions, opens, images)
+    )
+    items["i"] = ItemVerdict(
+        not failure, None if failure else least, failure or "g(cl U) strictly inside U"
+    )
 
     # ii) each region has measure < eps
-    max_measure = max(region_measure.values())
+    max_measure = max(measures)
     items["ii"] = ItemVerdict(
         max_measure < eps, eps - max_measure, f"max m(U) = {max_measure}"
     )
 
     # iii) regions cover measure > 1 - eps, and are pairwise disjoint
-    covered = IntervalSet.union_all(region_open.values()).measure()
-    summed = _length_sum(a for reg in report.regions for a in reg.arcs)
+    covered = IntervalSet.union_all(opens).measure()
+    summed = _length_sum(a for reg in regions for a in reg.arcs)
     detail_iii = f"m(union U) = {covered}"
     if summed != covered:
-        detail_iii += (
-            f", but the arcs sum to {summed}: "
-            f"{_first_overlap(report.regions)}"
-        )
+        detail_iii += f", but the arcs sum to {summed}: {_first_overlap(regions)}"
     items["iii"] = ItemVerdict(
-        covered > ONE - eps and summed == covered,
-        covered - (ONE - eps),
-        detail_iii,
+        covered > ONE - eps and summed == covered, covered - (ONE - eps), detail_iii
     )
 
     # iv) crushing: m(g(U)) < eps * m(U)
-    ok_iv = True
-    slack_iv: Fraction | None = None
-    detail_iv = ""
-    for reg in report.regions:
-        img_measure = region_images[reg.label].measure()
-        bound = eps * region_measure[reg.label]
-        if img_measure >= bound:
-            ok_iv = False
-            detail_iv = (
-                f"region {reg.label}: m(g(U)) = {img_measure} >= {bound}"
-            )
-            slack_iv = None
-            break
-        gap = bound - img_measure
-        slack_iv = gap if slack_iv is None or gap < slack_iv else slack_iv
-    items["iv"] = ItemVerdict(ok_iv, slack_iv, detail_iv or "images crushed")
+    least, failure = _per_region(
+        bound - m if m < bound else f"region {reg.label}: m(g(U)) = {m} >= {bound}"
+        for reg, m, bound in zip(
+            regions, (img.measure() for img in images), (eps * x for x in measures)
+        )
+    )
+    items["iv"] = ItemVerdict(
+        not failure, None if failure else least, failure or "images crushed"
+    )
 
-    # v) cycles of small diameter absorbing the region
-    ok_v = True
-    slack_v: Fraction | None = None
-    details_v = []
-    for reg in report.regions:
-        cyc = report.cycles[reg.label]
-        k = len(cyc)
-        # (a) diameters
-        for w in cyc:
-            d = w.diameter()
-            if d >= eps:
-                ok_v = False
-                details_v.append(f"{reg.label}: diam W = {d} >= eps")
-                break
-            gap = eps - d
-            slack_v = gap if slack_v is None or gap < slack_v else slack_v
-        if not ok_v:
-            break
-        # (b) cyclic forward containment
-        for idx in range(k):
-            nxt = IntervalSet.from_arcs((cyc[(idx + 1) % k],), closed=False)
-            img = image(cyc[idx])
-            if not nxt.covers(img):
-                ok_v = False
-                details_v.append(f"{reg.label}: g(cl W^{idx+1}) escapes")
-                break
-            gap = nxt.min_gap_to_boundary(img)
-            slack_v = gap if slack_v is None or gap < slack_v else slack_v
-        if not ok_v:
-            break
-        # (c) closure(U) absorbed by the cycle within n_steps preimages
-        w_union_open = IntervalSet.from_arcs(cyc, closed=False)
+    def absorption_failure(reg: Region, cycle_open: IntervalSet) -> str | None:
+        """Item v(c): the failure detail, or None when closure(U) lies in
+        the open cycle union within n_steps preimages."""
         # the plateau route needs a single lift value on each closed arc of
         # positive length: its image is one point, and an arc that wraps past
         # 0 meets the lift at 1 and at 0, whose values differ by the degree
         plateau_values = []
         for arc in reg.arcs:
+            if arc.length == 0 or (g.degree and arc.start + arc.length > ONE):
+                break
             img = image(arc).ivs
-            if (
-                arc.length == 0
-                or (g.degree and arc.start + arc.length > ONE)
-                or len(img) != 1
-                or img[0].lo != img[0].hi
-            ):
+            if len(img) != 1 or img[0].lo != img[0].hi:
                 break
             plateau_values.append(img[0].lo)
-        if len(plateau_values) == len(reg.arcs):
+        else:
             # g collapses each interior to a point, so absorption reduces to
             # chasing the anchor chain: g^m(closure arc) = {y_m} for m >= 1;
             # arcs with the same plateau value share one chase
-            for v in dict.fromkeys(plateau_values):
-                y = v
-                absorbed = False
+            for y in dict.fromkeys(plateau_values):
                 for _ in range(n_steps):
-                    if w_union_open.contains_point(y):
-                        absorbed = True
+                    if cycle_open.contains_point(y):
                         break
                     y = g.evaluate(y)
-                if not absorbed:
-                    ok_v = False
-                    details_v.append(
-                        f"{reg.label}: plateau value never reaches cycle"
-                    )
-                    break
-        else:
-            # general route: iterated preimages of the open cycle union
-            closure = reg.closed_set()
-            s = w_union_open
-            absorbed = False
-            for _ in range(n_steps + 1):
-                if s.covers(closure):
-                    absorbed = True
-                    break
-                s = s.union(g.preimage_of_set(s))
-                if len(s.ivs) > preimage_interval_cap:
-                    raise ResourceCap(
-                        f"preimage iteration for region {reg.label} reached "
-                        f"{len(s.ivs)} intervals, above the interval cap "
-                        f"{preimage_interval_cap}"
-                    )
-            if not (absorbed or s.covers(closure)):
-                ok_v = False
-                details_v.append(f"{reg.label}: closure(U) not absorbed")
-        if not ok_v:
-            break
+                else:
+                    return f"{reg.label}: plateau value never reaches cycle"
+            return None
+        # general route: iterated preimages of the open cycle union
+        s, closure = cycle_open, reg.closed_set()
+        for _ in range(n_steps + 1):
+            if s.covers(closure):
+                return None
+            s = s.union(g.preimage_of_set(s))
+            if len(s.ivs) > preimage_interval_cap:
+                raise ResourceCap(
+                    f"preimage iteration for region {reg.label} reached {len(s.ivs)} "
+                    f"intervals, above the interval cap {preimage_interval_cap}"
+                )
+        return None if s.covers(closure) else f"{reg.label}: closure(U) not absorbed"
+
+    # v) cycles of small diameter absorbing the region
+    def absorption():
+        for reg in regions:
+            cyc = report.cycles[reg.label]
+            # (a) diameters
+            for w in cyc:
+                d = w.diameter()
+                yield eps - d if d < eps else f"{reg.label}: diam W = {d} >= eps"
+            # (b) cyclic forward containment
+            for idx, w in enumerate(cyc):
+                nxt = IntervalSet.from_arcs((cyc[(idx + 1) % len(cyc)],), closed=False)
+                img = image(w)
+                yield (
+                    nxt.min_gap_to_boundary(img)
+                    if nxt.covers(img)
+                    else f"{reg.label}: g(cl W^{idx+1}) escapes"
+                )
+            # (c) closure(U) absorbed by the cycle within n_steps preimages
+            cycle_open = IntervalSet.from_arcs(cyc, closed=False)
+            if failure := absorption_failure(reg, cycle_open):
+                yield failure
+
+    least, failure = _per_region(absorption())
     items["v"] = ItemVerdict(
-        ok_v, slack_v, "; ".join(details_v) or "cycles absorb the regions"
+        not failure, least, failure or "cycles absorb the regions"
     )
 
     verification = ShredVerification(items)

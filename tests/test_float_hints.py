@@ -19,7 +19,9 @@ and every pair of endpoint flags.
 from __future__ import annotations
 
 import re
+import time
 from bisect import bisect_right
+from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
 
@@ -405,6 +407,29 @@ def test_parse_rational_matches_fraction_on_any_text(text):
 @pytest.mark.parametrize("text", PARSE_CASES)
 def test_as_fraction_reads_text_by_parse_rational(text):
     assert _outcome(as_fraction, text) == _outcome(parse_rational, text)
+
+
+@pytest.mark.parametrize("text", ["1E+9999999", "1E-9999999", "Infinity", "NaN", "sNaN"])
+def test_as_fraction_refuses_decimals_at_once(text):
+    # Fraction(Decimal("1E+9999999")) would first build 10**9999999
+    start = time.perf_counter()
+    with pytest.raises(InvalidInput):
+        as_fraction(Decimal(text))
+    assert time.perf_counter() - start < 1
+    assert _outcome(as_fraction, Decimal(text)) == _outcome(parse_rational, text)
+
+
+@pytest.mark.parametrize(
+    "text, value", [("0.1", F(1, 10)), ("-0", ZERO), ("1.5E+3", F(1500)), ("7", F(7))]
+)
+def test_as_fraction_reads_a_decimal_as_its_text(text, value):
+    x = as_fraction(Decimal(text))
+    assert type(x) is Fraction and x == value
+
+
+def test_decimal_coordinates_are_invalid_input_not_overflow():
+    with pytest.raises(InvalidInput):
+        PLCircleMap([0, Decimal("Infinity")], [0, 1])
 
 
 def test_parse_rational_rejects_what_is_not_text():
