@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, Arc, IntervalSet, mod1
 from .measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
-from .orbits import orbit_averages
+from .orbits import check_horizons, grid_averages
 from .plmaps import Observable, PLCircleMap, PeriodicComponent
 from .shredder import TrappingReport, singularity_witness
 
@@ -235,12 +235,15 @@ def _decompose(
 # as large; a Cesaro spec within WICKED_TOL of a declared spec hits it; orbit
 # points whose denominator outgrows DENOMINATOR_BIT_CAP bits are
 # inconclusive; the short Cesaro run of ``_wicked_verdict`` stops at the last
-# of CESARO_HORIZONS or at CESARO_COMPLEXITY_CAP.
+# of CESARO_HORIZONS or at CESARO_COMPLEXITY_CAP; the grid walks of
+# ``_classify_general`` take at most GRID_STEP_CAP steps, grid size times the
+# largest horizon (ten times the default protocol).
 GAP_THRESHOLD = Fraction(1, 200)
 WICKED_TOL = Fraction(1, 16)
 DENOMINATOR_BIT_CAP = 4096
 CESARO_HORIZONS = (1, 2, 4, 8)
 CESARO_COMPLEXITY_CAP = 20000
+GRID_STEP_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -259,6 +262,7 @@ class WProtocol:
     def __post_init__(self) -> None:
         if self.grid_size < 1:
             raise InvalidInput(f"grid size must be >= 1, got {self.grid_size}")
+        check_horizons(self.horizons)
         if self.max_period < 1:
             raise InvalidInput(f"max period must be >= 1, got {self.max_period}")
         if not ZERO < self.tol < ONE:
@@ -393,7 +397,12 @@ def _classify_general(
     declared_specs: Sequence[CylinderSpec] | None,
 ) -> WDiagnostics:
     battery = [Observable.tent(c) for c in protocol.battery_centers]
-    n = protocol.grid_size
+    n, top = protocol.grid_size, max(protocol.horizons)
+    if n * top > GRID_STEP_CAP:
+        raise ResourceCap(
+            f"grid of {n} points to horizon {top} is {n * top} steps, "
+            f"above the cap {GRID_STEP_CAP}"
+        )
     grid = [Fraction(i, n) for i in range(n)]
 
     small = 0
@@ -402,11 +411,11 @@ def _classify_general(
     periodic_hits = 0
     basin_counts: dict[Fraction, int] = {}
     gap_rows: list[tuple[Fraction, Fraction | None, bool]] = []
-    for x in grid:
-        res = orbit_averages(
-            f, x, battery, protocol.horizons,
-            denominator_bit_cap=DENOMINATOR_BIT_CAP,
-        )
+    results = grid_averages(
+        f, grid, battery, protocol.horizons,
+        denominator_bit_cap=DENOMINATOR_BIT_CAP,
+    )
+    for x, res in zip(grid, results):
         if res.inconclusive:
             inconclusive += 1
             gap_rows.append((x, None, False))

@@ -22,20 +22,32 @@ visits and the sum of the numerators p.  The closing scales each observable's
 intercept and slope on each cell to integers by one common multiple, puts
 the slice's points over one lcm of their denominators and builds one
 Fraction per observable.
+
+Batches: ``grid_averages`` runs ``orbit_averages`` at every point of a
+list.  The walks are independent, so it forks one worker per CPU this
+process may run on (the parent takes a share too), and each worker sends its
+results back through a pipe; the list it returns is the sequential one.
 """
 
 from __future__ import annotations
 
+import copyreg
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from math import gcd, lcm
-from operator import mul
-from typing import Iterable, Sequence
+from operator import itemgetter, mul
+from typing import BinaryIO, Iterable, Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, locate, mod1
 from .plmaps import Observable, PLCircleMap
+
+# Largest horizon of one walk: the walk keeps every point it visits, about
+# 250 B per step.
+HORIZON_CAP = 10**6
 
 
 @dataclass
@@ -167,6 +179,27 @@ class _Closing:
         ]
 
 
+def check_horizons(horizons: Sequence[int]) -> tuple[int, ...]:
+    """The distinct horizons in increasing order.
+
+    ``InvalidInput`` unless there is at least one and each is an ``int``
+    (not a ``bool``) of at least 1.
+    """
+    if not horizons:
+        raise InvalidInput("horizons must not be empty")
+    for h in horizons:
+        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
+            raise InvalidInput(f"horizons must be integers >= 1, got {h!r}")
+    return tuple(sorted(set(horizons)))
+
+
+def _capped_horizons(horizons: Sequence[int]) -> tuple[int, ...]:
+    hs = check_horizons(horizons)
+    if hs[-1] > HORIZON_CAP:
+        raise ResourceCap(f"horizon {hs[-1]} exceeds the cap {HORIZON_CAP} steps")
+    return hs
+
+
 def orbit_averages(
     f: PLCircleMap,
     x: Fraction,
@@ -175,9 +208,7 @@ def orbit_averages(
     denominator_bit_cap: int = 4096,
 ) -> OrbitAverages:
     """Exact (1/n) sums of phi over the orbit of x, at each horizon n."""
-    if not horizons or min(horizons) < 1:
-        raise InvalidInput("horizons must be positive")
-    hs = tuple(sorted(set(int(h) for h in horizons)))
+    hs = _capped_horizons(horizons)
     x = mod1(Fraction(x))
     seen, steps, last, inconclusive = _walk(f, x, hs[-1], denominator_bit_cap)
     start = None if inconclusive else seen.get(last)
@@ -218,3 +249,133 @@ def orbit_averages(
         hs, averages, period is not None, start, period, limits,
         inconclusive, steps, cycle_min=cycle_min,
     )
+
+
+def _cpus() -> int:
+    """Number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _share(
+    f: PLCircleMap,
+    points: Sequence[Fraction],
+    observables: Sequence[Observable],
+    horizons: Sequence[int],
+    denominator_bit_cap: int,
+) -> tuple[list[OrbitAverages], tuple[int, Exception] | None]:
+    """``orbit_averages`` at each point, up to the first that raises; then
+    that point's index in ``points`` and its exception."""
+    out = []
+    for i, x in enumerate(points):
+        try:
+            out.append(orbit_averages(f, x, observables, horizons, denominator_bit_cap))
+        except Exception as exc:
+            return out, (i, exc)
+    return out, None
+
+
+# a Fraction crosses a pipe as its integer pair: Python 3.10 pickles it by its
+# text, which the int-to-str limit refuses above 4300 digits
+_PICKLE_TABLE = {
+    **copyreg.dispatch_table,
+    Fraction: lambda q: (Fraction, (q.numerator, q.denominator)),
+}
+
+
+def _fork_share(args: tuple) -> tuple[int, BinaryIO]:
+    """Fork a worker that pickles ``_share(*args)`` into a pipe and exits;
+    returns its pid and the read end of the pipe."""
+    # imported here: only a forked batch needs pickle, and importing it
+    # raises the peak resident memory of a process by up to 1 MB
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            with os.fdopen(w, "wb") as out:
+                pickler = pickle.Pickler(out)
+                pickler.dispatch_table = _PICKLE_TABLE
+                pickler.dump(_share(*args))
+        finally:
+            # never unwind into the parent's stack or flush its buffers
+            os._exit(0)
+    os.close(w)
+    return pid, os.fdopen(r, "rb")
+
+
+def grid_averages(
+    f: PLCircleMap,
+    points: Sequence[Fraction],
+    observables: Sequence[Observable],
+    horizons: Sequence[int],
+    denominator_bit_cap: int = 4096,
+) -> list[OrbitAverages]:
+    """``[orbit_averages(f, x, ...) for x in points]``, walked in parallel.
+
+    With k = min(CPUs this process may run on, len(points)), share j of k is
+    ``points[j::k]``.  The parent walks share 0 and forks one child per
+    other share, which pickles its results into a pipe.  The list returned,
+    and the exception raised at the first point that fails, are those of
+    the sequential loop, which runs instead when k is 1, ``os.fork`` is
+    missing or another thread is alive (a fork copies only the calling
+    thread).  Every child is drained and reaped before this returns or
+    raises, also when the parent's own share raises.
+    """
+    points = list(points)
+    _capped_horizons(horizons)
+    f._step_table()  # built once, inherited by every worker
+    k = min(_cpus(), len(points))
+    if k <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [
+            orbit_averages(f, x, observables, horizons, denominator_bit_cap)
+            for x in points
+        ]
+    args = [(f, points[j::k], observables, horizons, denominator_bit_cap) for j in range(k)]
+    children: dict[int, tuple[int, BinaryIO]] = {}
+    shares: dict[int, tuple] = {}
+    sent: dict[int, bytes] = {}
+    try:
+        for j in range(1, k):
+            try:
+                children[j] = _fork_share(args[j])
+            except OSError:  # out of processes or descriptors: walk it here
+                break
+        for j in range(k):
+            if j not in children:
+                shares[j] = _share(*args[j])
+    finally:
+        try:
+            for j, (_, src) in children.items():
+                sent[j] = src.read()
+        finally:
+            # close every read end first: a child blocks on a full pipe
+            for _, src in children.values():
+                src.close()
+            for pid, _ in children.values():
+                os.waitpid(pid, 0)
+    import pickle  # loaded by _fork_share
+
+    for j, (pid, _) in children.items():
+        try:
+            shares[j] = pickle.loads(sent[j])
+        except Exception:  # empty or cut short: the child died writing
+            shares[j] = [], (0, RuntimeError(f"grid worker {pid} sent no result"))
+    # a share stops at its first failure; the sequential loop would raise
+    # the failure of the least grid index
+    failures = [(j + fail[0] * k, fail[1]) for j, (_, fail) in shares.items() if fail]
+    if failures:
+        raise min(failures, key=itemgetter(0))[1]
+    out: list[OrbitAverages] = [None] * len(points)  # type: ignore[list-item]
+    for j, (results, _) in shares.items():
+        out[j::k] = results
+    return out

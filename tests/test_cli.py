@@ -727,6 +727,9 @@ def test_max_period_below_one_exits_invalid(tmp_path, capsys, argv):
         (["shred", "{e2}", "--eps", "1/5", "--cells", "-3"], "cell count must be >= 1, got -3"),
         (["pushforward", "{e2}", "{leb}", "--iters", "-1"],
          "iteration count must be >= 0, got -1"),
+        (["classify", "{e2}", "--horizons", "10,0"], "horizons must be integers >= 1, got 0"),
+        (["birkhoff", "{e2}", "--x", "1/3", "--obs", "tent:0", "--horizons", "-2"],
+         "horizons must be integers >= 1, got -2"),
     ],
 )
 def test_count_out_of_range_exits_invalid(workdir, capsys, argv, message):
@@ -737,6 +740,31 @@ def test_count_out_of_range_exits_invalid(workdir, capsys, argv, message):
     assert out == ""
     assert f"invalid input: {message}" in err
     assert not (workdir / "bad").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["birkhoff", "{e2}", "--x", "1/3", "--obs", "tent:0", "--horizons", "10,1000001"],
+         "horizon 1000001 exceeds the cap 1000000 steps"),
+        (["classify", "{e2}", "--grid", "100001", "--horizons", "10,1000"],
+         "grid of 100001 points to horizon 1000 is 100001000 steps, above the cap 100000000"),
+        (["classify", "{e2}", "--grid", "1", "--horizons", "1000001"],
+         "horizon 1000001 exceeds the cap 1000000 steps"),
+    ],
+    ids=["birkhoff-horizon", "classify-grid", "classify-horizon"],
+)
+def test_orbit_sizes_above_their_caps_exit_resource_at_once(workdir, capsys, monkeypatch, argv, message):
+    def walk(*args):
+        raise AssertionError("an orbit was walked")
+
+    monkeypatch.setattr("circledyn.orbits._walk", walk)
+    argv = [a.format(e2=workdir / "e2.json") for a in argv]
+    assert main(["--out-dir", str(workdir / "big"), *argv]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"resource cap: {message}\n"
+    assert not (workdir / "big").exists()
 
 
 @pytest.mark.parametrize(
