@@ -23,7 +23,7 @@ from .exact import ONE, ZERO, Arc, IntervalSet, mod1
 from .measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
 from .orbits import check_horizons, grid_averages
 from .plmaps import Observable, PLCircleMap, PeriodicComponent
-from .shredder import TrappingReport, singularity_witness
+from .shredder import TrappingReport, singularity_witness, verify_shredding
 
 __all__ = [
     "RotationNumber",
@@ -260,8 +260,11 @@ class WProtocol:
     max_period: int = 16
 
     def __post_init__(self) -> None:
-        if self.grid_size < 1:
-            raise InvalidInput(f"grid size must be >= 1, got {self.grid_size}")
+        n = self.grid_size
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise InvalidInput(f"grid size must be an integer, got {n!r}")
+        if n < 1:
+            raise InvalidInput(f"grid size must be >= 1, got {n}")
         check_horizons(self.horizons)
         if self.max_period < 1:
             raise InvalidInput(f"max period must be >= 1, got {self.max_period}")
@@ -310,7 +313,8 @@ def classify(
     """Finite-scale w-taxonomy diagnostics; evidence, never proof.
 
     ``report`` supplies the trapping certificate of a shredded map (enables
-    the totally-singular witness and the small-basin bound).  ``trajectory``
+    the totally-singular witness and the small-basin bound); it is verified
+    against f here, whatever verification it carries.  ``trajectory``
     supplies precomputed Cesaro cylinder specs (horizon, spec) for the
     w5 check; otherwise a short push-forward Cesaro run is attempted against
     ``declared_specs``.
@@ -403,6 +407,8 @@ def _classify_general(
             f"grid of {n} points to horizon {top} is {n * top} steps, "
             f"above the cap {GRID_STEP_CAP}"
         )
+    # the certificate counts only as verified against f itself
+    certified = report is not None and verify_shredding(f, report).all_passed
     grid = [Fraction(i, n) for i in range(n)]
 
     small = 0
@@ -466,8 +472,7 @@ def _classify_general(
         "empirical_basin_count": len(basin_counts),
         "max_empirical_basin": max_emp_basin,
     }
-    if report is not None and report.verification is not None and \
-            report.verification.all_passed:
+    if certified:
         arcs, m_v, m_gv = singularity_witness(f, report)
         basin_bound = 2 * report.eps
         weird_ev = {

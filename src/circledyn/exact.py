@@ -19,13 +19,14 @@ index the same way.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from .errors import InvalidInput
+from .errors import InvalidInput, ResourceCap
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -34,9 +35,10 @@ HALF = Fraction(1, 2)
 
 def mod1(x: Fraction) -> Fraction:
     """Reduce a rational to its representative in [0, 1)."""
-    k = x.numerator // x.denominator
-    # subtracting a zero would rebuild a Fraction for nothing
-    return x - k if k else x
+    n, d = x.numerator, x.denominator
+    k = n // d
+    # one Fraction from integers, and none when x is in [0, 1) already
+    return Fraction(n - k * d, d) if k else x
 
 
 def circle_dist(x: Fraction, y: Fraction) -> Fraction:
@@ -108,13 +110,29 @@ def as_fraction(x: object) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Serialize as an explicit 'num/den' string."""
-    return f"{x.numerator}/{x.denominator}"
+    """Serialize as an explicit 'num/den' string.
+
+    An integer with more decimal digits than Python's int-to-str limit
+    (``sys.get_int_max_str_digits``, 4300 by default) can be neither written
+    nor read back by ``parse_rational``: ``ResourceCap`` names its size.
+    The limit is Python's own check, so the common case costs nothing.
+    """
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError as exc:
+        raise ResourceCap(
+            f"a rational with a {x.numerator.bit_length()}-bit numerator and a "
+            f"{x.denominator.bit_length()}-bit denominator has more digits than "
+            f"the {sys.get_int_max_str_digits()}-digit limit of integer "
+            f"string conversion"
+        ) from exc
 
 
-def locate(keys: Sequence[Fraction], hints: Sequence[float], p: int, q: int) -> int:
-    """The last index i < len(hints) with keys[i] <= p/q, or -1 when
-    keys[0] > p/q, decided by floats.
+def locate(
+    keys: Sequence[Fraction], hints: Sequence[float], p: int, q: int, lo: int = 0
+) -> int:
+    """The last index i < len(hints) with keys[i] <= p/q, or lo - 1 when
+    keys[lo] > p/q, decided by floats; the search starts at index ``lo``.
 
     ``keys`` strictly increase and ``hints`` are the correctly rounded
     floats of the first len(hints) of them; ``p / q`` (q > 0) is correctly
@@ -130,11 +148,13 @@ def locate(keys: Sequence[Fraction], hints: Sequence[float], p: int, q: int) -> 
     For a map's breakpoints 0 = b0 < ... < bm = 1 and the hints of b0, ...,
     b(m-1), and 0 <= p/q <= 1, this is the piece with bps[i] <= p/q <
     bps[i+1] (the last piece at p/q = 1).  ``IntervalSet`` locates a point
-    among the low ends of its intervals the same way.
+    among the low ends of its intervals the same way.  A sweep over sorted
+    points, such as ``PLCircleMap.image_of_set``, passes the index it found
+    for the previous point as ``lo``, so its index only advances.
     """
     x = p / q
-    i = bisect_right(hints, x) - 1
-    while i >= 0 and hints[i] == x and keys[i].numerator * q > p * keys[i].denominator:
+    i = bisect_right(hints, x, lo) - 1
+    while i >= lo and hints[i] == x and keys[i].numerator * q > p * keys[i].denominator:
         i -= 1
     return i
 
@@ -522,38 +542,101 @@ class IntervalSet:
             pos = host.hi
             pos_needed_closed = not host.hi_closed
 
-    def min_gap_to_boundary(self, inner: "IntervalSet") -> Fraction:
-        """Minimal distance from points of ``inner`` to boundary of self.
+    def min_gap_to_boundary(self, inner: "IntervalSet") -> Fraction | None:
+        """The least distance from a point of ``inner`` to the boundary of
+        self, or None when self does not cover inner (as ``covers`` says).
 
-        Assumes self.covers(inner); used for robustness margins.  Each inner
-        interval is matched to a covering interval of self.  When self holds
+        One merge of the two sorted sets: the host of an inner interval is
+        the last interval of self whose low end is at most the inner one's,
+        and the host index only advances.  A covered interval lies in its
+        host, up to the identification 0 ~ 1 of ``covers`` at its ends, and
+        its gaps are its distances to the host's two ends.  When self holds
         0 ~ 1 together with points on both sides of it, the seam is no
         boundary: a gap that reaches 0 or 1 runs on into the part on the
-        other side.  (A set that is the whole circle has no boundary at all;
-        its gaps then come out at 1 or more.)
+        other side.  A point 0 or 1 that only the other representative
+        covers lies on the boundary, at gap 0.  (A set that is the whole
+        circle has no boundary at all; its gaps then come out at 1 or more.)
+        Every comparison and gap is an integer cross product; one
+        ``Fraction`` is built, for the least gap.  Cost O(|self| + |inner|).
+        ``ValueError`` when inner is empty.
         """
+        if not inner.ivs:
+            raise ValueError("the gap of an empty set is undefined")
         ivs = self.ivs
-        seam = (
-            bool(ivs)
-            and ivs[0].lo == ZERO < ivs[0].hi
-            and ivs[-1].lo < ONE == ivs[-1].hi
-            and (ivs[0].lo_closed or ivs[-1].hi_closed)
+        if not ivs:
+            return None
+        first, last = ivs[0], ivs[-1]
+        f_lo, f_hi, l_lo, l_hi = first.lo, first.hi, last.lo, last.hi
+        starts_at_0 = not f_lo.numerator and f_hi.numerator
+        ends_at_1 = l_hi.numerator == l_hi.denominator and l_lo.numerator < l_lo.denominator
+        # 0 ~ 1 is a point of self when either representative is
+        wrap = (
+            not f_lo.numerator and first.lo_closed
+            or l_hi.numerator == l_hi.denominator and last.hi_closed
         )
-        best: Fraction | None = None
-        for iv in inner.ivs:
-            host = self._candidate(iv.lo)
-            if host is not None and iv.hi <= host.hi:
-                left, right = iv.lo - host.lo, host.hi - iv.hi
-                if seam and host.lo == ZERO:
-                    left += ONE - ivs[-1].lo
-                if seam and host.hi == ONE:
-                    right += ivs[0].hi
-                for gap in (left, right):
-                    if best is None or gap < best:
-                        best = gap
-        if best is None:
-            raise ValueError("inner set not covered interval-by-interval")
-        return best
+        seam = starts_at_0 and ends_at_1 and (first.lo_closed or last.hi_closed)
+        count = len(ivs)
+        j = -1
+        nxt_n, nxt_d = f_lo.numerator, f_lo.denominator  # the low end of ivs[j + 1]
+        best_n, best_d = 1, 0  # the least gap so far, as an integer pair
+        for t in inner.ivs:
+            lo, hi = t.lo, t.hi
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            while j + 1 < count and nxt_n * ld <= ln * nxt_d:
+                j += 1
+                if j + 1 < count:
+                    nxt = ivs[j + 1].lo
+                    nxt_n, nxt_d = nxt.numerator, nxt.denominator
+            if j < 0:
+                # no host: only the point 0, covered by 1, at gap 0
+                if not (ln == hn == 0 and wrap):
+                    return None
+                best_n, best_d = 0, 1
+                continue
+            host = ivs[j]
+            a, b = host.lo, host.hi
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            # the signs of lo - a and of b - hi
+            c_lo = ln * ad - an * ld
+            c_hi = bn * hd - hn * bd
+            if ln == hn and ld == hd:
+                # a point: 0 and 1 are covered as one circle point
+                covered = (
+                    wrap if ln == 0 or ln == ld
+                    else (c_lo > 0 or host.lo_closed)
+                    and (c_hi > 0 or not c_hi and host.hi_closed)
+                )
+            else:
+                covered = (
+                    ln * bd < bn * ld
+                    and (c_lo > 0 or host.lo_closed or not t.lo_closed or not ln and wrap)
+                    and (
+                        c_hi > 0 or not c_hi and (
+                            host.hi_closed or not t.hi_closed or hn == hd and wrap
+                        )
+                    )
+                )
+            if not covered:
+                return None
+            if c_hi < 0:
+                # a point 0 or 1 covered by the other representative only
+                best_n, best_d = 0, 1
+                continue
+            left_n, left_d = c_lo, ld * ad
+            right_n, right_d = c_hi, hd * bd
+            if seam and not an:
+                # the part ending at 1 adds 1 - l_lo
+                left_n = left_n * l_lo.denominator + (l_lo.denominator - l_lo.numerator) * left_d
+                left_d *= l_lo.denominator
+            if seam and bn == bd:
+                # the part starting at 0 adds f_hi
+                right_n = right_n * f_hi.denominator + f_hi.numerator * right_d
+                right_d *= f_hi.denominator
+            if left_n * best_d < best_n * left_d:
+                best_n, best_d = left_n, left_d
+            if right_n * best_d < best_n * right_d:
+                best_n, best_d = right_n, right_d
+        return Fraction(best_n, best_d)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntervalSet) and self.ivs == other.ivs

@@ -249,12 +249,14 @@ def report_from_record(rec: dict) -> TrappingReport:
             )
             for r in rec["regions"]
         )
-        cycles = {
-            _label_from_record(c["label"]): tuple(
-                _arc_from_record(a) for a in c["sets"]
-            )
-            for c in rec["cycles"]
-        }
+        cycles = {}
+        for c in rec["cycles"]:
+            label = _label_from_record(c["label"])
+            if label in cycles:
+                raise InvalidInput(
+                    f"malformed report record: cycles lists label {label} twice"
+                )
+            cycles[label] = tuple(_arc_from_record(a) for a in c["sets"])
         subcells = rec["subcells"]
         report = TrappingReport(
             eps=parse_rational(rec["eps"]),

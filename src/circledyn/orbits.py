@@ -42,7 +42,7 @@ from operator import itemgetter, mul
 from typing import BinaryIO, Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, locate, mod1
+from .exact import ONE, ZERO, as_fraction, locate, mod1
 from .plmaps import Observable, PLCircleMap
 
 # Largest horizon of one walk: the walk keeps every point it visits, about
@@ -207,9 +207,12 @@ def orbit_averages(
     horizons: Sequence[int],
     denominator_bit_cap: int = 4096,
 ) -> OrbitAverages:
-    """Exact (1/n) sums of phi over the orbit of x, at each horizon n."""
+    """Exact (1/n) sums of phi over the orbit of x, at each horizon n.
+
+    x is read by ``exact.as_fraction``: a float or a malformed string is
+    ``InvalidInput``."""
     hs = _capped_horizons(horizons)
-    x = mod1(Fraction(x))
+    x = mod1(as_fraction(x))
     seen, steps, last, inconclusive = _walk(f, x, hs[-1], denominator_bit_cap)
     start = None if inconclusive else seen.get(last)
     period = None if start is None else steps - start

@@ -438,43 +438,79 @@ class PLCircleMap:
     # -- set images and preimages (endpoint topology exact)
 
     def image_of_set(self, s: IntervalSet) -> IntervalSet:
-        """Exact image of an interval set inside [0, 1] under the map."""
+        """Exact image of an interval set inside [0, 1] under the map.
+
+        One sweep over the set's intervals, whose ends increase: an end is
+        located by ``exact.locate`` from the piece of the end before it, or
+        read off that piece when it ends there, so the piece index only
+        advances.  The lift value at an end on a
+        breakpoint (1 is the last) is read from ``lift_values``, and only an
+        end inside a sloped piece builds a ``Fraction``.  Each piece an
+        interval meets adds the wrapped range of its two lift values (see
+        ``_wrap_lift_interval``), and the pieces are canonicalised once.
+        Cost O(|s| log |bps| + output).
+        """
         ivs = s.ivs
         if ivs and (
             ivs[0].lo.numerator < 0 or ivs[-1].hi.numerator > ivs[-1].hi.denominator
         ):
             raise InvalidInput("image_of_set needs a set inside [0, 1]")
-        pieces: list[Iv] = []
-        for iv in ivs:
-            pieces.extend(self._image_of_iv(iv))
-        return IntervalSet(pieces)
-
-    def _image_of_iv(self, iv: Iv) -> list[Iv]:
-        """Image of one interval inside [0, 1], piece by piece.
-
-        One walk gives the lift values at the ends and at the breakpoints
-        strictly between them.  Ends and values are compared as integers:
-        all are in lowest terms, so equal values have equal integers.
-        """
-        lo, hi = iv.lo, iv.hi
-        lifts = self._walk(lo, hi)[1]
-        if lo.numerator == hi.numerator and lo.denominator == hi.denominator:
-            return [_point(lifts[0])]
+        bps, vals, slopes, hints = (
+            self.breakpoints, self.lift_values, self._slopes, self._hints
+        )
+        top = len(bps) - 1
         out: list[Iv] = []
-        last = len(lifts) - 2
-        for k in range(last + 1):
-            fa, fb = lifts[k], lifts[k + 1]
-            an, ad, bn, bd = fa.numerator, fa.denominator, fb.numerator, fb.denominator
-            if an == bn and ad == bd:
-                out.append(_point(fa))
+
+        def inside(i: int, x: Fraction) -> Fraction:
+            """The lift value at x inside piece i."""
+            slope = slopes[i]
+            return vals[i] + slope * (x - bps[i]) if slope else vals[i]
+
+        p = 0  # the piece of the last end located
+        for iv in ivs:
+            lo, hi = iv.lo, iv.hi
+            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            # each end's piece: the last breakpoint index at or after p
+            # whose breakpoint is at most the end; 1 is breakpoint ``top``
+            if ln == ld:
+                out.append(_point(vals[top]))
                 continue
-            a_closed = iv.lo_closed if k == 0 else True
-            b_closed = iv.hi_closed if k == last else True
-            if an * bd < bn * ad:
-                out.extend(_wrap_lift_interval(fa, a_closed, fb, b_closed))
+            i = p = locate(bps, hints, ln, ld, p)
+            b = bps[i]
+            v_lo = vals[i] if b.numerator == ln and b.denominator == ld else inside(i, lo)
+            if ln == hn and ld == hd:
+                out.append(_point(v_lo))
+                continue
+            # most intervals end in their first piece or at its right end
+            b = bps[i + 1]
+            c = hn * b.denominator - b.numerator * hd
+            if c < 0:
+                q, on_hi = i, False
+            elif not c:
+                q, on_hi = i + 1, True
+            elif hn == hd:
+                q, on_hi = top, True
             else:
-                out.extend(_wrap_lift_interval(fb, b_closed, fa, a_closed))
-        return out
+                q = p = locate(bps, hints, hn, hd, i + 1)
+                b = bps[q]
+                on_hi = b.numerator == hn and b.denominator == hd
+            v_hi = vals[q] if on_hi else inside(q, hi)
+            # the lift values at lo, at each breakpoint strictly inside and at hi
+            lifts = [v_lo, *vals[i + 1 : q if on_hi else q + 1], v_hi]
+            last = len(lifts) - 2
+            for k in range(last + 1):
+                fa, fb = lifts[k], lifts[k + 1]
+                an, ad, bn, bd = fa.numerator, fa.denominator, fb.numerator, fb.denominator
+                if an == bn and ad == bd:
+                    out.append(_point(fa))
+                    continue
+                a_closed = iv.lo_closed if k == 0 else True
+                b_closed = iv.hi_closed if k == last else True
+                if an * bd < bn * ad:
+                    _wrap_lift_interval(out, an, ad, a_closed, bn, bd, b_closed)
+                else:
+                    _wrap_lift_interval(out, bn, bd, b_closed, an, ad, a_closed)
+        return IntervalSet(out)
 
     def _preimage_index(self) -> tuple[list[tuple[float, int, int]], Fraction]:
         """Sorted shifted lift ranges of the pieces, built on first use.
@@ -617,21 +653,29 @@ def _point(v: Fraction) -> Iv:
 
 
 def _wrap_lift_interval(
-    lo: Fraction, loc: bool, hi: Fraction, hic: bool
-) -> list[Iv]:
-    """Wrap a lift-space interval into circle representatives in [0, 1].
+    out: list[Iv], ln: int, ld: int, loc: bool, hn: int, hd: int, hic: bool
+) -> None:
+    """Append the circle representatives in [0, 1] of the lift interval from
+    ln/ld to hn/hd (lowest terms, ln/ld < hn/hd) to ``out``.
 
     A span of exactly one turn open at both ends misses the one circle point
-    mod1(lo); it wraps into [0, x) u (x, 1], or (0, 1) when x is 0.
+    mod1(lo); it wraps into [0, x) u (x, 1], or (0, 1) when x is 0.  The
+    span and the turn are compared as integers, and each end is one
+    ``Fraction`` built from integers.
     """
-    span = hi - lo
-    if span > ONE or (span == ONE and (loc or hic)):
-        return [Iv(ZERO, True, ONE, True)]
-    shift = lo.numerator // lo.denominator
-    lo, hi = lo - shift, hi - shift
-    if hi <= ONE:
-        return [Iv(lo, loc, hi, hic)]
-    return [Iv(lo, loc, ONE, True), Iv(ZERO, True, hi - ONE, hic)]
+    den = ld * hd
+    over = hn * ld - ln * hd - den  # (span - 1) * den
+    if over > 0 or not over and (loc or hic):
+        out.append(Iv(ZERO, True, ONE, True))
+        return
+    shift = ln // ld
+    lo = Fraction(ln - shift * ld, ld)
+    top = hn - shift * hd  # hi - shift, over hd
+    if top <= hd:
+        out.append(Iv(lo, loc, Fraction(top, hd), hic))
+    else:
+        out.append(Iv(lo, loc, ONE, True))
+        out.append(Iv(ZERO, True, Fraction(top - hd, hd), hic))
 
 
 @dataclass(frozen=True)

@@ -308,6 +308,55 @@ def _per_region(checks: Iterable[Fraction | str]) -> tuple[Fraction | None, str 
     return least, None
 
 
+def _plateau_arcs(g: PLCircleMap, arcs: Iterable[Arc]) -> bool:
+    """Whether item v(c) may take the plateau route on these arcs: each has
+    positive length, and none wraps past 0 when g's degree is nonzero (its
+    closure meets the lift at 1 and at 0, whose values differ by the
+    degree).  Decided on the arcs' integers."""
+    for arc in arcs:
+        s, n = arc.start, arc.length
+        ln, ld = n.numerator, n.denominator
+        if not ln:
+            return False
+        if g.degree and s.numerator * ld + ln * s.denominator > s.denominator * ld:
+            return False
+    return True
+
+
+def _chase_failure(
+    g: PLCircleMap, points: Iterable[Fraction], cycle_open: IntervalSet, n_steps: int
+) -> bool:
+    """Whether some point fails to enter the open cycle union within
+    n_steps - 1 steps of g.
+
+    Each point's exact step count to the cycle is recorded, keyed by its
+    integers, with those of the points on its walk, so a walk that meets
+    one already counted stops there, and chains that merge are walked
+    once."""
+    steps_to: dict[tuple[int, int], int] = {}
+    bound = n_steps - 1
+    for y in points:
+        walk = []
+        while True:
+            key = y.numerator, y.denominator
+            known = steps_to.get(key)
+            if known is None and cycle_open.contains_point(y):
+                known = 0
+            if known is not None:
+                break
+            if len(walk) >= bound:
+                return True
+            walk.append(key)
+            y = g.evaluate(y)
+        total = len(walk) + known
+        if total > bound:
+            return True
+        for k in walk:
+            steps_to[k] = total
+            total -= 1
+    return False
+
+
 def verify_shredding(
     g: PLCircleMap,
     report: TrappingReport,
@@ -317,34 +366,28 @@ def verify_shredding(
 
     Items i, iv and v walk the listed regions by the rule of ``_per_region``.
     The slack of item v is the least margin seen, also before a failure;
-    items i and iv report a slack only when they pass."""
+    items i and iv report a slack only when they pass.  A region's closed
+    image is one ``image_of_set`` sweep, and each margin is one
+    ``min_gap_to_boundary`` merge."""
     eps = report.eps
     regions = report.regions
     n_steps = len(report.tau)
     items: dict[str, ItemVerdict] = {}
 
-    # one closed image per distinct arc; regions and cycles share them.  The
-    # key is the arc's four integers: a Fraction hash costs a modular inverse
-    arc_images: dict[tuple[int, int, int, int], IntervalSet] = {}
-
-    def image(arc: Arc) -> IntervalSet:
-        a, b = arc.start, arc.length
-        key = a.numerator, a.denominator, b.numerator, b.denominator
-        if key not in arc_images:
-            arc_images[key] = g.image_of_set(IntervalSet.from_arcs((arc,), closed=True))
-        return arc_images[key]
-
     # per-region data, in the listed order; measures of the open sets, so
     # arcs listed twice or regions that overlap cannot inflate them
     opens = [reg.open_set() for reg in regions]
-    images = [IntervalSet.union_all(image(a) for a in reg.arcs) for reg in regions]
+    closures = [reg.closed_set() for reg in regions]
+    images = [g.image_of_set(c) for c in closures]
     measures = [u.measure() for u in opens]
+
+    def margin(outer: IntervalSet, inner: IntervalSet, detail: str) -> Fraction | str:
+        gap = outer.min_gap_to_boundary(inner)
+        return detail if gap is None else gap
 
     # i) forward invariance: g(closure U) inside the open U
     least, failure = _per_region(
-        u.min_gap_to_boundary(img)
-        if u.covers(img)
-        else f"region {reg.label}: image escapes"
+        margin(u, img, f"region {reg.label}: image escapes")
         for reg, u, img in zip(regions, opens, images)
     )
     items["i"] = ItemVerdict(
@@ -378,34 +421,20 @@ def verify_shredding(
         not failure, None if failure else least, failure or "images crushed"
     )
 
-    def absorption_failure(reg: Region, cycle_open: IntervalSet) -> str | None:
+    def absorption_failure(
+        reg: Region, closure: IntervalSet, image: IntervalSet, cycle_open: IntervalSet
+    ) -> str | None:
         """Item v(c): the failure detail, or None when closure(U) lies in
         the open cycle union within n_steps preimages."""
-        # the plateau route needs a single lift value on each closed arc of
-        # positive length: its image is one point, and an arc that wraps past
-        # 0 meets the lift at 1 and at 0, whose values differ by the degree
-        plateau_values = []
-        for arc in reg.arcs:
-            if arc.length == 0 or (g.degree and arc.start + arc.length > ONE):
-                break
-            img = image(arc).ivs
-            if len(img) != 1 or img[0].lo != img[0].hi:
-                break
-            plateau_values.append(img[0].lo)
-        else:
-            # g collapses each interior to a point, so absorption reduces to
-            # chasing the anchor chain: g^m(closure arc) = {y_m} for m >= 1;
-            # arcs with the same plateau value share one chase
-            for y in dict.fromkeys(plateau_values):
-                for _ in range(n_steps):
-                    if cycle_open.contains_point(y):
-                        break
-                    y = g.evaluate(y)
-                else:
-                    return f"{reg.label}: plateau value never reaches cycle"
+        # each closed arc's image is one point exactly when the region's
+        # image is points only: g^m(closure arc) = {y_m} for m >= 1, so
+        # absorption reduces to chasing the plateau values
+        if _plateau_arcs(g, reg.arcs) and all(iv.lo == iv.hi for iv in image.ivs):
+            if _chase_failure(g, (iv.lo for iv in image.ivs), cycle_open, n_steps):
+                return f"{reg.label}: plateau value never reaches cycle"
             return None
         # general route: iterated preimages of the open cycle union
-        s, closure = cycle_open, reg.closed_set()
+        s = cycle_open
         for _ in range(n_steps + 1):
             if s.covers(closure):
                 return None
@@ -419,7 +448,7 @@ def verify_shredding(
 
     # v) cycles of small diameter absorbing the region
     def absorption():
-        for reg in regions:
+        for reg, closure, image in zip(regions, closures, images):
             cyc = report.cycles[reg.label]
             # (a) diameters
             for w in cyc:
@@ -427,16 +456,14 @@ def verify_shredding(
                 yield eps - d if d < eps else f"{reg.label}: diam W = {d} >= eps"
             # (b) cyclic forward containment
             for idx, w in enumerate(cyc):
-                nxt = IntervalSet.from_arcs((cyc[(idx + 1) % len(cyc)],), closed=False)
-                img = image(w)
-                yield (
-                    nxt.min_gap_to_boundary(img)
-                    if nxt.covers(img)
-                    else f"{reg.label}: g(cl W^{idx+1}) escapes"
+                yield margin(
+                    IntervalSet.from_arcs((cyc[(idx + 1) % len(cyc)],), closed=False),
+                    g.image_of_set(IntervalSet.from_arcs((w,), closed=True)),
+                    f"{reg.label}: g(cl W^{idx+1}) escapes",
                 )
             # (c) closure(U) absorbed by the cycle within n_steps preimages
             cycle_open = IntervalSet.from_arcs(cyc, closed=False)
-            if failure := absorption_failure(reg, cycle_open):
+            if failure := absorption_failure(reg, closure, image, cycle_open):
                 yield failure
 
     least, failure = _per_region(absorption())

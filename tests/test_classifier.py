@@ -227,6 +227,21 @@ class TestClassify:
         assert ev["witness_image_measure"] < F(1, 5)
         assert ev["max_empirical_basin"] < ev["basin_bound"] == F(2, 5)
 
+    def test_a_report_verified_for_another_map_is_verified_again(self):
+        # the report certifies g, not the rotated map: verify fails items i
+        # and v on it, so classify must not trust the stale verification
+        g, report = shred(expanding_map(3), F(1, 5))
+        assert verify_shredding(g, report).all_passed
+        rotated = PLCircleMap.rotation(F(1, 2)).compose(g)
+        diag = classify(rotated, SMALL, report=report)
+        assert diag.status("weird") != "witnessed"
+        assert "basin_bound" not in diag.labels["weird"].evidence
+        assert "reason" not in diag.labels["wonderful"].evidence
+        items = report.verification.items
+        assert not items["i"].passed and not items["v"].passed
+        # the map the report certifies is still witnessed weird
+        assert classify(g, SMALL, report=report).status("weird") == "witnessed"
+
     def test_wicked_trajectory_rule(self):
         target = CylinderSpec.dirac_zero(2, 3)
         res = wicked_perturb(PLCircleMap.identity(), 2, target, F(1, 4), 1001)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -374,6 +375,27 @@ class TestCli:
         assert "exceeds cap 10" in capsys.readouterr().err
         assert not (workdir / "outP" / "measure.json").exists()
 
+    def test_pushforward_past_the_digit_limit_exits_resource(self, tmp_path, capsys):
+        # the atom at 1/5 gains about a bit per iterate: after 10 000 its
+        # position cannot be written as decimal digits, and nothing is
+        f = PLCircleMap([F(0), F(1, 2), F(1)], [F(0), F(1, 3), F(1)])
+        (tmp_path / "map.json").write_text(formats.dumps(formats.map_to_record(f)))
+        mu = CircleMeasure(atoms=[(F(1, 5), F(1))], pieces=[])
+        (tmp_path / "mu.json").write_text(formats.dumps(formats.measure_to_record(mu)))
+        out = tmp_path / "out"
+        argv = [
+            "--out-dir", str(out), "pushforward",
+            str(tmp_path / "map.json"), str(tmp_path / "mu.json"), "--iters",
+        ]
+        assert main([*argv, "10000"]) == 3
+        err = capsys.readouterr().err
+        assert "10001-bit numerator" in err
+        assert f"{sys.get_int_max_str_digits()}-digit limit" in err
+        assert not out.exists()
+        assert main([*argv, "6000"]) == 0
+        back = formats.measure_from_record(json.loads((out / "measure.json").read_text()))
+        assert len(back.atoms) == 1
+
     def test_wicked_over_twelve_letters(self, workdir, tmp_path, capsys):
         target = CylinderSpec.bernoulli([F(1, 2), *[F(1, 22)] * 11], 1)
         (tmp_path / "t12.json").write_text(
@@ -540,6 +562,18 @@ class TestReportSoundness:
         assert self._verify(workdir, "noarcs", rec) == 2
         err = capsys.readouterr().err
         assert f"invalid input: malformed report record: region {label} has no arcs" in err
+
+    def test_cycles_label_listed_twice_is_invalid(self, workdir, capsys):
+        # the reader used to keep the last entry without a word
+        rec = self._shred(workdir, "shred")
+        first = rec["cycles"][0]
+        rec["cycles"].append({"label": first["label"], "sets": first["sets"][:1]})
+        capsys.readouterr()
+        assert self._verify(workdir, "twocycles", rec) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        label = tuple(first["label"])
+        assert f"malformed report record: cycles lists label {label} twice" in err
 
 
     @pytest.mark.parametrize(

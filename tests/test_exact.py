@@ -1,17 +1,20 @@
 import copy
 import pickle
+import sys
 from fractions import Fraction
 
 import pytest
 
 from circledyn import formats
-from circledyn.errors import InvalidInput
+from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.exact import (
     Arc,
     IntervalSet,
     Iv,
     circle_dist,
+    format_rational,
     mod1,
+    parse_rational,
 )
 from circledyn.measures import CylinderSpec
 from circledyn.partitions import family_from_homeo
@@ -224,3 +227,15 @@ def test_arcs_and_intervals_are_immutable_values():
             v.other = 1
         assert copy.copy(v) == v == pickle.loads(pickle.dumps(v))
     assert {arc: 1}[Arc(F(1, 3), F(1, 2))] == 1
+
+
+def test_format_rational_stops_at_the_digit_limit():
+    # a numerator or denominator of `limit` digits is written and read back;
+    # one more digit is a ResourceCap that names the sizes
+    limit = sys.get_int_max_str_digits()
+    widest = F(10**limit - 1, 3)
+    assert parse_rational(format_rational(widest)) == widest
+    for x in (F(10**limit + 1, 3), F(3, 10**limit + 1)):
+        n, d = x.numerator.bit_length(), x.denominator.bit_length()
+        with pytest.raises(ResourceCap, match=f"{n}-bit numerator and a {d}-bit denominator"):
+            format_rational(x)

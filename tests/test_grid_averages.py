@@ -107,7 +107,7 @@ def test_a_child_failure_is_raised_as_it_was(monkeypatch, cpus):
     use_cpus(monkeypatch, cpus)
     with pytest.raises(ValueError) as batch:
         grid_averages(f, points, BATTERY, (10,), 4096)
-    assert str(batch.value) == str(seq.value) == "Invalid literal for Fraction: 'one half'"
+    assert str(batch.value) == str(seq.value) == "not a rational number: 'one half'"
 
 
 def test_the_first_failure_in_grid_order_wins(monkeypatch):
@@ -200,6 +200,25 @@ def test_a_horizon_that_is_not_a_positive_int_is_invalid(horizons, shown):
         orbit_averages(expanding_map(2), F(1, 3), BATTERY, horizons)
     with pytest.raises(InvalidInput, match=message):
         WProtocol(horizons=horizons)
+
+
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (0.1, "floats are not exact rationals: 0.1"),
+        ("one half", "not a rational number: 'one half'"),
+        ("1e99999", "exponent of '1e99999' is above 4300"),
+    ],
+)
+def test_a_point_that_is_not_an_exact_rational_is_invalid(x, message):
+    with pytest.raises(InvalidInput, match=message):
+        orbit_averages(expanding_map(2), x, BATTERY, (3,))
+
+
+@pytest.mark.parametrize("grid_size", [2.5, True, "2"])
+def test_a_grid_size_that_is_not_an_int_is_invalid(grid_size):
+    with pytest.raises(InvalidInput, match=f"grid size must be an integer, got {grid_size!r}"):
+        WProtocol(grid_size=grid_size, horizons=(5,))
 
 
 def test_no_horizon_is_invalid():

@@ -1,7 +1,7 @@
 """Property tests for the index-aligned PL map queries.
 
 ``PLCircleMap.c0_distance`` (a merge walk over the two breakpoint tuples),
-the constructor (one slope per raw piece) and ``_image_of_iv`` (interior
+the constructor (one slope per raw piece) and ``image_of_set`` (interior
 lift values read by index) are compared with the plain evaluate-everywhere
 versions they replaced, which are kept here as references, with the
 Fraction slope formula the constructor used before it worked on integer
@@ -284,7 +284,7 @@ def test_map_record_round_trip(raw):
 def test_image_of_iv_matches_reference(case):
     f, ivs = case
     for iv in ivs:
-        assert IntervalSet(f._image_of_iv(iv)).ivs == reference_image(f, iv).ivs
+        assert f.image_of_set(IntervalSet([iv])).ivs == reference_image(f, iv).ivs
     s = IntervalSet(ivs)
     expected = IntervalSet.union_all(reference_image(f, iv) for iv in s.ivs)
     assert f.image_of_set(s).ivs == expected.ivs

@@ -239,25 +239,23 @@ def circle_boundary(s: IntervalSet) -> list[Fraction]:
 @settings(max_examples=400, deadline=None)
 @given(interval_sets(), interval_sets())
 def test_min_gap_matches_scan(s, t):
-    matched = [
-        iv
-        for iv in t.ivs
-        if any(host.lo <= iv.lo and iv.hi <= host.hi for host in s.ivs)
-    ]
-    if not matched:
-        try:
+    # None exactly when s does not cover t; else the least circle distance
+    # from an end of t to the boundary of s
+    if not t.ivs:
+        with pytest.raises(ValueError):
             s.min_gap_to_boundary(t)
-        except ValueError:
-            return
-        raise AssertionError("uncovered inner set was not rejected")
-    boundary = circle_boundary(s)
+        return
     gap = s.min_gap_to_boundary(t)
+    if not s.covers(t):
+        assert gap is None
+        return
+    boundary = circle_boundary(s)
     if not boundary:
         # s is the whole circle
         assert gap >= 1
         return
     assert gap == min(
-        circle_dist(e, b) for iv in matched for e in (iv.lo, iv.hi) for b in boundary
+        circle_dist(e, b) for iv in t.ivs for e in (iv.lo, iv.hi) for b in boundary
     )
 
 
