@@ -313,8 +313,9 @@ def classify(
     """Finite-scale w-taxonomy diagnostics; evidence, never proof.
 
     ``report`` supplies the trapping certificate of a shredded map (enables
-    the totally-singular witness and the small-basin bound); it is verified
-    against f here, whatever verification it carries.  ``trajectory``
+    the totally-singular witness and the small-basin bound on a map that is
+    not a homeomorphism); it is verified against f, whatever verification it
+    carries.  ``trajectory``
     supplies precomputed Cesaro cylinder specs (horizon, spec) for the
     w5 check; otherwise a short push-forward Cesaro run is attempted against
     ``declared_specs``.

@@ -28,6 +28,7 @@ from circledyn.shredder import (
     ShredConfig,
     ShredVerification,
     TrappingReport,
+    _chase_failure,
     _first_overlap,
     _length_sum,
     _per_region,
@@ -411,6 +412,26 @@ def test_merged_chains_count_the_steps_of_the_chain_they_join():
                 assert verify_shredding(g, alone).items["v"].passed == (n_steps > deep)
                 assert_same_verdicts(g, alone)
     assert merged
+
+
+def test_a_walk_that_joins_a_counted_chain_adds_its_count():
+    # chase the shallower value first: the deeper one then stops where its
+    # walk meets the counted chain, and its count is the steps walked plus
+    # that chain's count, which the bound len(tau) - 1 must cover
+    f, eps, cells = DEEP_CHASES[0]
+    g, report = shred(f, eps, ShredConfig(cells=cells))
+    reg = report.regions[0]
+    cycle_open = IntervalSet.from_arcs(report.cycles[reg.label], closed=False)
+    points = [iv.lo for iv in g.image_of_set(reg.closed_set()).ivs]
+    walk = [points[0]]
+    while not cycle_open.contains_point(walk[-1]):
+        walk.append(g.evaluate(walk[-1]))
+    deep = len(walk) - 1
+    joined = [z for z in walk[1:-1] if z in points]
+    assert deep == 3 and joined
+    for n_steps in (deep - 1, deep, deep + 1):
+        failed = _chase_failure(g, [joined[0], points[0]], cycle_open, n_steps)
+        assert failed == (n_steps <= deep), n_steps
 
 
 # ---------------------------------------------------------------------------
