@@ -19,7 +19,7 @@ from math import ceil, floor
 from typing import Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, Arc, IntervalSet, mod1
+from .exact import ONE, ZERO, Arc, IntervalSet, as_count, mod1
 from .measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
 from .orbits import check_horizons, grid_averages
 from .plmaps import Observable, PLCircleMap, PeriodicComponent
@@ -72,8 +72,7 @@ def _rotation_search(
     """
     if not h.is_homeomorphism or h.degree != 1:
         raise InvalidInput("rotation number requires an orientation-preserving homeomorphism")
-    if max_period < 1:
-        raise InvalidInput(f"max period must be >= 1, got {max_period}")
+    as_count(max_period, "max period")
 
     def cost(f: PLCircleMap, g: PLCircleMap) -> int:  # breakpoints times bits
         bits = sum(max(v.denominator.bit_length() for v in m.breakpoints + m.lift_values)
@@ -260,14 +259,9 @@ class WProtocol:
     max_period: int = 16
 
     def __post_init__(self) -> None:
-        n = self.grid_size
-        if not isinstance(n, int) or isinstance(n, bool):
-            raise InvalidInput(f"grid size must be an integer, got {n!r}")
-        if n < 1:
-            raise InvalidInput(f"grid size must be >= 1, got {n}")
+        as_count(self.grid_size, "grid size")
         check_horizons(self.horizons)
-        if self.max_period < 1:
-            raise InvalidInput(f"max period must be >= 1, got {self.max_period}")
+        as_count(self.max_period, "max period")
         if not ZERO < self.tol < ONE:
             raise InvalidInput(f"tol must lie in (0, 1), got {self.tol}")
 

@@ -109,6 +109,19 @@ def as_fraction(x: object) -> Fraction:
         raise InvalidInput(f"not a rational number: {x!r}") from exc
 
 
+def as_count(n: object, what: str) -> int:
+    """n itself when it is a count: an ``int``, not a ``bool``, of at least 1.
+
+    Anything else is ``InvalidInput``, "<what> must be an integer" or
+    "<what> must be >= 1", with the value given.
+    """
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise InvalidInput(f"{what} must be an integer, got {n!r}")
+    if n < 1:
+        raise InvalidInput(f"{what} must be >= 1, got {n}")
+    return n
+
+
 def format_rational(x: Fraction) -> str:
     """Serialize as an explicit 'num/den' string.
 
@@ -375,6 +388,9 @@ class IntervalSet:
     So the only interval that can hold a point x is the last one with
     ``lo <= x``, found by ``locate`` on the floats of the low ends, which a
     set builds on its first query; a scan is never needed.
+
+    Coverage has one rule, the merge of ``min_gap_to_boundary``; ``covers``
+    asks it, so coverage across the seam 0 ~ 1 is decided in one place.
     """
 
     __slots__ = ("ivs", "_index")
@@ -482,75 +498,37 @@ class IntervalSet:
             den,
         )
 
-    def _candidate(self, x: Fraction) -> Iv | None:
-        """The last interval with lo <= x: the only one that can hold x."""
+    def contains_point(self, x: Fraction) -> bool:
+        x = mod1(x)
         if self._index is None:
             los = [iv.lo for iv in self.ivs]
             self._index = los, [lo.numerator / lo.denominator for lo in los]
+        # the last interval with lo <= x is the only one that can hold x
         i = locate(*self._index, x.numerator, x.denominator)
-        return self.ivs[i] if i >= 0 else None
-
-    def contains_point(self, x: Fraction) -> bool:
-        x = mod1(x)
-        host = self._candidate(x)
-        if host is not None and host.contains(x):
+        if i >= 0 and self.ivs[i].contains(x):
             return True
         # circle identification: 0 and 1 are the same point
-        if x != ZERO:
-            return False
-        host = self._candidate(ONE)
-        return host is not None and host.contains(ONE)
+        return x == ZERO and bool(self.ivs) and self.ivs[-1].contains(ONE)
 
     def covers(self, other: "IntervalSet") -> bool:
-        """True iff other is a subset of self (both as subsets of the circle).
+        """True iff other is a subset of self, both as subsets of the circle.
 
-        Endpoint topology is honored exactly; the identification 0 ~ 1 is
-        applied for single endpoint membership.
+        The one coverage rule: self covers a nonempty set exactly when
+        ``min_gap_to_boundary`` gives it a gap.
         """
-        for iv in other.ivs:
-            if not self._covers_iv(iv):
-                return False
-        return True
-
-    def _covers_iv(self, target: Iv) -> bool:
-        if target.lo == target.hi:
-            return self.contains_point(target.lo)
-        pos = target.lo
-        pos_needed_closed = target.lo_closed
-        while True:
-            # the host must hold a right neighbourhood of pos, and pos itself
-            # when pos is needed closed
-            host = self._candidate(pos)
-            if host is not None and not (
-                pos < host.hi
-                and (host.lo < pos or host.lo_closed or not pos_needed_closed)
-            ):
-                host = None
-            if host is None:
-                # try the wrap identification for the single point pos
-                if pos_needed_closed and self.contains_point(pos):
-                    pos_needed_closed = False
-                    continue
-                return False
-            if host.hi > target.hi:
-                return True
-            if host.hi == target.hi:
-                if host.hi_closed or not target.hi_closed:
-                    return True
-                # the end 1 is also covered by a part of self holding 0
-                return target.hi == ONE and self.contains_point(ZERO)
-            pos = host.hi
-            pos_needed_closed = not host.hi_closed
+        return not other.ivs or self.min_gap_to_boundary(other) is not None
 
     def min_gap_to_boundary(self, inner: "IntervalSet") -> Fraction | None:
         """The least distance from a point of ``inner`` to the boundary of
-        self, or None when self does not cover inner (as ``covers`` says).
+        self, or None when self does not cover inner; ``covers`` is this
+        rule.
 
         One merge of the two sorted sets: the host of an inner interval is
         the last interval of self whose low end is at most the inner one's,
-        and the host index only advances.  A covered interval lies in its
-        host, up to the identification 0 ~ 1 of ``covers`` at its ends, and
-        its gaps are its distances to the host's two ends.  When self holds
+        and the host index only advances.  An inner interval is covered when
+        it lies in its host, except that an end at 0 or 1 is covered also
+        when self holds the other representative of 0 ~ 1; its gaps are its
+        distances to the host's two ends.  When self holds
         0 ~ 1 together with points on both sides of it, the seam is no
         boundary: a gap that reaches 0 or 1 runs on into the part on the
         other side.  A point 0 or 1 that only the other representative

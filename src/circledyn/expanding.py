@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO
+from .exact import ONE, ZERO, as_count, as_fraction
 from .measures import CylinderSpec
 from .partitions import ConsistentFamily, family_from_homeo
 from .plmaps import PLCircleMap
@@ -116,7 +116,7 @@ def wicked_perturb(
         raise InvalidInput("window perturbation requires ell >= 2")
     if not h.orientation_preserving:
         raise InvalidInput("h must be an orientation-preserving homeomorphism")
-    eps = Fraction(eps)
+    eps = as_fraction(eps)
     if not (ZERO < eps < ONE):
         raise InvalidInput("eps must lie in (0, 1)")
     if target.ell != ell:
@@ -129,6 +129,7 @@ def wicked_perturb(
     while Fraction(1, ell**n0) > eps:
         n0 += 1
     p_t = target.level
+    as_count(n, "window end n")
     if n <= n0 + p_t:
         raise InvalidInput(f"window end n must exceed n0 + p = {n0 + p_t}")
     depth = n - 1 + p_t

@@ -26,6 +26,14 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
+def _int_from_record(rec: dict, key: str) -> int:
+    """A JSON integer: 2.9, true or "1" is not read as one."""
+    value = rec[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} {value!r} is not an integer")
+    return value
+
+
 def _arc_record(a: Arc) -> dict:
     return {"start": format_rational(a.start), "length": format_rational(a.length)}
 
@@ -113,8 +121,8 @@ def spec_to_record(spec: CylinderSpec) -> dict:
 
 def spec_from_record(rec: dict) -> CylinderSpec:
     try:
-        ell = int(rec["ell"])
-        p = int(rec["p"])
+        ell = _int_from_record(rec, "ell")
+        p = _int_from_record(rec, "p")
         table = {k: parse_rational(v) for k, v in rec["values"].items()}
         return CylinderSpec.from_strings(ell, p, table)
     except _MALFORMED as exc:
@@ -134,8 +142,8 @@ def family_to_record(fam: ConsistentFamily) -> dict:
 
 def family_from_record(rec: dict) -> ConsistentFamily:
     try:
-        ell = int(rec["ell"])
-        depth = int(rec["depth"])
+        ell = _int_from_record(rec, "ell")
+        depth = _int_from_record(rec, "depth")
         levels = tuple(
             tuple(
                 Arc(parse_rational(c["start"]), parse_rational(c["length"]))

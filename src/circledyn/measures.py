@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, Arc, as_fraction, mod1
+from .exact import ONE, ZERO, Arc, as_count, as_fraction, mod1
 from .plmaps import Observable, PLCircleMap
 
 DEFAULT_COMPLEXITY_CAP = 100_000
@@ -286,8 +286,7 @@ def _word_count(ell: int, level: int) -> int:
     ``MAX_CYLINDER_CELLS``, checked before anything is enumerated."""
     if ell < 2:
         raise InvalidInput("alphabet size must be >= 2")
-    if level < 1:
-        raise InvalidInput("cylinder level must be >= 1")
+    as_count(level, "cylinder level")
     # 2**level > the cap already when level exceeds its bit length
     if level > MAX_CYLINDER_CELLS.bit_length() or ell**level > MAX_CYLINDER_CELLS:
         raise ResourceCap(
@@ -472,8 +471,7 @@ def cesaro(
     complexity_cap: int | None = None,
 ) -> CircleMeasure:
     """(1/n) sum of the first n push-forward iterates of mu0."""
-    if n < 1:
-        raise InvalidInput("cesaro horizon must be >= 1")
+    as_count(n, "cesaro horizon")
     weight = Fraction(1, n)
     parts = []
     mu = mu0
@@ -494,9 +492,8 @@ def _capped(mu: CircleMeasure, cap: int | None) -> CircleMeasure:
 
 def dirac_periodic(f: PLCircleMap, p: Fraction, k: int) -> CircleMeasure:
     """Uniform probability on the exact period-k orbit of p under f."""
-    if k < 1:
-        raise InvalidInput("period must be >= 1")
-    p = mod1(Fraction(p))
+    as_count(k, "period")
+    p = mod1(as_fraction(p))
     orbit = [p]
     y = p
     for j in range(1, k + 1):

@@ -42,7 +42,7 @@ from operator import itemgetter, mul
 from typing import BinaryIO, Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, as_fraction, locate, mod1
+from .exact import ONE, ZERO, as_count, as_fraction, locate, mod1
 from .plmaps import Observable, PLCircleMap
 
 # Largest horizon of one walk: the walk keeps every point it visits, about
@@ -182,14 +182,16 @@ class _Closing:
 def check_horizons(horizons: Sequence[int]) -> tuple[int, ...]:
     """The distinct horizons in increasing order.
 
-    ``InvalidInput`` unless there is at least one and each is an ``int``
-    (not a ``bool``) of at least 1.
+    ``InvalidInput`` unless there is at least one and each is a count
+    (``exact.as_count``).
     """
     if not horizons:
         raise InvalidInput("horizons must not be empty")
     for h in horizons:
-        if not isinstance(h, int) or isinstance(h, bool) or h < 1:
-            raise InvalidInput(f"horizons must be integers >= 1, got {h!r}")
+        try:
+            as_count(h, "horizon")
+        except InvalidInput:
+            raise InvalidInput(f"horizons must be integers >= 1, got {h!r}") from None
     return tuple(sorted(set(horizons)))
 
 

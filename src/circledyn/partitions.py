@@ -19,7 +19,7 @@ from itertools import product
 from typing import Sequence
 
 from .errors import InvalidInput
-from .exact import HALF, ONE, ZERO, Arc, mod1
+from .exact import HALF, ONE, ZERO, Arc, as_count, mod1
 from .measures import CylinderSpec, _word_str
 from .plmaps import PLCircleMap, affine_form, form_gap, sup_dist_to_int
 
@@ -120,8 +120,7 @@ class ConsistentFamily:
 
     def cesaro_spec(self, horizon: int, p: int) -> CylinderSpec:
         """(1/horizon) sum over k < horizon of the k-th push-forward cylinders."""
-        if horizon < 1:
-            raise InvalidInput("horizon must be >= 1")
+        as_count(horizon, "horizon")
         acc: dict[tuple[int, ...], Fraction] = {}
         for k in range(horizon):
             for w, v in self.cylinder_pushforward(k, p).values.items():
@@ -237,8 +236,7 @@ def family_from_homeo(h: PLCircleMap, ell: int, depth: int) -> ConsistentFamily:
     """Pull the standard base-l grid back through an orientation-preserving homeo."""
     if not h.orientation_preserving:
         raise InvalidInput("family requires an orientation-preserving homeomorphism")
-    if depth < 1:
-        raise InvalidInput("depth must be >= 1")
+    as_count(depth, "depth")
     g = h.invert()
     count = ell**depth
     lifts = [g.lift_evaluate(Fraction(i, count)) for i in range(count + 1)]

@@ -22,6 +22,8 @@ from .exact import (
     ZERO,
     Arc,
     IntervalSet,
+    as_count,
+    as_fraction,
     mod1,
     signed_circle_offset,
 )
@@ -46,18 +48,16 @@ class ShredConfig:
         checked for f at scale eps."""
         lip = f.lipschitz
         min_cells = math.floor((lip + 1) / eps) + 1
-        cells = self.cells if self.cells is not None else min_cells
-        if cells < 1:
-            raise InvalidInput(f"cell count must be >= 1, got {cells}")
+        cells = min_cells if self.cells is None else as_count(self.cells, "cell count")
         if (lip + 1) * Fraction(1, cells) >= eps:
             raise InvalidInput(
                 f"infeasible fineness: {cells} cells cannot keep the "
                 f"perturbation below {eps}; need at least {min_cells} cells"
             )
         subs = (
-            self.subdivisions
-            if self.subdivisions is not None
-            else math.floor(1 / eps) + 1
+            math.floor(1 / eps) + 1
+            if self.subdivisions is None
+            else as_count(self.subdivisions, "subdivision count")
         )
         if subs * eps <= 1:
             raise InvalidInput(
@@ -228,7 +228,7 @@ def shred(
     report describing the grid, regions, and cycles.  Verification is left
     to ``verify_shredding``.
     """
-    eps = Fraction(eps)
+    eps = as_fraction(eps)
     if not (ZERO < eps < ONE):
         raise InvalidInput("eps must lie in (0, 1)")
     rc = (cfg or ShredConfig()).resolved(f, eps)
@@ -518,9 +518,8 @@ def birkhoff_gap_bound(
     n: int,
 ) -> BirkhoffBracket:
     """Exact finite-average bracket around the cycle mean for x in a cycle set."""
-    if n < 1:
-        raise InvalidInput("horizon must be >= 1")
-    x = mod1(Fraction(x))
+    as_count(n, "horizon")
+    x = mod1(as_fraction(x))
     home = None
     for label, cyc in report.cycles.items():
         for idx, w in enumerate(cyc):

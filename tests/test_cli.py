@@ -69,6 +69,27 @@ class TestFormats:
         rec = formats.family_to_record(fam)
         assert formats.family_from_record(rec) == fam
 
+    @pytest.mark.parametrize(
+        "key, value", [("ell", 2.9), ("p", 1.7), ("p", True), ("p", "1")]
+    )
+    def test_spec_counts_must_be_json_integers(self, key, value):
+        rec = {"ell": 2, "p": 1, "values": {"0": "1/1"}, key: value}
+        with pytest.raises(
+            InvalidInput, match=f"malformed cylinder spec record: {key} {value!r} is not an integer"
+        ):
+            formats.spec_from_record(rec)
+
+    @pytest.mark.parametrize(
+        "key, value", [("ell", 2.0), ("depth", 1.9), ("depth", True), ("depth", "1")]
+    )
+    def test_family_counts_must_be_json_integers(self, key, value):
+        rec = formats.family_to_record(family_from_homeo(PLCircleMap.identity(), 2, 1))
+        rec[key] = value
+        with pytest.raises(
+            InvalidInput, match=f"malformed family record: {key} {value!r} is not an integer"
+        ):
+            formats.family_from_record(rec)
+
     def test_report_roundtrip(self):
         g, report = shred(expanding_map(2), F(1, 2))
         rec = formats.report_to_record(report)
@@ -838,6 +859,18 @@ def test_input_of_the_wrong_shape_exits_invalid(workdir, capsys, argv, message):
     argv = [a.format(w=workdir) for a in argv]
     assert main(["--out-dir", str(workdir / "bad"), *argv]) == 2
     assert f"invalid input: {message}" in capsys.readouterr().err
+
+
+def test_wicked_target_level_that_is_not_a_json_integer_exits_invalid(workdir, capsys):
+    # "p": 1.7 is not read as level 1
+    (workdir / "t.json").write_text('{"ell": 2, "p": 1.7, "values": {"0": "1/1"}}')
+    argv = ["wicked", str(workdir / "identity.json"), str(workdir / "t.json"),
+            "--ell", "2", "--eps", "1/4", "--n", "8"]
+    assert main(["--out-dir", str(workdir / "bad"), *argv]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "invalid input: malformed cylinder spec record: p 1.7 is not an integer" in err
+    assert not (workdir / "bad").exists()
 
 
 # sha256 of each artifact of ``circledyn wicked`` and of its stdout; None

@@ -1,0 +1,126 @@
+"""Library entry points read their rationals by ``exact.as_fraction`` and
+their counts by ``exact.as_count``.
+
+A float is never an exact rational and a malformed string is no rational
+at all; a count is an ``int`` of at least 1, and neither 2.5 nor ``True``
+is one.  Each must end as ``InvalidInput`` naming the value, before any
+work is done.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from circledyn.classifier import WProtocol, rotation_number
+from circledyn.errors import InvalidInput
+from circledyn.expanding import expanding_map, wicked_perturb
+from circledyn.measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
+from circledyn.partitions import family_from_homeo
+from circledyn.plmaps import Observable, PLCircleMap
+from circledyn.shredder import ShredConfig, birkhoff_gap_bound, shred
+
+F = Fraction
+
+
+def _birkhoff(x=None, n=10):
+    """The bracket at x, by default a point of the first cycle set."""
+    g, report = shred(expanding_map(2), F(1, 5))
+    if x is None:
+        x = report.cycles[report.regions[0].label][0].midpoint
+    return birkhoff_gap_bound(g, report, Observable.tent(F(1, 2)), x, n)
+
+
+def _wicked(eps, n):
+    target = CylinderSpec.dirac_zero(2, 1)
+    return wicked_perturb(PLCircleMap.identity(), 2, target, eps, n)
+
+
+# ---------------------------------------------------------------------------
+# rationals
+
+
+RATIONAL_READERS = {
+    "shred eps": lambda v: shred(expanding_map(2), v),
+    "wicked_perturb eps": lambda v: _wicked(v, 8),
+    "dirac_periodic p": lambda v: dirac_periodic(expanding_map(2), v, 2),
+    "birkhoff_gap_bound x": _birkhoff,
+}
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (0.1, "floats are not exact rationals: 0.1"),
+        ("one half", "not a rational number: 'one half'"),
+    ],
+)
+@pytest.mark.parametrize("reader", list(RATIONAL_READERS))
+def test_a_rational_that_is_not_exact_is_invalid(reader, value, message):
+    with pytest.raises(InvalidInput, match=message):
+        RATIONAL_READERS[reader](value)
+
+
+def test_a_rational_string_is_read_exactly():
+    _, report = shred(expanding_map(2), "1/5")
+    assert report.eps == F(1, 5)
+    assert dirac_periodic(expanding_map(2), "1/3", 2) == dirac_periodic(
+        expanding_map(2), F(1, 3), 2
+    )
+
+
+# ---------------------------------------------------------------------------
+# counts
+
+
+COUNT_READERS = [
+    pytest.param("max period", lambda n: WProtocol(max_period=n, horizons=(5,)), id="max_period"),
+    pytest.param(
+        "max period",
+        lambda n: rotation_number(PLCircleMap.rotation(F(2, 5)), n),
+        id="rotation_number",
+    ),
+    pytest.param(
+        "cesaro horizon",
+        lambda n: cesaro(expanding_map(2), CircleMeasure.lebesgue(), n),
+        id="cesaro",
+    ),
+    pytest.param("horizon", lambda n: _birkhoff(n=n), id="birkhoff_gap_bound"),
+    pytest.param(
+        "cell count",
+        lambda n: shred(expanding_map(2), F(1, 2), ShredConfig(cells=n)),
+        id="ShredConfig-cells",
+    ),
+    pytest.param(
+        "subdivision count",
+        lambda n: shred(expanding_map(2), F(1, 2), ShredConfig(subdivisions=n)),
+        id="ShredConfig-subdivisions",
+    ),
+    pytest.param(
+        "period", lambda n: dirac_periodic(expanding_map(2), F(1, 3), n), id="dirac_periodic"
+    ),
+    pytest.param("cylinder level", lambda n: CylinderSpec.lebesgue(2, n), id="CylinderSpec"),
+    pytest.param(
+        "depth", lambda n: family_from_homeo(PLCircleMap.identity(), 2, n), id="family_from_homeo"
+    ),
+    pytest.param(
+        "horizon",
+        lambda n: family_from_homeo(PLCircleMap.identity(), 2, 3).cesaro_spec(n, 1),
+        id="cesaro_spec",
+    ),
+    pytest.param("window end n", lambda n: _wicked(F(1, 4), n), id="wicked_perturb"),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, True])
+@pytest.mark.parametrize("what, read", COUNT_READERS)
+def test_a_count_that_is_not_an_int_is_invalid(what, read, value):
+    with pytest.raises(InvalidInput, match=f"^{what} must be an integer, got {value!r}$"):
+        read(value)
+
+
+@pytest.mark.parametrize("what, read", COUNT_READERS)
+def test_a_count_below_one_is_invalid(what, read):
+    with pytest.raises(InvalidInput, match=f"^{what} must be >= 1, got 0$"):
+        read(0)

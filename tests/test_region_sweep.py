@@ -8,7 +8,9 @@ verifier it replaced took one image per arc, asked ``covers`` before each
 margin and chased every plateau value on its own.  That verifier is kept
 here, with its per-interval image and its margin, as the reference: every
 item verdict (passed, slack, detail) must be equal, on shredded maps and on
-forged certificates.
+forged certificates.  It asks coverage and membership through the interval
+walks of ``test_float_hints``, not through the library's ``IntervalSet``
+queries that it is compared with.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from circledyn.shredder import (
     shred,
     verify_shredding,
 )
+
+from test_float_hints import ref_candidate, ref_contains_point, ref_covers
 
 F = Fraction
 TINY = F(1, 2**70)
@@ -97,7 +101,7 @@ def ref_min_gap(outer: IntervalSet, inner: IntervalSet) -> Fraction:
     )
     best = None
     for iv in inner.ivs:
-        host = outer._candidate(iv.lo)
+        host = ref_candidate(ivs, iv.lo)
         if host is not None and iv.hi <= host.hi:
             left, right = iv.lo - host.lo, host.hi - iv.hi
             if seam and host.lo == ZERO:
@@ -126,7 +130,9 @@ def ref_verify(g: PLCircleMap, report: TrappingReport, cap: int = 100_000):
     measures = [u.measure() for u in opens]
 
     least, failure = _per_region(
-        ref_min_gap(u, img) if u.covers(img) else f"region {reg.label}: image escapes"
+        ref_min_gap(u, img)
+        if ref_covers(u.ivs, img.ivs)
+        else f"region {reg.label}: image escapes"
         for reg, u, img in zip(regions, opens, images)
     )
     items["i"] = ItemVerdict(
@@ -162,7 +168,7 @@ def ref_verify(g: PLCircleMap, report: TrappingReport, cap: int = 100_000):
         else:
             for y in dict.fromkeys(plateau_values):
                 for _ in range(n_steps):
-                    if cycle_open.contains_point(y):
+                    if ref_contains_point(cycle_open.ivs, y):
                         break
                     y = g.evaluate(y)
                 else:
@@ -170,7 +176,7 @@ def ref_verify(g: PLCircleMap, report: TrappingReport, cap: int = 100_000):
             return None
         s, closure = cycle_open, reg.closed_set()
         for _ in range(n_steps + 1):
-            if s.covers(closure):
+            if ref_covers(s.ivs, closure.ivs):
                 return None
             s = s.union(g.preimage_of_set(s))
             if len(s.ivs) > cap:
@@ -178,7 +184,9 @@ def ref_verify(g: PLCircleMap, report: TrappingReport, cap: int = 100_000):
                     f"preimage iteration for region {reg.label} reached {len(s.ivs)} "
                     f"intervals, above the interval cap {cap}"
                 )
-        return None if s.covers(closure) else f"{reg.label}: closure(U) not absorbed"
+        if ref_covers(s.ivs, closure.ivs):
+            return None
+        return f"{reg.label}: closure(U) not absorbed"
 
     def absorption():
         for reg in regions:
@@ -191,7 +199,7 @@ def ref_verify(g: PLCircleMap, report: TrappingReport, cap: int = 100_000):
                 img = image(w)
                 yield (
                     ref_min_gap(nxt, img)
-                    if nxt.covers(img)
+                    if ref_covers(nxt.ivs, img.ivs)
                     else f"{reg.label}: g(cl W^{idx+1}) escapes"
                 )
             cycle_open = IntervalSet.from_arcs(cyc, closed=False)

@@ -169,6 +169,11 @@ def probes(*sets: IntervalSet, extra=()) -> list[Fraction]:
     return sorted(cuts + mids)
 
 
+def scan_covers(s: IntervalSet, t: IntervalSet) -> bool:
+    """Whether every probe of t lies in s on the circle."""
+    return all(on_circle(s, x) for x in probes(s, t) if on_line(t, x))
+
+
 @settings(max_examples=400, deadline=None)
 @given(pl_maps(), interval_sets())
 def test_preimage_matches_reference_loop(f, s):
@@ -219,8 +224,7 @@ def test_contains_point_matches_scan(s):
 @settings(max_examples=400, deadline=None)
 @given(interval_sets(), interval_sets())
 def test_covers_matches_scan(s, t):
-    expected = all(on_circle(s, x) for x in probes(s, t) if on_line(t, x))
-    assert s.covers(t) == expected
+    assert s.covers(t) == scan_covers(s, t)
 
 
 def circle_boundary(s: IntervalSet) -> list[Fraction]:
@@ -246,7 +250,7 @@ def test_min_gap_matches_scan(s, t):
             s.min_gap_to_boundary(t)
         return
     gap = s.min_gap_to_boundary(t)
-    if not s.covers(t):
+    if not scan_covers(s, t):
         assert gap is None
         return
     boundary = circle_boundary(s)
