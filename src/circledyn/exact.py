@@ -13,7 +13,12 @@ Floats decide nothing else and are never returned.  The rule is applied by
 point).  In ``plmaps`` the PL graph constructor checks that breakpoints
 strictly increase and ``PLCircleMap.c0_distance`` merges two breakpoint
 tuples by the same rule, and ``PLCircleMap.preimage_of_set`` keys its piece
-index the same way.
+index the same way.  Behind the floats the exact decisions are integer
+cross products of numerators and denominators in ``Iv``, ``Arc`` and
+``IntervalSet.min_gap_to_boundary``, and in ``plmaps`` in
+``c0_distance``, ``image_of_set`` and ``preimage_of_set`` with its index:
+that query tests each candidate piece and solves each hit on integers, and
+builds one ``Fraction`` per end it returns.
 """
 
 from __future__ import annotations
@@ -109,16 +114,18 @@ def as_fraction(x: object) -> Fraction:
         raise InvalidInput(f"not a rational number: {x!r}") from exc
 
 
-def as_count(n: object, what: str) -> int:
-    """n itself when it is a count: an ``int``, not a ``bool``, of at least 1.
+def as_count(n: object, what: str, least: int = 1) -> int:
+    """n itself when it is a count: an ``int``, not a ``bool``, of at least
+    ``least``, which is 1 but for an alphabet size (2) and a push-forward
+    iterate (0).
 
     Anything else is ``InvalidInput``, "<what> must be an integer" or
-    "<what> must be >= 1", with the value given.
+    "<what> must be >= <least>", with the value given.
     """
     if not isinstance(n, int) or isinstance(n, bool):
         raise InvalidInput(f"{what} must be an integer, got {n!r}")
-    if n < 1:
-        raise InvalidInput(f"{what} must be >= 1, got {n}")
+    if n < least:
+        raise InvalidInput(f"{what} must be >= {least}, got {n}")
     return n
 
 

@@ -64,8 +64,7 @@ def conjugate(h: PLCircleMap, ell: int) -> ExpandingConjugacy:
 
 def rotation_companions(h: PLCircleMap, ell: int) -> list[PLCircleMap]:
     """All conjugators producing the same map: rotations by j/(ell-1) after h."""
-    if ell < 2:
-        raise InvalidInput("companions defined for ell >= 2")
+    as_count(ell, "alphabet size", 2)
     if not h.orientation_preserving:
         raise InvalidInput("conjugator must be an orientation-preserving homeomorphism")
     return [
@@ -112,8 +111,7 @@ def wicked_perturb(
     extension, so the telescoping sum over preimage words reproduces the
     target cylinder values identically.
     """
-    if ell < 2:
-        raise InvalidInput("window perturbation requires ell >= 2")
+    as_count(ell, "alphabet size", 2)
     if not h.orientation_preserving:
         raise InvalidInput("h must be an orientation-preserving homeomorphism")
     eps = as_fraction(eps)

@@ -284,8 +284,7 @@ class CircleMeasure:
 def _word_count(ell: int, level: int) -> int:
     """ell**level, the number of level-``level`` words; ``ResourceCap`` above
     ``MAX_CYLINDER_CELLS``, checked before anything is enumerated."""
-    if ell < 2:
-        raise InvalidInput("alphabet size must be >= 2")
+    as_count(ell, "alphabet size", 2)
     as_count(level, "cylinder level")
     # 2**level > the cap already when level exceeds its bit length
     if level > MAX_CYLINDER_CELLS.bit_length() or ell**level > MAX_CYLINDER_CELLS:

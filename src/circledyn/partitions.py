@@ -106,8 +106,8 @@ class ConsistentFamily:
         Each value is the total length of the cells whose words end in the
         given suffix, q levels deeper than the requested cylinder level.
         """
-        if q < 0 or p < 1:
-            raise InvalidInput("need q >= 0 and p >= 1")
+        as_count(q, "push-forward iterate q", 0)
+        as_count(p, "cylinder level")
         if q + p > self.depth:
             raise InvalidInput(
                 f"family depth {self.depth} insufficient for level {q + p}"
@@ -166,8 +166,7 @@ def _from_levels(
 ) -> tuple[Table, ...]:
     """Check what only the dense form states (cell counts and arc starts)
     and convert it to tables of its positive cells."""
-    if ell < 2:
-        raise _inconsistent(ell, 0, (), "alphabet size must be >= 2")
+    as_count(ell, "alphabet size", 2)
     if depth < 1 or len(levels) != depth:
         raise _inconsistent(ell, 0, (), "level count != depth")
     if not levels[0]:
@@ -200,8 +199,7 @@ def _check_tables(ell: int, basepoint: Fraction, tables: Sequence[Table]) -> Non
     both levels tile [basepoint, basepoint + 1), the children of a cell then
     tile it, so their lengths sum to the parent's.
     """
-    if ell < 2:
-        raise _inconsistent(ell, 0, (), "alphabet size must be >= 2")
+    as_count(ell, "alphabet size", 2)
     if not tables:
         raise _inconsistent(ell, 0, (), "depth must be >= 1")
     if not ZERO <= basepoint < ONE:
@@ -236,6 +234,7 @@ def family_from_homeo(h: PLCircleMap, ell: int, depth: int) -> ConsistentFamily:
     """Pull the standard base-l grid back through an orientation-preserving homeo."""
     if not h.orientation_preserving:
         raise InvalidInput("family requires an orientation-preserving homeomorphism")
+    as_count(ell, "alphabet size", 2)
     as_count(depth, "depth")
     g = h.invert()
     count = ell**depth

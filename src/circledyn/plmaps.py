@@ -22,6 +22,7 @@ from .exact import (
     Arc,
     IntervalSet,
     Iv,
+    as_count,
     as_fraction,
     circle_dist,
     locate,
@@ -237,6 +238,7 @@ class PLCircleMap:
 
     def orbit(self, x: Fraction, n: int) -> list[Fraction]:
         """[x, f(x), ..., f^(n-1)(x)], exact pointwise iteration."""
+        as_count(n, "orbit length")
         pts = [mod1(x)]
         for _ in range(n - 1):
             pts.append(self.evaluate(pts[-1]))
@@ -520,23 +522,45 @@ class PLCircleMap:
         lift range [lo_i, hi_i] can meet a set inside [0, 1] shifted by k.
         ``key`` is lo_i - k as a correctly rounded float, so it is monotone
         in the exact value.  The entries are sorted by key, and the index
-        also holds ``span``, the exact largest hi_i - lo_i.  Cost O(P log P)
-        once, for P entries.
+        also holds ``span``, the exact largest hi_i - lo_i.
+
+        Everything is decided on integers: the sign of a piece's slope
+        orders its two lift values, the shifts come from their numerators
+        and denominators, and the spans are compared as integer pairs, so
+        one ``Fraction`` is built, for ``span``.  The entry count is known
+        from the shifts before any entry is listed: ``ResourceCap`` when
+        the entries beyond one per piece pass ``DEFAULT_BREAKPOINT_CAP``.
+        Cost O(P log P) once, for P entries.
         """
         if self._preimages is None:
             vals = self.lift_values
-            entries = []
-            span = ZERO
-            for i in range(len(vals) - 1):
-                lo, hi = sorted(vals[i : i + 2])
-                span = max(span, hi - lo)
-                n, d = lo.numerator, lo.denominator
-                entries.extend(
-                    ((n - k * d) / d, i, k)
-                    for k in range(-(-n // d) - 1, hi.numerator // hi.denominator + 1)
+            ranges = []
+            extra = 0  # the entries beyond one per piece
+            span_n, span_d = 0, 1
+            for i, slope in enumerate(self._slopes):
+                lo, hi = vals[i], vals[i + 1]
+                if slope.numerator < 0:
+                    lo, hi = hi, lo
+                n, d, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+                first, stop = -(-n // d) - 1, hn // hd + 1
+                extra += stop - first - 1
+                w_n, w_d = hn * d - n * hd, hd * d
+                if w_n * span_d > span_n * w_d:
+                    span_n, span_d = w_n, w_d
+                ranges.append((n, d, first, stop))
+            if extra > DEFAULT_BREAKPOINT_CAP:
+                raise ResourceCap(
+                    f"the preimage index of {len(ranges)} pieces needs "
+                    f"{len(ranges) + extra} entries, {extra} beyond one per "
+                    f"piece, above the breakpoint cap {DEFAULT_BREAKPOINT_CAP}"
                 )
+            entries = [
+                ((n - k * d) / d, i, k)
+                for i, (n, d, first, stop) in enumerate(ranges)
+                for k in range(first, stop)
+            ]
             entries.sort()
-            self._preimages = (entries, span)
+            self._preimages = (entries, Fraction(span_n, span_d))
         return self._preimages
 
     def preimage_of_set(self, s: IntervalSet) -> IntervalSet:
@@ -546,46 +570,69 @@ class PLCircleMap:
         exactly when lo_i - k <= iv.hi and hi_i - k >= iv.lo, so its exact
         key lies in [iv.lo - span, iv.hi].  Bisection of the float keys
         over the rounded ends of that range finds every such entry; the
-        floats are hints, and each candidate is tested exactly before its
-        piece is solved for the shifted interval.  Cost O(P log P) once per
-        map, then O(|s| log P + candidates + output) per call.
+        floats are hints.  Each candidate is decided on integers: two
+        cross products test it against the interval's ends, shifted by k,
+        and a flat piece is then a hit.  On a sloped piece two more cross
+        products say which end is clipped to the piece, and an unclipped
+        end y = p/q pulls back through the piece's ``affine_form``
+        (A, B, D) to t = ((p + k*q)*D - A*q)/(B*q), one ``Fraction``.
+        Cost O(P log P) once per map, then O(|s| log P + candidates +
+        output) per call.
         """
         ivs = s.ivs
         if not ivs:
             return IntervalSet()
-        if ivs[0].lo < ZERO or ivs[-1].hi > ONE:
+        if ivs[0].lo.numerator < 0 or ivs[-1].hi.numerator > ivs[-1].hi.denominator:
             raise InvalidInput("preimage_of_set needs a set inside [0, 1]")
         entries, span = self._preimage_index()
+        sn, sd = span.numerator, span.denominator
         bps, vals, slopes = self.breakpoints, self.lift_values, self._slopes
         out: list[Iv] = []
         for iv in ivs:
-            first = bisect_left(entries, float(iv.lo - span), key=_KEY)
-            stop = bisect_right(entries, float(iv.hi), key=_KEY)
+            lo, hi, lo_closed, hi_closed = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
+            p0, q0, p1, q1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            first = bisect_left(entries, (p0 * sd - sn * q0) / (q0 * sd), key=_KEY)
+            stop = bisect_right(entries, p1 / q1, key=_KEY)
             for _, i, k in entries[first:stop]:
-                fa, fb = vals[i], vals[i + 1]
-                lo_v, hi_v = (fa, fb) if fa <= fb else (fb, fa)
-                if lo_v - k > iv.hi or hi_v - k < iv.lo:
+                slope = slopes[i]
+                falls = slope.numerator < 0
+                u, w = (vals[i + 1], vals[i]) if falls else (vals[i], vals[i + 1])
+                un, ud, wn, wd = u.numerator, u.denominator, w.numerator, w.denominator
+                # the ends shifted by k, over q0 and q1
+                lk, hk = p0 + k * q0, p1 + k * q1
+                # the piece's lift range [u, w] meets the shifted interval:
+                # the signs of hi + k - u and of w - (lo + k), where a zero
+                # needs the interval's end closed
+                c_hi = hk * ud - un * q1
+                c_lo = wn * q0 - lk * wd
+                if (
+                    c_hi < 0 or c_lo < 0
+                    or not c_hi and not hi_closed or not c_lo and not lo_closed
+                ):
                     continue
                 a, b = bps[i], bps[i + 1]
-                slope = slopes[i]
-                if slope == 0:
-                    if iv.contains(fa - k):
-                        out.append(Iv(a, True, b, True))
+                if not slope:
+                    out.append(Iv(a, True, b, True))
                     continue
-                t1 = a + (iv.lo + k - fa) / slope
-                t2 = a + (iv.hi + k - fa) / slope
-                if slope > 0:
-                    plo, ploc, phi, phic = t1, iv.lo_closed, t2, iv.hi_closed
+                # each shifted end pulls back into the piece, or lies past
+                # the lift range and is clipped to the piece's end, closed:
+                # the signs of lo + k - u and of w - (hi + k)
+                end_u, end_w = (b, a) if falls else (a, b)
+                form_a, form_b, form_d = affine_form(a, vals[i], slope)
+                if lk * ud - un * q0 < 0:
+                    t_lo, t_lo_closed = end_u, True
                 else:
-                    plo, ploc, phi, phic = t2, iv.hi_closed, t1, iv.lo_closed
-                # clip to the piece [a, b] (closed)
-                if plo < a:
-                    plo, ploc = a, True
-                if phi > b:
-                    phi, phic = b, True
-                if plo > phi or (plo == phi and not (ploc and phic)):
-                    continue
-                out.append(Iv(plo, ploc, phi, phic))
+                    t_lo = Fraction(lk * form_d - form_a * q0, form_b * q0)
+                    t_lo_closed = lo_closed
+                if wn * q1 - hk * wd < 0:
+                    t_hi, t_hi_closed = end_w, True
+                else:
+                    t_hi = Fraction(hk * form_d - form_a * q1, form_b * q1)
+                    t_hi_closed = hi_closed
+                if falls:
+                    out.append(Iv(t_hi, t_hi_closed, t_lo, t_lo_closed))
+                else:
+                    out.append(Iv(t_lo, t_lo_closed, t_hi, t_hi_closed))
         return IntervalSet(out)
 
 

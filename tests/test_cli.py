@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import sys
 from fractions import Fraction
 from operator import attrgetter
@@ -194,6 +195,17 @@ def workdir(tmp_path: Path) -> Path:
     )
     (tmp_path / "dirac.json").write_text(dirac)
     return tmp_path
+
+
+def spike(g: PLCircleMap, start: Fraction, length: Fraction, height: int) -> PLCircleMap:
+    """g with a spike of the given height at the midpoint of the arc
+    [start, start + length), which must not wrap: the lift rises by height
+    over the middle half of the arc and falls back."""
+    mid, quarter = start + length / 2, length / 4
+    bps = sorted({*g.breakpoints, mid - quarter, mid, mid + quarter})
+    return PLCircleMap(
+        bps, [g.lift_evaluate(b) + (height if b == mid else 0) for b in bps]
+    )
 
 
 class TestCli:
@@ -649,6 +661,33 @@ class TestReportSoundness:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"invalid input: malformed report record: {field} " in err
+
+    def test_a_spike_inside_a_region_is_capped_before_the_preimage_index(
+        self, workdir, capsys
+    ):
+        # a spike of height 10^8 inside the first arc of region (0, 0), which
+        # is no cycle arc: the region's image is no longer points, so item v
+        # takes the preimage route, whose index would list about 2 * 10^8
+        # entries; the count is checked before any is listed
+        rec = self._shred(workdir, "shred")
+        assert rec["regions"][0]["label"] == [0, 0]
+        first = rec["regions"][0]["arcs"][0]
+        g = formats.map_from_record(
+            json.loads((workdir / "shred" / "perturbed.json").read_text())
+        )
+        start, length = parse_rational(first["start"]), parse_rational(first["length"])
+        spiked = spike(g, start, length, 10**8)
+        path = workdir / "spiked.json"
+        path.write_text(formats.dumps(formats.map_to_record(spiked)))
+        capsys.readouterr()
+        code = main(["verify", str(path), str(workdir / "shred" / "report.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert re.search(
+            r"the preimage index of \d+ pieces needs \d{9} entries, \d{9} beyond "
+            r"one per piece, above the breakpoint cap 1000000",
+            err,
+        ), err
 
     @pytest.mark.parametrize(
         "field, value", [("tau", []), ("subcells", []), ("subcells", [[]])]

@@ -2,8 +2,8 @@
 their counts by ``exact.as_count``.
 
 A float is never an exact rational and a malformed string is no rational
-at all; a count is an ``int`` of at least 1, and neither 2.5 nor ``True``
-is one.  Each must end as ``InvalidInput`` naming the value, before any
+at all; a count is an ``int`` of at least 1 (2 for an alphabet size, 0 for
+a push-forward iterate), and neither 2.5 nor ``True`` is one.  Each must end as ``InvalidInput`` naming the value, before any
 work is done.
 """
 
@@ -15,7 +15,7 @@ import pytest
 
 from circledyn.classifier import WProtocol, rotation_number
 from circledyn.errors import InvalidInput
-from circledyn.expanding import expanding_map, wicked_perturb
+from circledyn.expanding import expanding_map, rotation_companions, wicked_perturb
 from circledyn.measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
 from circledyn.partitions import family_from_homeo
 from circledyn.plmaps import Observable, PLCircleMap
@@ -110,6 +110,14 @@ COUNT_READERS = [
         id="cesaro_spec",
     ),
     pytest.param("window end n", lambda n: _wicked(F(1, 4), n), id="wicked_perturb"),
+    pytest.param(
+        "orbit length", lambda n: PLCircleMap.identity().orbit(F(1, 3), n), id="orbit"
+    ),
+    pytest.param(
+        "cylinder level",
+        lambda n: family_from_homeo(PLCircleMap.identity(), 2, 3).cylinder_pushforward(0, n),
+        id="cylinder_pushforward-p",
+    ),
 ]
 
 
@@ -124,3 +132,44 @@ def test_a_count_that_is_not_an_int_is_invalid(what, read, value):
 def test_a_count_below_one_is_invalid(what, read):
     with pytest.raises(InvalidInput, match=f"^{what} must be >= 1, got 0$"):
         read(0)
+
+
+# counts whose least value is not 1: an alphabet has at least two letters,
+# and the 0-th push-forward is the chart's own cylinder table
+FLOORED_READERS = [
+    pytest.param("alphabet size", 2, lambda n: CylinderSpec.lebesgue(n, 1), id="CylinderSpec"),
+    pytest.param(
+        "alphabet size", 2,
+        lambda n: family_from_homeo(PLCircleMap.identity(), n, 1),
+        id="family_from_homeo",
+    ),
+    pytest.param(
+        "alphabet size", 2,
+        lambda n: wicked_perturb(PLCircleMap.identity(), n, CylinderSpec.dirac_zero(2, 1), F(1, 4), 8),
+        id="wicked_perturb",
+    ),
+    pytest.param(
+        "alphabet size", 2,
+        lambda n: rotation_companions(PLCircleMap.identity(), n),
+        id="rotation_companions",
+    ),
+    pytest.param(
+        "push-forward iterate q", 0,
+        lambda n: family_from_homeo(PLCircleMap.identity(), 2, 3).cylinder_pushforward(n, 1),
+        id="cylinder_pushforward-q",
+    ),
+]
+
+
+@pytest.mark.parametrize("value", [2.5, 1.5, True])
+@pytest.mark.parametrize("what, least, read", FLOORED_READERS)
+def test_a_floored_count_that_is_not_an_int_is_invalid(what, least, read, value):
+    with pytest.raises(InvalidInput, match=f"^{what} must be an integer, got {value!r}$"):
+        read(value)
+
+
+@pytest.mark.parametrize("what, least, read", FLOORED_READERS)
+def test_a_count_below_its_floor_is_invalid(what, least, read):
+    with pytest.raises(InvalidInput, match=f"^{what} must be >= {least}, got {least - 1}$"):
+        read(least - 1)
+    read(least)

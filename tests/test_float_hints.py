@@ -6,24 +6,25 @@ rounded floats and compares Fractions only when two floats tie (the rule of
 ``exact.locate``); ``parse_rational`` reads 'num/den' by an integer split;
 ``mod1`` and ``PLCircleMap.lift_evaluate`` skip arithmetic with a zero;
 ``Iv`` and ``Arc`` check their ends, ``Iv.contains`` and ``Arc.intervals``
-compare and add them, and ``shredder._grid`` builds its values, all on the
+compare and add them, ``shredder._grid`` builds its values, and
+``PLCircleMap.preimage_of_set`` and its index decide and solve, all on the
 integer numerators and denominators.  The references below are the
 earlier exact versions, kept here as they were apart from taking a tuple
-of intervals in place of a set, or bare ends in place of an ``Iv`` or an
-``Arc``; the lift reference finds its piece by exact bisection.  The
-inputs stress the float ties: ends k/2^60 + j/2^70 that share one float,
-points within 2^-70 of an end, values whose float is 1.0, the seam 0 ~ 1,
-and every pair of endpoint flags.
+of intervals in place of a set, bare ends in place of an ``Iv`` or an
+``Arc``, or the map as an argument; the lift reference finds its piece by
+exact bisection.  The inputs stress the float ties: ends k/2^60 + j/2^70
+that share one float, points within 2^-70 of an end, values whose float
+is 1.0, the seam 0 ~ 1, and every pair of endpoint flags.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from decimal import Decimal
 from fractions import Fraction
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,7 @@ from circledyn.shredder import _grid
 F = Fraction
 TINY = F(1, 2**70)
 _LO = attrgetter("lo")
+_KEY = itemgetter(0)
 
 
 # ---------------------------------------------------------------------------
@@ -647,3 +649,145 @@ def test_iv_and_arc_equality_hash_and_repr_follow_their_fields(data):
 )
 def test_grid_matches_fraction_sums(eps, n, m):
     assert _grid(eps, n, m) == ref_grid(eps, n, m)
+
+
+# ---------------------------------------------------------------------------
+# preimages on integers
+
+
+def ref_preimage_index(f: PLCircleMap):
+    """The piece index of ``preimage_of_set`` on Fractions: each piece's
+    lift values ordered by ``sorted``, and the span kept by ``max``."""
+    vals = f.lift_values
+    entries = []
+    span = ZERO
+    for i in range(len(vals) - 1):
+        lo, hi = sorted(vals[i : i + 2])
+        span = max(span, hi - lo)
+        n, d = lo.numerator, lo.denominator
+        entries.extend(
+            ((n - k * d) / d, i, k)
+            for k in range(-(-n // d) - 1, hi.numerator // hi.denominator + 1)
+        )
+    entries.sort()
+    return entries, span
+
+
+def ref_preimage_of_set(f: PLCircleMap, s: IntervalSet) -> IntervalSet:
+    """Each candidate tested by Fraction comparisons and solved by Fraction
+    arithmetic, then clipped to its piece."""
+    ivs = s.ivs
+    if not ivs:
+        return IntervalSet()
+    entries, span = ref_preimage_index(f)
+    bps, vals, slopes = f.breakpoints, f.lift_values, f._slopes
+    out: list[Iv] = []
+    for iv in ivs:
+        first = bisect_left(entries, float(iv.lo - span), key=_KEY)
+        stop = bisect_right(entries, float(iv.hi), key=_KEY)
+        for _, i, k in entries[first:stop]:
+            fa, fb = vals[i], vals[i + 1]
+            lo_v, hi_v = (fa, fb) if fa <= fb else (fb, fa)
+            if lo_v - k > iv.hi or hi_v - k < iv.lo:
+                continue
+            a, b = bps[i], bps[i + 1]
+            slope = slopes[i]
+            if slope == 0:
+                if iv.contains(fa - k):
+                    out.append(Iv(a, True, b, True))
+                continue
+            t1 = a + (iv.lo + k - fa) / slope
+            t2 = a + (iv.hi + k - fa) / slope
+            if slope > 0:
+                plo, ploc, phi, phic = t1, iv.lo_closed, t2, iv.hi_closed
+            else:
+                plo, ploc, phi, phic = t2, iv.hi_closed, t1, iv.lo_closed
+            if plo < a:
+                plo, ploc = a, True
+            if phi > b:
+                phi, phic = b, True
+            if plo > phi or (plo == phi and not (ploc and phic)):
+                continue
+            out.append(Iv(plo, ploc, phi, phic))
+    return IntervalSet(out)
+
+
+@st.composite
+def preimage_maps(draw) -> PLCircleMap:
+    """PL maps of degree -2..3 whose lift values sit in clusters c + j/2^70
+    plus a few turns, around centres k/2^60, small rationals and integers.
+
+    Repeated values make plateaus, at integer heights among others; values
+    drawn apart give slopes of both signs and pieces whose lift range spans
+    several turns, and values of one cluster share a float.
+    """
+    inner = [e for e in draw(tied_ends()) if 0 < e < 1]
+    bps = [ZERO, *inner, ONE]
+    centres = draw(
+        st.lists(
+            st.one_of(
+                st.integers(1, 2**60 - 1).map(lambda k: F(k, 2**60)),
+                st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(lambda t: F(*t)),
+                st.integers(-2, 2).map(F),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    value = st.builds(
+        lambda c, j, turn: c + j * TINY + turn,
+        st.sampled_from(centres),
+        st.sampled_from([0, 0, -3, -1, 1, 2]),
+        st.integers(-3, 3),
+    )
+    vals = [draw(value)]
+    for _ in bps[1:]:
+        vals.append(vals[-1] if draw(st.integers(0, 3)) == 0 else draw(value))
+    vals[-1] = vals[0] + draw(st.integers(-2, 3))
+    return PLCircleMap(bps, vals)
+
+
+@st.composite
+def preimage_ends(draw, f: PLCircleMap) -> list[Fraction]:
+    """Tied ends, 0 and 1, f's lift values taken mod 1, and points within
+    2^-70 of those."""
+    ends = set(draw(tied_ends()))
+    for v in f.lift_values:
+        x = ref_mod1(v)
+        ends.update(x + j * TINY for j in (-1, 0, 1))
+    return sorted(e for e in ends if 0 <= e <= 1)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_preimage_matches_fraction_reference(data):
+    f = data.draw(preimage_maps())
+    assert f._preimage_index() == ref_preimage_index(f)
+    ends = data.draw(preimage_ends(f))
+    for _ in range(4):
+        s = IntervalSet(data.draw(tied_ivs(ends)))
+        assert f.preimage_of_set(s) == ref_preimage_of_set(f, s)
+
+
+# a rising piece over three turns, a falling one, a plateau at the integer
+# height 1 and a plateau at 1/2
+FLAG_MAP = PLCircleMap(
+    [ZERO, F(1, 4), F(1, 2), F(5, 8), F(3, 4), ONE],
+    [F(1, 2), F(7, 2), F(1), F(1), F(1, 2), F(3, 2)],
+)
+
+
+@pytest.mark.parametrize("loc, hic", [(a, b) for a in (False, True) for b in (False, True)])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(ZERO, ONE), (ZERO, F(1, 2)), (F(1, 2), ONE), (F(1, 4), F(3, 4)), (ZERO, TINY)],
+)
+def test_preimage_of_every_flag_pair_matches_fraction_reference(lo, hi, loc, hic):
+    s = IntervalSet([Iv(lo, loc, hi, hic)])
+    assert FLAG_MAP.preimage_of_set(s) == ref_preimage_of_set(FLAG_MAP, s)
+
+
+@pytest.mark.parametrize("x", [ZERO, F(1, 2), ONE, TINY, 1 - TINY, F(1, 3)])
+def test_preimage_of_a_point_matches_fraction_reference(x):
+    s = IntervalSet.point(x)
+    assert FLAG_MAP.preimage_of_set(s) == ref_preimage_of_set(FLAG_MAP, s)

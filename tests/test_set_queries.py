@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledyn.errors import InvalidInput
+from circledyn import plmaps
+from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.exact import Arc, IntervalSet, Iv, circle_dist, mod1
 from circledyn.plmaps import PLCircleMap
 
@@ -204,6 +205,33 @@ def test_preimage_of_a_set_outside_the_unit_interval_is_invalid(iv):
     f = PLCircleMap([F(0), F(1, 3), F(1)], [F(1, 5), F(2), F(11, 5)])
     with pytest.raises(InvalidInput, match="needs a set inside"):
         f.preimage_of_set(IntervalSet([Iv(F(1, 8), True, F(1, 8), True), iv]))
+
+
+def test_the_preimage_index_is_capped_before_it_is_listed():
+    # 0, 1/2, 1 -> 0, D, D: D + 2 entries for the rising piece and 2 for the
+    # plateau, D + 2 of them beyond one per piece
+    d = 2 * 10**6
+    f = PLCircleMap([F(0), F(1, 2), F(1)], [F(0), F(d), F(d)])
+    with pytest.raises(
+        ResourceCap,
+        match=f"^the preimage index of 2 pieces needs {d + 4} entries, {d + 2} "
+        f"beyond one per piece, above the breakpoint cap 1000000$",
+    ):
+        f.preimage_of_set(IntervalSet.point(F(1, 3)))
+
+
+@pytest.mark.parametrize("height, capped", [(8, False), (9, True)])
+def test_the_preimage_index_cap_counts_the_entries_beyond_one_per_piece(
+    monkeypatch, height, capped
+):
+    monkeypatch.setattr(plmaps, "DEFAULT_BREAKPOINT_CAP", 10)
+    f = PLCircleMap([F(0), F(1, 2), F(1)], [F(0), F(height), F(height)])
+    s = IntervalSet([Iv(F(1, 4), False, F(1, 2), True)])
+    if capped:
+        with pytest.raises(ResourceCap, match="11 beyond one per piece, above the breakpoint cap 10$"):
+            f.preimage_of_set(s)
+    else:
+        assert f.preimage_of_set(s).ivs == reference_preimage(f, s).ivs
 
 
 @settings(max_examples=400, deadline=None)
