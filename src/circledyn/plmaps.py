@@ -439,6 +439,40 @@ class PLCircleMap:
 
     # -- set images and preimages (endpoint topology exact)
 
+    def lift_range(self, arc: Arc) -> tuple[int, int, int, int]:
+        """The least and the greatest lift value over the closed arc
+        [s, s + l], as integer pairs: (n_min, d_min, n_max, d_max), each
+        d > 0, not reduced.
+
+        One ``locate`` finds the piece of s.  When s + l ends in that piece,
+        at its right breakpoint included, a flat piece gives its value and a
+        sloped one its two end values, read through the piece's
+        ``affine_form``, with no ``Fraction`` built.  Only an arc that
+        crosses a breakpoint is read by ``_walk(s, s + l)``.
+        """
+        s, length = arc.start, arc.length
+        sn, sd, ln, ld = s.numerator, s.denominator, length.numerator, length.denominator
+        bps = self.breakpoints
+        i = locate(bps, self._hints, sn, sd)
+        # s + l over sd * ld, against the piece's right breakpoint
+        en, ed = sn * ld + ln * sd, sd * ld
+        b = bps[i + 1]
+        if en * b.denominator <= b.numerator * ed:
+            slope = self._slopes[i]
+            if not slope:
+                v = self.lift_values[i]
+                return v.numerator, v.denominator, v.numerator, v.denominator
+            form_a, form_b, form_d = affine_form(bps[i], self.lift_values[i], slope)
+            # the values at s and at s + l; a falling piece swaps them
+            at_s = form_a * sd + form_b * sn, form_d * sd
+            at_end = form_a * ed + form_b * en, form_d * ed
+            if form_b < 0:
+                return *at_end, *at_s
+            return *at_s, *at_end
+        lifts = self._walk(s, Fraction(en, ed))[1]
+        lo, hi = min(lifts), max(lifts)
+        return lo.numerator, lo.denominator, hi.numerator, hi.denominator
+
     def image_of_set(self, s: IntervalSet) -> IntervalSet:
         """Exact image of an interval set inside [0, 1] under the map.
 
@@ -563,7 +597,7 @@ class PLCircleMap:
             self._preimages = (entries, Fraction(span_n, span_d))
         return self._preimages
 
-    def preimage_of_set(self, s: IntervalSet) -> IntervalSet:
+    def preimage_of_set(self, s: IntervalSet, cap: int | None = None) -> IntervalSet:
         """Exact full preimage of an interval set inside [0, 1].
 
         An entry (key, i, k) of ``_preimage_index`` meets an interval iv
@@ -577,7 +611,8 @@ class PLCircleMap:
         end y = p/q pulls back through the piece's ``affine_form``
         (A, B, D) to t = ((p + k*q)*D - A*q)/(B*q), one ``Fraction``.
         Cost O(P log P) once per map, then O(|s| log P + candidates +
-        output) per call.
+        output) per call.  Given a ``cap``, ``ResourceCap`` as soon as the
+        hits, before they are merged, pass it.
         """
         ivs = s.ivs
         if not ivs:
@@ -610,6 +645,12 @@ class PLCircleMap:
                     or not c_hi and not hi_closed or not c_lo and not lo_closed
                 ):
                     continue
+                if cap is not None and len(out) >= cap:
+                    raise ResourceCap(
+                        f"the preimage of {len(ivs)} intervals reached "
+                        f"{cap + 1} intervals before merging, above the "
+                        f"interval cap {cap}"
+                    )
                 a, b = bps[i], bps[i + 1]
                 if not slope:
                     out.append(Iv(a, True, b, True))

@@ -357,6 +357,38 @@ def _chase_failure(
     return False
 
 
+def _step_margin(g: PLCircleMap, w: Arc, nxt: Arc) -> Fraction | None:
+    """Item v(b) for one cycle step: the least distance from g(cl w) to the
+    boundary of the open arc nxt, or None when nxt does not hold it.
+
+    The image is the lift range [m, M] of g over cl w
+    (``PLCircleMap.lift_range``).  Shifted by the integer k that puts m in
+    [a, a + 1), where a is nxt's start and L its length, it lies in the
+    open arc exactly when a < m - k and M - k < a + L, and the margin is
+    the smaller of the two gaps.  So an arc of length 0 holds no image, and
+    no arc holds an image that spans a whole turn or more.  Every test is
+    an integer cross product, and one ``Fraction`` is built, for the
+    margin: it equals ``min_gap_to_boundary`` of the image set within the
+    open arc's set, and None stands for "not covered".
+    """
+    mn, md, xn, xd = g.lift_range(w)
+    a, length = nxt.start, nxt.length
+    an, ad, ln, ld = a.numerator, a.denominator, length.numerator, length.denominator
+    # m - a = k + left_n / left_d with 0 <= left_n < left_d
+    left_d = md * ad
+    k, left_n = divmod(mn * ad - an * md, left_d)
+    if not left_n:
+        return None
+    # a + L - (M - k), over ad * ld * xd
+    right_d = ad * ld * xd
+    right_n = ((an + k * ad) * ld + ln * ad) * xd - xn * ad * ld
+    if right_n <= 0:
+        return None
+    if left_n * right_d <= right_n * left_d:
+        return Fraction(left_n, left_d)
+    return Fraction(right_n, right_d)
+
+
 def verify_shredding(
     g: PLCircleMap,
     report: TrappingReport,
@@ -367,8 +399,13 @@ def verify_shredding(
     Items i, iv and v walk the listed regions by the rule of ``_per_region``.
     The slack of item v is the least margin seen, also before a failure;
     items i and iv report a slack only when they pass.  A region's closed
-    image is one ``image_of_set`` sweep, and each margin is one
-    ``min_gap_to_boundary`` merge."""
+    image is one ``image_of_set`` sweep, and item i's margin is one
+    ``min_gap_to_boundary`` merge.  Each cycle step of item v(b) is decided
+    on integers by ``_step_margin``, the lift range of g over the closed
+    cycle arc against the next open arc, with no ``IntervalSet`` built.
+    The preimage route of item v(c) passes ``preimage_interval_cap`` to
+    each preimage step: ``ResourceCap`` as soon as a step's hits, before
+    they are merged, or the union of the steps pass it."""
     eps = report.eps
     regions = report.regions
     n_steps = len(report.tau)
@@ -438,7 +475,7 @@ def verify_shredding(
         for _ in range(n_steps + 1):
             if s.covers(closure):
                 return None
-            s = s.union(g.preimage_of_set(s))
+            s = s.union(g.preimage_of_set(s, preimage_interval_cap))
             if len(s.ivs) > preimage_interval_cap:
                 raise ResourceCap(
                     f"preimage iteration for region {reg.label} reached {len(s.ivs)} "
@@ -456,11 +493,8 @@ def verify_shredding(
                 yield eps - d if d < eps else f"{reg.label}: diam W = {d} >= eps"
             # (b) cyclic forward containment
             for idx, w in enumerate(cyc):
-                yield margin(
-                    IntervalSet.from_arcs((cyc[(idx + 1) % len(cyc)],), closed=False),
-                    g.image_of_set(IntervalSet.from_arcs((w,), closed=True)),
-                    f"{reg.label}: g(cl W^{idx+1}) escapes",
-                )
+                gap = _step_margin(g, w, cyc[(idx + 1) % len(cyc)])
+                yield f"{reg.label}: g(cl W^{idx+1}) escapes" if gap is None else gap
             # (c) closure(U) absorbed by the cycle within n_steps preimages
             cycle_open = IntervalSet.from_arcs(cyc, closed=False)
             if failure := absorption_failure(reg, closure, image, cycle_open):

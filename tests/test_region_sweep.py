@@ -1,8 +1,9 @@
 """The region sweep of ``verify_shredding`` against the per-arc verifier.
 
 ``verify_shredding`` takes a region's closed image in one
-``PLCircleMap.image_of_set`` sweep, each margin in one
-``IntervalSet.min_gap_to_boundary`` merge, reads the plateau route off the
+``PLCircleMap.image_of_set`` sweep, item i's margin in one
+``IntervalSet.min_gap_to_boundary`` merge and each cycle step of item v(b)
+on integers (``shredder._step_margin``), reads the plateau route off the
 region image and chases plateau values with recorded step counts.  The
 verifier it replaced took one image per arc, asked ``covers`` before each
 margin and chased every plateau value on its own.  That verifier is kept
@@ -178,7 +179,7 @@ def ref_verify(g: PLCircleMap, report: TrappingReport, cap: int = 100_000):
         for _ in range(n_steps + 1):
             if ref_covers(s.ivs, closure.ivs):
                 return None
-            s = s.union(g.preimage_of_set(s))
+            s = s.union(g.preimage_of_set(s, cap))
             if len(s.ivs) > cap:
                 raise ResourceCap(
                     f"preimage iteration for region {reg.label} reached {len(s.ivs)} "
@@ -212,7 +213,8 @@ def ref_verify(g: PLCircleMap, report: TrappingReport, cap: int = 100_000):
 
 
 # a preimage interval cap that keeps each forged preimage route short; both
-# verifiers raise the same ResourceCap on reaching it
+# verifiers pass it to each preimage step and raise the same ResourceCap on
+# reaching it
 CAP = 2000
 
 
@@ -256,6 +258,20 @@ def _at(data, seq, name):
     return data.draw(st.integers(0, len(seq) - 1), label=name)
 
 
+def bump(g: PLCircleMap, start: Fraction, end: int, h: Fraction) -> PLCircleMap:
+    """g with its lift value raised by h at the breakpoint ``end`` places
+    after the breakpoint ``start``.  The lift's ends at 0 and 1 are the one
+    circle point 0 ~ 1, so a bump there raises both and g stays a map."""
+    j = g.breakpoints.index(start) + end
+    vals = list(g.lift_values)
+    if j in (0, len(vals) - 1):
+        vals[0] += h
+        vals[-1] += h
+    else:
+        vals[j] += h
+    return PLCircleMap(g.breakpoints, vals)
+
+
 def forge(data, g: PLCircleMap, report: TrappingReport):
     """One or two forgeries of a shredded certificate and its map."""
     regions = list(report.regions)
@@ -290,12 +306,10 @@ def forge(data, g: PLCircleMap, report: TrappingReport):
         elif kind == "bump":
             # raise one end of the plateau over an interior: the region image
             # is no longer points, and item v takes the preimage route
-            index = {b: j for j, b in enumerate(g.breakpoints)}
-            if a.start in index:
-                j = index[a.start] + data.draw(st.integers(0, 1), label="end")
-                vals = list(g.lift_values)
-                vals[j] += report.eps * F(1, 2 ** data.draw(st.integers(4, 12), label="h"))
-                g = PLCircleMap(list(g.breakpoints), vals)
+            if a.start in g.breakpoints:
+                end = data.draw(st.integers(0, 1), label="end")
+                h = report.eps * F(1, 2 ** data.draw(st.integers(4, 12), label="h"))
+                g = bump(g, a.start, end, h)
         else:
             cyc = list(cycles[reg.label])
             c = _at(data, cyc, "cycle arc")
@@ -339,6 +353,22 @@ def test_verdicts_match_the_per_arc_verifier_on_forged_reports(f, eps, data):
     g, report = shred(f, eps)
     want = assert_same_verdicts(*forge(data, g, report))
     event(want[0] if isinstance(want, tuple) else "".join("pF"[not v[0]] for v in want.values()))
+
+
+def test_a_bump_at_the_breakpoint_1_raises_both_ends_of_the_lift():
+    # region 3's arc 5 ends on the last breakpoint but one, so the bump of
+    # its plateau's right end lands on the breakpoint 1: raising that lift
+    # value alone would leave a lift whose ends differ by 1/48
+    f = PLCircleMap([ZERO, F(1, 16), ONE], [F(5, 16), F(23, 64), F(5, 16)])
+    eps = F(1, 3)
+    g, report = shred(f, eps)
+    a = report.regions[3].arcs[5]
+    assert a == Arc(F(277, 288), F(5, 144))
+    assert g.breakpoints.index(a.start) + 1 == len(g.breakpoints) - 1
+    bumped = bump(g, a.start, 1, eps / 16)
+    assert bumped.lift_values[0] == g.lift_values[0] + eps / 16
+    assert bumped.lift_values[-1] == g.lift_values[-1] + eps / 16
+    assert_same_verdicts(bumped, report)
 
 
 def test_a_wrapped_arc_on_a_map_of_nonzero_degree_takes_the_preimage_route():

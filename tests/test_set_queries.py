@@ -234,6 +234,27 @@ def test_the_preimage_index_cap_counts_the_entries_beyond_one_per_piece(
         assert f.preimage_of_set(s).ivs == reference_preimage(f, s).ivs
 
 
+@pytest.mark.parametrize(
+    "f, hits",
+    [
+        # x -> 5x: the point 1/6 has five preimages
+        (PLCircleMap([F(0), F(1)], [F(0), F(5)]), 5),
+        # two rising pieces meet at 1/3 -> 1/6: each hits the breakpoint, and
+        # the two hits merge into one point
+        (PLCircleMap([F(0), F(1, 3), F(1)], [F(0), F(1, 6), F(1)]), 2),
+    ],
+)
+def test_the_preimage_cap_counts_the_hits_before_they_merge(f, hits):
+    s = IntervalSet.point(F(1, 6))
+    assert f.preimage_of_set(s, hits) == f.preimage_of_set(s)
+    with pytest.raises(
+        ResourceCap,
+        match=f"^the preimage of 1 intervals reached {hits} intervals before "
+        f"merging, above the interval cap {hits - 1}$",
+    ):
+        f.preimage_of_set(s, hits - 1)
+
+
 @settings(max_examples=400, deadline=None)
 @given(pl_maps(), interval_sets())
 def test_preimage_membership_pointwise(f, s):

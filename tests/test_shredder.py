@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circledyn.errors import InvalidInput, ResourceCap, VerificationFailure
-from circledyn.exact import Arc
+from circledyn.exact import Arc, IntervalSet
 from circledyn.expanding import expanding_map
 from circledyn.plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap
 from circledyn.shredder import (
@@ -208,6 +208,32 @@ def test_preimage_cap_message_states_used_and_limit():
     used = int(message.split(" reached ")[1].split()[0])
     assert used > 1
     assert message.endswith("above the interval cap 1")
+
+
+def test_preimage_route_stops_at_the_cap_before_building_past_it(monkeypatch):
+    # a spike of height 1 in the middle of region (0, 0)'s first arc: one
+    # preimage step of the cycle union gives far more intervals than the
+    # cap, and each step's hits are counted against the cap as they come
+    g, report = shred(expanding_map(2), F(1, 5))
+    region = report.regions[0]
+    assert region.label == (0, 0)
+    a = region.arcs[0]
+    mid, quarter = a.start + a.length / 2, a.length / 4
+    bps = sorted({*g.breakpoints, mid - quarter, mid, mid + quarter})
+    spiked = PLCircleMap(bps, [g.lift_evaluate(b) + (1 if b == mid else 0) for b in bps])
+    sizes = []
+    canonical = IntervalSet._canonical
+
+    def counted(items):
+        sizes.append(len(items))
+        return canonical(items)
+
+    monkeypatch.setattr(IntervalSet, "_canonical", staticmethod(counted))
+    cap = 100_000
+    with pytest.raises(ResourceCap) as info:
+        verify_shredding(spiked, report, preimage_interval_cap=cap)
+    assert str(info.value).endswith(f"above the interval cap {cap}")
+    assert max(sizes) <= 2 * cap
 
 
 def test_shred_capped_before_allocating():
