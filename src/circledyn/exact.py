@@ -28,7 +28,7 @@ import sys
 from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
@@ -73,9 +73,14 @@ def parse_rational(text: str) -> Fraction:
     ``MAX_EXPONENT`` raise ``InvalidInput``.  Anything else that
     ``Fraction`` accepts is accepted, with the same value: decimal digits
     with an optional sign, '/' and decimal digits are read as two integers,
-    and anything else is left to ``Fraction``.
+    and anything else is left to ``Fraction``.  The unsigned form that
+    records mostly hold, digits '/' digits, is tried first, by one
+    partition and two ``isdecimal`` tests.
     """
     try:
+        num, slash, den = text.partition("/")
+        if slash and num.isdecimal() and den.isdecimal():
+            return Fraction(int(num), int(den))
         body = text.strip()
         num, slash, den = body.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
@@ -146,6 +151,20 @@ def format_rational(x: Fraction) -> str:
             f"the {sys.get_int_max_str_digits()}-digit limit of integer "
             f"string conversion"
         ) from exc
+
+
+def format_ratios(nums: Sequence[int], den: int) -> list[str]:
+    """The 'num/den' strings of x/den in lowest terms, for each integer x
+    in nums and den > 0: the text ``format_rational`` gives, from one gcd
+    per entry and no Fraction, and its ``ResourceCap`` past the digit
+    limit."""
+    try:
+        return [f"{x // (g := gcd(x, den))}/{den // g}" for x in nums]
+    except ValueError:
+        # name the first entry past the limit, as format_rational does
+        for x in nums:
+            format_rational(Fraction(x, den))
+        raise
 
 
 def locate(
@@ -366,7 +385,11 @@ class Iv(_Frozen):
 
     def contains(self, x: Fraction) -> bool:
         """Membership of x, decided by two integer cross products."""
-        xn, xd = x.numerator, x.denominator
+        return self.contains_ratio(x.numerator, x.denominator)
+
+    def contains_ratio(self, xn: int, xd: int) -> bool:
+        """Membership of xn/xd (xd > 0), by the cross products of
+        ``contains``."""
         lo, hi = self.lo, self.hi
         # the signs of x - lo and x - hi
         c = xn * lo.denominator - lo.numerator * xd
@@ -506,16 +529,20 @@ class IntervalSet:
         )
 
     def contains_point(self, x: Fraction) -> bool:
-        x = mod1(x)
+        n, d = x.numerator, x.denominator
+        return self.contains_ratio(n % d, d)
+
+    def contains_ratio(self, p: int, q: int) -> bool:
+        """``contains_point`` of p/q in [0, 1), q > 0, on the integers."""
         if self._index is None:
             los = [iv.lo for iv in self.ivs]
             self._index = los, [lo.numerator / lo.denominator for lo in los]
-        # the last interval with lo <= x is the only one that can hold x
-        i = locate(*self._index, x.numerator, x.denominator)
-        if i >= 0 and self.ivs[i].contains(x):
+        # the last interval with lo <= p/q is the only one that can hold it
+        i = locate(*self._index, p, q)
+        if i >= 0 and self.ivs[i].contains_ratio(p, q):
             return True
         # circle identification: 0 and 1 are the same point
-        return x == ZERO and bool(self.ivs) and self.ivs[-1].contains(ONE)
+        return not p and bool(self.ivs) and self.ivs[-1].contains(ONE)
 
     def covers(self, other: "IntervalSet") -> bool:
         """True iff other is a subset of self, both as subsets of the circle.

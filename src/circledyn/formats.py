@@ -6,16 +6,18 @@ newline) so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from typing import Any, Sequence
 
 from .errors import InvalidInput
-from .exact import ONE, ZERO, Arc, format_rational, parse_rational
+from .exact import ONE, ZERO, Arc, format_rational, format_ratios, parse_rational
 from .measures import CircleMeasure, CylinderSpec, _word_str
 from .partitions import ConsistentFamily
 from .plmaps import Observable, PLCircleMap
-from .shredder import Region, TrappingReport, _grid
+from .shredder import Region, TrappingReport, _grid_integers
 
 
 # what reading a record of the wrong shape or with bad rationals raises
@@ -23,7 +25,78 @@ _MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError
 
 
 def dumps(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Canonical JSON text of a record and a newline: exactly the text the
+    ``json`` module writes with sorted keys, the separators "," and ": "
+    and an indent of one space, which forces its pure-Python encoder.
+
+    Records hold dicts with ``str`` keys, lists and tuples, ``str``,
+    ``int``, ``bool`` and None; anything else is ``TypeError``.  Strings
+    are quoted by the C ``encode_basestring_ascii`` of ``json`` and ints
+    written by ``int.__repr__``.  A list of strings or of ints is joined
+    in one go, and a list of dicts with the same keys and string values,
+    such as a list of arcs, fills one template.
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(x: Any, nl: str) -> str:
+    """x as JSON text; nl is the newline and indent of x's own line."""
+    if isinstance(x, str):
+        return _quote(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    inner = nl + " "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        for key in x:
+            if not isinstance(key, str):
+                raise TypeError(f"record keys must be str, not {type(key).__name__}")
+        body = ("," + inner).join(
+            [_quote(k) + ": " + _encode(v, inner) for k, v in sorted(x.items())]
+        )
+        return "{" + inner + body + nl + "}"
+    if isinstance(x, (list, tuple)):
+        return "[" + inner + _list_body(x, inner) + nl + "]" if x else "[]"
+    raise TypeError(f"{type(x).__name__} is not a record value")
+
+
+def _list_body(items: list | tuple, nl: str) -> str:
+    """The items of a nonempty list as JSON text, each on a line that
+    starts with nl."""
+    sep = "," + nl
+    kinds = set(map(type, items))
+    if kinds == {str}:
+        return sep.join(map(_quote, items))
+    if kinds == {int}:
+        return sep.join(map(int.__repr__, items))
+    if kinds == {dict}:
+        first = items[0].keys()
+        keys = sorted(first) if all(type(k) is str for k in first) else ()
+        if keys and all(d.keys() == first for d in items):
+            pick = itemgetter(*keys)
+            values = (
+                list(map(pick, items))
+                if len(keys) == 1
+                else list(chain.from_iterable(map(pick, items)))
+            )
+            if set(map(type, values)) == {str}:
+                deeper = nl + " "
+                fill = (
+                    "{" + deeper
+                    + ("," + deeper).join(
+                        [_quote(k).replace("%", "%%") + ": %s" for k in keys]
+                    )
+                    + nl + "}"
+                )
+                return sep.join([fill] * len(items)) % tuple(map(_quote, values))
+    return sep.join([_encode(v, nl) for v in items])
 
 
 def _int_from_record(rec: dict, key: str) -> int:
@@ -161,24 +234,31 @@ def family_from_record(rec: dict) -> ConsistentFamily:
 
 def _grid_record(report: TrappingReport) -> dict:
     """The six fields of a report record that eps, tau and the subdivision
-    count fix: the grid of ``shredder._grid`` and the orbits of tau."""
+    count fix: the grid of ``shredder._grid_integers`` and the orbits of
+    tau."""
     m = report.subdivisions
-    delta, sub_len, inner_len, rows = _grid(report.eps, len(report.tau), m)
-    cell_s = format_rational(m * sub_len)
-    sub_s = format_rational(sub_len)
-    inner_s = format_rational(inner_len)
-    starts = [[format_rational(s) for s, _, _ in row] for row in rows]
+    den, (delta, sub_len, inner_len), rows = _grid_integers(
+        report.eps, len(report.tau), m
+    )
+    delta_s, cell_s, sub_s, inner_s = format_ratios(
+        (delta, m * sub_len, sub_len, inner_len), den
+    )
+    starts, inner, anchors = [], [], []
+    for row in rows:
+        a, b, c = zip(*row)
+        starts.append(format_ratios(a, den))
+        inner.append(format_ratios(b, den))
+        anchors.append(format_ratios(c, den))
     return {
-        "delta": format_rational(delta),
+        "delta": delta_s,
         "cells": [{"start": row[0], "length": cell_s} for row in starts],
         "subcells": [
             [{"start": s, "length": sub_s} for s in row] for row in starts
         ],
         "interiorCells": [
-            [{"start": format_rational(b), "length": inner_s} for _, b, _ in row]
-            for row in rows
+            [{"start": s, "length": inner_s} for s in row] for row in inner
         ],
-        "anchors": [[format_rational(c) for _, _, c in row] for row in rows],
+        "anchors": anchors,
         "orbits": [list(o) for o in report.orbits],
     }
 

@@ -24,11 +24,12 @@ from .exact import (
     IntervalSet,
     as_count,
     as_fraction,
+    locate,
     mod1,
     signed_circle_offset,
 )
 from .orbits import orbit_averages
-from .plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap
+from .plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap, affine_form
 
 
 @dataclass(frozen=True)
@@ -108,8 +109,9 @@ class ItemVerdict:
 class TrappingReport:
     """The certificate the shredder built, plus verification results.
 
-    ``eps``, ``tau`` and ``subdivisions`` fix the grid (see ``_grid``);
-    ``regions`` and ``cycles`` are what ``verify_shredding`` checks.
+    ``eps``, ``tau`` and ``subdivisions`` fix the grid (see
+    ``_grid_integers``); ``regions`` and ``cycles`` are what
+    ``verify_shredding`` checks.
     """
 
     eps: Fraction
@@ -193,28 +195,41 @@ def _tau_basins(tau: Sequence[int]) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, members))
 
 
-def _grid(eps: Fraction, n: int, m: int) -> tuple[Fraction, Fraction, Fraction, list]:
-    """The shredding grid of n cells of m subcells each at scale eps.
+def _grid_integers(
+    eps: Fraction, n: int, m: int
+) -> tuple[int, tuple[int, int, int], list[list[tuple[int, int, int]]]]:
+    """The shredding grid of n cells of m subcells each at scale eps, as
+    numerators over the common denominator den = 4*n*m*den(eps).
 
     Subcell (i, j) starts at (i*m + j)/(n*m).  With delta = eps/(4*n*m), its
     interior is [start + delta, start + 1/(n*m) - delta] and its anchor is
-    start + 1/(2*n*m).  Returns delta, the subcell length, the interior
-    length and, per cell, the (start, interior start, anchor) of each of its
-    subcells.  Each value is one Fraction built from integers over the
-    common denominator 4*n*m*den(eps).
+    start + 1/(2*n*m).  Returns den, the numerators of delta, the subcell
+    length and the interior length, and per cell the numerators of the
+    (start, interior start, anchor) of each of its subcells.  ``shred``
+    and both directions of the report record read these integers.
     """
     en, ed = eps.numerator, eps.denominator
-    nm = n * m
-    den = 4 * nm * ed
     step = 4 * ed  # the subcell length over den
     rows = [
         [
-            (Fraction(a, den), Fraction(a + en, den), Fraction(a + 2 * ed, den))
+            (a, a + en, a + 2 * ed)
             for a in range(i * m * step, (i + 1) * m * step, step)
         ]
         for i in range(n)
     ]
-    return Fraction(en, den), Fraction(1, nm), Fraction(step - 2 * en, den), rows
+    return n * m * step, (en, step, step - 2 * en), rows
+
+
+def _grid(eps: Fraction, n: int, m: int) -> tuple[Fraction, Fraction, Fraction, list]:
+    """``_grid_integers`` as Fractions: delta, the subcell length, the
+    interior length and, per cell, the (start, interior start, anchor) of
+    each of its subcells."""
+    den, lengths, rows = _grid_integers(eps, n, m)
+    delta, sub_len, inner_len = (Fraction(x, den) for x in lengths)
+    return delta, sub_len, inner_len, [
+        [(Fraction(a, den), Fraction(b, den), Fraction(c, den)) for a, b, c in row]
+        for row in rows
+    ]
 
 
 def shred(
@@ -332,22 +347,38 @@ def _chase_failure(
     Each point's exact step count to the cycle is recorded, keyed by its
     integers, with those of the points on its walk, so a walk that meets
     one already counted stops there, and chains that merge are walked
-    once."""
+    once.  A step is the orbit engine's (``orbits._walk``) on the integer
+    ``affine_form`` of g's piece: one ``locate``, three products, one
+    ``%`` and one ``gcd``, with no Fraction built.  The forms are made for
+    the pieces the walks visit only, as a chase takes far fewer steps than
+    g has pieces, whose whole ``_step_table`` would cost more to build
+    than the chase saves."""
+    bps, vals, slopes, hints = g.breakpoints, g.lift_values, g._slopes, g._hints
+    forms: dict[int, tuple[int, int, int]] = {}
     steps_to: dict[tuple[int, int], int] = {}
     bound = n_steps - 1
     for y in points:
+        p, q = y.numerator, y.denominator
         walk = []
         while True:
-            key = y.numerator, y.denominator
+            key = p, q
             known = steps_to.get(key)
-            if known is None and cycle_open.contains_point(y):
+            if known is None and cycle_open.contains_ratio(p % q, q):
                 known = 0
             if known is not None:
                 break
             if len(walk) >= bound:
                 return True
             walk.append(key)
-            y = g.evaluate(y)
+            i = locate(bps, hints, p, q)
+            form = forms.get(i)
+            if form is None:
+                form = forms[i] = affine_form(bps[i], vals[i], slopes[i])
+            a, b, d = form
+            yd = d * q
+            yn = (a * q + b * p) % yd
+            c = math.gcd(yn, yd)
+            p, q = yn // c, yd // c
         total = len(walk) + known
         if total > bound:
             return True
