@@ -73,14 +73,9 @@ def parse_rational(text: str) -> Fraction:
     ``MAX_EXPONENT`` raise ``InvalidInput``.  Anything else that
     ``Fraction`` accepts is accepted, with the same value: decimal digits
     with an optional sign, '/' and decimal digits are read as two integers,
-    and anything else is left to ``Fraction``.  The unsigned form that
-    records mostly hold, digits '/' digits, is tried first, by one
-    partition and two ``isdecimal`` tests.
+    and anything else is left to ``Fraction``.
     """
     try:
-        num, slash, den = text.partition("/")
-        if slash and num.isdecimal() and den.isdecimal():
-            return Fraction(int(num), int(den))
         body = text.strip()
         num, slash, den = body.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num

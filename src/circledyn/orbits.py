@@ -9,10 +9,10 @@ complexity, and such points are reported inconclusive rather than
 approximated); or at the last horizon.  Each horizon, the preperiod, the
 cycle and a partial cycle are then slices of that one recorded orbit.
 
-Per-step cost: the map's integer step table (A, B, D per piece, built once
-per map) gives f(p/q) = ((A*q + B*p) mod D*q) / (D*q), so a step costs three
-big-integer products, one ``%``, one ``gcd`` and one cell lookup by
-``exact.locate``, which compares exactly only on a float tie.
+Per-step cost: ``PLCircleMap.step``, on the integer form (A, B, D) of each
+piece, made once per map, gives f(p/q) = ((A*q + B*p) mod D*q) / (D*q), so
+a step costs three big-integer products, one ``%``, one ``gcd`` and one cell
+lookup by ``exact.locate``, which compares exactly only on a float tie.
 
 Refinement invariant: every observable of a battery is affine on each cell of
 the battery's common breakpoint refinement, and continuous, so either
@@ -37,7 +37,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd, lcm
+from math import lcm
 from operator import itemgetter, mul
 from typing import BinaryIO, Iterable, Sequence
 
@@ -88,10 +88,9 @@ def _walk(
     ``denominator_bit_cap`` bits, or after ``n_max`` steps.  Returns the
     visited points mapped to their step (the dict keeps orbit order), the
     number of steps taken, the point the walk stopped at and whether it
-    stopped at the cap.  A step reads the map's cached step table: one
-    ``locate``, three products, one ``%`` and one ``gcd``.
+    stopped at the cap.  A step is ``PLCircleMap.step``.
     """
-    bps, hints, table = f.breakpoints, f._hints, f._step_table()
+    f_step = f.step
     seen: dict[tuple[int, int], int] = {}
     p, q = x.numerator, x.denominator
     step = 0
@@ -103,11 +102,7 @@ def _walk(
         if q.bit_length() > denominator_bit_cap:
             return seen, step, key, True
         step += 1
-        a, b, d = table[locate(bps, hints, p, q)]
-        yd = d * q
-        yn = (a * q + b * p) % yd
-        g = gcd(yn, yd)
-        p, q = yn // g, yd // g
+        p, q = f_step(p, q)
     return seen, step, (p, q), False
 
 
@@ -338,7 +333,7 @@ def grid_averages(
     """
     points = list(points)
     _capped_horizons(horizons)
-    f._step_table()  # built once, inherited by every worker
+    f._step_table()  # every piece's step form, inherited by every worker
     k = min(_cpus(), len(points))
     if k <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [

@@ -11,6 +11,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import Sequence
 
@@ -244,19 +245,41 @@ class PLCircleMap:
             pts.append(self.evaluate(pts[-1]))
         return pts
 
-    def _step_table(self) -> list[tuple[int, int, int]]:
-        """Integer form of the map for orbit walks, built on first use.
+    def step(self, p: int, q: int) -> tuple[int, int]:
+        """f(p/q) as a reduced pair (p', q') with p'/q' in [0, 1), for p/q
+        in [0, 1) reduced.
 
-        The ``affine_form`` (A, B, D) of each piece, so that
-        f(p/q) = ((A*q + B*p) mod D*q) / (D*q) for p/q on the piece.  Cost
-        O(pieces) once per map.
+        The ``affine_form`` (A, B, D) of p/q's piece gives
+        f(p/q) = ((A*q + B*p) mod D*q) / (D*q): one ``locate``, three
+        products, one ``%`` and one ``gcd``, with no Fraction built.  The
+        form of each piece is made on its first step and kept.
         """
-        if self._steps is None:
-            self._steps = [
-                affine_form(b, v, s)
-                for b, v, s in zip(self.breakpoints, self.lift_values, self._slopes)
-            ]
-        return self._steps
+        i = locate(self.breakpoints, self._hints, p, q)
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = [None] * len(self._slopes)
+        form = steps[i]
+        if form is None:
+            form = steps[i] = affine_form(
+                self.breakpoints[i], self.lift_values[i], self._slopes[i]
+            )
+        a, b, d = form
+        yd = d * q
+        yn = (a * q + b * p) % yd
+        g = gcd(yn, yd)
+        return yn // g, yd // g
+
+    def _step_table(self) -> None:
+        """Make the form ``step`` keeps of every piece not stepped from yet,
+        so that a forked worker inherits them all.  Cost O(pieces)."""
+        steps = self._steps
+        if steps is None:
+            steps = self._steps = [None] * len(self._slopes)
+        for i, form in enumerate(steps):
+            if form is None:
+                steps[i] = affine_form(
+                    self.breakpoints[i], self.lift_values[i], self._slopes[i]
+                )
 
     # -- constructors
 

@@ -24,12 +24,11 @@ from .exact import (
     IntervalSet,
     as_count,
     as_fraction,
-    locate,
     mod1,
     signed_circle_offset,
 )
 from .orbits import orbit_averages
-from .plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap, affine_form
+from .plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap
 
 
 @dataclass(frozen=True)
@@ -347,14 +346,10 @@ def _chase_failure(
     Each point's exact step count to the cycle is recorded, keyed by its
     integers, with those of the points on its walk, so a walk that meets
     one already counted stops there, and chains that merge are walked
-    once.  A step is the orbit engine's (``orbits._walk``) on the integer
-    ``affine_form`` of g's piece: one ``locate``, three products, one
-    ``%`` and one ``gcd``, with no Fraction built.  The forms are made for
-    the pieces the walks visit only, as a chase takes far fewer steps than
-    g has pieces, whose whole ``_step_table`` would cost more to build
-    than the chase saves."""
-    bps, vals, slopes, hints = g.breakpoints, g.lift_values, g._slopes, g._hints
-    forms: dict[int, tuple[int, int, int]] = {}
+    once.  A step is ``PLCircleMap.step``, the orbit engine's, which
+    builds no Fraction and makes the step form of the pieces the walks
+    visit only."""
+    g_step = g.step
     steps_to: dict[tuple[int, int], int] = {}
     bound = n_steps - 1
     for y in points:
@@ -370,15 +365,7 @@ def _chase_failure(
             if len(walk) >= bound:
                 return True
             walk.append(key)
-            i = locate(bps, hints, p, q)
-            form = forms.get(i)
-            if form is None:
-                form = forms[i] = affine_form(bps[i], vals[i], slopes[i])
-            a, b, d = form
-            yd = d * q
-            yn = (a * q + b * p) % yd
-            c = math.gcd(yn, yd)
-            p, q = yn // c, yd // c
+            p, q = g_step(p, q)
         total = len(walk) + known
         if total > bound:
             return True

@@ -28,6 +28,27 @@ class TestEvaluation:
         rot = PLCircleMap.rotation(F(2, 5))
         assert rot.evaluate(F(4, 5)) == F(1, 5)
 
+    def test_integer_step_matches_evaluate(self, rng):
+        for _ in range(40):
+            f = random_pl_map(rng, degree=rng.choice([-2, -1, 0, 1, 2]))
+            for _ in range(20):
+                x = F(rng.randrange(4096), 4096)
+                y = f.evaluate(x)
+                assert f.step(x.numerator, x.denominator) == (y.numerator, y.denominator)
+            # every breakpoint, and a form made only for the pieces stepped from
+            g = random_pl_map(rng, n_break=8)
+            visited = set()
+            for i, b in enumerate(g.breakpoints[:-1]):
+                assert g.step(b.numerator, b.denominator) == (
+                    g.evaluate(b).numerator, g.evaluate(b).denominator
+                )
+                visited.add(i)
+                if len(visited) == 3:
+                    break
+            assert {i for i, s in enumerate(g._steps) if s is not None} == visited
+            g._step_table()
+            assert None not in g._steps
+
 
 class TestCompose:
     def test_doubling_squared(self):

@@ -3,8 +3,8 @@
 ``formats.dumps`` writes exactly the text of the ``json`` module's
 ``indent=1`` call, kept here as the reference; the grid fields of a report
 record equal the strings of the grid built from Fractions; and
-``parse_rational`` reads every text as it did before its digits-slash-digits
-fast path.
+``parse_rational`` reads each text that takes its digits-slash-digits path,
+or just misses it, with the value or the refusal it has always had.
 """
 
 import json
