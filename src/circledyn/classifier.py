@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, Arc, IntervalSet, as_count, mod1
 from .measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
-from .orbits import check_horizons, grid_averages
+from .orbits import DENOMINATOR_BIT_CAP, check_horizons, grid_averages
 from .plmaps import Observable, PLCircleMap, PeriodicComponent
 from .shredder import TrappingReport, singularity_witness, verify_shredding
 
@@ -232,14 +232,13 @@ def _decompose(
 
 # Fixed scales of the protocol: an average spread above GAP_THRESHOLD counts
 # as large; a Cesaro spec within WICKED_TOL of a declared spec hits it; orbit
-# points whose denominator outgrows DENOMINATOR_BIT_CAP bits are
+# points whose denominator outgrows DENOMINATOR_BIT_CAP bits (``orbits``) are
 # inconclusive; the short Cesaro run of ``_wicked_verdict`` stops at the last
 # of CESARO_HORIZONS or at CESARO_COMPLEXITY_CAP; the grid walks of
 # ``_classify_general`` take at most GRID_STEP_CAP steps, grid size times the
 # largest horizon (ten times the default protocol).
 GAP_THRESHOLD = Fraction(1, 200)
 WICKED_TOL = Fraction(1, 16)
-DENOMINATOR_BIT_CAP = 4096
 CESARO_HORIZONS = (1, 2, 4, 8)
 CESARO_COMPLEXITY_CAP = 20000
 GRID_STEP_CAP = 10**8

@@ -9,10 +9,13 @@ complexity, and such points are reported inconclusive rather than
 approximated); or at the last horizon.  Each horizon, the preperiod, the
 cycle and a partial cycle are then slices of that one recorded orbit.
 
-Per-step cost: ``PLCircleMap.step``, on the integer form (A, B, D) of each
-piece, made once per map, gives f(p/q) = ((A*q + B*p) mod D*q) / (D*q), so
-a step costs three big-integer products, one ``%``, one ``gcd`` and one cell
-lookup by ``exact.locate``, which compares exactly only on a float tie.
+Per-step cost: the walk steps on the map's step table refined by the
+battery's cuts (``_Closing.table``), whose row at each key holds the piece's
+integer form (A, B, D), reduced by gcd(A, B, D), and the battery cell.  One
+``exact.locate`` per point, which compares exactly only on a float tie,
+finds both; f(p/q) = ((A*q + B*p) mod D*q) / (D*q) then costs three
+big-integer products, one ``%`` and one ``gcd``, and the closing reads the
+recorded cells and locates nothing.
 
 Refinement invariant: every observable of a battery is affine on each cell of
 the battery's common breakpoint refinement, and continuous, so either
@@ -37,7 +40,7 @@ import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import lcm
+from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import BinaryIO, Iterable, Sequence
 
@@ -48,6 +51,9 @@ from .plmaps import Observable, PLCircleMap
 # Largest horizon of one walk: the walk keeps every point it visits, about
 # 250 B per step.
 HORIZON_CAP = 10**6
+# Default bit cap of a walk: at a point whose denominator has more bits, the
+# walk stops and the point's averages are inconclusive.
+DENOMINATOR_BIT_CAP = 4096
 
 
 @dataclass
@@ -80,30 +86,36 @@ class OrbitAverages:
 
 
 def _walk(
-    f: PLCircleMap, x: Fraction, n_max: int, denominator_bit_cap: int
-) -> tuple[dict[tuple[int, int], int], int, tuple[int, int], bool]:
-    """Integer orbit of x under f, as pairs (p, q) with f^k(x) = p/q reduced.
+    table: tuple[list, list, list], x: Fraction, n_max: int, denominator_bit_cap: int
+) -> tuple[dict[tuple[int, int], int], list[int], tuple[int, int], bool]:
+    """Integer orbit of x, as pairs (p, q) with f^k(x) = p/q reduced, on
+    the step table of f from ``_Closing.table``.
 
     Stops at the first repeat, at a point whose denominator has more than
     ``denominator_bit_cap`` bits, or after ``n_max`` steps.  Returns the
     visited points mapped to their step (the dict keeps orbit order), the
-    number of steps taken, the point the walk stopped at and whether it
-    stopped at the cap.  A step is ``PLCircleMap.step``.
+    battery cell of each point stepped from, the point the walk stopped at
+    and whether it stopped at the cap.
     """
-    f_step = f.step
+    keys, hints, rows = table
     seen: dict[tuple[int, int], int] = {}
+    mark = seen.setdefault
+    cells: list[int] = []
+    visit = cells.append
     p, q = x.numerator, x.denominator
-    step = 0
-    while step < n_max:
+    for step in range(n_max):
         key = (p, q)
-        if key in seen:
+        if mark(key, step) != step:  # seen at an earlier step
             break
-        seen[key] = step
         if q.bit_length() > denominator_bit_cap:
-            return seen, step, key, True
-        step += 1
-        p, q = f_step(p, q)
-    return seen, step, (p, q), False
+            return seen, cells, key, True
+        a, b, d, c = rows[locate(keys, hints, p, q)]
+        visit(c)
+        yd = d * q
+        yn = (a * q + b * p) % yd
+        g = gcd(yn, yd)
+        p, q = yn // g, yd // g
+    return seen, cells, (p, q), False
 
 
 class _Closing:
@@ -123,7 +135,7 @@ class _Closing:
         cut_set: set[Fraction] = set()
         for phi in observables:
             cut_set.update(phi.breakpoints)
-        self.cuts = cuts = sorted(cut_set | {ZERO, ONE})
+        self.cuts = cuts = tuple(sorted(cut_set | {ZERO, ONE}))
         self.hints = [float(b) for b in cuts[:-1]]
         affine = []
         for phi in observables:
@@ -145,14 +157,45 @@ class _Closing:
             for rows in affine
         ]
 
-    def sums(self, points: Iterable[tuple[int, int]]) -> list[Fraction]:
-        """Exact sum of each observable over the points p/q."""
-        cuts, hints = self.cuts, self.hints
-        n_cells = len(cuts) - 1
+    def table(self, f: PLCircleMap) -> tuple[list, list, list]:
+        """The step table of f refined by the battery's cuts: keys, their
+        float hints and one row per key, for ``locate``.
+
+        The keys are the sorted union of f's breakpoints and the cuts, 1
+        left out.  The row of a key is (A, B, D, c): the reduced step form
+        of the piece that holds the key and the cell c it lies in, both
+        constant up to the next key, and both found by ``locate``.  f keeps
+        the table of the last cuts asked, so a forked worker inherits it.
+        """
+        cuts, cut_hints = self.cuts, self.hints
+        kept = f._refined
+        if kept is not None and kept[0] == cuts:
+            return kept[1]
+        f._step_table()
+        bps, b_hints = f.breakpoints, f._hints
+        keys, hints = list(bps[:-1]), list(b_hints)
+        for c, h in zip(cuts[1:-1], cut_hints[1:]):  # 0 is a breakpoint
+            i = locate(keys, hints, c.numerator, c.denominator)
+            if keys[i] != c:
+                keys.insert(i + 1, c)
+                hints.insert(i + 1, h)
+        rows = [
+            (*f._steps[locate(bps, b_hints, p, q)], locate(cuts, cut_hints, p, q))
+            for p, q in ((k.numerator, k.denominator) for k in keys)
+        ]
+        table = keys, hints, rows
+        f._refined = cuts, table
+        return table
+
+    def sums(
+        self, points: Iterable[tuple[int, int]], cells: Iterable[int]
+    ) -> list[Fraction]:
+        """Exact sum of each observable over the points p/q, where
+        ``cells`` holds the battery cell of each point in the same order."""
+        n_cells = len(self.cuts) - 1
         # q -> visits per cell, followed by the sums of p per cell
         stats: dict[int, list[int]] = {}
-        for p, q in points:
-            c = locate(cuts, hints, p, q)
+        for (p, q), c in zip(points, cells):
             row = stats.get(q)
             if row is None:
                 row = stats[q] = [0] * (2 * n_cells)
@@ -202,7 +245,7 @@ def orbit_averages(
     x: Fraction,
     observables: Sequence[Observable],
     horizons: Sequence[int],
-    denominator_bit_cap: int = 4096,
+    denominator_bit_cap: int = DENOMINATOR_BIT_CAP,
 ) -> OrbitAverages:
     """Exact (1/n) sums of phi over the orbit of x, at each horizon n.
 
@@ -210,7 +253,10 @@ def orbit_averages(
     ``InvalidInput``."""
     hs = _capped_horizons(horizons)
     x = mod1(as_fraction(x))
-    seen, steps, last, inconclusive = _walk(f, x, hs[-1], denominator_bit_cap)
+    closing = _Closing(observables)
+    table = closing.table(f)
+    seen, cells, last, inconclusive = _walk(table, x, hs[-1], denominator_bit_cap)
+    steps = len(cells)
     start = None if inconclusive else seen.get(last)
     period = None if start is None else steps - start
 
@@ -219,12 +265,11 @@ def orbit_averages(
     if period is not None:
         ks.update((start, steps))
         ks.update(start + (n - start) % period for n in hs if n > steps)
-    closing = _Closing(observables)
-    points = iter(seen)
+    points, cells = iter(seen), iter(cells)
     prefix = {0: [ZERO] * len(observables)}
     done = 0
     for k in sorted(ks):
-        seg = closing.sums(islice(points, k - done))
+        seg = closing.sums(islice(points, k - done), islice(cells, k - done))
         prefix[k] = [a + b for a, b in zip(prefix[done], seg)]
         done = k
 
@@ -318,7 +363,7 @@ def grid_averages(
     points: Sequence[Fraction],
     observables: Sequence[Observable],
     horizons: Sequence[int],
-    denominator_bit_cap: int = 4096,
+    denominator_bit_cap: int = DENOMINATOR_BIT_CAP,
 ) -> list[OrbitAverages]:
     """``[orbit_averages(f, x, ...) for x in points]``, walked in parallel.
 
@@ -333,7 +378,7 @@ def grid_averages(
     """
     points = list(points)
     _capped_horizons(horizons)
-    f._step_table()  # every piece's step form, inherited by every worker
+    _Closing(observables).table(f)  # inherited by every worker
     k = min(_cpus(), len(points))
     if k <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
         return [

@@ -138,7 +138,7 @@ class PLCircleMap:
 
     __slots__ = (
         "breakpoints", "lift_values", "degree", "_slopes", "_hints",
-        "_preimages", "_steps",
+        "_preimages", "_steps", "_refined",
     )
 
     def __init__(
@@ -175,6 +175,8 @@ class PLCircleMap:
         self._hints = hints
         self._preimages = None
         self._steps = None
+        # the cuts and step table of ``orbits._Closing.table``, once asked
+        self._refined = None
 
     # -- basic structure
 
@@ -249,7 +251,8 @@ class PLCircleMap:
         """f(p/q) as a reduced pair (p', q') with p'/q' in [0, 1), for p/q
         in [0, 1) reduced.
 
-        The ``affine_form`` (A, B, D) of p/q's piece gives
+        The ``affine_form`` (A, B, D) of p/q's piece, divided by
+        gcd(A, B, D), gives
         f(p/q) = ((A*q + B*p) mod D*q) / (D*q): one ``locate``, three
         products, one ``%`` and one ``gcd``, with no Fraction built.  The
         form of each piece is made on its first step and kept.
@@ -260,26 +263,29 @@ class PLCircleMap:
             steps = self._steps = [None] * len(self._slopes)
         form = steps[i]
         if form is None:
-            form = steps[i] = affine_form(
-                self.breakpoints[i], self.lift_values[i], self._slopes[i]
-            )
+            form = steps[i] = self._form(i)
         a, b, d = form
         yd = d * q
         yn = (a * q + b * p) % yd
         g = gcd(yn, yd)
         return yn // g, yd // g
 
+    def _form(self, i: int) -> tuple[int, int, int]:
+        """The ``affine_form`` of piece i divided by gcd(A, B, D): the same
+        line, in integers about half as wide."""
+        a, b, d = affine_form(self.breakpoints[i], self.lift_values[i], self._slopes[i])
+        g = gcd(a, b, d)
+        return a // g, b // g, d // g
+
     def _step_table(self) -> None:
-        """Make the form ``step`` keeps of every piece not stepped from yet,
-        so that a forked worker inherits them all.  Cost O(pieces)."""
+        """Make the form ``step`` keeps of every piece not stepped from yet.
+        Cost O(pieces)."""
         steps = self._steps
         if steps is None:
             steps = self._steps = [None] * len(self._slopes)
         for i, form in enumerate(steps):
             if form is None:
-                steps[i] = affine_form(
-                    self.breakpoints[i], self.lift_values[i], self._slopes[i]
-                )
+                steps[i] = self._form(i)
 
     # -- constructors
 

@@ -346,7 +346,7 @@ def _chase_failure(
     Each point's exact step count to the cycle is recorded, keyed by its
     integers, with those of the points on its walk, so a walk that meets
     one already counted stops there, and chains that merge are walked
-    once.  A step is ``PLCircleMap.step``, the orbit engine's, which
+    once.  A step is ``PLCircleMap.step``, the map's one-point step, which
     builds no Fraction and makes the step form of the pieces the walks
     visit only."""
     g_step = g.step

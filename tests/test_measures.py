@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.exact import ONE, Arc
@@ -122,6 +124,51 @@ class TestCesaro:
         f = random_pl_map(rng, degree=3)
         with pytest.raises(ResourceCap):
             cesaro(f, lebesgue, 40, complexity_cap=50)
+
+
+@st.composite
+def split_maps(draw) -> PLCircleMap:
+    """Degree 2 or 3, at most 8 pieces, plateaus possible."""
+    inner = draw(st.lists(st.integers(1, 63), unique=True, max_size=7))
+    bps = [F(0)] + [F(k, 64) for k in sorted(inner)] + [F(1)]
+    vals = [F(draw(st.integers(0, 63)), 64)]
+    for _ in bps[1:]:
+        if draw(st.integers(0, 4)) == 0:
+            vals.append(vals[-1])
+        else:
+            vals.append(F(draw(st.integers(-64, 256)), 64))
+    vals[-1] = vals[0] + draw(st.sampled_from([2, 3]))
+    return PLCircleMap(bps, vals)
+
+
+@st.composite
+def arc_splits(draw) -> tuple[list[Arc], list[Arc]]:
+    """A set A of arcs and its complement: the arcs between sorted cuts,
+    taken in turn, where the last arc wraps past 0."""
+    den = draw(st.sampled_from([64, 105, 2**40 + 15]))
+    cuts = sorted(draw(st.lists(st.integers(0, den - 1), min_size=2, max_size=6, unique=True)))
+    ends = [F(c, den) for c in cuts]
+    arcs = [Arc(a, b - a) for a, b in zip(ends, ends[1:])]
+    arcs.append(Arc(ends[-1], ends[0] + 1 - ends[-1]))
+    return arcs[::2], arcs[1::2]
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_maps(), arc_splits(), st.integers(1, 3))
+def test_cesaro_split_on_random_arcs(f, split, n):
+    # Lebesgue is the mass-weighted mix of its restrictions to A and to its
+    # complement, and the Cesaro average is linear in the starting measure
+    lebesgue = CircleMeasure.lebesgue()
+    a_set, comp = split
+    mass_a = lebesgue.measure_of_arcs(a_set)
+    assert mass_a + lebesgue.measure_of_arcs(comp) == 1
+    rhs = CircleMeasure.convex_combination(
+        [
+            (1 - mass_a, cesaro(f, lebesgue.restrict_normalize(comp), n)),
+            (mass_a, cesaro(f, lebesgue.restrict_normalize(a_set), n)),
+        ]
+    )
+    assert cesaro(f, lebesgue, n) == rhs
 
 
 class TestIntegrate:

@@ -1,17 +1,14 @@
 from dataclasses import fields
 from fractions import Fraction
 from math import gcd
-from operator import mul
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from circledyn import orbits
 from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map
-from circledyn.orbits import _Closing, orbit_averages
+from circledyn.orbits import OrbitAverages, _Closing, orbit_averages
 from circledyn.plmaps import Observable, PLCircleMap
 
 from test_locate import ref_cell
@@ -162,35 +159,58 @@ def ref_walk(f, x, n_max, denominator_bit_cap):
     return seen, step, (p, q), False
 
 
-def ref_sums(self, points):
-    """One Fraction per (observable, denominator q)."""
-    cuts = [(b.numerator, b.denominator) for b in self.cuts]
-    hints = self.hints
-    n_cells = len(cuts) - 1
-    stats = {}
-    for p, q in points:
-        c = ref_cell(cuts, hints, p, q)
-        row = stats.get(q)
-        if row is None:
-            row = stats[q] = [0] * (2 * n_cells)
-        row[c] += 1
-        row[n_cells + c] += p
+def ref_sums(battery, points):
+    """Per observable: the value of each point p/q on the observable's own
+    piece, found by ``ref_cell``, as one Fraction per denominator q."""
     out = []
-    for A, S in self.coeffs:
+    for phi in battery:
+        cuts = [(b.numerator, b.denominator) for b in phi.breakpoints]
         total = F(0)
-        for q, row in stats.items():
-            visits, psums = row[:n_cells], row[n_cells:]
-            num = q * sum(map(mul, A, visits)) + sum(map(mul, S, psums))
-            total += F(num, q * self.scale)
+        by_q = {}
+        for p, q in points:
+            by_q.setdefault(q, []).append((ref_cell(cuts, phi._hints, p, q), p))
+        for q, hits in by_q.items():
+            # v_i + s_i*(p/q - b_i), summed over the hits, times q
+            num = sum(
+                (q * (phi.values[i] - phi._slopes[i] * phi.breakpoints[i])
+                 + phi._slopes[i] * p for i, p in hits),
+                start=F(0),
+            )
+            total += num / q
         out.append(total)
     return out
 
 
 def reference_averages(f, x, battery, horizons, cap):
-    with mock.patch.object(orbits, "_walk", ref_walk), mock.patch.object(
-        _Closing, "sums", ref_sums
-    ):
-        return orbit_averages(f, x, battery, horizons, denominator_bit_cap=cap)
+    """``OrbitAverages`` from ``ref_walk`` and ``ref_sums``: the sum to a
+    horizon past the walk is the preperiod and partial cycle plus whole
+    cycles."""
+    hs = tuple(sorted(set(horizons)))
+    seen, steps, last, capped = ref_walk(f, x, hs[-1], cap)
+    orbit = list(seen)[:steps]
+    start = None if capped else seen.get(last)
+    period = None if start is None else steps - start
+    limits = cycle_min = cycle = None
+    if period is not None:
+        cycle = ref_sums(battery, orbit[start:])
+        limits = [c / period for c in cycle]
+        cycle_min = min(F(p, q) for p, q in orbit[start:])
+    averages = [{} for _ in battery]
+    for n in hs:
+        if n <= steps:
+            total = ref_sums(battery, orbit[:n])
+        elif period is not None:
+            whole, rem = divmod(n - start, period)
+            head = ref_sums(battery, orbit[: start + rem])
+            total = [h + whole * c for h, c in zip(head, cycle)]
+        else:
+            continue
+        for avg, t in zip(averages, total):
+            avg[n] = t / n
+    return OrbitAverages(
+        hs, averages, period is not None, start, period, limits, capped, steps,
+        cycle_min=cycle_min,
+    )
 
 
 def assert_same(res, ref):
@@ -258,23 +278,106 @@ def test_kernel_cap_and_cached_table():
     # contracting homeo: denominators grow 3^k until the cap
     h = PLCircleMap([F(0), F(1, 2), F(1)], [F(0), F(1, 6), F(1)])
     battery = [Observable.tent(F(0)), NON_TENT]
-    assert h._steps is None
+    assert h._refined is None
     first = orbit_averages(h, F(1, 7), battery, [10, 100000], denominator_bit_cap=64)
-    table = h._steps
+    table = h._refined
     assert first.inconclusive and table is not None
     assert_same(first, reference_averages(h, F(1, 7), battery, [10, 100000], 64))
-    # a second query on the same map reads the same table
-    second = orbit_averages(h, F(2, 9), battery, [5, 50])
-    assert h._steps is table
+    # a second query with the same battery cuts reads the same table
+    second = orbit_averages(h, F(2, 9), [Observable.tent(F(0)), NON_TENT], [5, 50])
+    assert h._refined is table
     assert_same(second, reference_averages(h, F(2, 9), battery, [5, 50], 4096))
+    # other cuts replace it
+    orbit_averages(h, F(2, 9), [Observable.tent(F(1, 8))], [5])
+    assert h._refined is not table and h._refined[0] == (F(0), F(1, 8), F(5, 8), F(1))
 
 
 def test_closing_of_no_points_and_no_observables():
     # lcm() of no denominators is 1
-    assert _Closing([NON_TENT, Observable.tent(F(1, 3))]).sums([]) == [0, 0]
-    assert _Closing([]).sums([(1, 3), (2, 5)]) == []
+    assert _Closing([NON_TENT, Observable.tent(F(1, 3))]).sums([], []) == [0, 0]
+    assert _Closing([]).sums([(1, 3), (2, 5)], [0, 0]) == []
     # a purely periodic orbit closes over an empty preperiod
     rot = PLCircleMap.rotation(F(1, 3))
     res = orbit_averages(rot, F(1, 12), [], [2, 10])
     assert (res.preperiod, res.period, res.averages) == (0, 3, [])
     assert_same(res, reference_averages(rot, F(1, 12), [], [2, 10], 4096))
+
+
+# ---------------------------------------------------------------------------
+# the step table refined by the battery's cuts
+
+
+def check_refined(f, battery, starts, horizons):
+    """The refined table row by row against ``ref_cell``, and the averages
+    from each start against the reference engine."""
+    closing = _Closing(battery)
+    keys, hints, rows = closing.table(f)
+    assert keys == sorted(set(f.breakpoints[:-1]) | set(closing.cuts[:-1]))
+    assert hints == [float(k) for k in keys]
+    bps = [(b.numerator, b.denominator) for b in f.breakpoints]
+    cuts = [(c.numerator, c.denominator) for c in closing.cuts]
+    for k, row in zip(keys, rows):
+        p, q = k.numerator, k.denominator
+        piece = ref_cell(bps, f._hints, p, q)
+        assert row == (*f._form(piece), ref_cell(cuts, closing.hints, p, q)), k
+    for x in starts:
+        res = orbit_averages(f, x, battery, horizons)
+        assert_same(res, reference_averages(f, x, battery, horizons, 4096))
+
+
+def test_refined_cut_on_a_breakpoint():
+    # the tent's peak and antipode are breakpoints of the map as well
+    f = PLCircleMap([F(0), F(1, 4), F(3, 4), F(1)], [F(0), F(3, 4), F(1, 2), F(2)])
+    battery = [Observable.tent(F(1, 4)), NON_TENT]
+    closing = _Closing(battery)
+    assert closing.table(f)[0] == [
+        F(0), F(1, 4), F(1, 3), F(5, 7), F(3, 4)
+    ]
+    check_refined(f, battery, [F(0), F(1, 4), F(3, 4), F(1, 3), F(2, 9)], (1, 5, 60))
+
+
+def test_refined_cut_and_breakpoint_sharing_a_float():
+    b = F(round(0.4 * 2**60), 2**60)
+    c = b + F(1, 2**70)
+    assert float(b) == float(c)
+    # the map bends at b and the observable at c, so a point between them
+    # or just below b is told apart from them only by the exact tie walk
+    f = PLCircleMap([F(0), b, F(1)], [F(1, 3), F(1, 3) + 3 * b, F(7, 3)])
+    phi = Observable([F(0), c, F(1)], [F(0), F(1), F(0)])
+    below = b - F(1, 2**72)
+    assert float(below) == float(b)
+    starts = [b, c, below, (b + c) / 2, F(0)]
+    check_refined(f, [phi], starts, (1, 2, 30))
+    for x in starts:
+        first = orbit_averages(f, x, [phi], (1,)).averages[0][1]
+        assert first == phi.evaluate(x), x
+
+
+def test_orbit_points_on_cuts():
+    # 1/8 -> 1/4 -> 1/2 -> 0 -> 0 and 3/8 -> 3/4 -> 1/2 under doubling:
+    # every point is a peak or an antipode of a tent
+    battery = [Observable.tent(F(j, 8)) for j in range(8)]
+    check_refined(expanding_map(2), battery, [F(1, 8), F(3, 8), F(5, 8)], (1, 3, 7, 100))
+    # 1/7 -> 2/7 -> 4/7 -> 1/7 on the cuts of a non-tent observable
+    phi = Observable([F(0), F(1, 7), F(2, 7), F(4, 7), F(1)], [F(0), F(3), F(-1), F(5, 2), F(0)])
+    check_refined(expanding_map(2), [phi], [F(1, 7), F(2, 7)], (1, 2, 3, 10, 10**6))
+
+
+def test_empty_battery_refines_nothing():
+    f = PLCircleMap([F(0), F(1, 5), F(2, 3), F(1)], [F(1, 2), F(1, 3), F(9, 4), F(7, 2)])
+    closing = _Closing([])
+    keys, _, rows = closing.table(f)
+    assert keys == list(f.breakpoints[:-1]) and {c for *_, c in rows} == {0}
+    check_refined(f, [], [F(0), F(1, 5), F(4, 7)], (3, 40))
+
+
+def test_map_whose_pieces_all_merge():
+    # four collinear pieces of slope 3: one piece, and the cuts are all keys
+    f = PLCircleMap(
+        [F(0), F(1, 6), F(1, 3), F(1, 2), F(1)], [F(1, 9), F(11, 18), F(10, 9), F(29, 18), F(28, 9)]
+    )
+    assert f.breakpoints == (F(0), F(1)) and f == PLCircleMap([F(0), F(1)], [F(1, 9), F(28, 9)])
+    battery = [Observable.tent(F(1, 6)), NON_TENT]
+    closing = _Closing(battery)
+    assert closing.table(f)[0] == list(closing.cuts[:-1])
+    check_refined(f, battery, [F(0), F(1, 6), F(1, 3), F(5, 7), F(2, 11)], (1, 8, 200))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -6,7 +7,7 @@ from circledyn.classifier import basin_decomposition
 from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.exact import Arc, circle_dist
 from circledyn.expanding import expanding_map
-from circledyn.plmaps import Observable, PLCircleMap
+from circledyn.plmaps import Observable, PLCircleMap, affine_form
 
 from conftest import random_pl_homeo, random_pl_map
 
@@ -48,6 +49,34 @@ class TestEvaluation:
             assert {i for i, s in enumerate(g._steps) if s is not None} == visited
             g._step_table()
             assert None not in g._steps
+
+    def test_step_forms_are_reduced(self, rng):
+        big = 2**60 + 33  # lift values with ~60-bit denominators
+        flat = 0
+        for _ in range(60):
+            den = rng.choice([12, big])
+            inner = sorted(rng.sample(range(1, 200), rng.randrange(7)))
+            bps = [F(0)] + [F(k, 200) for k in inner] + [F(1)]
+            vals = [F(rng.randrange(den), den)]
+            for _ in bps[1:]:
+                if rng.randrange(4):
+                    vals.append(F(rng.randrange(-3 * den, 3 * den), den))
+                else:
+                    vals.append(vals[-1])  # a plateau
+            vals[-1] = vals[0] + rng.randrange(-2, 4)
+            f = PLCircleMap(bps, vals)
+            f._step_table()
+            for i, (a, b, d) in enumerate(f._steps):
+                assert gcd(a, b, d) == 1 and d > 0
+                # the same line as the unreduced form
+                a0, b0, d0 = affine_form(f.breakpoints[i], f.lift_values[i], f._slopes[i])
+                assert a * d0 == a0 * d and b * d0 == b0 * d
+                flat += not b
+            points = [F(rng.randrange(big), big) for _ in range(10)]
+            for x in points + list(f.breakpoints[:-1]):
+                y = f.evaluate(x)
+                assert f.step(x.numerator, x.denominator) == (y.numerator, y.denominator)
+        assert flat
 
 
 class TestCompose:
