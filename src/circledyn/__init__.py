@@ -14,9 +14,7 @@ from .shredder import ShredConfig, TrappingReport, shred, verify_shredding
 from .expanding import (
     ExpandingConjugacy,
     PerturbedConjugator,
-    cesaro_cylinder,
     conjugate,
-    cylinder_pushforward,
     expanding_map,
     rotation_companions,
     wicked_perturb,
@@ -49,9 +47,7 @@ __all__ = [
     "verify_shredding",
     "ExpandingConjugacy",
     "PerturbedConjugator",
-    "cesaro_cylinder",
     "conjugate",
-    "cylinder_pushforward",
     "expanding_map",
     "rotation_companions",
     "wicked_perturb",

@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, Arc, IntervalSet, as_count, mod1
 from .measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
-from .orbits import DENOMINATOR_BIT_CAP, check_horizons, grid_averages
+from .orbits import check_horizons, grid_averages
 from .plmaps import Observable, PLCircleMap, PeriodicComponent
 from .shredder import TrappingReport, singularity_witness, verify_shredding
 
@@ -411,10 +411,7 @@ def _classify_general(
     periodic_hits = 0
     basin_counts: dict[Fraction, int] = {}
     gap_rows: list[tuple[Fraction, Fraction | None, bool]] = []
-    results = grid_averages(
-        f, grid, battery, protocol.horizons,
-        denominator_bit_cap=DENOMINATOR_BIT_CAP,
-    )
+    results = grid_averages(f, grid, battery, protocol.horizons)
     for x, res in zip(grid, results):
         if res.inconclusive:
             inconclusive += 1

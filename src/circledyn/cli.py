@@ -33,7 +33,7 @@ from .formats import (
     report_to_record,
     spec_from_record,
 )
-from .measures import CircleMeasure, _capped, cesaro
+from .measures import CircleMeasure, _capped, _complexity_cap, cesaro
 from .orbits import orbit_averages
 from .plmaps import Observable, PLCircleMap
 from .shredder import ShredConfig, ShredVerification, shred, verify_shredding
@@ -222,8 +222,9 @@ def cmd_pushforward(args: argparse.Namespace) -> int:
     mu = measure_from_record(_load_json(args.measure))
     if args.iters < 0:
         raise InvalidInput(f"iteration count must be >= 0, got {args.iters}")
+    cap = _complexity_cap(args.max_breakpoints)
     for _ in range(args.iters):
-        mu = _capped(mu.pushforward(f), args.max_breakpoints)
+        mu = _capped(mu.pushforward(f), cap)
     return _write_measure(args, mu)
 
 

@@ -286,10 +286,6 @@ class Arc(_Frozen):
         return mod1(self.start + self.length)
 
     @property
-    def measure(self) -> Fraction:
-        return self.length
-
-    @property
     def midpoint(self) -> Fraction:
         return mod1(self.start + self.length / 2)
 

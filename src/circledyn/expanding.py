@@ -158,29 +158,3 @@ def wicked_perturb(
         ell, base.basepoint, tables, n0=n0, n=n, target=target
     )
 
-
-# ---------------------------------------------------------------------------
-# Cylinder push-forward from families or charts
-
-
-def _family(source: ConsistentFamily | PLCircleMap, ell: int, depth: int) -> ConsistentFamily:
-    """A chart's family to the given depth, or a family of matching alphabet."""
-    if isinstance(source, PLCircleMap):
-        return family_from_homeo(source, ell, depth)
-    if source.ell != ell:
-        raise InvalidInput("family alphabet does not match ell")
-    return source
-
-
-def cylinder_pushforward(
-    source: ConsistentFamily | PLCircleMap, ell: int, q: int, p: int
-) -> CylinderSpec:
-    """Cylinder values of the q-th expanding push-forward of Lebesgue via the chart."""
-    return _family(source, ell, q + p).cylinder_pushforward(q, p)
-
-
-def cesaro_cylinder(
-    source: ConsistentFamily | PLCircleMap, ell: int, n: int, p: int
-) -> CylinderSpec:
-    """(1/n) sum over k < n of the k-th push-forward cylinder vectors."""
-    return _family(source, ell, n - 1 + p).cesaro_spec(n, p)

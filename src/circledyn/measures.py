@@ -17,7 +17,7 @@ from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, Arc, as_count, as_fraction, mod1
+from .exact import ONE, ZERO, as_count, as_fraction, mod1
 from .plmaps import Observable, PLCircleMap
 
 DEFAULT_COMPLEXITY_CAP = 100_000
@@ -42,8 +42,8 @@ class CircleMeasure:
     Construction sorts once, O(n log n) in the number of input items.  The
     first mass query builds prefix sums of the atom masses and the piece
     masses, O(n); after that ``cdf``, ``cdf_closed`` and
-    ``measure_of_interval`` bisect them, O(log n) each, and ``w1_distance``
-    and ``cylinder_vector`` cost O(log n) per cut.
+    ``measure_of_interval`` bisect them, O(log n) each, and
+    ``cylinder_vector`` costs O(log n) per cut.
     """
 
     __slots__ = ("atoms", "pieces", "_prefix")
@@ -172,15 +172,6 @@ class CircleMeasure:
             return ZERO
         return self._mass_below(hi, False) - self._mass_below(lo, False)
 
-    def measure_of_arc(self, arc: Arc) -> Fraction:
-        return sum(
-            (self.measure_of_interval(lo, hi) for lo, hi in arc.intervals()),
-            start=ZERO,
-        )
-
-    def measure_of_arcs(self, arcs: Iterable[Arc]) -> Fraction:
-        return sum((self.measure_of_arc(a) for a in arcs), start=ZERO)
-
     def cdf(self, x: Fraction) -> Fraction:
         """Mass of [0, x), for x in [0, 1]."""
         return self._mass_below(x, False)
@@ -225,24 +216,6 @@ class CircleMeasure:
             total += d * phi.integral_on_interval(lo, hi)
         return total
 
-    def restrict_normalize(self, arcs: Sequence[Arc]) -> "CircleMeasure":
-        total = self.measure_of_arcs(arcs)
-        if total == 0:
-            raise InvalidInput("conditioning set has measure zero")
-        atoms = [
-            (p, w / total)
-            for p, w in self.atoms
-            if any(a.contains(p) for a in arcs)
-        ]
-        pieces = []
-        spans = [iv for a in arcs for iv in a.intervals()]
-        for lo, hi, d in self.pieces:
-            for slo, shi in spans:
-                left, right = max(lo, slo), min(hi, shi)
-                if left < right:
-                    pieces.append((left, right, d / total))
-        return CircleMeasure(atoms=atoms, pieces=pieces)
-
     def cylinder_vector(self, ell: int, p: int) -> "CylinderSpec":
         scale = _word_count(ell, p)
         # product enumerates the words in value order
@@ -251,30 +224,6 @@ class CircleMeasure:
             for v, w in enumerate(product(range(ell), repeat=p))
         }
         return CylinderSpec(ell, p, values)
-
-    def w1_distance(self, other: "CircleMeasure") -> Fraction:
-        """Exact L1 distance between CDFs anchored at 0 (interval convention)."""
-        cuts = sorted(
-            {ZERO, ONE}
-            | {p for p, _ in self.atoms}
-            | {p for p, _ in other.atoms}
-            | {e for lo, hi, _ in self.pieces for e in (lo, hi)}
-            | {e for lo, hi, _ in other.pieces for e in (lo, hi)}
-        )
-        total = ZERO
-        for i in range(len(cuts) - 1):
-            a, b = cuts[i], cuts[i + 1]
-            # difference of CDFs is affine on (a, b); one-sided limits:
-            u = self.cdf_closed(a) - other.cdf_closed(a)
-            v = self.cdf(b) - other.cdf(b)
-            if u == 0 and v == 0:
-                continue
-            if (u >= 0 and v >= 0) or (u <= 0 and v <= 0):
-                total += (abs(u) + abs(v)) * (b - a) / 2
-            else:
-                t = (b - a) * abs(u) / (abs(u) + abs(v))
-                total += (abs(u) * t + abs(v) * ((b - a) - t)) / 2
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -471,19 +420,25 @@ def cesaro(
 ) -> CircleMeasure:
     """(1/n) sum of the first n push-forward iterates of mu0."""
     as_count(n, "cesaro horizon")
+    cap = _complexity_cap(complexity_cap)
     weight = Fraction(1, n)
     parts = []
     mu = mu0
     for k in range(n):
         if k:
-            mu = _capped(mu.pushforward(f), complexity_cap)
+            mu = _capped(mu.pushforward(f), cap)
         parts.append((weight, mu))
     return CircleMeasure.convex_combination(parts)
 
 
-def _capped(mu: CircleMeasure, cap: int | None) -> CircleMeasure:
-    """mu, checked against the complexity cap (default when None)."""
-    cap = DEFAULT_COMPLEXITY_CAP if cap is None else cap
+def _complexity_cap(cap: int | None) -> int:
+    """The cap on the complexity of push-forward iterates: the default when
+    None, else a count (``exact.as_count``), checked before any iterate."""
+    return DEFAULT_COMPLEXITY_CAP if cap is None else as_count(cap, "measure complexity cap")
+
+
+def _capped(mu: CircleMeasure, cap: int) -> CircleMeasure:
+    """mu, checked against the complexity cap."""
     if mu.complexity > cap:
         raise ResourceCap(f"measure complexity {mu.complexity} exceeds cap {cap}")
     return mu

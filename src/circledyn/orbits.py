@@ -171,7 +171,6 @@ class _Closing:
         kept = f._refined
         if kept is not None and kept[0] == cuts:
             return kept[1]
-        f._step_table()
         bps, b_hints = f.breakpoints, f._hints
         keys, hints = list(bps[:-1]), list(b_hints)
         for c, h in zip(cuts[1:-1], cut_hints[1:]):  # 0 is a breakpoint
@@ -180,7 +179,7 @@ class _Closing:
                 keys.insert(i + 1, c)
                 hints.insert(i + 1, h)
         rows = [
-            (*f._steps[locate(bps, b_hints, p, q)], locate(cuts, cut_hints, p, q))
+            (*f._form(locate(bps, b_hints, p, q)), locate(cuts, cut_hints, p, q))
             for p, q in ((k.numerator, k.denominator) for k in keys)
         ]
         table = keys, hints, rows

@@ -277,16 +277,6 @@ class PLCircleMap:
         g = gcd(a, b, d)
         return a // g, b // g, d // g
 
-    def _step_table(self) -> None:
-        """Make the form ``step`` keeps of every piece not stepped from yet.
-        Cost O(pieces)."""
-        steps = self._steps
-        if steps is None:
-            steps = self._steps = [None] * len(self._slopes)
-        for i, form in enumerate(steps):
-            if form is None:
-                steps[i] = self._form(i)
-
     # -- constructors
 
     @staticmethod

@@ -100,6 +100,13 @@ def wild_base_homeo() -> PLCircleMap:
     return homeo_from_family(fam)
 
 
+def lebesgue_on(arcs: list[Arc]) -> tuple[Fraction, CircleMeasure]:
+    """(m, mu): the total length m of disjoint arcs, and Lebesgue restricted
+    to them and normalised, density 1/m on each arc's pieces."""
+    m = sum((a.length for a in arcs), start=F(0))
+    return m, CircleMeasure(pieces=[(lo, hi, 1 / m) for a in arcs for lo, hi in a.intervals()])
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

@@ -13,7 +13,6 @@ import pytest
 from circledyn.classifier import WProtocol, basin_decomposition, classify
 from circledyn.expanding import (
     conjugate,
-    cylinder_pushforward,
     expanding_map,
     rotation_companions,
     wicked_perturb,
@@ -23,6 +22,7 @@ from circledyn.measures import (
     CylinderSpec,
     cesaro,
 )
+from circledyn.partitions import family_from_homeo
 from circledyn.plmaps import Observable, PLCircleMap
 from circledyn.shredder import (
     ShredConfig,
@@ -33,6 +33,7 @@ from circledyn.shredder import (
 from circledyn.cli import figure3_map
 
 from conftest import (
+    lebesgue_on,
     random_pl_homeo,
     random_pl_map,
     random_transversal_homeo,
@@ -109,7 +110,7 @@ def test_criterion_3_wicked_window_exactness():
     d2 = ident.c0_distance(h_prime)
     assert d2 < F(1, 4)
     # independent route: preimage family of the realized homeomorphism
-    assert cylinder_pushforward(h_prime, 2, 7, 2) == bern
+    assert family_from_homeo(h_prime, 2, 9).cylinder_pushforward(7, 2) == bern
     elapsed = time.time() - t0
     assert elapsed < 10.0
     report(
@@ -256,17 +257,13 @@ def test_criterion_9_cesaro_split_and_w5_implies_w4():
         f = random_pl_map(rng, degree=rng.choice([1, 2]))
         cut1 = F(rng.randrange(1, 32), 64)
         cut2 = cut1 + F(rng.randrange(1, 16), 64)
-        a_set = [Arc(F(0), cut1), Arc(cut2, F(7, 8) - cut2)]
-        comp = [Arc(cut1, cut2 - cut1), Arc(F(7, 8), F(1, 8))]
-        mass_a = lebesgue.measure_of_arcs(a_set)
-        mass_c = 1 - mass_a
+        mass_a, on_a = lebesgue_on([Arc(F(0), cut1), Arc(cut2, F(7, 8) - cut2)])
+        mass_c, on_c = lebesgue_on([Arc(cut1, cut2 - cut1), Arc(F(7, 8), F(1, 8))])
+        assert mass_a + mass_c == 1
         n = rng.randrange(1, 11)
         lhs = cesaro(f, lebesgue, n)
         rhs = CircleMeasure.convex_combination(
-            [
-                (mass_c, cesaro(f, lebesgue.restrict_normalize(comp), n)),
-                (mass_a, cesaro(f, lebesgue.restrict_normalize(a_set), n)),
-            ]
+            [(mass_c, cesaro(f, on_c, n)), (mass_a, cesaro(f, on_a, n))]
         )
         assert lhs == rhs
 

@@ -824,6 +824,15 @@ def test_max_period_below_one_exits_invalid(tmp_path, capsys, argv):
         (["classify", "{e2}", "--horizons", "10,0"], "horizons must be integers >= 1, got 0"),
         (["birkhoff", "{e2}", "--x", "1/3", "--obs", "tent:0", "--horizons", "-2"],
          "horizons must be integers >= 1, got -2"),
+        # the complexity cap is read before any push-forward, also when none is due
+        (["--max-breakpoints", "0", "pushforward", "{e2}", "{leb}"],
+         "measure complexity cap must be >= 1, got 0"),
+        (["--max-breakpoints", "0", "pushforward", "{e2}", "{leb}", "--iters", "0"],
+         "measure complexity cap must be >= 1, got 0"),
+        (["--max-breakpoints", "0", "cesaro", "{e2}", "{leb}", "--n", "5"],
+         "measure complexity cap must be >= 1, got 0"),
+        (["--max-breakpoints", "-2", "cesaro", "{e2}", "{leb}", "--n", "1"],
+         "measure complexity cap must be >= 1, got -2"),
     ],
 )
 def test_count_out_of_range_exits_invalid(workdir, capsys, argv, message):

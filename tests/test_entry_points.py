@@ -86,6 +86,11 @@ COUNT_READERS = [
         lambda n: cesaro(expanding_map(2), CircleMeasure.lebesgue(), n),
         id="cesaro",
     ),
+    pytest.param(
+        "measure complexity cap",
+        lambda n: cesaro(expanding_map(2), CircleMeasure.lebesgue(), 1, complexity_cap=n),
+        id="cesaro-complexity_cap",
+    ),
     pytest.param("horizon", lambda n: _birkhoff(n=n), id="birkhoff_gap_bound"),
     pytest.param(
         "cell count",

@@ -6,9 +6,7 @@ import pytest
 from circledyn import expanding
 from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.expanding import (
-    cesaro_cylinder,
     conjugate,
-    cylinder_pushforward,
     expanding_map,
     rotation_companions,
     wicked_perturb,
@@ -100,18 +98,18 @@ class TestRotationCompanions:
 class TestCylinderPushforward:
     def test_identity_gives_lebesgue(self):
         for q in (0, 3, 6):
-            spec = cylinder_pushforward(PLCircleMap.identity(), 2, q, 3)
+            spec = family_from_homeo(PLCircleMap.identity(), 2, q + 3).cylinder_pushforward(q, 3)
             assert spec == CylinderSpec.lebesgue(2, 3)
 
     def test_q0_matches_pushforward_cylinders(self, rng):
         h = random_pl_homeo(rng)
-        spec = cylinder_pushforward(h, 2, 0, 3)
+        spec = family_from_homeo(h, 2, 3).cylinder_pushforward(0, 3)
         hm = CircleMeasure.lebesgue().pushforward(h)
         assert spec == hm.cylinder_vector(2, 3)
 
     def test_matches_iterated_measure_path(self, rng):
         h = random_pl_homeo(rng)
-        spec = cylinder_pushforward(h, 2, 3, 2)
+        spec = family_from_homeo(h, 2, 5).cylinder_pushforward(3, 2)
         mu = CircleMeasure.lebesgue().pushforward(h)
         e2 = expanding_map(2)
         for _ in range(3):
@@ -121,7 +119,7 @@ class TestCylinderPushforward:
     def test_depth_validated(self, rng):
         fam = family_from_homeo(random_pl_homeo(rng), 2, 3)
         with pytest.raises(InvalidInput):
-            cylinder_pushforward(fam, 2, 3, 2)
+            fam.cylinder_pushforward(3, 2)
 
 
 class TestWickedPerturb:
@@ -161,7 +159,7 @@ class TestWickedPerturb:
         assert dist < F(1, 8)
         assert res.c0_distance_to(PLCircleMap.identity()) == dist
         # the honest preimage route reproduces the window equality
-        assert cylinder_pushforward(hp, 2, 5, 2) == target
+        assert family_from_homeo(hp, 2, 7).cylinder_pushforward(5, 2) == target
         # agreement between family view and realized-homeo view everywhere
         fam = family_from_homeo(hp, 2, res.depth)
         assert fam.tables == res.tables and fam.basepoint == res.basepoint
@@ -231,17 +229,17 @@ class TestWickedPerturb:
         fam = ConsistentFamily(2, res.depth, res.levels)
         assert fam.tables == res.tables
         for q in (0, 2, 4):
-            assert cylinder_pushforward(fam, 2, q, 2) == res.cylinder_pushforward(q, 2)
-        assert cesaro_cylinder(fam, 2, 5, 2) == res.cesaro_spec(5, 2)
+            assert fam.cylinder_pushforward(q, 2) == res.cylinder_pushforward(q, 2)
+        assert fam.cesaro_spec(5, 2) == res.cesaro_spec(5, 2)
         # and against the realized homeomorphism, depth permitting
         hp = res.homeomorphism()
-        assert cesaro_cylinder(hp, 2, 5, 2) == res.cesaro_spec(5, 2)
+        assert family_from_homeo(hp, 2, 6).cesaro_spec(5, 2) == res.cesaro_spec(5, 2)
 
 
 class TestCesaroCylinder:
     def test_identity_lebesgue(self):
         for n in (1, 3, 6):
-            spec = cesaro_cylinder(PLCircleMap.identity(), 2, n, 2)
+            spec = family_from_homeo(PLCircleMap.identity(), 2, n + 1).cesaro_spec(n, 2)
             assert spec == CylinderSpec.lebesgue(2, 2)
 
     def test_dirac_window_bound(self):

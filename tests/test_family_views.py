@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from circledyn import formats
 from circledyn.errors import InvalidInput
 from circledyn.exact import HALF, ONE, ZERO, Arc, circle_dist, format_rational, mod1
-from circledyn.expanding import cesaro_cylinder, cylinder_pushforward, wicked_perturb
+from circledyn.expanding import wicked_perturb
 from circledyn.measures import CylinderSpec
 from circledyn.partitions import (
     ConsistentFamily,
@@ -282,10 +282,11 @@ def test_family_from_homeo_matches_dense_reference(h, ell_depth):
     fam = family_from_homeo(h, ell, depth)
     check_views(fam, ell, depth, levels[0][0].start, tables, levels)
     assert fam.c0_distance_to(h) == ref_c0(ell, depth, tables, h)
-    # the module functions take a chart through family_from_homeo
+    # a chart's shallower family gives the same cylinder views
     for q in range(depth):
-        assert cylinder_pushforward(h, ell, q, 1) == fam.cylinder_pushforward(q, 1)
-    assert cesaro_cylinder(h, ell, depth, 1) == fam.cesaro_spec(depth, 1)
+        shallow = family_from_homeo(h, ell, q + 1)
+        assert shallow.cylinder_pushforward(q, 1) == fam.cylinder_pushforward(q, 1)
+    assert family_from_homeo(h, ell, depth).cesaro_spec(depth, 1) == fam.cesaro_spec(depth, 1)
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,7 +19,7 @@ from circledyn.measures import (
 from circledyn.plmaps import Observable, PLCircleMap
 from circledyn.shredder import shred
 
-from conftest import random_pl_map
+from conftest import lebesgue_on, random_pl_map
 
 F = Fraction
 
@@ -116,7 +116,8 @@ class TestCesaro:
         arcs = [a for reg in report.regions for a in reg.arcs]
         prev = F(-1)
         for n in range(1, 21):
-            mass = cesaro(g, lebesgue, n).measure_of_arcs(arcs)
+            mu = cesaro(g, lebesgue, n)
+            mass = sum(mu.measure_of_interval(lo, hi) for a in arcs for lo, hi in a.intervals())
             assert mass >= prev
             prev = mass
 
@@ -158,17 +159,14 @@ def arc_splits(draw) -> tuple[list[Arc], list[Arc]]:
 def test_cesaro_split_on_random_arcs(f, split, n):
     # Lebesgue is the mass-weighted mix of its restrictions to A and to its
     # complement, and the Cesaro average is linear in the starting measure
-    lebesgue = CircleMeasure.lebesgue()
     a_set, comp = split
-    mass_a = lebesgue.measure_of_arcs(a_set)
-    assert mass_a + lebesgue.measure_of_arcs(comp) == 1
+    mass_a, on_a = lebesgue_on(a_set)
+    mass_c, on_c = lebesgue_on(comp)
+    assert mass_a + mass_c == 1
     rhs = CircleMeasure.convex_combination(
-        [
-            (1 - mass_a, cesaro(f, lebesgue.restrict_normalize(comp), n)),
-            (mass_a, cesaro(f, lebesgue.restrict_normalize(a_set), n)),
-        ]
+        [(mass_c, cesaro(f, on_c, n)), (mass_a, cesaro(f, on_a, n))]
     )
-    assert cesaro(f, lebesgue, n) == rhs
+    assert cesaro(f, CircleMeasure.lebesgue(), n) == rhs
 
 
 class TestIntegrate:
@@ -210,11 +208,6 @@ class TestCylinderVector:
 
 
 class TestDistances:
-    def test_w1_examples(self, lebesgue):
-        assert lebesgue.w1_distance(lebesgue) == 0
-        mu, nu = (CircleMeasure(atoms=[(p, ONE)]) for p in (F(0), F(1, 2)))
-        assert mu.w1_distance(nu) == F(1, 2)
-
     def test_spec_distance_example(self):
         assert CylinderSpec.lebesgue(2, 3).distance(CylinderSpec.dirac_zero(2, 3)) == F(7, 8)
 
@@ -224,33 +217,28 @@ class TestDistances:
 
 
 class TestRestrictNormalize:
-    def test_lebesgue_half(self, lebesgue):
-        mu = lebesgue.restrict_normalize([Arc(F(0), F(1, 2))])
-        assert mu.pieces == ((F(0), F(1, 2), F(2)),)
+    # Lebesgue restricted to arcs and normalised, as ``lebesgue_on`` builds it
+    def test_lebesgue_half(self):
+        half = CircleMeasure(pieces=[(F(0), F(1, 2), F(2))])
+        assert lebesgue_on([Arc(F(0), F(1, 2))]) == (F(1, 2), half)
+        # a wrapping arc keeps its two pieces
+        _, mu = lebesgue_on([Arc(F(3, 4), F(1, 2))])
+        assert mu.pieces == ((F(0), F(1, 4), F(2)), (F(3, 4), F(1), F(2)))
 
     def test_full_circle_identity(self, lebesgue):
-        assert lebesgue.restrict_normalize([Arc.full()]) == lebesgue
-
-    def test_zero_mass_rejected(self):
-        with pytest.raises(InvalidInput):
-            CircleMeasure(atoms=[(F(0), ONE)]).restrict_normalize([Arc(F(1, 4), F(1, 4))])
+        assert lebesgue_on([Arc.full()]) == (ONE, lebesgue)
 
     def test_cesaro_split_identity(self, rng, lebesgue):
         # exact decomposition of the Cesaro average by a conditioning set
         for _ in range(5):
             f = random_pl_map(rng, degree=rng.choice([1, 2]))
-            a_set = [Arc(F(0), F(1, 4)), Arc(F(1, 2), F(1, 8))]
-            mass_a = lebesgue.measure_of_arcs(a_set)
-            comp = [Arc(F(1, 4), F(1, 4)), Arc(F(5, 8), F(3, 8))]
-            mass_c = lebesgue.measure_of_arcs(comp)
+            mass_a, on_a = lebesgue_on([Arc(F(0), F(1, 4)), Arc(F(1, 2), F(1, 8))])
+            mass_c, on_c = lebesgue_on([Arc(F(1, 4), F(1, 4)), Arc(F(5, 8), F(3, 8))])
             assert mass_a + mass_c == 1
             n = rng.randrange(1, 11)
             lhs = cesaro(f, lebesgue, n)
             rhs = CircleMeasure.convex_combination(
-                [
-                    (mass_c, cesaro(f, lebesgue.restrict_normalize(comp), n)),
-                    (mass_a, cesaro(f, lebesgue.restrict_normalize(a_set), n)),
-                ]
+                [(mass_c, cesaro(f, on_c, n)), (mass_a, cesaro(f, on_a, n))]
             )
             assert lhs == rhs
 

@@ -47,8 +47,6 @@ class TestEvaluation:
                 if len(visited) == 3:
                     break
             assert {i for i, s in enumerate(g._steps) if s is not None} == visited
-            g._step_table()
-            assert None not in g._steps
 
     def test_step_forms_are_reduced(self, rng):
         big = 2**60 + 33  # lift values with ~60-bit denominators
@@ -65,8 +63,8 @@ class TestEvaluation:
                     vals.append(vals[-1])  # a plateau
             vals[-1] = vals[0] + rng.randrange(-2, 4)
             f = PLCircleMap(bps, vals)
-            f._step_table()
-            for i, (a, b, d) in enumerate(f._steps):
+            for i in range(len(f._slopes)):
+                a, b, d = f._form(i)
                 assert gcd(a, b, d) == 1 and d > 0
                 # the same line as the unreduced form
                 a0, b0, d0 = affine_form(f.breakpoints[i], f.lift_values[i], f._slopes[i])
