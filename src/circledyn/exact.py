@@ -13,8 +13,10 @@ Floats decide nothing else and are never returned.  The rule is applied by
 point).  In ``plmaps`` the PL graph constructor checks that breakpoints
 strictly increase and ``PLCircleMap.c0_distance`` merges two breakpoint
 tuples by the same rule, and ``PLCircleMap.preimage_of_set`` keys its piece
-index the same way.  Behind the floats the exact decisions are integer
-cross products of numerators and denominators in ``Iv``, ``Arc`` and
+index the same way; ``measures.CircleMeasure`` sorts the ends of its density
+pieces by the rule, and its CDF finds an atom and a piece by ``locate``.
+Behind the floats the exact decisions are integer cross products of
+numerators and denominators in ``Iv``, ``Arc`` and
 ``IntervalSet.min_gap_to_boundary``, and in ``plmaps`` in
 ``c0_distance``, ``image_of_set`` and ``preimage_of_set`` with its index:
 that query tests each candidate piece and solves each hit on integers, and

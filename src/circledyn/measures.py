@@ -9,23 +9,89 @@ the package is a rational equality.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, product
+from itertools import accumulate, chain, product
 from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, as_count, as_fraction, mod1
-from .plmaps import Observable, PLCircleMap
+from .exact import ONE, ZERO, as_count, as_fraction, locate, mod1
+from .plmaps import Observable, PLCircleMap, affine_form
 
 DEFAULT_COMPLEXITY_CAP = 100_000
 # Cap on the cylinders one spec may list: the ell**level words of a level,
 # or the positive cells of an extension table.
 MAX_CYLINDER_CELLS = 1_000_000
 
-_FIRST = itemgetter(0)
+
+def _sweep(by_lo: list, by_hi: list) -> list | None:
+    """The canonical pieces of (lo, hi, d > 0) pieces listed by lo and by
+    hi; None when a list has two ends out of order.
+
+    The density jumps by +d at each lo and by -d at each hi.  The two
+    lists are merged on integer cross products, the running density is an
+    integer pair, and one ``Fraction`` is built at each cut where it
+    changes.
+    """
+    count = len(by_lo)
+    out: list[tuple[Fraction, Fraction, Fraction]] = []
+    if not count:
+        return out
+    num, den = 0, 1  # the density past the cuts swept so far
+    start = None  # the low end of the open output piece
+    pn, pd = -1, 1  # the last cut, below every end
+    i = j = 0
+    x, y = by_lo[0][0], by_hi[0][1]
+    ln, ld, hn, hd = x.numerator, x.denominator, y.numerator, y.denominator
+    while j < count:
+        # the next cut is the next lo or the next hi, whichever is less
+        if i < count and ln * hd < hn * ld:
+            x, xn, xd = by_lo[i][0], ln, ld
+        else:
+            x, xn, xd = by_hi[j][1], hn, hd
+        if xn * pd <= pn * xd:
+            return None
+        pn, pd = xn, xd
+        # the pieces that start or end at x: ends are in lowest terms, so
+        # equal values have equal integers
+        while i < count and ln == xn and ld == xd:
+            d = by_lo[i][2]
+            dn, dd = d.numerator, d.denominator
+            if dd == den:
+                num += dn
+            else:
+                num, den = num * dd + dn * den, den * dd
+            i += 1
+            if i < count:
+                y = by_lo[i][0]
+                ln, ld = y.numerator, y.denominator
+        while j < count and hn == xn and hd == xd:
+            d = by_hi[j][2]
+            dn, dd = d.numerator, d.denominator
+            if dd == den:
+                num -= dn
+            else:
+                num, den = num * dd - dn * den, den * dd
+            j += 1
+            if j < count:
+                y = by_hi[j][1]
+                hn, hd = y.numerator, y.denominator
+        if start is not None:
+            if num * rho_d == rho_n * den:
+                # the open piece goes on past x
+                num, den = rho_n, rho_d
+                continue
+            out.append((start, x, rho))
+            start = None
+        if num:
+            rho = Fraction(num, den)
+            num = rho_n = rho.numerator
+            den = rho_d = rho.denominator
+            start = x
+        else:
+            den = 1
+    return out
 
 
 class CircleMeasure:
@@ -39,14 +105,19 @@ class CircleMeasure:
 
     Invariants the queries rely on: ``atoms`` is sorted by point and
     ``pieces`` by ``lo``, and a piece ends no later than the next one starts.
-    Construction sorts once, O(n log n) in the number of input items.  The
-    first mass query builds prefix sums of the atom masses and the piece
-    masses, O(n); after that ``cdf``, ``cdf_closed`` and
-    ``measure_of_interval`` bisect them, O(log n) each, and
-    ``cylinder_vector`` costs O(log n) per cut.
+    The density runs on integers and the float rule of ``exact``, and no
+    ``Fraction`` is hashed: construction checks each piece on its integers,
+    sorts the pieces by the floats of their ends and merges them in one
+    sweep (``_sweep``), O(n log n) in the number of input items.
+    ``total_mass`` sums integers over one common denominator.  The first
+    mass query builds the integer prefix sums of the masses and the floats
+    of the atoms and of the pieces' low ends, O(n); after that ``cdf``,
+    ``cdf_closed`` and ``measure_of_interval`` find their atom and piece by
+    ``exact.locate``, O(log n) each, and ``cylinder_vector`` costs
+    O(log n) per cut.
     """
 
-    __slots__ = ("atoms", "pieces", "_prefix")
+    __slots__ = ("atoms", "pieces", "_index")
 
     def __init__(
         self,
@@ -67,7 +138,8 @@ class CircleMeasure:
             sorted(acc.items())
         )
         self.pieces = self._canonical_pieces(pieces)
-        self._prefix: tuple[list[Fraction], list[Fraction]] | None = None
+        # the integer prefix masses and the floats of ``_mass_below``
+        self._index = None
         if require_probability and self.total_mass != ONE:
             raise InvalidInput(
                 f"measure must have total mass 1, got {self.total_mass}"
@@ -77,28 +149,27 @@ class CircleMeasure:
     def _canonical_pieces(
         pieces: Iterable[tuple[Fraction, Fraction, Fraction]],
     ) -> tuple[tuple[Fraction, Fraction, Fraction], ...]:
-        # sweep line: the density jumps by +d at each lo and by -d at each hi
-        delta: dict[Fraction, Fraction] = {}
-        for lo, hi, d in pieces:
-            lo, hi, d = as_fraction(lo), as_fraction(hi), as_fraction(d)
-            if d < 0:
+        items = []
+        for piece in pieces:
+            lo, hi, d = piece
+            if type(lo) is not Fraction or type(hi) is not Fraction or type(d) is not Fraction:
+                lo, hi, d = piece = as_fraction(lo), as_fraction(hi), as_fraction(d)
+            if d.numerator < 0:
                 raise InvalidInput("densities must be >= 0")
-            if not (ZERO <= lo < hi <= ONE):
+            ln, hn, hd = lo.numerator, hi.numerator, hi.denominator
+            if ln < 0 or ln * hd >= hn * lo.denominator or hn > hd:
                 raise InvalidInput(f"density piece [{lo},{hi}) outside [0,1)")
-            if d > 0:
-                delta[lo] = delta.get(lo, ZERO) + d
-                delta[hi] = delta.get(hi, ZERO) - d
-        cuts = sorted(delta)
-        out: list[tuple[Fraction, Fraction, Fraction]] = []
-        dens = ZERO
-        for a, b in zip(cuts, cuts[1:]):
-            dens += delta[a]
-            if dens == 0:
-                continue
-            if out and out[-1][1] == a and out[-1][2] == dens:
-                out[-1] = (out[-1][0], b, dens)
-            else:
-                out.append((a, b, dens))
+            if d.numerator:
+                items.append(piece)
+        # the float rule of ``exact``: sorted by their floats, two ends are
+        # out of order only when their floats tie, and then the lists are
+        # sorted as Fractions
+        out = _sweep(
+            sorted(items, key=lambda t: t[0].numerator / t[0].denominator),
+            sorted(items, key=lambda t: t[1].numerator / t[1].denominator),
+        )
+        if out is None:
+            out = _sweep(sorted(items, key=itemgetter(0)), sorted(items, key=itemgetter(1)))
         return tuple(out)
 
     # -- constructors
@@ -111,25 +182,40 @@ class CircleMeasure:
     def convex_combination(
         parts: Sequence[tuple[Fraction, "CircleMeasure"]]
     ) -> "CircleMeasure":
-        weights = sum((w for w, _ in parts), start=ZERO)
-        if weights != ONE:
+        parts = [(as_fraction(w), mu) for w, mu in parts]
+        if sum((w for w, _ in parts), start=ZERO) != ONE:
             raise InvalidInput("convex combination weights must sum to 1")
         atoms = []
         pieces = []
         for w, mu in parts:
-            if w == 0:
-                continue
-            atoms.extend((p, w * m) for p, m in mu.atoms)
-            pieces.extend((lo, hi, w * d) for lo, hi, d in mu.pieces)
+            wn, wd = w.numerator, w.denominator
+            if wn:
+                atoms += [(p, Fraction(wn * m.numerator, wd * m.denominator)) for p, m in mu.atoms]
+                pieces += [
+                    (lo, hi, Fraction(wn * d.numerator, wd * d.denominator))
+                    for lo, hi, d in mu.pieces
+                ]
         return CircleMeasure(atoms=atoms, pieces=pieces)
 
     # -- structure
 
+    def _mass_terms(self) -> Iterator[tuple[int, int]]:
+        """The atom masses, then the piece masses (hi - lo) * d, as integer
+        pairs (numerator, denominator > 0), not reduced."""
+        for _, w in self.atoms:
+            yield w.numerator, w.denominator
+        for lo, hi, d in self.pieces:
+            ld, hd = lo.denominator, hi.denominator
+            yield (hi.numerator * ld - lo.numerator * hd) * d.numerator, ld * hd * d.denominator
+
     @property
     def total_mass(self) -> Fraction:
-        am = sum((w for _, w in self.atoms), start=ZERO)
-        pm = sum(((hi - lo) * d for lo, hi, d in self.pieces), start=ZERO)
-        return am + pm
+        """The mass terms summed per denominator, then over their lcm."""
+        sums: dict[int, int] = {}
+        for n, d in self._mass_terms():
+            sums[d] = sums.get(d, 0) + n
+        den = math.lcm(*sums)
+        return Fraction(sum(n * (den // d) for d, n in sums.items()), den)
 
     @property
     def complexity(self) -> int:
@@ -148,23 +234,42 @@ class CircleMeasure:
     # -- evaluation
 
     def _mass_below(self, x: Fraction, closed: bool) -> Fraction:
-        """Mass of [0, x), or of [0, x] when ``closed``, for any rational x."""
-        if self._prefix is None:
-            atom_cum, piece_cum = [ZERO], [ZERO]
-            for _, w in self.atoms:
-                atom_cum.append(atom_cum[-1] + w)
-            for lo, hi, d in self.pieces:
-                piece_cum.append(piece_cum[-1] + (hi - lo) * d)
-            self._prefix = (atom_cum, piece_cum)
-        atom_cum, piece_cum = self._prefix
-        find = bisect_right if closed else bisect_left
-        total = atom_cum[find(self.atoms, x, key=_FIRST)]
-        # pieces before k lie below x; only the last of them can straddle it
-        k = bisect_left(self.pieces, x, key=_FIRST)
-        if k:
-            lo, hi, d = self.pieces[k - 1]
-            total += piece_cum[k - 1] + (min(hi, x) - lo) * d
-        return total
+        """Mass of [0, x), or of [0, x] when ``closed``, for any rational x:
+        one ``Fraction`` from the integer prefix sums."""
+        xn, xd = x.numerator, x.denominator
+        if xn < 0:
+            return ZERO
+        if xn > xd:
+            # every atom and piece lies below x
+            xn = xd = 1
+        if self._index is None:
+            den = math.lcm(*{d for _, d in self._mass_terms()})
+            cum = list(accumulate((n * (den // d) for n, d in self._mass_terms()), initial=0))
+            points = [p for p, _ in self.atoms]
+            los = [lo for lo, _, _ in self.pieces]
+            self._index = (
+                den, cum, points, [p.numerator / p.denominator for p in points],
+                los, [lo.numerator / lo.denominator for lo in los],
+            )
+        den, cum, points, point_hints, los, lo_hints = self._index
+        # the atoms below x, and at x when closed
+        i = locate(points, point_hints, xn, xd)
+        if i >= 0 and not closed and points[i].numerator * xd == xn * points[i].denominator:
+            i -= 1
+        total = cum[i + 1]
+        # the last piece with lo <= x is the only one that can straddle x
+        k = locate(los, lo_hints, xn, xd)
+        if k < 0:
+            return Fraction(total, den)
+        at = len(points)
+        lo, hi, d = self.pieces[k]
+        if hi.numerator * xd <= xn * hi.denominator:
+            return Fraction(total + cum[at + k + 1] - cum[at], den)
+        # the pieces before k, and (x - lo) * d of piece k over q
+        total += cum[at + k] - cum[at]
+        ld = lo.denominator
+        q = xd * ld * d.denominator
+        return Fraction(total * q + (xn * ld - lo.numerator * xd) * d.numerator * den, den * q)
 
     def measure_of_interval(self, lo: Fraction, hi: Fraction) -> Fraction:
         """Mass of the half-open [lo, hi) inside [0, 1]."""
@@ -183,31 +288,69 @@ class CircleMeasure:
     # -- operations
 
     def pushforward(self, f: PLCircleMap) -> "CircleMeasure":
+        """f_*(mu).  An atom moves to its image.  A piece is cut at f's
+        breakpoints; a cut [a, b] on a flat piece of f becomes an atom of
+        mass d*(b - a), and one on a sloped piece spreads that mass as the
+        density d/|slope| over its lift range, wound round the circle.
+
+        One ``exact.locate`` finds the piece of lo.  The lift values at a
+        cut's ends are integer pairs, a breakpoint's own or an end's through
+        its piece's ``affine_form``, and the whole turns, the shift and the
+        order of the ends are read off them.  ``Fraction``s are built only
+        for the output: one density (or mass) per cut, and its ends.
+        """
+        bps, vals, slopes, hints = f.breakpoints, f.lift_values, f._slopes, f._hints
         atoms = [(f.evaluate(p), w) for p, w in self.atoms]
         pieces: list[tuple[Fraction, Fraction, Fraction]] = []
         for lo, hi, d in self.pieces:
-            cuts, lifts = f._walk(lo, hi)
-            for m in range(len(cuts) - 1):
-                a, b = cuts[m], cuts[m + 1]
-                fa, fb = lifts[m], lifts[m + 1]
-                if fa == fb:
-                    atoms.append((mod1(fa), d * (b - a)))
-                    continue
-                u, v = (fa, fb) if fa < fb else (fb, fa)
-                dens = d * (b - a) / (v - u)
-                span = v - u
-                wraps = math.floor(span)
-                if wraps:
-                    pieces.append((ZERO, ONE, dens * wraps))
-                    u = u + wraps
-                shift = u.numerator // u.denominator
-                u, v2 = u - shift, v - shift
-                if u < v2:
-                    if v2 <= ONE:
-                        pieces.append((u, v2, dens))
+            dn, dd = d.numerator, d.denominator
+            an, ad, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            k = locate(bps, hints, an, ad)
+            # the cut [a, b] in piece k, and its lift values u at a and w at b
+            u = vals[k]
+            un, ud = u.numerator, u.denominator
+            if bps[k].numerator != an or bps[k].denominator != ad:
+                fa, fb, fd = affine_form(bps[k], u, slopes[k])
+                un, ud = fa * ad + fb * an, fd * ad
+            while True:
+                b = bps[k + 1]
+                bn, bd = b.numerator, b.denominator
+                c = hn * bd - bn * hd  # the sign of hi - b
+                if c < 0:
+                    bn, bd = hn, hd
+                    fa, fb, fd = affine_form(bps[k], vals[k], slopes[k])
+                    wn, wd = fa * hd + fb * hn, fd * hd
+                else:
+                    w = vals[k + 1]
+                    wn, wd = w.numerator, w.denominator
+                sn, sd = slopes[k].numerator, slopes[k].denominator
+                if not sn:
+                    atoms.append((mod1(vals[k]), Fraction(dn * (bn * ad - an * bd), dd * ad * bd)))
+                else:
+                    # the lift range [x, y], and its whole turns
+                    if sn > 0:
+                        xn, xd, yn, yd = un, ud, wn, wd
                     else:
-                        pieces.append((u, ONE, dens))
-                        pieces.append((ZERO, v2 - ONE, dens))
+                        xn, xd, yn, yd, sn = wn, wd, un, ud, -sn
+                    turns, rest = divmod(yn * xd - xn * yd, xd * yd)
+                    if turns:
+                        pieces.append((ZERO, ONE, Fraction(dn * sd * turns, dd * sn)))
+                    if rest:
+                        # from x mod 1 to y mod 1, or to 1 when that is 0, or
+                        # past 1 when it lies below x mod 1
+                        dens = Fraction(dn * sd, dd * sn)
+                        xr, yr = xn % xd, yn % yd
+                        a = Fraction(xr, xd)
+                        if not yr:
+                            pieces.append((a, ONE, dens))
+                        elif xr * yd < yr * xd:
+                            pieces.append((a, Fraction(yr, yd), dens))
+                        else:
+                            pieces += ((a, ONE, dens), (ZERO, Fraction(yr, yd), dens))
+                if c <= 0:
+                    break
+                k += 1
+                an, ad, un, ud = bn, bd, wn, wd
         return CircleMeasure(atoms=atoms, pieces=pieces)
 
     def integrate(self, phi: Observable) -> Fraction:

@@ -31,6 +31,8 @@ from .exact import (
 )
 
 DEFAULT_BREAKPOINT_CAP = 10**6
+# the default cap on the intervals one preimage lists before merging
+PREIMAGE_INTERVAL_CAP = 100_000
 _KEY = itemgetter(0)
 
 
@@ -316,10 +318,14 @@ class PLCircleMap:
         Each inner piece [a, b] spans a lift range (a point if flat); one walk
         of the outer lift over it gives the cuts inside the piece, in order,
         with their values.  The cap is checked on each piece's cut count,
-        known from the two located ends, before its cuts are listed.  Cost
-        O(|inner| log |self| + output).
+        known from the two located ends, before its cuts are listed; a cap
+        given is read by ``exact.as_count``.  Cost O(|inner| log |self| +
+        output).
         """
-        cap = DEFAULT_BREAKPOINT_CAP if max_breakpoints is None else max_breakpoints
+        cap = (
+            DEFAULT_BREAKPOINT_CAP if max_breakpoints is None
+            else as_count(max_breakpoints, "breakpoint cap")
+        )
         fb, fv, fs, fh = self.breakpoints, self.lift_values, self._slopes, self._hints
         gb, gv, gs = inner.breakpoints, inner.lift_values, inner._slopes
         pieces = len(gb) - 1
@@ -616,7 +622,7 @@ class PLCircleMap:
             self._preimages = (entries, Fraction(span_n, span_d))
         return self._preimages
 
-    def preimage_of_set(self, s: IntervalSet, cap: int | None = None) -> IntervalSet:
+    def preimage_of_set(self, s: IntervalSet, cap: int = PREIMAGE_INTERVAL_CAP) -> IntervalSet:
         """Exact full preimage of an interval set inside [0, 1].
 
         An entry (key, i, k) of ``_preimage_index`` meets an interval iv
@@ -630,9 +636,10 @@ class PLCircleMap:
         end y = p/q pulls back through the piece's ``affine_form``
         (A, B, D) to t = ((p + k*q)*D - A*q)/(B*q), one ``Fraction``.
         Cost O(P log P) once per map, then O(|s| log P + candidates +
-        output) per call.  Given a ``cap``, ``ResourceCap`` as soon as the
-        hits, before they are merged, pass it.
+        output) per call.  ``ResourceCap`` as soon as the hits, before they
+        are merged, pass ``cap``, a count (``exact.as_count``).
         """
+        as_count(cap, "preimage interval cap")
         ivs = s.ivs
         if not ivs:
             return IntervalSet()
@@ -664,7 +671,7 @@ class PLCircleMap:
                     or not c_hi and not hi_closed or not c_lo and not lo_closed
                 ):
                     continue
-                if cap is not None and len(out) >= cap:
+                if len(out) >= cap:
                     raise ResourceCap(
                         f"the preimage of {len(ivs)} intervals reached "
                         f"{cap + 1} intervals before merging, above the "

@@ -28,7 +28,7 @@ from .exact import (
     signed_circle_offset,
 )
 from .orbits import orbit_averages
-from .plmaps import DEFAULT_BREAKPOINT_CAP, Observable, PLCircleMap
+from .plmaps import DEFAULT_BREAKPOINT_CAP, PREIMAGE_INTERVAL_CAP, Observable, PLCircleMap
 
 
 @dataclass(frozen=True)
@@ -410,7 +410,7 @@ def _step_margin(g: PLCircleMap, w: Arc, nxt: Arc) -> Fraction | None:
 def verify_shredding(
     g: PLCircleMap,
     report: TrappingReport,
-    preimage_interval_cap: int = 100_000,
+    preimage_interval_cap: int = PREIMAGE_INTERVAL_CAP,
 ) -> ShredVerification:
     """Exact verification of the five trapping-region properties.
 
@@ -423,7 +423,9 @@ def verify_shredding(
     cycle arc against the next open arc, with no ``IntervalSet`` built.
     The preimage route of item v(c) passes ``preimage_interval_cap`` to
     each preimage step: ``ResourceCap`` as soon as a step's hits, before
-    they are merged, or the union of the steps pass it."""
+    they are merged, or the union of the steps pass it.  The cap is read by
+    ``exact.as_count`` first, whichever route runs."""
+    as_count(preimage_interval_cap, "preimage interval cap")
     eps = report.eps
     regions = report.regions
     n_steps = len(report.tau)

@@ -18,8 +18,9 @@ from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map, rotation_companions, wicked_perturb
 from circledyn.measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
 from circledyn.partitions import family_from_homeo
+from circledyn.exact import IntervalSet
 from circledyn.plmaps import Observable, PLCircleMap
-from circledyn.shredder import ShredConfig, birkhoff_gap_bound, shred
+from circledyn.shredder import ShredConfig, birkhoff_gap_bound, shred, verify_shredding
 
 F = Fraction
 
@@ -30,6 +31,13 @@ def _birkhoff(x=None, n=10):
     if x is None:
         x = report.cycles[report.regions[0].label][0].midpoint
     return birkhoff_gap_bound(g, report, Observable.tent(F(1, 2)), x, n)
+
+
+def _verify(cap):
+    """verify_shredding of the doubling map's certificate at eps 1/5, whose
+    item v(c) takes the plateau route and reads no preimage."""
+    g, report = shred(expanding_map(2), F(1, 5))
+    return verify_shredding(g, report, preimage_interval_cap=cap)
 
 
 def _wicked(eps, n):
@@ -125,6 +133,22 @@ COUNT_READERS = [
     ),
 ]
 
+# size caps, read as counts before any work
+CAP_READERS = [
+    pytest.param(
+        "breakpoint cap",
+        lambda n: expanding_map(2).compose(expanding_map(2), max_breakpoints=n),
+        id="compose",
+    ),
+    pytest.param("preimage interval cap", _verify, id="verify_shredding"),
+    pytest.param(
+        "preimage interval cap",
+        lambda n: expanding_map(2).preimage_of_set(IntervalSet.point(F(1, 3)), n),
+        id="preimage_of_set",
+    ),
+]
+COUNT_READERS += CAP_READERS
+
 
 @pytest.mark.parametrize("value", [2.5, True])
 @pytest.mark.parametrize("what, read", COUNT_READERS)
@@ -137,6 +161,12 @@ def test_a_count_that_is_not_an_int_is_invalid(what, read, value):
 def test_a_count_below_one_is_invalid(what, read):
     with pytest.raises(InvalidInput, match=f"^{what} must be >= 1, got 0$"):
         read(0)
+
+
+@pytest.mark.parametrize("what, read", CAP_READERS)
+def test_a_negative_cap_is_invalid(what, read):
+    with pytest.raises(InvalidInput, match=f"^{what} must be >= 1, got -1$"):
+        read(-1)
 
 
 # counts whose least value is not 1: an alphabet has at least two letters,

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledyn.errors import ResourceCap
 from circledyn.exact import ONE, ZERO, Arc, mod1
 from circledyn.expanding import expanding_map
 from circledyn.plmaps import PLCircleMap, PeriodicComponent
@@ -217,3 +218,13 @@ def test_conjugates_of_expanding_maps_match_reference(ell, rng):
         comps = f.fixed_point_components()
         assert comps == ref_fixed_point_components(f)
         assert len(comps) == abs(ell - 1)
+
+
+def test_fixed_points_of_a_steep_map_stop_at_the_preimage_cap():
+    # 0, 1/2, 1 -> 0, D, D: the displacement map meets 0 about D times, just
+    # under the preimage index cap; the preimage's default interval cap stops
+    # the listing long before D intervals are built
+    d = 999_998
+    f = PLCircleMap([F(0), F(1, 2), F(1)], [F(0), F(d), F(d)])
+    with pytest.raises(ResourceCap, match="above the interval cap 100000$"):
+        f.fixed_point_components()
