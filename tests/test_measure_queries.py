@@ -263,11 +263,11 @@ def test_total_mass_and_mass_below_match_reference(raw):
             assert mu._mass_below(x, closed) == reference_mass_below(mu, x, closed), (x, closed)
 
 
+ANY_MEASURES = st.one_of(probability_measures(), probability_measures(tied_raw_measures))
+
+
 @settings(max_examples=400, deadline=None)
-@given(
-    st.one_of(pl_maps(), tied_maps()),
-    st.one_of(probability_measures(), probability_measures(tied_raw_measures)),
-)
+@given(st.one_of(pl_maps(), tied_maps()), ANY_MEASURES)
 def test_pushforward_matches_reference(f, mu):
     atoms, pieces = reference_pushforward(mu, f)
     nu = mu.pushforward(f)
@@ -277,10 +277,7 @@ def test_pushforward_matches_reference(f, mu):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    st.lists(st.one_of(probability_measures(), probability_measures(tied_raw_measures)), min_size=1, max_size=3),
-    st.data(),
-)
+@given(st.lists(ANY_MEASURES, min_size=1, max_size=3), st.data())
 def test_convex_combination_matches_reference(mus, data):
     raw = [data.draw(st.integers(0, 4)) for _ in mus]
     if not any(raw):
