@@ -19,7 +19,7 @@ from math import ceil, floor
 from typing import Sequence
 
 from .errors import InvalidInput, ResourceCap
-from .exact import ONE, ZERO, Arc, IntervalSet, as_count, mod1
+from .exact import ONE, ZERO, Arc, IntervalSet, as_count, as_fraction, mod1
 from .measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
 from .orbits import check_horizons, grid_averages
 from .plmaps import Observable, PLCircleMap, PeriodicComponent
@@ -261,8 +261,12 @@ class WProtocol:
         as_count(self.grid_size, "grid size")
         check_horizons(self.horizons)
         as_count(self.max_period, "max period")
+        object.__setattr__(self, "tol", as_fraction(self.tol))
+        object.__setattr__(self, "battery_centers", tuple(map(as_fraction, self.battery_centers)))
         if not ZERO < self.tol < ONE:
             raise InvalidInput(f"tol must lie in (0, 1), got {self.tol}")
+        if not self.battery_centers:
+            raise InvalidInput("battery_centers must not be empty")
 
 
 @dataclass

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import __version__
 from .classifier import WProtocol, classify, rotation_number
 from .errors import InvalidInput, ResourceCap, VerificationFailure
-from .exact import format_rational, parse_rational
+from .exact import as_count, format_rational, parse_rational
 from .expanding import wicked_perturb
 from .formats import (
     cdf_samples,
@@ -220,8 +220,7 @@ def _write_measure(args: argparse.Namespace, mu: CircleMeasure) -> int:
 def cmd_pushforward(args: argparse.Namespace) -> int:
     f = map_from_record(_load_json(args.map))
     mu = measure_from_record(_load_json(args.measure))
-    if args.iters < 0:
-        raise InvalidInput(f"iteration count must be >= 0, got {args.iters}")
+    as_count(args.iters, "iteration count", 0)
     cap = _complexity_cap(args.max_breakpoints)
     for _ in range(args.iters):
         mu = _capped(mu.pushforward(f), cap)

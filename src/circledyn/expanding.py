@@ -23,6 +23,9 @@ from .partitions import ConsistentFamily, family_from_homeo
 from .plmaps import PLCircleMap
 
 DEFAULT_CELL_CAP = 500_000
+# the cap on the word digits of a family's levels below the kept ones: a
+# level-q cell is stored under a q-digit tuple, about 8 bytes a digit
+WORD_DIGIT_CAP = 10**7
 
 
 def expanding_map(ell: int) -> PLCircleMap:
@@ -132,11 +135,21 @@ def wicked_perturb(
         raise InvalidInput(f"window end n must exceed n0 + p = {n0 + p_t}")
     depth = n - 1 + p_t
 
-    ext = target.extension_table(depth - n0, max_cells=cell_cap)
     # kept level k holds ell^k cells, and a deeper level one cell per kept
-    # level-n0 cell and extension value, as both are positive: count them
-    # all before any is listed
-    total_cells = (ell ** (n0 + 1) - ell) // (ell - 1) + ell**n0 * sum(map(len, ext))
+    # level-n0 cell and extension value, as both are positive.  An extension
+    # level holds at least one value, so a deeper level q at least ell^n0
+    # cells of q digits: both bounded before the extension is listed
+    kept = (ell ** (n0 + 1) - ell) // (ell - 1)
+    least_cells = kept + ell**n0 * (depth - n0)
+    digits = ell**n0 * (depth * (depth + 1) - n0 * (n0 + 1)) // 2
+    if digits > WORD_DIGIT_CAP:
+        raise ResourceCap(
+            f"family needs at least {least_cells} positive cells, above the cap {cell_cap}"
+            if least_cells > cell_cap
+            else f"family words need at least {digits} digits, above the cap {WORD_DIGIT_CAP}"
+        )
+    ext = target.extension_table(depth - n0, max_cells=cell_cap)
+    total_cells = kept + ell**n0 * sum(map(len, ext))
     if total_cells > cell_cap:
         raise ResourceCap(
             f"family needs {total_cells} positive cells, above the cap {cell_cap}"

@@ -22,6 +22,8 @@ from .shredder import Region, TrappingReport, _grid_integers
 
 # what reading a record of the wrong shape or with bad rationals raises
 _MALFORMED = (KeyError, TypeError, AttributeError, ValueError, ZeroDivisionError)
+# cdf.csv holds the closed CDF at 0, 1/CDF_SAMPLES, ..., 1
+CDF_SAMPLES = 256
 
 
 def dumps(obj: Any) -> str:
@@ -407,10 +409,9 @@ def csv_lines(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(out) + "\n"
 
 
-def cdf_samples(mu: CircleMeasure, count: int = 256) -> list[tuple[str, str]]:
+def cdf_samples(mu: CircleMeasure) -> list[tuple[str, str]]:
     rows = []
-    for i in range(count + 1):
-        x = Fraction(i, count)
-        y = mu.cdf_closed(x) if x < 1 else mu.total_mass
-        rows.append((format_rational(x), format_rational(y)))
+    for i in range(CDF_SAMPLES + 1):
+        x = Fraction(i, CDF_SAMPLES)
+        rows.append((format_rational(x), format_rational(mu.cdf_closed(x))))
     return rows

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, as_count, as_fraction, locate, mod1
-from .plmaps import Observable, PLCircleMap, affine_form
+from .plmaps import Observable, PLCircleMap
 
 DEFAULT_COMPLEXITY_CAP = 100_000
 # Cap on the cylinders one spec may list: the ell**level words of a level,
@@ -291,15 +291,16 @@ class CircleMeasure:
         """f_*(mu).  An atom moves to its image.  A piece is cut at f's
         breakpoints; a cut [a, b] on a flat piece of f becomes an atom of
         mass d*(b - a), and one on a sloped piece spreads that mass as the
-        density d/|slope| over its lift range, wound round the circle.
+        density d/|slope| = d*D/|B| over its lift range, wound round the
+        circle, for the piece's form (A, B, D).
 
         One ``exact.locate`` finds the piece of lo.  The lift values at a
         cut's ends are integer pairs, a breakpoint's own or an end's through
-        its piece's ``affine_form``, and the whole turns, the shift and the
-        order of the ends are read off them.  ``Fraction``s are built only
-        for the output: one density (or mass) per cut, and its ends.
+        its piece's form, and the whole turns, the shift and the order of
+        the ends are read off them.  ``Fraction``s are built only for the
+        output: one density (or mass) per cut, and its ends.
         """
-        bps, vals, slopes, hints = f.breakpoints, f.lift_values, f._slopes, f._hints
+        bps, vals, forms, hints = f.breakpoints, f.lift_values, f._forms, f._hints
         atoms = [(f.evaluate(p), w) for p, w in self.atoms]
         pieces: list[tuple[Fraction, Fraction, Fraction]] = []
         for lo, hi, d in self.pieces:
@@ -309,8 +310,8 @@ class CircleMeasure:
             # the cut [a, b] in piece k, and its lift values u at a and w at b
             u = vals[k]
             un, ud = u.numerator, u.denominator
+            fa, fb, fd = forms[k]
             if bps[k].numerator != an or bps[k].denominator != ad:
-                fa, fb, fd = affine_form(bps[k], u, slopes[k])
                 un, ud = fa * ad + fb * an, fd * ad
             while True:
                 b = bps[k + 1]
@@ -318,27 +319,25 @@ class CircleMeasure:
                 c = hn * bd - bn * hd  # the sign of hi - b
                 if c < 0:
                     bn, bd = hn, hd
-                    fa, fb, fd = affine_form(bps[k], vals[k], slopes[k])
                     wn, wd = fa * hd + fb * hn, fd * hd
                 else:
                     w = vals[k + 1]
                     wn, wd = w.numerator, w.denominator
-                sn, sd = slopes[k].numerator, slopes[k].denominator
-                if not sn:
+                if not fb:
                     atoms.append((mod1(vals[k]), Fraction(dn * (bn * ad - an * bd), dd * ad * bd)))
                 else:
                     # the lift range [x, y], and its whole turns
-                    if sn > 0:
-                        xn, xd, yn, yd = un, ud, wn, wd
+                    if fb > 0:
+                        xn, xd, yn, yd, rise = un, ud, wn, wd, fb
                     else:
-                        xn, xd, yn, yd, sn = wn, wd, un, ud, -sn
+                        xn, xd, yn, yd, rise = wn, wd, un, ud, -fb
                     turns, rest = divmod(yn * xd - xn * yd, xd * yd)
                     if turns:
-                        pieces.append((ZERO, ONE, Fraction(dn * sd * turns, dd * sn)))
+                        pieces.append((ZERO, ONE, Fraction(dn * fd * turns, dd * rise)))
                     if rest:
                         # from x mod 1 to y mod 1, or to 1 when that is 0, or
                         # past 1 when it lies below x mod 1
-                        dens = Fraction(dn * sd, dd * sn)
+                        dens = Fraction(dn * fd, dd * rise)
                         xr, yr = xn % xd, yn % yd
                         a = Fraction(xr, xd)
                         if not yr:
@@ -350,6 +349,7 @@ class CircleMeasure:
                 if c <= 0:
                     break
                 k += 1
+                fa, fb, fd = forms[k]
                 an, ad, un, ud = bn, bd, wn, wd
         return CircleMeasure(atoms=atoms, pieces=pieces)
 

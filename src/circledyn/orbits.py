@@ -10,8 +10,8 @@ approximated); or at the last horizon.  Each horizon, the preperiod, the
 cycle and a partial cycle are then slices of that one recorded orbit.
 
 Per-step cost: the walk steps on the map's step table refined by the
-battery's cuts (``_Closing.table``), whose row at each key holds the piece's
-integer form (A, B, D), reduced by gcd(A, B, D), and the battery cell.  One
+battery's cuts (``_Closing.table``), whose row at each key holds the form
+(A, B, D) the map stores for the piece and the battery cell.  One
 ``exact.locate`` per point, which compares exactly only on a float tie,
 finds both; f(p/q) = ((A*q + B*p) mod D*q) / (D*q) then costs three
 big-integer products, one ``%`` and one ``gcd``, and the closing reads the
@@ -21,10 +21,10 @@ Refinement invariant: every observable of a battery is affine on each cell of
 the battery's common breakpoint refinement, and continuous, so either
 neighbour's formula is exact at a cut.  The sum of the battery over a slice
 therefore needs only two integers per (cell, denominator q): the number of
-visits and the sum of the numerators p.  The closing scales each observable's
-intercept and slope on each cell to integers by one common multiple, puts
-the slice's points over one lcm of their denominators and builds one
-Fraction per observable.
+visits and the sum of the numerators p.  The closing reads each observable's
+intercept A/D and slope B/D on each cell from its form, scales them to
+integers by the lcm of the D, puts the slice's points over one lcm of their
+denominators and builds one Fraction per observable.
 
 Batches: ``grid_averages`` runs ``orbit_averages`` at every point of a
 list.  The walks are independent, so it forks one worker per CPU this
@@ -137,22 +137,21 @@ class _Closing:
             cut_set.update(phi.breakpoints)
         self.cuts = cuts = tuple(sorted(cut_set | {ZERO, ONE}))
         self.hints = [float(b) for b in cuts[:-1]]
-        affine = []
-        for phi in observables:
-            rows = []
-            for lo in cuts[:-1]:
-                i = locate(phi.breakpoints, phi._hints, lo.numerator, lo.denominator)
-                s = phi._slopes[i]
-                rows.append((phi.values[i] - s * phi.breakpoints[i], s))
-            affine.append(rows)
-        scale = lcm(
-            *(c.denominator for rows in affine for pair in rows for c in pair)
-        )
+        # each observable's form (A, B, D) on each cell: intercept A/D and
+        # slope B/D, so the lcm of the D is the least common L
+        affine = [
+            [
+                phi._forms[locate(phi.breakpoints, phi._hints, lo.numerator, lo.denominator)]
+                for lo in cuts[:-1]
+            ]
+            for phi in observables
+        ]
+        scale = lcm(*(d for rows in affine for _, _, d in rows))
         self.scale = scale
         self.coeffs = [
             (
-                [int(a * scale) for a, _ in rows],
-                [int(s * scale) for _, s in rows],
+                [a * (scale // d) for a, _, d in rows],
+                [b * (scale // d) for _, b, d in rows],
             )
             for rows in affine
         ]
@@ -162,8 +161,8 @@ class _Closing:
         float hints and one row per key, for ``locate``.
 
         The keys are the sorted union of f's breakpoints and the cuts, 1
-        left out.  The row of a key is (A, B, D, c): the reduced step form
-        of the piece that holds the key and the cell c it lies in, both
+        left out.  The row of a key is (A, B, D, c): the form of the piece
+        that holds the key and the cell c it lies in, both
         constant up to the next key, and both found by ``locate``.  f keeps
         the table of the last cuts asked, so a forked worker inherits it.
         """
@@ -179,7 +178,7 @@ class _Closing:
                 keys.insert(i + 1, c)
                 hints.insert(i + 1, h)
         rows = [
-            (*f._form(locate(bps, b_hints, p, q)), locate(cuts, cut_hints, p, q))
+            (*f._forms[locate(bps, b_hints, p, q)], locate(cuts, cut_hints, p, q))
             for p, q in ((k.numerator, k.denominator) for k in keys)
         ]
         table = keys, hints, rows

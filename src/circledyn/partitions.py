@@ -21,7 +21,7 @@ from typing import Sequence
 from .errors import InvalidInput
 from .exact import HALF, ONE, ZERO, Arc, as_count, mod1
 from .measures import CylinderSpec, _word_str
-from .plmaps import PLCircleMap, affine_form, form_gap, sup_dist_to_int
+from .plmaps import PLCircleMap, form_gap, line_form, sup_dist_to_int
 
 # the positive cells of one level: word -> (lift position, length)
 Table = dict[tuple[int, ...], tuple[Fraction, Fraction]]
@@ -139,14 +139,16 @@ class ConsistentFamily:
         the next cell's start, so the supremum is attained over the closures
         of the positive cells.
         """
-        scale = Fraction(1, self.ell**self.depth)
+        top = self.ell**self.depth
         best = ZERO
         for w, (pos, length) in self.tables[-1].items():
             value = 0
             for d in w:
                 value = value * self.ell + d
-            line = affine_form(pos, value * scale, scale / length)
-            cuts, lifts = g._walk(pos, pos + length)
+            end = pos + length  # the cell rises from value/top to (value + 1)/top
+            line = line_form(pos.numerator, pos.denominator, value, top,
+                             end.numerator, end.denominator, value + 1, top)
+            cuts, lifts = g._walk(pos, end)
             sup = sup_dist_to_int([form_gap(v, line, t) for t, v in zip(cuts, lifts)])
             if sup > best:
                 best = sup

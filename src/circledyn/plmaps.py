@@ -4,6 +4,11 @@ A map is stored through its lift: rational breakpoints 0 = x0 < ... < xm = 1
 and lift values F(x0), ..., F(xm), extended by F(t+1) = F(t) + degree.
 Composition, inversion, C0 distance, and fixed-point solving
 are closed operations on this class and produce exact rationals.
+
+Maps and observables store each piece's line once, in ``_forms``, as the
+integers (A, B, D) with F(t) = (A + B*t)/D on the piece (``line_form``), the
+one form every reader of a piece's line reads: the slope is B/D, and a flat
+piece (B = 0) reads its stored value.
 """
 
 from __future__ import annotations
@@ -37,16 +42,15 @@ _KEY = itemgetter(0)
 
 
 def _pl_graph(breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-    """Validated breakpoints, values, slopes, ``locate`` hints (the floats
+    """Validated breakpoints, values, forms, ``locate`` hints (the floats
     of all breakpoints but 1) and bends (the indices of the breakpoints
     where the slope changes) of a PL graph over [0, 1].
 
     The order check follows the float rule of ``exact``: the floats of two
     neighbours decide their order unless they tie, and a tie is settled by
-    an integer cross product.  Each slope is one Fraction built from the
-    numerators and denominators of its piece's ends, and a flat piece gets
-    ``ZERO``; two slopes are compared by the cross product of those
-    integers.
+    an integer cross product.  Each piece's form is ``line_form`` of its
+    two ends, and two slopes B/D are compared by the cross product of
+    their B and D.
     """
     bps = tuple(as_fraction(b) for b in breakpoints)
     vals = tuple(as_fraction(v) for v in values)
@@ -55,31 +59,52 @@ def _pl_graph(breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
     if bps[0] != ZERO or bps[-1] != ONE:
         raise InvalidInput("breakpoints must start at 0 and end at 1")
     hints = [0.0]
-    slopes = []
+    forms = []
     bends = []
     p0, q0, h0 = 0, 1, 0.0
     n0, d0 = vals[0].numerator, vals[0].denominator
-    s_num, s_den = None, 1
     for i, (b, v) in enumerate(zip(bps[1:], vals[1:])):
         p1, q1 = b.numerator, b.denominator
         h1 = p1 / q1
         if h1 <= h0 and (h1 < h0 or p1 * q0 <= p0 * q1):
             raise InvalidInput("breakpoints must be strictly increasing")
         n1, d1 = v.numerator, v.denominator
-        # (n1/d1 - n0/d0) / (p1/q1 - p0/q0) over integers
-        num = (n1 * d0 - n0 * d1) * q0 * q1
-        if num:
-            den = d0 * d1 * (p1 * q0 - p0 * q1)
-            slopes.append(Fraction(num, den))
-        else:
-            den = 1
-            slopes.append(ZERO)
-        if i and num * s_den != s_num * den:
+        form = line_form(p0, q0, n0, d0, p1, q1, n1, d1)
+        if i and form[1] * forms[-1][2] != forms[-1][1] * form[2]:
             bends.append(i)
+        forms.append(form)
         hints.append(h1)
-        p0, q0, h0, n0, d0, s_num, s_den = p1, q1, h1, n1, d1, num, den
+        p0, q0, h0, n0, d0 = p1, q1, h1, n1, d1
     hints.pop()
-    return bps, vals, slopes, hints, bends
+    return bps, vals, forms, hints, bends
+
+
+def line_form(
+    p0: int, q0: int, n0: int, d0: int, p1: int, q1: int, n1: int, d1: int
+) -> tuple[int, int, int]:
+    """The form (A, B, D) of the line through (p0/q0, n0/d0) and
+    (p1/q1, n1/d1), p0/q0 < p1/q1: F(t) = (A + B*t)/D with D > 0, so
+    F(p/q) = (A*q + B*p)/(D*q) and the slope is B/D.  gcd(A, B, D) = 1,
+    but a flat line is (n0, 0, d0), reduced when n0/d0 is.
+    """
+    rise = n1 * d0 - n0 * d1
+    if not rise:
+        return n0, 0, d0
+    a = n0 * d1 * p1 * q0 - n1 * d0 * p0 * q1
+    b = rise * q0 * q1
+    d = d0 * d1 * (p1 * q0 - p0 * q1)
+    g = gcd(a, b, d)
+    return a // g, b // g, d // g
+
+
+def _value_at(vals, forms, i: int, t: Fraction) -> Fraction:
+    """The value at t of piece i: its stored left value when the piece is
+    flat, else one Fraction from its form."""
+    a, b, d = forms[i]
+    if not b:
+        return vals[i]
+    q = t.denominator
+    return Fraction(a * q + b * t.numerator, d * q)
 
 
 def _walk_ends(bps, hints, lo: Fraction, hi: Fraction):
@@ -105,23 +130,18 @@ def _cut_count(bps, ends) -> int:
     return 2 + (pieces - p - 1) + (k_hi - k_lo - 1) * pieces + stop
 
 
-def _lift_walk(bps, vals, slopes, degree: int, lo: Fraction, hi: Fraction, ends):
+def _lift_walk(bps, vals, forms, degree: int, lo: Fraction, hi: Fraction, ends):
     """Cuts and exact values of a PL graph over [lo, hi], lo <= hi.
 
     The graph is extended by F(t + 1) = F(t) + degree, so [lo, hi] may span
     several turns.  The cuts are lo, every lifted breakpoint b + k strictly
     between lo and hi, and hi, in increasing order.  Interior values are read
     by slice and shifted by k * degree; the two end values come from the
-    affine formula of the piece each end is located in (``ends``, from
+    form of the piece each end is located in (``ends``, from
     ``_walk_ends``).  Cost O(log |bps| + output).
     """
     k_lo, t_lo, p, k_hi, t_hi, q = ends
-    # a flat piece, or an end on a breakpoint, needs no slope product
-    v_lo, v_hi = vals[p], vals[q]
-    if slopes[p] and t_lo != bps[p]:
-        v_lo = v_lo + slopes[p] * (t_lo - bps[p])
-    if slopes[q] and t_hi != bps[q]:
-        v_hi = v_hi + slopes[q] * (t_hi - bps[q])
+    v_lo, v_hi = _value_at(vals, forms, p, t_lo), _value_at(vals, forms, q, t_hi)
     cuts, lifts = [lo], [v_lo + k_lo * degree if k_lo * degree else v_lo]
     start = p + 1
     for k in range(k_lo, k_hi + 1):
@@ -139,8 +159,8 @@ class PLCircleMap:
     """Continuous piecewise-linear circle map given by its lift."""
 
     __slots__ = (
-        "breakpoints", "lift_values", "degree", "_slopes", "_hints",
-        "_preimages", "_steps", "_refined",
+        "breakpoints", "lift_values", "degree", "_forms", "_hints",
+        "_preimages", "_refined",
     )
 
     def __init__(
@@ -148,7 +168,7 @@ class PLCircleMap:
         breakpoints: Sequence[Fraction],
         lift_values: Sequence[Fraction],
     ):
-        bps, vals, slopes, hints, bends = _pl_graph(breakpoints, lift_values)
+        bps, vals, forms, hints, bends = _pl_graph(breakpoints, lift_values)
         n0, d0 = vals[0].numerator, vals[0].denominator
         n1, d1 = vals[-1].numerator, vals[-1].denominator
         # two reduced fractions differ by an integer exactly when they share
@@ -161,11 +181,12 @@ class PLCircleMap:
         shift = n0 // d0
         if shift:
             vals = tuple(v - shift for v in vals)
+            forms = [(a - shift * d, b, d) for a, b, d in forms]
         # drop breakpoint i exactly when the pieces on both sides of it share
-        # a slope; a merged piece keeps that common slope
+        # a slope, so a line; a merged piece keeps its first piece's form
         keep = [0, *bends]
-        if len(keep) < len(slopes):
-            slopes = [slopes[i] for i in keep]
+        if len(keep) < len(forms):
+            forms = [forms[i] for i in keep]
             hints = [hints[i] for i in keep]
             keep.append(len(bps) - 1)
             bps = tuple(bps[i] for i in keep)
@@ -173,10 +194,9 @@ class PLCircleMap:
         self.breakpoints = bps
         self.lift_values = vals
         self.degree = (n1 - n0) // d0
-        self._slopes = tuple(slopes)
+        self._forms = tuple(forms)
         self._hints = hints
         self._preimages = None
-        self._steps = None
         # the cuts and step table of ``orbits._Closing.table``, once asked
         self._refined = None
 
@@ -198,8 +218,8 @@ class PLCircleMap:
     def is_homeomorphism(self) -> bool:
         if abs(self.degree) != 1:
             return False
-        inc = all(s > 0 for s in self._slopes)
-        dec = all(s < 0 for s in self._slopes)
+        inc = all(b > 0 for _, b, _ in self._forms)
+        dec = all(b < 0 for _, b, _ in self._forms)
         return (inc and self.degree == 1) or (dec and self.degree == -1)
 
     @property
@@ -209,29 +229,29 @@ class PLCircleMap:
     @property
     def lipschitz(self) -> Fraction:
         """Exact Lipschitz constant: max absolute slope."""
-        return max(abs(s) for s in self._slopes)
+        return max(Fraction(abs(b), d) for _, b, d in self._forms)
 
     # -- evaluation
 
     def lift_evaluate(self, t: Fraction) -> Fraction:
         """Affine interpolant of the lift, extended by F(t+1) = F(t) + degree."""
-        k = t.numerator // t.denominator
-        # adding, subtracting or multiplying by a zero would rebuild a
-        # Fraction for nothing
-        if k:
-            t = t - k
-        i = locate(self.breakpoints, self._hints, t.numerator, t.denominator)
-        value, slope, b = self.lift_values[i], self._slopes[i], self.breakpoints[i]
-        if slope and t != b:
-            value = value + slope * (t - b)
+        n, q = t.numerator, t.denominator
+        k = n // q
+        p = n - k * q  # t - k = p/q, in [0, 1)
+        i = locate(self.breakpoints, self._hints, p, q)
+        a, b, d = self._forms[i]
         shift = k * self.degree
+        if b:
+            return Fraction((a + shift * d) * q + b * p, d * q)
+        # a flat piece reads its stored value; adding 0 would rebuild it
+        value = self.lift_values[i]
         return value + shift if shift else value
 
     def _walk(self, lo: Fraction, hi: Fraction) -> tuple[list[Fraction], list[Fraction]]:
         """Cuts and lift values over [lo, hi]; see ``_lift_walk``."""
         bps = self.breakpoints
         return _lift_walk(
-            bps, self.lift_values, self._slopes, self.degree, lo, hi,
+            bps, self.lift_values, self._forms, self.degree, lo, hi,
             _walk_ends(bps, self._hints, lo, hi),
         )
 
@@ -253,31 +273,15 @@ class PLCircleMap:
         """f(p/q) as a reduced pair (p', q') with p'/q' in [0, 1), for p/q
         in [0, 1) reduced.
 
-        The ``affine_form`` (A, B, D) of p/q's piece, divided by
-        gcd(A, B, D), gives
+        The form (A, B, D) of p/q's piece gives
         f(p/q) = ((A*q + B*p) mod D*q) / (D*q): one ``locate``, three
-        products, one ``%`` and one ``gcd``, with no Fraction built.  The
-        form of each piece is made on its first step and kept.
+        products, one ``%`` and one ``gcd``, with no Fraction built.
         """
-        i = locate(self.breakpoints, self._hints, p, q)
-        steps = self._steps
-        if steps is None:
-            steps = self._steps = [None] * len(self._slopes)
-        form = steps[i]
-        if form is None:
-            form = steps[i] = self._form(i)
-        a, b, d = form
+        a, b, d = self._forms[locate(self.breakpoints, self._hints, p, q)]
         yd = d * q
         yn = (a * q + b * p) % yd
         g = gcd(yn, yd)
         return yn // g, yd // g
-
-    def _form(self, i: int) -> tuple[int, int, int]:
-        """The ``affine_form`` of piece i divided by gcd(A, B, D): the same
-        line, in integers about half as wide."""
-        a, b, d = affine_form(self.breakpoints[i], self.lift_values[i], self._slopes[i])
-        g = gcd(a, b, d)
-        return a // g, b // g, d // g
 
     # -- constructors
 
@@ -326,31 +330,33 @@ class PLCircleMap:
             DEFAULT_BREAKPOINT_CAP if max_breakpoints is None
             else as_count(max_breakpoints, "breakpoint cap")
         )
-        fb, fv, fs, fh = self.breakpoints, self.lift_values, self._slopes, self._hints
-        gb, gv, gs = inner.breakpoints, inner.lift_values, inner._slopes
+        fb, fv, ff, fh = self.breakpoints, self.lift_values, self._forms, self._hints
+        gb, gv, gf = inner.breakpoints, inner.lift_values, inner._forms
         pieces = len(gb) - 1
         bps: list[Fraction] = []
         vals: list[Fraction] = []
         for i in range(pieces):
-            a, s, ga = gb[i], gs[i], gv[i]
-            lo, hi = (gv[i + 1], ga) if s < 0 else (ga, gv[i + 1])
+            a, b, d = gf[i]
+            lo, hi = (gv[i + 1], gv[i]) if b < 0 else (gv[i], gv[i + 1])
             ends = _walk_ends(fb, fh, lo, hi)
             # the piece adds its cuts but the last; the inner map's later
             # breakpoints count as cuts already; a flat piece adds none and
             # is not checked
             count = len(bps) + _cut_count(fb, ends) - 1 + pieces - i
-            if s and count > cap:
+            if b and count > cap:
                 raise ResourceCap(
                     f"composition reached {count} breakpoints after "
                     f"{i + 1} of {pieces} inner pieces, "
                     f"above the breakpoint cap {cap}"
                 )
-            us, fus = _lift_walk(fb, fv, fs, self.degree, lo, hi, ends)
-            if s < 0:
+            us, fus = _lift_walk(fb, fv, ff, self.degree, lo, hi, ends)
+            if b < 0:
                 us.reverse()
                 fus.reverse()
-            bps.append(a)
-            bps.extend(a + (u - ga) / s for u in us[1:-1])
+            bps.append(gb[i])
+            # the cut u = n/m pulls back to t = (u*D - A)/B
+            bps.extend(Fraction(u.numerator * d - a * u.denominator, b * u.denominator)
+                       for u in us[1:-1])
             vals.extend(fus[:-1])
         bps.append(ONE)
         vals.append(fus[-1])
@@ -373,18 +379,17 @@ class PLCircleMap:
         float rule of ``exact``: the hints decide unless they tie, and a tie
         is settled by an integer cross product.  At a map's own breakpoint
         its lift value is read by index, at the other map's breakpoints it
-        comes from the ``affine_form`` of the current piece, and each
-        difference is kept as an integer pair.
+        comes from the form of the current piece, and each difference is
+        kept as an integer pair.
         """
-        fb, fv, fs = self.breakpoints, self.lift_values, self._slopes
-        gb, gv, gs = other.breakpoints, other.lift_values, other._slopes
+        fb, fv, ff = self.breakpoints, self.lift_values, self._forms
+        gb, gv, gf = other.breakpoints, other.lift_values, other._forms
         # 1 closes both hint lists: a breakpoint whose float is 1.0 ties
         # with it and is compared exactly
         fh, gh = [*self._hints, 1.0], [*other._hints, 1.0]
         last = len(fb) - 1
         deltas = []
         i = j = 0
-        f_at = g_at = -1  # the pieces whose affine forms are held
         # both tuples start at 0 and end at 1: a breakpoint ahead of the
         # other map's next one lies inside that map's previous piece
         while True:
@@ -404,16 +409,10 @@ class PLCircleMap:
                 i += 1
                 j += 1
             elif x < y:
-                if g_at != j - 1:
-                    g_at = j - 1
-                    g_form = affine_form(gb[g_at], gv[g_at], gs[g_at])
-                deltas.append(form_gap(fv[i], g_form, fb[i]))
+                deltas.append(form_gap(fv[i], gf[j - 1], fb[i]))
                 i += 1
             else:
-                if f_at != i - 1:
-                    f_at = i - 1
-                    f_form = affine_form(fb[f_at], fv[f_at], fs[f_at])
-                n, d = form_gap(gv[j], f_form, gb[j])
+                n, d = form_gap(gv[j], ff[i - 1], gb[j])
                 deltas.append((-n, d))
                 j += 1
         return sup_dist_to_int(deltas)
@@ -444,16 +443,17 @@ class PLCircleMap:
         if ivs[-1].hi == ONE:
             last = ivs.pop()
             ivs[0] = Iv(last.lo - ONE, True, ivs[0].hi, True)
-        d_bps, d_vals, slopes = d.breakpoints, d.lift_values, d._slopes
+        d_bps, d_forms = d.breakpoints, d._forms
         keyed = []
         for iv in ivs:
             pos = max(iv.lo, ZERO)
             i = locate(d_bps, d._hints, pos.numerator, pos.denominator)
-            level = d_vals[i] + slopes[i] * (pos - d_bps[i])
+            level = _value_at(d.lift_values, d_forms, i, pos)
             if iv.lo == iv.hi:
-                # the left neighbour of 0 is the last piece
-                left = slopes[i - 1] if d_bps[i] == pos else slopes[i]
-                comp = PeriodicComponent(pos, transversal=left * slopes[i] > 0)
+                # B is the sign of a slope; the left neighbour of 0 is the
+                # last piece
+                left = d_forms[i - 1] if d_bps[i] == pos else d_forms[i]
+                comp = PeriodicComponent(pos, transversal=left[1] * d_forms[i][1] > 0)
             else:
                 comp = PeriodicComponent(
                     Arc.make(mod1(iv.lo), iv.hi - iv.lo), transversal=False
@@ -471,8 +471,8 @@ class PLCircleMap:
 
         One ``locate`` finds the piece of s.  When s + l ends in that piece,
         at its right breakpoint included, a flat piece gives its value and a
-        sloped one its two end values, read through the piece's
-        ``affine_form``, with no ``Fraction`` built.  Only an arc that
+        sloped one its two end values, read through the piece's form, with
+        no ``Fraction`` built.  Only an arc that
         crosses a breakpoint is read by ``_walk(s, s + l)``.
         """
         s, length = arc.start, arc.length
@@ -483,11 +483,9 @@ class PLCircleMap:
         en, ed = sn * ld + ln * sd, sd * ld
         b = bps[i + 1]
         if en * b.denominator <= b.numerator * ed:
-            slope = self._slopes[i]
-            if not slope:
-                v = self.lift_values[i]
-                return v.numerator, v.denominator, v.numerator, v.denominator
-            form_a, form_b, form_d = affine_form(bps[i], self.lift_values[i], slope)
+            form_a, form_b, form_d = self._forms[i]
+            if not form_b:
+                return form_a, form_d, form_a, form_d
             # the values at s and at s + l; a falling piece swaps them
             at_s = form_a * sd + form_b * sn, form_d * sd
             at_end = form_a * ed + form_b * en, form_d * ed
@@ -516,17 +514,11 @@ class PLCircleMap:
             ivs[0].lo.numerator < 0 or ivs[-1].hi.numerator > ivs[-1].hi.denominator
         ):
             raise InvalidInput("image_of_set needs a set inside [0, 1]")
-        bps, vals, slopes, hints = (
-            self.breakpoints, self.lift_values, self._slopes, self._hints
+        bps, vals, forms, hints = (
+            self.breakpoints, self.lift_values, self._forms, self._hints
         )
         top = len(bps) - 1
         out: list[Iv] = []
-
-        def inside(i: int, x: Fraction) -> Fraction:
-            """The lift value at x inside piece i."""
-            slope = slopes[i]
-            return vals[i] + slope * (x - bps[i]) if slope else vals[i]
-
         p = 0  # the piece of the last end located
         for iv in ivs:
             lo, hi = iv.lo, iv.hi
@@ -538,7 +530,8 @@ class PLCircleMap:
                 continue
             i = p = locate(bps, hints, ln, ld, p)
             b = bps[i]
-            v_lo = vals[i] if b.numerator == ln and b.denominator == ld else inside(i, lo)
+            on_lo = b.numerator == ln and b.denominator == ld
+            v_lo = vals[i] if on_lo else _value_at(vals, forms, i, lo)
             if ln == hn and ld == hd:
                 out.append(_point(v_lo))
                 continue
@@ -555,7 +548,7 @@ class PLCircleMap:
                 q = p = locate(bps, hints, hn, hd, i + 1)
                 b = bps[q]
                 on_hi = b.numerator == hn and b.denominator == hd
-            v_hi = vals[q] if on_hi else inside(q, hi)
+            v_hi = vals[q] if on_hi else _value_at(vals, forms, q, hi)
             # the lift values at lo, at each breakpoint strictly inside and at hi
             lifts = [v_lo, *vals[i + 1 : q if on_hi else q + 1], v_hi]
             last = len(lifts) - 2
@@ -583,8 +576,8 @@ class PLCircleMap:
         in the exact value.  The entries are sorted by key, and the index
         also holds ``span``, the exact largest hi_i - lo_i.
 
-        Everything is decided on integers: the sign of a piece's slope
-        orders its two lift values, the shifts come from their numerators
+        Everything is decided on integers: the sign of a piece's B orders
+        its two lift values, the shifts come from their numerators
         and denominators, and the spans are compared as integer pairs, so
         one ``Fraction`` is built, for ``span``.  The entry count is known
         from the shifts before any entry is listed: ``ResourceCap`` when
@@ -596,9 +589,9 @@ class PLCircleMap:
             ranges = []
             extra = 0  # the entries beyond one per piece
             span_n, span_d = 0, 1
-            for i, slope in enumerate(self._slopes):
+            for i, (_, slope, _) in enumerate(self._forms):
                 lo, hi = vals[i], vals[i + 1]
-                if slope.numerator < 0:
+                if slope < 0:
                     lo, hi = hi, lo
                 n, d, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
                 first, stop = -(-n // d) - 1, hn // hd + 1
@@ -633,8 +626,8 @@ class PLCircleMap:
         cross products test it against the interval's ends, shifted by k,
         and a flat piece is then a hit.  On a sloped piece two more cross
         products say which end is clipped to the piece, and an unclipped
-        end y = p/q pulls back through the piece's ``affine_form``
-        (A, B, D) to t = ((p + k*q)*D - A*q)/(B*q), one ``Fraction``.
+        end y = p/q pulls back through the piece's form (A, B, D) to
+        t = ((p + k*q)*D - A*q)/(B*q), one ``Fraction``.
         Cost O(P log P) once per map, then O(|s| log P + candidates +
         output) per call.  ``ResourceCap`` as soon as the hits, before they
         are merged, pass ``cap``, a count (``exact.as_count``).
@@ -647,7 +640,7 @@ class PLCircleMap:
             raise InvalidInput("preimage_of_set needs a set inside [0, 1]")
         entries, span = self._preimage_index()
         sn, sd = span.numerator, span.denominator
-        bps, vals, slopes = self.breakpoints, self.lift_values, self._slopes
+        bps, vals, forms = self.breakpoints, self.lift_values, self._forms
         out: list[Iv] = []
         for iv in ivs:
             lo, hi, lo_closed, hi_closed = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
@@ -655,8 +648,8 @@ class PLCircleMap:
             first = bisect_left(entries, (p0 * sd - sn * q0) / (q0 * sd), key=_KEY)
             stop = bisect_right(entries, p1 / q1, key=_KEY)
             for _, i, k in entries[first:stop]:
-                slope = slopes[i]
-                falls = slope.numerator < 0
+                form_a, form_b, form_d = forms[i]
+                falls = form_b < 0
                 u, w = (vals[i + 1], vals[i]) if falls else (vals[i], vals[i + 1])
                 un, ud, wn, wd = u.numerator, u.denominator, w.numerator, w.denominator
                 # the ends shifted by k, over q0 and q1
@@ -678,14 +671,13 @@ class PLCircleMap:
                         f"interval cap {cap}"
                     )
                 a, b = bps[i], bps[i + 1]
-                if not slope:
+                if not form_b:
                     out.append(Iv(a, True, b, True))
                     continue
                 # each shifted end pulls back into the piece, or lies past
                 # the lift range and is clipped to the piece's end, closed:
                 # the signs of lo + k - u and of w - (hi + k)
                 end_u, end_w = (b, a) if falls else (a, b)
-                form_a, form_b, form_d = affine_form(a, vals[i], slope)
                 if lk * ud - un * q0 < 0:
                     t_lo, t_lo_closed = end_u, True
                 else:
@@ -703,21 +695,8 @@ class PLCircleMap:
         return IntervalSet(out)
 
 
-def affine_form(b: Fraction, v: Fraction, slope: Fraction) -> tuple[int, int, int]:
-    """Integers (A, B, D), D > 0, with v + slope*(t - b) = (A + B*t)/D.
-
-    At t = p/q the line's value is (A*q + B*p)/(D*q).  A flat line keeps
-    its value's own pair; neither A nor D is reduced otherwise.
-    """
-    n, d = v.numerator, v.denominator
-    if not slope:
-        return n, 0, d
-    p, q, sn, sd = b.numerator, b.denominator, slope.numerator, slope.denominator
-    return n * sd * q - sn * p * d, sn * d * q, d * sd * q
-
-
 def form_gap(v: Fraction, form: tuple[int, int, int], t: Fraction) -> tuple[int, int]:
-    """v - (A + B*t)/D for an ``affine_form`` (A, B, D), as an integer pair
+    """v - (A + B*t)/D for a form (A, B, D), D > 0, as an integer pair
     (numerator, denominator > 0), not reduced."""
     a, b, d = form
     p, q = t.numerator, t.denominator
@@ -828,21 +807,21 @@ class PeriodicComponent:
 class Observable:
     """Continuous piecewise-linear real function on the circle."""
 
-    __slots__ = ("breakpoints", "values", "_slopes", "_hints")
+    __slots__ = ("breakpoints", "values", "_forms", "_hints")
 
     def __init__(self, breakpoints: Sequence[Fraction], values: Sequence[Fraction]):
-        bps, vals, slopes, self._hints, _ = _pl_graph(breakpoints, values)
+        bps, vals, forms, self._hints, _ = _pl_graph(breakpoints, values)
         if vals[0] != vals[-1]:
             raise InvalidInput("observable must close up: value(1) == value(0)")
         self.breakpoints = bps
         self.values = vals
-        self._slopes = tuple(slopes)
+        self._forms = tuple(forms)
 
     def _walk(self, lo: Fraction, hi: Fraction) -> tuple[list[Fraction], list[Fraction]]:
         """Cuts and values over [lo, hi]; see ``_lift_walk``."""
         bps = self.breakpoints
         return _lift_walk(
-            bps, self.values, self._slopes, 0, lo, hi,
+            bps, self.values, self._forms, 0, lo, hi,
             _walk_ends(bps, self._hints, lo, hi),
         )
 
@@ -866,7 +845,7 @@ class Observable:
     def evaluate(self, x: Fraction) -> Fraction:
         x = mod1(x)
         i = locate(self.breakpoints, self._hints, x.numerator, x.denominator)
-        return self.values[i] + self._slopes[i] * (x - self.breakpoints[i])
+        return _value_at(self.values, self._forms, i, x)
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.evaluate(x)

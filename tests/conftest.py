@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -13,6 +14,24 @@ from circledyn.partitions import ConsistentFamily, homeo_from_family
 from circledyn.plmaps import PLCircleMap
 
 F = Fraction
+
+
+def reference_slopes(bps, vals) -> list[Fraction]:
+    """Each piece's slope from its two end points: two Fraction subtractions
+    and one division per piece."""
+    return [(vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)]
+
+
+def reference_forms(bps, vals) -> list[tuple[int, int, int]]:
+    """Each piece's line as integers (A, B, D), F(t) = (A + B*t)/D: the
+    slope s and intercept c = v - s*b as Fractions, D the lcm of their
+    denominators."""
+    out = []
+    for s, b, v in zip(reference_slopes(bps, vals), bps, vals):
+        c = v - s * b
+        d = lcm(c.denominator, s.denominator)
+        out.append((int(c * d), int(s * d), d))
+    return out
 
 
 def rand_fraction(rng: random.Random, den: int = 64) -> Fraction:

@@ -54,6 +54,8 @@ RATIONAL_READERS = {
     "wicked_perturb eps": lambda v: _wicked(v, 8),
     "dirac_periodic p": lambda v: dirac_periodic(expanding_map(2), v, 2),
     "birkhoff_gap_bound x": _birkhoff,
+    "WProtocol tol": lambda v: WProtocol(tol=v),
+    "WProtocol battery centre": lambda v: WProtocol(battery_centers=(F(0), v)),
 }
 
 
@@ -68,6 +70,18 @@ RATIONAL_READERS = {
 def test_a_rational_that_is_not_exact_is_invalid(reader, value, message):
     with pytest.raises(InvalidInput, match=message):
         RATIONAL_READERS[reader](value)
+
+
+def test_protocol_reads_its_rationals():
+    p = WProtocol(tol="1/2", battery_centers=["1/3", 0])
+    assert p.tol == F(1, 2) and type(p.tol) is Fraction
+    assert p.battery_centers == (F(1, 3), F(0))
+    assert all(type(c) is Fraction for c in p.battery_centers)
+
+
+def test_an_empty_battery_is_invalid():
+    with pytest.raises(InvalidInput, match="^battery_centers must not be empty$"):
+        WProtocol(battery_centers=())
 
 
 def test_a_rational_string_is_read_exactly():

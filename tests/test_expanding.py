@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import circledyn
 from circledyn import expanding
 from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.expanding import (
@@ -193,6 +198,43 @@ class TestWickedPerturb:
                 PLCircleMap.identity(), 2, CylinderSpec.dirac_zero(2, 1), F(1, 2**16), 19,
                 cell_cap=1000,
             )
+
+    def test_word_digits_capped_before_the_extension_is_listed(self):
+        # the target 00 extends by one cell a level, so each of the ~30 000
+        # deeper levels holds 2 cells of up to 30 000 digits, about 9 * 10^8
+        # digits in all.  Run in a child limited to 1 GB of address space,
+        # where listing them ends in MemoryError
+        child = (
+            "import time\n"
+            "from fractions import Fraction as F\n"
+            "from circledyn.errors import ResourceCap\n"
+            "from circledyn.expanding import wicked_perturb\n"
+            "from circledyn.measures import CylinderSpec\n"
+            "from circledyn.plmaps import PLCircleMap\n"
+            "start = time.perf_counter()\n"
+            "try:\n"
+            "    wicked_perturb(PLCircleMap.identity(), 2, CylinderSpec(2, 2, {(0, 0): F(1)}), F(3, 4), 30000)\n"
+            "except ResourceCap as exc:\n"
+            "    print(time.perf_counter() - start)\n"
+            "    print(exc)\n"
+        )
+
+        def limit():
+            import resource
+
+            resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+
+        src = str(Path(circledyn.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src}, preexec_fn=limit,
+        )
+        assert proc.returncode == 0, proc.stderr
+        seconds, message = proc.stdout.splitlines()
+        assert float(seconds) < 0.5
+        assert message == (
+            f"family words need at least 900090000 digits, above the cap {expanding.WORD_DIGIT_CAP}"
+        )
 
     def test_window_length_validated(self):
         target = CylinderSpec.dirac_zero(2, 3)

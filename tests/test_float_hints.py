@@ -45,6 +45,8 @@ from circledyn.exact import (
 from circledyn.plmaps import PLCircleMap
 from circledyn.shredder import _grid
 
+from conftest import reference_slopes
+
 F = Fraction
 TINY = F(1, 2**70)
 _LO = attrgetter("lo")
@@ -680,7 +682,8 @@ def ref_preimage_of_set(f: PLCircleMap, s: IntervalSet) -> IntervalSet:
     if not ivs:
         return IntervalSet()
     entries, span = ref_preimage_index(f)
-    bps, vals, slopes = f.breakpoints, f.lift_values, f._slopes
+    bps, vals = f.breakpoints, f.lift_values
+    slopes = reference_slopes(bps, vals)
     out: list[Iv] = []
     for iv in ivs:
         first = bisect_left(entries, float(iv.lo - span), key=_KEY)

@@ -31,6 +31,7 @@ from circledyn.plmaps import (
     PLCircleMap,
 )
 
+from conftest import reference_slopes
 from test_family_views import pl_homeos, ref_c0, wicked_cases
 from test_pl_queries import pl_maps, raw_lifts
 
@@ -57,9 +58,10 @@ def ref_compose(f: PLCircleMap, g: PLCircleMap, cap: int = DEFAULT_BREAKPOINT_CA
     """Every level of f against every piece of g, then two evaluations per cut."""
     cuts = set(g.breakpoints)
     levels = [mod1(b) for b in f.breakpoints[:-1]]
+    slopes = reference_slopes(g.breakpoints, g.lift_values)
     for i in range(len(g.breakpoints) - 1):
         a, b = g.breakpoints[i], g.breakpoints[i + 1]
-        s = g._slopes[i]
+        s = slopes[i]
         if s == 0:
             continue
         ga, gb = g.lift_values[i], g.lift_values[i + 1]

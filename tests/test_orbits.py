@@ -11,6 +11,7 @@ from circledyn.expanding import expanding_map
 from circledyn.orbits import OrbitAverages, _Closing, orbit_averages
 from circledyn.plmaps import Observable, PLCircleMap
 
+from conftest import reference_forms, reference_slopes
 from test_locate import ref_cell
 
 F = Fraction
@@ -133,7 +134,7 @@ def ref_walk(f, x, n_max, denominator_bit_cap):
     cuts = [(b.numerator, b.denominator) for b in f.breakpoints]
     pieces = [
         (s.numerator, s.denominator, v.numerator, v.denominator)
-        for s, v in zip(f._slopes, f.lift_values)
+        for s, v in zip(reference_slopes(f.breakpoints, f.lift_values), f.lift_values)
     ]
     hints = f._hints
     seen = {}
@@ -165,6 +166,7 @@ def ref_sums(battery, points):
     out = []
     for phi in battery:
         cuts = [(b.numerator, b.denominator) for b in phi.breakpoints]
+        slopes = reference_slopes(phi.breakpoints, phi.values)
         total = F(0)
         by_q = {}
         for p, q in points:
@@ -172,8 +174,8 @@ def ref_sums(battery, points):
         for q, hits in by_q.items():
             # v_i + s_i*(p/q - b_i), summed over the hits, times q
             num = sum(
-                (q * (phi.values[i] - phi._slopes[i] * phi.breakpoints[i])
-                 + phi._slopes[i] * p for i, p in hits),
+                (q * (phi.values[i] - slopes[i] * phi.breakpoints[i])
+                 + slopes[i] * p for i, p in hits),
                 start=F(0),
             )
             total += num / q
@@ -316,10 +318,11 @@ def check_refined(f, battery, starts, horizons):
     assert hints == [float(k) for k in keys]
     bps = [(b.numerator, b.denominator) for b in f.breakpoints]
     cuts = [(c.numerator, c.denominator) for c in closing.cuts]
+    forms = reference_forms(f.breakpoints, f.lift_values)
     for k, row in zip(keys, rows):
         p, q = k.numerator, k.denominator
         piece = ref_cell(bps, f._hints, p, q)
-        assert row == (*f._form(piece), ref_cell(cuts, closing.hints, p, q)), k
+        assert row == (*forms[piece], ref_cell(cuts, closing.hints, p, q)), k
     for x in starts:
         res = orbit_averages(f, x, battery, horizons)
         assert_same(res, reference_averages(f, x, battery, horizons, 4096))

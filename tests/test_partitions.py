@@ -12,7 +12,7 @@ from circledyn.partitions import (
 )
 from circledyn.plmaps import PLCircleMap
 
-from conftest import random_pl_homeo
+from conftest import random_pl_homeo, reference_slopes
 
 F = Fraction
 
@@ -50,7 +50,9 @@ def test_two_cell_family_slopes():
     fam = ConsistentFamily(2, 1, ((Arc(F(0), F(1, 3)), Arc(F(1, 3), F(2, 3))),))
     h = homeo_from_family(fam)
     assert h.breakpoints == (F(0), F(1, 3), F(1))
-    assert h._slopes == (F(3, 2), F(3, 4))
+    assert reference_slopes(h.breakpoints, h.lift_values) == [F(3, 2), F(3, 4)]
+    # 3t/2 and (1 + 3t)/4
+    assert h._forms == ((0, 3, 2), (1, 3, 4))
     # round trip through the realized homeomorphism reproduces the family
     assert family_from_homeo(h, 2, 1) == fam
 

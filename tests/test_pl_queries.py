@@ -22,7 +22,9 @@ from hypothesis import strategies as st
 from circledyn import formats
 from circledyn.errors import InvalidInput
 from circledyn.exact import HALF, ONE, ZERO, IntervalSet, Iv, circle_dist, mod1
-from circledyn.plmaps import PLCircleMap, _pl_graph
+from circledyn.plmaps import Observable, PLCircleMap, _pl_graph
+
+from conftest import reference_slopes
 
 F = Fraction
 
@@ -109,12 +111,6 @@ def reference_strip(bps, vals):
         for i in range(len(keep_b) - 1)
     )
     return tuple(keep_b), tuple(keep_v), slopes
-
-
-def reference_slopes(bps, vals) -> list[Fraction]:
-    """The old slope formula: two Fraction subtractions and one division per
-    piece."""
-    return [(vals[i + 1] - vals[i]) / (bps[i + 1] - bps[i]) for i in range(len(bps) - 1)]
 
 
 @st.composite
@@ -246,11 +242,45 @@ def test_c0_distance_on_tied_floats_matches_reference(pair):
 def test_constructor_matches_old_stripping(raw):
     bps, vals = raw
     f = PLCircleMap(bps, vals)
-    assert (f.breakpoints, f.lift_values, f._slopes) == reference_strip(bps, vals)
-    _, _, slopes, hints, bends = _pl_graph(bps, vals)
-    assert slopes == reference_slopes(bps, vals)
+    keep_b, keep_v, slopes = reference_strip(bps, vals)
+    assert (f.breakpoints, f.lift_values) == (keep_b, keep_v)
+    assert tuple(F(b, d) for _, b, d in f._forms) == slopes
+    _, _, forms, hints, bends = _pl_graph(bps, vals)
+    slopes = reference_slopes(bps, vals)
+    assert [F(b, d) for _, b, d in forms] == slopes
     assert hints == [float(b) for b in bps[:-1]]
     assert bends == [i for i in range(1, len(slopes)) if slopes[i - 1] != slopes[i]]
+
+
+@st.composite
+def wide_lifts(draw) -> tuple[list[Fraction], list[Fraction]]:
+    """``raw_lifts`` or ``tied_lifts`` with every value shifted by one
+    rational of denominator 2^60 + 33 or 1, which keeps the plateaus and
+    collinear runs."""
+    bps, vals = draw(st.one_of(raw_lifts(), tied_lifts()))
+    den = draw(st.sampled_from([1, 2**60 + 33]))
+    shift = F(draw(st.integers(-3 * den, 3 * den)), den)
+    return bps, [v + shift for v in vals]
+
+
+def assert_forms(bps, vals, forms):
+    """Each form (A, B, D) is reduced, has D > 0 and is the line through
+    its piece's two end points."""
+    assert len(forms) == len(bps) - 1
+    for (a, b, d), x0, x1, y0, y1 in zip(forms, bps, bps[1:], vals, vals[1:]):
+        assert d > 0 and math.gcd(a, b, d) == 1
+        assert (a + b * x0) / d == y0 and (a + b * x1) / d == y1
+
+
+@settings(max_examples=500, deadline=None)
+@given(wide_lifts())
+def test_each_form_is_the_reduced_line_through_its_ends(raw):
+    bps, vals = raw
+    f = PLCircleMap(bps, vals)
+    assert_forms(f.breakpoints, f.lift_values, f._forms)
+    # the same graph closed up as an observable, whose pieces are not merged
+    phi = Observable(bps, [*vals[:-1], vals[0]])
+    assert_forms(phi.breakpoints, phi.values, phi._forms)
 
 
 @settings(max_examples=300, deadline=None)
