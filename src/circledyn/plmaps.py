@@ -472,8 +472,8 @@ class PLCircleMap:
         One ``locate`` finds the piece of s.  When s + l ends in that piece,
         at its right breakpoint included, a flat piece gives its value and a
         sloped one its two end values, read through the piece's form, with
-        no ``Fraction`` built.  Only an arc that
-        crosses a breakpoint is read by ``_walk(s, s + l)``.
+        no ``Fraction`` built.  Only an arc that crosses a breakpoint is
+        read by ``_walk(s, s + l)``.
         """
         s, length = arc.start, arc.length
         sn, sd, ln, ld = s.numerator, s.denominator, length.numerator, length.denominator
