@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, floor
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, Arc, IntervalSet, as_count, as_fraction, mod1
@@ -262,7 +262,10 @@ class WProtocol:
         check_horizons(self.horizons)
         as_count(self.max_period, "max period")
         object.__setattr__(self, "tol", as_fraction(self.tol))
-        object.__setattr__(self, "battery_centers", tuple(map(as_fraction, self.battery_centers)))
+        centers = self.battery_centers
+        if isinstance(centers, str) or not isinstance(centers, Iterable):
+            raise InvalidInput(f"battery_centers must be a sequence of rationals, got {centers!r}")
+        object.__setattr__(self, "battery_centers", tuple(map(as_fraction, centers)))
         if not ZERO < self.tol < ONE:
             raise InvalidInput(f"tol must lie in (0, 1), got {self.tol}")
         if not self.battery_centers:

@@ -30,6 +30,8 @@ import sys
 from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
 
@@ -332,12 +334,15 @@ _set_length = Arc.length.__set__
 class Iv(_Frozen):
     """One interval with endpoint flags; lo == hi means a single point.
 
-    ``lo`` and ``hi`` are Fractions or ints; anything else, a float
-    included, is ``InvalidInput``.  The order check is one integer cross
-    product.
+    Stored as the two ends in lowest terms, ``ln/ld`` and ``hn/hd`` with
+    ``ld, hd > 0``, and the two flags; every set operation reads these
+    integers.  ``lo`` and ``hi`` are read-only ``Fraction`` views of the
+    ends, built on each read.  The constructor takes the ends as Fractions
+    or ints; anything else, a float included, is ``InvalidInput``.  The
+    order check is one integer cross product.
     """
 
-    __slots__ = ("lo", "lo_closed", "hi", "hi_closed")
+    __slots__ = ("ln", "ld", "lo_closed", "hn", "hd", "hi_closed")
 
     def __init__(
         self, lo: Fraction, lo_closed: bool, hi: Fraction, hi_closed: bool
@@ -352,16 +357,45 @@ class Iv(_Frozen):
         # both ends are in lowest terms, so equal values have equal integers
         if ln == hn and ld == hd and not (lo_closed and hi_closed):
             raise ValueError("degenerate interval must be a closed point")
-        _set_lo(self, lo)
+        _set_ln(self, ln)
+        _set_ld(self, ld)
         _set_lo_closed(self, lo_closed)
-        _set_hi(self, hi)
+        _set_hn(self, hn)
+        _set_hd(self, hd)
         _set_hi_closed(self, hi_closed)
+
+    @staticmethod
+    def from_ints(
+        ln: int, ld: int, lo_closed: bool, hn: int, hd: int, hi_closed: bool
+    ) -> "Iv":
+        """The interval from ln/ld to hn/hd, given in lowest terms with
+        ld, hd > 0 and in order, with a point closed at both ends.  Nothing
+        is checked: the set operations build their intervals here from
+        integers that satisfy this already."""
+        iv = _new(Iv)
+        _set_ln(iv, ln)
+        _set_ld(iv, ld)
+        _set_lo_closed(iv, lo_closed)
+        _set_hn(iv, hn)
+        _set_hd(iv, hd)
+        _set_hi_closed(iv, hi_closed)
+        return iv
+
+    @property
+    def lo(self) -> Fraction:
+        return Fraction(self.ln, self.ld)
+
+    @property
+    def hi(self) -> Fraction:
+        return Fraction(self.hn, self.hd)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.lo, self.lo_closed, self.hi, self.hi_closed) == (
-            other.lo, other.lo_closed, other.hi, other.hi_closed
+        return (
+            self.ln == other.ln and self.ld == other.ld and self.hn == other.hn
+            and self.hd == other.hd and self.lo_closed == other.lo_closed
+            and self.hi_closed == other.hi_closed
         )
 
     def __hash__(self) -> int:
@@ -383,19 +417,78 @@ class Iv(_Frozen):
     def contains_ratio(self, xn: int, xd: int) -> bool:
         """Membership of xn/xd (xd > 0), by the cross products of
         ``contains``."""
-        lo, hi = self.lo, self.hi
         # the signs of x - lo and x - hi
-        c = xn * lo.denominator - lo.numerator * xd
+        c = xn * self.ld - self.ln * xd
         if c < 0 or not c and not self.lo_closed:
             return False
-        c = xn * hi.denominator - hi.numerator * xd
+        c = xn * self.hd - self.hn * xd
         return c < 0 or not c and self.hi_closed
 
 
-_set_lo = Iv.lo.__set__
-_set_lo_closed = Iv.lo_closed.__set__
-_set_hi = Iv.hi.__set__
-_set_hi_closed = Iv.hi_closed.__set__
+_new = object.__new__
+_set_ln, _set_ld, _set_lo_closed, _set_hn, _set_hd, _set_hi_closed = (
+    getattr(Iv, name).__set__ for name in Iv.__slots__
+)
+
+
+def _float_order(iv: Iv) -> tuple[float, bool]:
+    """The sort key of a low end by the float rule: its float, and closed
+    before open."""
+    return iv.ln / iv.ld, not iv.lo_closed
+
+
+def _exact_order(a: Iv, b: Iv) -> int:
+    """The sign of a's low end against b's, by one cross product, and
+    closed before open at one value."""
+    return a.ln * b.ld - b.ln * a.ld or b.lo_closed - a.lo_closed
+
+
+_EXACT_ORDER = cmp_to_key(_exact_order)
+
+
+def _merged(items: list[Iv]) -> list[Iv] | None:
+    """The canonical form of items sorted by ``_float_order``, or None when
+    a float tie left two low ends out of exact order.
+
+    A run of intervals that overlap or touch with a closed end becomes one
+    interval; an interval that nothing joins is kept as it is.  Floats
+    decide every comparison of two ends unless they tie, and a tie is
+    settled by one cross product."""
+    run = items[0]
+    n0, d0, c0 = run.ln, run.ld, run.lo_closed
+    lo_f = n0 / d0
+    hn, hd, hic = run.hn, run.hd, run.hi_closed
+    hi_f = hn / hd
+    grown = False
+    out = []
+    for iv in islice(items, 1, None):
+        n, d = iv.ln, iv.ld
+        f = n / d
+        if f == lo_f:
+            # the run keeps its low end only when it is the least, closed
+            # first at one value
+            c = n0 * d - n * d0
+            if c > 0 or not c and iv.lo_closed and not c0:
+                return None
+        # merge when overlapping or touching with at least one closed end
+        if f < hi_f or f == hi_f and (
+            (c := n * hd - hn * d) < 0 or not c and (iv.lo_closed or hic)
+        ):
+            # only the run's high end can grow
+            n, d = iv.hn, iv.hd
+            f = n / d
+            if f > hi_f or f == hi_f and (c := n * hd - hn * d) > 0:
+                hn, hd, hic, hi_f, grown = n, d, iv.hi_closed, f, True
+            elif f == hi_f and not c and iv.hi_closed and not hic:
+                hic = grown = True
+        else:
+            out.append(Iv.from_ints(n0, d0, c0, hn, hd, hic) if grown else run)
+            run, n0, d0, c0, lo_f = iv, n, d, iv.lo_closed, f
+            hn, hd, hic = iv.hn, iv.hd, iv.hi_closed
+            hi_f = hn / hd
+            grown = False
+    out.append(Iv.from_ints(n0, d0, c0, hn, hd, hic) if grown else run)
+    return out
 
 
 class IntervalSet:
@@ -409,67 +502,36 @@ class IntervalSet:
     Invariant the queries rely on: both ``lo`` and ``hi`` strictly increase
     along ``ivs``, and each interval ends no later than the next one starts.
     So the only interval that can hold a point x is the last one with
-    ``lo <= x``, found by ``locate`` on the floats of the low ends, which a
-    set builds on its first query; a scan is never needed.
+    ``lo <= x``, found by the rule of ``locate`` on the floats of the low
+    ends, which a set lists on its first query; a scan is never needed.
 
-    Coverage has one rule, the merge of ``min_gap_to_boundary``; ``covers``
-    asks it, so coverage across the seam 0 ~ 1 is decided in one place.
+    Every operation reads the intervals' integer ends; only a returned
+    measure or gap is built as a ``Fraction``.  Coverage has one rule, the
+    merge of ``min_gap_to_boundary``; ``covers`` asks it, so coverage
+    across the seam 0 ~ 1 is decided in one place.
     """
 
-    __slots__ = ("ivs", "_index")
+    __slots__ = ("ivs", "_hints")
 
     def __init__(self, ivs: Iterable[Iv] = ()):
         self.ivs: tuple[Iv, ...] = self._canonical(list(ivs))
-        # the low ends and their floats, for locate
-        self._index: tuple[list[Fraction], list[float]] | None = None
+        # the floats of the low ends, for the rule of locate
+        self._hints: list[float] | None = None
 
     @staticmethod
     def _canonical(items: list[Iv]) -> tuple[Iv, ...]:
         if len(items) < 2:
             return tuple(items)
-        # floats decide the order of two ends unless they tie (see locate):
-        # sort by lo, closed before open, comparing Fractions on a float tie
-        items.sort(
-            key=lambda iv: (iv.lo.numerator / iv.lo.denominator, iv.lo, not iv.lo_closed)
-        )
-        last = items[0]
-        hi_f = last.hi.numerator / last.hi.denominator  # the float of last.hi
-        out = [last]
-        for iv in items[1:]:
-            lo_f = iv.lo.numerator / iv.lo.denominator
-            # merge when overlapping or touching with at least one closed end
-            if lo_f < hi_f or lo_f == hi_f and (
-                iv.lo < last.hi
-                or iv.lo == last.hi and (iv.lo_closed or last.hi_closed)
-            ):
-                # last.lo <= iv.lo, and closed sorts first at an equal lo,
-                # so last keeps its low end; only its high end can grow
-                f = iv.hi.numerator / iv.hi.denominator
-                if f > hi_f or f == hi_f and iv.hi > last.hi:
-                    last = out[-1] = Iv(last.lo, last.lo_closed, iv.hi, iv.hi_closed)
-                    hi_f = f
-                elif (
-                    f == hi_f and iv.hi_closed and not last.hi_closed
-                    and iv.hi == last.hi
-                ):
-                    last = out[-1] = Iv(last.lo, last.lo_closed, last.hi, True)
-            else:
-                last = iv
-                hi_f = iv.hi.numerator / iv.hi.denominator
-                out.append(iv)
+        # floats decide the order of two low ends unless they tie (see locate)
+        items.sort(key=_float_order)
+        out = _merged(items)
+        if out is None:
+            # two low ends share a float but not their order: sort exactly
+            items.sort(key=_EXACT_ORDER)
+            out = _merged(items)
         return tuple(out)
 
     # -- constructors
-
-    @staticmethod
-    def closed(lo: Fraction, hi: Fraction) -> "IntervalSet":
-        return IntervalSet([Iv(lo, True, hi, True)])
-
-    @staticmethod
-    def open(lo: Fraction, hi: Fraction) -> "IntervalSet":
-        if lo >= hi:
-            return IntervalSet()
-        return IntervalSet([Iv(lo, False, hi, False)])
 
     @staticmethod
     def point(x: Fraction) -> "IntervalSet":
@@ -483,18 +545,28 @@ class IntervalSet:
         An arc that wraps strictly past 0 holds 0 ~ 1 in its interior, so
         its two open pieces are closed at 1 and at 0.  The closure of a
         zero-length arc is its start point, and its interior is empty.
+        Each end comes from the arc's integers with one ``gcd``.
         """
+        make = Iv.from_ints
         items: list[Iv] = []
         for a in arcs:
-            parts = a.intervals()
-            if len(parts) == 2:
-                (lo, _), (_, hi) = parts
-                items += (Iv(lo, closed, ONE, True), Iv(ZERO, True, hi, closed))
-            elif parts:
-                ((lo, hi),) = parts
-                items.append(Iv(lo, closed, hi, closed))
-            elif closed:
-                items.append(Iv(a.start, True, a.start, True))
+            s, length = a.start, a.length
+            sn, sd, ln, ld = s.numerator, s.denominator, length.numerator, length.denominator
+            if not ln:
+                if closed:
+                    items.append(make(sn, sd, True, sn, sd, True))
+                continue
+            den = sd * ld
+            # (start + length - 1) * den
+            over = sn * ld + ln * sd - den
+            if over > 0:
+                g = gcd(over, den)
+                items.append(make(sn, sd, closed, 1, 1, True))
+                items.append(make(0, 1, True, over // g, den // g, closed))
+            else:
+                over += den
+                g = gcd(over, den)
+                items.append(make(sn, sd, closed, over // g, den // g, closed))
         return IntervalSet(items)
 
     @staticmethod
@@ -511,14 +583,10 @@ class IntervalSet:
 
     def measure(self) -> Fraction:
         """Total length, summed as integers over one common denominator."""
-        den = lcm(*(x.denominator for iv in self.ivs for x in (iv.lo, iv.hi)))
+        ivs = self.ivs
+        den = lcm(*(iv.ld for iv in ivs), *(iv.hd for iv in ivs))
         return Fraction(
-            sum(
-                den // iv.hi.denominator * iv.hi.numerator
-                - den // iv.lo.denominator * iv.lo.numerator
-                for iv in self.ivs
-            ),
-            den,
+            sum(den // iv.hd * iv.hn - den // iv.ld * iv.ln for iv in ivs), den
         )
 
     def contains_point(self, x: Fraction) -> bool:
@@ -527,15 +595,19 @@ class IntervalSet:
 
     def contains_ratio(self, p: int, q: int) -> bool:
         """``contains_point`` of p/q in [0, 1), q > 0, on the integers."""
-        if self._index is None:
-            los = [iv.lo for iv in self.ivs]
-            self._index = los, [lo.numerator / lo.denominator for lo in los]
-        # the last interval with lo <= p/q is the only one that can hold it
-        i = locate(*self._index, p, q)
-        if i >= 0 and self.ivs[i].contains_ratio(p, q):
+        ivs, hints = self.ivs, self._hints
+        if hints is None:
+            hints = self._hints = [iv.ln / iv.ld for iv in ivs]
+        # the last interval with lo <= p/q is the only one that can hold it,
+        # found as locate finds a key
+        x = p / q
+        i = bisect_right(hints, x) - 1
+        while i >= 0 and hints[i] == x and ivs[i].ln * q > p * ivs[i].ld:
+            i -= 1
+        if i >= 0 and ivs[i].contains_ratio(p, q):
             return True
         # circle identification: 0 and 1 are the same point
-        return not p and bool(self.ivs) and self.ivs[-1].contains(ONE)
+        return not p and bool(ivs) and ivs[-1].contains_ratio(1, 1)
 
     def covers(self, other: "IntervalSet") -> bool:
         """True iff other is a subset of self, both as subsets of the circle.
@@ -571,27 +643,22 @@ class IntervalSet:
         if not ivs:
             return None
         first, last = ivs[0], ivs[-1]
-        f_lo, f_hi, l_lo, l_hi = first.lo, first.hi, last.lo, last.hi
-        starts_at_0 = not f_lo.numerator and f_hi.numerator
-        ends_at_1 = l_hi.numerator == l_hi.denominator and l_lo.numerator < l_lo.denominator
+        starts_at_0 = not first.ln and first.hn
+        ends_at_1 = last.hn == last.hd and last.ln < last.ld
         # 0 ~ 1 is a point of self when either representative is
-        wrap = (
-            not f_lo.numerator and first.lo_closed
-            or l_hi.numerator == l_hi.denominator and last.hi_closed
-        )
+        wrap = not first.ln and first.lo_closed or last.hn == last.hd and last.hi_closed
         seam = starts_at_0 and ends_at_1 and (first.lo_closed or last.hi_closed)
         count = len(ivs)
         j = -1
-        nxt_n, nxt_d = f_lo.numerator, f_lo.denominator  # the low end of ivs[j + 1]
+        nxt_n, nxt_d = first.ln, first.ld  # the low end of ivs[j + 1]
         best_n, best_d = 1, 0  # the least gap so far, as an integer pair
         for t in inner.ivs:
-            lo, hi = t.lo, t.hi
-            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            ln, ld, hn, hd = t.ln, t.ld, t.hn, t.hd
             while j + 1 < count and nxt_n * ld <= ln * nxt_d:
                 j += 1
                 if j + 1 < count:
-                    nxt = ivs[j + 1].lo
-                    nxt_n, nxt_d = nxt.numerator, nxt.denominator
+                    nxt = ivs[j + 1]
+                    nxt_n, nxt_d = nxt.ln, nxt.ld
             if j < 0:
                 # no host: only the point 0, covered by 1, at gap 0
                 if not (ln == hn == 0 and wrap):
@@ -599,8 +666,7 @@ class IntervalSet:
                 best_n, best_d = 0, 1
                 continue
             host = ivs[j]
-            a, b = host.lo, host.hi
-            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            an, ad, bn, bd = host.ln, host.ld, host.hn, host.hd
             # the signs of lo - a and of b - hi
             c_lo = ln * ad - an * ld
             c_hi = bn * hd - hn * bd
@@ -630,13 +696,13 @@ class IntervalSet:
             left_n, left_d = c_lo, ld * ad
             right_n, right_d = c_hi, hd * bd
             if seam and not an:
-                # the part ending at 1 adds 1 - l_lo
-                left_n = left_n * l_lo.denominator + (l_lo.denominator - l_lo.numerator) * left_d
-                left_d *= l_lo.denominator
+                # the part ending at 1 adds 1 - last.lo
+                left_n = left_n * last.ld + (last.ld - last.ln) * left_d
+                left_d *= last.ld
             if seam and bn == bd:
-                # the part starting at 0 adds f_hi
-                right_n = right_n * f_hi.denominator + f_hi.numerator * right_d
-                right_d *= f_hi.denominator
+                # the part starting at 0 adds first.hi
+                right_n = right_n * first.hd + first.hn * right_d
+                right_d *= first.hd
             if left_n * best_d < best_n * left_d:
                 best_n, best_d = left_n, left_d
             if right_n * best_d < best_n * right_d:

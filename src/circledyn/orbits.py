@@ -221,6 +221,8 @@ def check_horizons(horizons: Sequence[int]) -> tuple[int, ...]:
     ``InvalidInput`` unless there is at least one and each is a count
     (``exact.as_count``).
     """
+    if isinstance(horizons, str) or not isinstance(horizons, Iterable):
+        raise InvalidInput(f"horizons must be a sequence of integers, got {horizons!r}")
     if not horizons:
         raise InvalidInput("horizons must not be empty")
     for h in horizons:

@@ -502,17 +502,15 @@ class PLCircleMap:
         One sweep over the set's intervals, whose ends increase: an end is
         located by ``exact.locate`` from the piece of the end before it, or
         read off that piece when it ends there, so the piece index only
-        advances.  The lift value at an end on a
-        breakpoint (1 is the last) is read from ``lift_values``, and only an
-        end inside a sloped piece builds a ``Fraction``.  Each piece an
-        interval meets adds the wrapped range of its two lift values (see
-        ``_wrap_lift_interval``), and the pieces are canonicalised once.
-        Cost O(|s| log |bps| + output).
+        advances.  The lift value at an end on a breakpoint (1 is the last)
+        is read from ``lift_values``, and one inside a sloped piece from the
+        piece's form, reduced by one ``gcd``; every value is an integer
+        pair.  Each piece an interval meets adds the wrapped range of its
+        two lift values (see ``_wrap_lift_interval``), and the pieces are
+        canonicalised once.  Cost O(|s| log |bps| + output).
         """
         ivs = s.ivs
-        if ivs and (
-            ivs[0].lo.numerator < 0 or ivs[-1].hi.numerator > ivs[-1].hi.denominator
-        ):
+        if ivs and (ivs[0].ln < 0 or ivs[-1].hn > ivs[-1].hd):
             raise InvalidInput("image_of_set needs a set inside [0, 1]")
         bps, vals, forms, hints = (
             self.breakpoints, self.lift_values, self._forms, self._hints
@@ -521,19 +519,22 @@ class PLCircleMap:
         out: list[Iv] = []
         p = 0  # the piece of the last end located
         for iv in ivs:
-            lo, hi = iv.lo, iv.hi
-            ln, ld, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            ln, ld, hn, hd = iv.ln, iv.ld, iv.hn, iv.hd
             # each end's piece: the last breakpoint index at or after p
             # whose breakpoint is at most the end; 1 is breakpoint ``top``
             if ln == ld:
-                out.append(_point(vals[top]))
+                v = vals[top]
+                out.append(_point(v.numerator, v.denominator))
                 continue
             i = p = locate(bps, hints, ln, ld, p)
             b = bps[i]
-            on_lo = b.numerator == ln and b.denominator == ld
-            v_lo = vals[i] if on_lo else _value_at(vals, forms, i, lo)
+            if b.numerator == ln and b.denominator == ld:
+                v = vals[i]
+                v_lo = v.numerator, v.denominator
+            else:
+                v_lo = _value_pair(vals, forms, i, ln, ld)
             if ln == hn and ld == hd:
-                out.append(_point(v_lo))
+                out.append(_point(*v_lo))
                 continue
             # most intervals end in their first piece or at its right end
             b = bps[i + 1]
@@ -548,15 +549,21 @@ class PLCircleMap:
                 q = p = locate(bps, hints, hn, hd, i + 1)
                 b = bps[q]
                 on_hi = b.numerator == hn and b.denominator == hd
-            v_hi = vals[q] if on_hi else _value_at(vals, forms, q, hi)
+            if on_hi:
+                v = vals[q]
+                v_hi = v.numerator, v.denominator
+            else:
+                v_hi = _value_pair(vals, forms, q, hn, hd)
             # the lift values at lo, at each breakpoint strictly inside and at hi
-            lifts = [v_lo, *vals[i + 1 : q if on_hi else q + 1], v_hi]
+            inside = vals[i + 1 : q if on_hi else q + 1]
+            lifts = [
+                v_lo, *[(v.numerator, v.denominator) for v in inside], v_hi
+            ] if inside else [v_lo, v_hi]
             last = len(lifts) - 2
             for k in range(last + 1):
-                fa, fb = lifts[k], lifts[k + 1]
-                an, ad, bn, bd = fa.numerator, fa.denominator, fb.numerator, fb.denominator
+                (an, ad), (bn, bd) = lifts[k], lifts[k + 1]
                 if an == bn and ad == bd:
-                    out.append(_point(fa))
+                    out.append(_point(an, ad))
                     continue
                 a_closed = iv.lo_closed if k == 0 else True
                 b_closed = iv.hi_closed if k == last else True
@@ -566,7 +573,9 @@ class PLCircleMap:
                     _wrap_lift_interval(out, bn, bd, b_closed, an, ad, a_closed)
         return IntervalSet(out)
 
-    def _preimage_index(self) -> tuple[list[tuple[float, int, int]], Fraction]:
+    def _preimage_index(
+        self, intervals: int = 0, cap: int = PREIMAGE_INTERVAL_CAP
+    ) -> tuple[list[tuple[float, int, int]], Fraction]:
         """Sorted shifted lift ranges of the pieces, built on first use.
 
         One entry (key, i, k) for every piece i and every shift k with
@@ -582,12 +591,18 @@ class PLCircleMap:
         one ``Fraction`` is built, for ``span``.  The entry count is known
         from the shifts before any entry is listed: ``ResourceCap`` when
         the entries beyond one per piece pass ``DEFAULT_BREAKPOINT_CAP``.
+        So is the count of entries whose lift range covers a whole turn,
+        lo_i <= k and k + 1 <= hi_i: each is a hit for every interval of a
+        set inside [0, 1], and when they give a set of ``intervals``
+        intervals more than ``cap`` hits, the ``ResourceCap`` of
+        ``preimage_of_set`` comes before any entry is listed.
         Cost O(P log P) once, for P entries.
         """
         if self._preimages is None:
             vals = self.lift_values
             ranges = []
             extra = 0  # the entries beyond one per piece
+            whole = 0  # the entries whose lift range covers a whole turn
             span_n, span_d = 0, 1
             for i, (_, slope, _) in enumerate(self._forms):
                 lo, hi = vals[i], vals[i + 1]
@@ -596,6 +611,8 @@ class PLCircleMap:
                 n, d, hn, hd = lo.numerator, lo.denominator, hi.numerator, hi.denominator
                 first, stop = -(-n // d) - 1, hn // hd + 1
                 extra += stop - first - 1
+                # the k from ceil(lo_i) to floor(hi_i) - 1
+                whole += max(stop - first - 2, 0)
                 w_n, w_d = hn * d - n * hd, hd * d
                 if w_n * span_d > span_n * w_d:
                     span_n, span_d = w_n, w_d
@@ -606,6 +623,8 @@ class PLCircleMap:
                     f"{len(ranges) + extra} entries, {extra} beyond one per "
                     f"piece, above the breakpoint cap {DEFAULT_BREAKPOINT_CAP}"
                 )
+            if whole * intervals > cap:
+                raise _hit_cap(intervals, cap)
             entries = [
                 ((n - k * d) / d, i, k)
                 for i, (n, d, first, stop) in enumerate(ranges)
@@ -627,24 +646,27 @@ class PLCircleMap:
         and a flat piece is then a hit.  On a sloped piece two more cross
         products say which end is clipped to the piece, and an unclipped
         end y = p/q pulls back through the piece's form (A, B, D) to
-        t = ((p + k*q)*D - A*q)/(B*q), one ``Fraction``.
+        t = ((p + k*q)*D - A*q)/(B*q), reduced by one ``gcd``.
         Cost O(P log P) once per map, then O(|s| log P + candidates +
         output) per call.  ``ResourceCap`` as soon as the hits, before they
-        are merged, pass ``cap``, a count (``exact.as_count``).
+        are merged, pass ``cap``, a count (``exact.as_count``); the pieces
+        whose lift range covers whole turns give sure hits, and when those
+        alone pass ``cap`` the index is not built (``_preimage_index``).
         """
         as_count(cap, "preimage interval cap")
         ivs = s.ivs
         if not ivs:
             return IntervalSet()
-        if ivs[0].lo.numerator < 0 or ivs[-1].hi.numerator > ivs[-1].hi.denominator:
+        if ivs[0].ln < 0 or ivs[-1].hn > ivs[-1].hd:
             raise InvalidInput("preimage_of_set needs a set inside [0, 1]")
-        entries, span = self._preimage_index()
+        entries, span = self._preimage_index(len(ivs), cap)
         sn, sd = span.numerator, span.denominator
         bps, vals, forms = self.breakpoints, self.lift_values, self._forms
+        make = Iv.from_ints
         out: list[Iv] = []
         for iv in ivs:
-            lo, hi, lo_closed, hi_closed = iv.lo, iv.hi, iv.lo_closed, iv.hi_closed
-            p0, q0, p1, q1 = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+            lo_closed, hi_closed = iv.lo_closed, iv.hi_closed
+            p0, q0, p1, q1 = iv.ln, iv.ld, iv.hn, iv.hd
             first = bisect_left(entries, (p0 * sd - sn * q0) / (q0 * sd), key=_KEY)
             stop = bisect_right(entries, p1 / q1, key=_KEY)
             for _, i, k in entries[first:stop]:
@@ -665,14 +687,12 @@ class PLCircleMap:
                 ):
                     continue
                 if len(out) >= cap:
-                    raise ResourceCap(
-                        f"the preimage of {len(ivs)} intervals reached "
-                        f"{cap + 1} intervals before merging, above the "
-                        f"interval cap {cap}"
-                    )
+                    raise _hit_cap(len(ivs), cap)
                 a, b = bps[i], bps[i + 1]
+                a = a.numerator, a.denominator
+                b = b.numerator, b.denominator
                 if not form_b:
-                    out.append(Iv(a, True, b, True))
+                    out.append(make(*a, True, *b, True))
                     continue
                 # each shifted end pulls back into the piece, or lies past
                 # the lift range and is clipped to the piece's end, closed:
@@ -681,17 +701,17 @@ class PLCircleMap:
                 if lk * ud - un * q0 < 0:
                     t_lo, t_lo_closed = end_u, True
                 else:
-                    t_lo = Fraction(lk * form_d - form_a * q0, form_b * q0)
+                    t_lo = _reduced(lk * form_d - form_a * q0, form_b * q0)
                     t_lo_closed = lo_closed
                 if wn * q1 - hk * wd < 0:
                     t_hi, t_hi_closed = end_w, True
                 else:
-                    t_hi = Fraction(hk * form_d - form_a * q1, form_b * q1)
+                    t_hi = _reduced(hk * form_d - form_a * q1, form_b * q1)
                     t_hi_closed = hi_closed
                 if falls:
-                    out.append(Iv(t_hi, t_hi_closed, t_lo, t_lo_closed))
+                    out.append(make(*t_hi, t_hi_closed, *t_lo, t_lo_closed))
                 else:
-                    out.append(Iv(t_lo, t_lo_closed, t_hi, t_hi_closed))
+                    out.append(make(*t_lo, t_lo_closed, *t_hi, t_hi_closed))
         return IntervalSet(out)
 
 
@@ -739,10 +759,40 @@ def sup_dist_to_int(deltas: Sequence[tuple[int, int]]) -> Fraction:
     return max(Fraction(hi_n - k * hi_d, hi_d), Fraction(k * lo_d - lo_n, lo_d))
 
 
-def _point(v: Fraction) -> Iv:
-    """The circle point of a lift value, as a closed point in [0, 1)."""
-    x = mod1(v)
-    return Iv(x, True, x, True)
+def _hit_cap(intervals: int, cap: int) -> ResourceCap:
+    """The error of a preimage of ``intervals`` intervals whose hits pass
+    ``cap``."""
+    return ResourceCap(
+        f"the preimage of {intervals} intervals reached {cap + 1} intervals "
+        f"before merging, above the interval cap {cap}"
+    )
+
+
+def _reduced(n: int, d: int) -> tuple[int, int]:
+    """n/d (d != 0) in lowest terms with a positive denominator, by one
+    ``gcd``."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    return n // g, d // g
+
+
+def _value_pair(vals, forms, i: int, n: int, d: int) -> tuple[int, int]:
+    """``_value_at`` of n/d (d > 0) as an integer pair in lowest terms: the
+    stored left value of a flat piece, else the form's value reduced by one
+    ``gcd``."""
+    a, b, e = forms[i]
+    if not b:
+        v = vals[i]
+        return v.numerator, v.denominator
+    return _reduced(a * d + b * n, e * d)
+
+
+def _point(n: int, d: int) -> Iv:
+    """The circle point of the lift value n/d (lowest terms, d > 0), as a
+    closed point in [0, 1)."""
+    n %= d
+    return Iv.from_ints(n, d, True, n, d, True)
 
 
 def _wrap_lift_interval(
@@ -753,22 +803,25 @@ def _wrap_lift_interval(
 
     A span of exactly one turn open at both ends misses the one circle point
     mod1(lo); it wraps into [0, x) u (x, 1], or (0, 1) when x is 0.  The
-    span and the turn are compared as integers, and each end is one
-    ``Fraction`` built from integers.
+    span and the turn are compared as integers, and each end is an integer
+    pair shifted by whole turns, so it stays in lowest terms.
     """
+    make = Iv.from_ints
     den = ld * hd
     over = hn * ld - ln * hd - den  # (span - 1) * den
     if over > 0 or not over and (loc or hic):
-        out.append(Iv(ZERO, True, ONE, True))
+        out.append(make(0, 1, True, 1, 1, True))
         return
     shift = ln // ld
-    lo = Fraction(ln - shift * ld, ld)
+    ln -= shift * ld
     top = hn - shift * hd  # hi - shift, over hd
-    if top <= hd:
-        out.append(Iv(lo, loc, Fraction(top, hd), hic))
+    if top < hd:
+        out.append(make(ln, ld, loc, top, hd, hic))
+    elif top == hd:
+        out.append(make(ln, ld, loc, 1, 1, hic))
     else:
-        out.append(Iv(lo, loc, ONE, True))
-        out.append(Iv(ZERO, True, Fraction(top - hd, hd), hic))
+        out.append(make(ln, ld, loc, 1, 1, True))
+        out.append(make(0, 1, True, top - hd, hd, hic))
 
 
 @dataclass(frozen=True)

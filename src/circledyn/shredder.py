@@ -338,10 +338,13 @@ def _plateau_arcs(g: PLCircleMap, arcs: Iterable[Arc]) -> bool:
 
 
 def _chase_failure(
-    g: PLCircleMap, points: Iterable[Fraction], cycle_open: IntervalSet, n_steps: int
+    g: PLCircleMap,
+    points: Iterable[tuple[int, int]],
+    cycle_open: IntervalSet,
+    n_steps: int,
 ) -> bool:
-    """Whether some point fails to enter the open cycle union within
-    n_steps - 1 steps of g.
+    """Whether some point p/q, given as the integer pair (p, q) with q > 0,
+    fails to enter the open cycle union within n_steps - 1 steps of g.
 
     Each point's exact step count to the cycle is recorded, keyed by its
     integers, with those of the points on its walk, so a walk that meets
@@ -352,8 +355,7 @@ def _chase_failure(
     g_step = g.step
     steps_to: dict[tuple[int, int], int] = {}
     bound = n_steps - 1
-    for y in points:
-        p, q = y.numerator, y.denominator
+    for p, q in points:
         walk = []
         while True:
             key = p, q
@@ -486,8 +488,9 @@ def verify_shredding(
         # each closed arc's image is one point exactly when the region's
         # image is points only: g^m(closure arc) = {y_m} for m >= 1, so
         # absorption reduces to chasing the plateau values
-        if _plateau_arcs(g, reg.arcs) and all(iv.lo == iv.hi for iv in image.ivs):
-            if _chase_failure(g, (iv.lo for iv in image.ivs), cycle_open, n_steps):
+        ivs = image.ivs
+        if _plateau_arcs(g, reg.arcs) and all(iv.ln == iv.hn and iv.ld == iv.hd for iv in ivs):
+            if _chase_failure(g, ((iv.ln, iv.ld) for iv in ivs), cycle_open, n_steps):
                 return f"{reg.label}: plateau value never reaches cycle"
             return None
         # general route: iterated preimages of the open cycle union

@@ -9,6 +9,7 @@ work is done.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -82,6 +83,21 @@ def test_protocol_reads_its_rationals():
 def test_an_empty_battery_is_invalid():
     with pytest.raises(InvalidInput, match="^battery_centers must not be empty$"):
         WProtocol(battery_centers=())
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("battery_centers", 5, "battery_centers must be a sequence of rationals, got 5"),
+        # a string is one value, not a sequence of its characters
+        ("battery_centers", "1/2", "battery_centers must be a sequence of rationals, got '1/2'"),
+        ("battery_centers", "12", "battery_centers must be a sequence of rationals, got '12'"),
+        ("horizons", 5, "horizons must be a sequence of integers, got 5"),
+    ],
+)
+def test_a_protocol_field_that_is_no_sequence_is_invalid(field, value, message):
+    with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
+        WProtocol(**{field: value})
 
 
 def test_a_rational_string_is_read_exactly():

@@ -101,34 +101,34 @@ def test_circle_dist():
 
 class TestIntervalSet:
     def test_union_merges_touching_closed(self):
-        s = IntervalSet.closed(F(0), F(1, 4)).union(
-            IntervalSet.closed(F(1, 4), F(1, 2))
+        s = IntervalSet([Iv(F(0), True, F(1, 4), True)]).union(
+            IntervalSet([Iv(F(1, 4), True, F(1, 2), True)])
         )
         assert len(s.ivs) == 1
         assert s.measure() == F(1, 2)
 
     def test_open_intervals_do_not_merge_across_missing_point(self):
-        s = IntervalSet.open(F(0), F(1, 4)).union(
-            IntervalSet.open(F(1, 4), F(1, 2))
+        s = IntervalSet([Iv(F(0), False, F(1, 4), False)]).union(
+            IntervalSet([Iv(F(1, 4), False, F(1, 2), False)])
         )
         assert len(s.ivs) == 2
         assert not s.contains_point(F(1, 4))
 
     def test_covers_respects_topology(self):
-        open_half = IntervalSet.open(F(0), F(1, 2))
-        assert open_half.covers(IntervalSet.closed(F(1, 8), F(3, 8)))
-        assert not open_half.covers(IntervalSet.closed(F(0), F(1, 4)))
+        open_half = IntervalSet([Iv(F(0), False, F(1, 2), False)])
+        assert open_half.covers(IntervalSet([Iv(F(1, 8), True, F(3, 8), True)]))
+        assert not open_half.covers(IntervalSet([Iv(F(0), True, F(1, 4), True)]))
         assert not open_half.covers(IntervalSet.point(F(1, 2)))
 
     def test_covers_chains_through_touching_hosts(self):
-        s = IntervalSet.closed(F(0), F(1, 4)).union(
-            IntervalSet.closed(F(1, 4), F(1, 2))
-        ).union(IntervalSet.open(F(1, 2), F(3, 4)))
-        assert s.covers(IntervalSet.closed(F(1, 8), F(1, 2)))
-        assert not s.covers(IntervalSet.closed(F(1, 8), F(3, 4)))
+        s = IntervalSet([Iv(F(0), True, F(1, 4), True)]).union(
+            IntervalSet([Iv(F(1, 4), True, F(1, 2), True)])
+        ).union(IntervalSet([Iv(F(1, 2), False, F(3, 4), False)]))
+        assert s.covers(IntervalSet([Iv(F(1, 8), True, F(1, 2), True)]))
+        assert not s.covers(IntervalSet([Iv(F(1, 8), True, F(3, 4), True)]))
 
     def test_wrap_identification(self):
-        s = IntervalSet.closed(F(3, 4), F(1))
+        s = IntervalSet([Iv(F(3, 4), True, F(1), True)])
         assert s.contains_point(F(0))
         # the interior of an arc that wraps strictly past 0 holds 0 ~ 1
         wrap = Arc(F(3, 4), F(1, 2))
@@ -179,8 +179,8 @@ class TestIntervalSet:
         )
 
     def test_min_gap(self):
-        host = IntervalSet.open(F(0), F(1, 2))
-        inner = IntervalSet.closed(F(1, 8), F(1, 4))
+        host = IntervalSet([Iv(F(0), False, F(1, 2), False)])
+        inner = IntervalSet([Iv(F(1, 8), True, F(1, 4), True)])
         assert host.min_gap_to_boundary(inner) == F(1, 8)
 
 

@@ -19,6 +19,7 @@ is 1.0, the seam 0 ~ 1, and every pair of endpoint flags.
 
 from __future__ import annotations
 
+import pickle
 import re
 import time
 from bisect import bisect_left, bisect_right
@@ -364,6 +365,63 @@ def test_queries_match_exact_reference(data):
         )
 
 
+@st.composite
+def tied_arcs(draw) -> list[Arc]:
+    """Arcs between tied ends: each runs from an end below 1 to another end,
+    wrapping past 0 when that end lies below its start; from an end to
+    itself it has length 0 or 1."""
+    ends = draw(tied_ends())
+    arcs = []
+    for _ in range(draw(st.integers(0, 6))):
+        start = draw(st.sampled_from([e for e in ends if e < 1]))
+        end = draw(st.sampled_from(ends))
+        length = end - start if end > start else end - start + 1
+        if end == start and draw(st.booleans()):
+            length = ZERO
+        arcs.append(Arc(start, length))
+    return arcs
+
+
+def ref_from_arcs(arcs, closed: bool) -> tuple[Iv, ...]:
+    """The union of the arcs' closures or interiors, each split by the
+    reference and canonicalised by the reference."""
+    items = []
+    for a in arcs:
+        parts = ref_arc_intervals(a.start, a.length)
+        if len(parts) == 2:
+            (lo, _), (_, hi) = parts
+            items += [Iv(lo, closed, ONE, True), Iv(ZERO, True, hi, closed)]
+        elif parts:
+            ((lo, hi),) = parts
+            items.append(Iv(lo, closed, hi, closed))
+        elif closed:
+            items.append(Iv(a.start, True, a.start, True))
+    return ref_canonical(items)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tied_arcs(), st.booleans())
+def test_from_arcs_matches_exact_reference(arcs, closed):
+    got = IntervalSet.from_arcs(arcs, closed).ivs
+    want = ref_from_arcs(arcs, closed)
+    assert got == want
+    # intervals built from integers read as those built from Fractions
+    for iv, ref in zip(got, want):
+        assert repr(iv) == repr(ref) and hash(iv) == hash(ref)
+        assert pickle.loads(pickle.dumps(iv)) == iv
+        assert iv.__reduce__() == ref.__reduce__() == (Iv, _fields(ref))
+
+
+def test_iv_reads_as_its_fraction_ends():
+    iv = Iv(F(2, 6), False, F(1, 2), True)
+    assert repr(iv) == "Iv(lo=Fraction(1, 3), lo_closed=False, hi=Fraction(1, 2), hi_closed=True)"
+    assert type(iv.lo) is type(iv.hi) is Fraction
+    assert iv == Iv(F(1, 3), False, F(1, 2), True) != Iv(F(1, 3), True, F(1, 2), True)
+    assert hash(iv) == hash((F(1, 3), False, F(1, 2), True))
+    assert pickle.loads(pickle.dumps(iv)) == iv
+    assert str(IntervalSet([iv, Iv(ZERO, True, ZERO, True)])) == "IntervalSet([0,0] u (1/3,1/2])"
+
+
 def test_tied_ends_are_ordered_exactly():
     # five ends share the float of 1/3; a float tie decides nothing
     c = F(1, 3)
@@ -373,7 +431,7 @@ def test_tied_ends_are_ordered_exactly():
     assert s.ivs == (Iv(lo, True, mid, False), Iv(mid, False, hi, True))
     assert not s.contains_point(mid)
     assert s.contains_point(mid - TINY / 2) and s.contains_point(mid + TINY / 2)
-    assert not s.covers(IntervalSet.closed(lo, hi))
+    assert not s.covers(IntervalSet([Iv(lo, True, hi, True)]))
     assert IntervalSet([Iv(lo, True, mid, True), Iv(mid, False, hi, True)]).ivs == (
         Iv(lo, True, hi, True),
     )
@@ -553,7 +611,10 @@ def test_iv_checks_and_contains_match_fraction_reference(data):
             assert iv == ("ValueError", want)
             continue
         assert _fields(iv) == (lo, loc, hi, hic)
-        assert iv.lo is lo and iv.hi is hi
+        # the ends are stored as their integers in lowest terms
+        assert (iv.ln, iv.ld, iv.hn, iv.hd) == (
+            F(lo).numerator, F(lo).denominator, F(hi).numerator, F(hi).denominator
+        )
         for x in points:
             assert iv.contains(x) == ref_iv_contains(lo, loc, hi, hic, x)
 

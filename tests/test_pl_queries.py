@@ -164,7 +164,7 @@ def tied_map_pairs(draw) -> tuple[PLCircleMap, PLCircleMap]:
 def _wrap(lo, loc, hi, hic) -> IntervalSet:
     # a span of exactly one turn misses its shared end unless one end is closed
     if hi - lo > ONE or (hi - lo == ONE and (loc or hic)):
-        return IntervalSet.closed(ZERO, ONE)
+        return IntervalSet([Iv(ZERO, True, ONE, True)])
     shift = math.floor(lo)
     lo, hi = lo - shift, hi - shift
     if hi <= ONE:
@@ -324,8 +324,8 @@ def test_image_of_iv_at_the_ends_of_the_circle():
     # degree 2, a breakpoint at 1/2: the ends 0 and 1 and the point 1 itself
     f = PLCircleMap([F(0), F(1, 2), F(1)], [F(1, 4), F(3, 4), F(9, 4)])
     assert f.image_of_set(IntervalSet.point(F(1))).ivs == (Iv(F(1, 4), True, F(1, 4), True),)
-    full = f.image_of_set(IntervalSet.closed(F(0), F(1)))
-    assert full == IntervalSet.closed(F(0), F(1))
+    full = f.image_of_set(IntervalSet([Iv(F(0), True, F(1), True)]))
+    assert full == IntervalSet([Iv(F(0), True, F(1), True)])
     # (1/2, 3/4) lifts to (3/4, 3/2), which wraps past 1
     wrap = f.image_of_set(IntervalSet([Iv(F(1, 2), False, F(3, 4), False)]))
     assert wrap.ivs == (Iv(F(0), True, F(1, 2), False), Iv(F(3, 4), False, F(1), True))
@@ -334,26 +334,28 @@ def test_image_of_iv_at_the_ends_of_the_circle():
 def test_image_of_an_open_turn_misses_one_point():
     # an open interval whose lift spans exactly one turn covers the circle
     # except the point its two ends share
-    image = PLCircleMap.rotation(F(1, 3)).image_of_set(IntervalSet.open(F(0), F(1)))
+    image = PLCircleMap.rotation(F(1, 3)).image_of_set(
+        IntervalSet([Iv(F(0), False, F(1), False)])
+    )
     assert image.ivs == (Iv(F(0), True, F(1, 3), False), Iv(F(1, 3), False, F(1), True))
     assert not image.contains_point(F(1, 3))
     assert image.contains_point(F(0)) and image.contains_point(F(2, 3))
     # the missing point is 0 ~ 1
     doubling = PLCircleMap([F(0), F(1)], [F(0), F(2)])
     for f, s in (
-        (PLCircleMap.identity(), IntervalSet.open(F(0), F(1))),
-        (doubling, IntervalSet.open(F(0), F(1, 2))),
-        (doubling, IntervalSet.open(F(1, 2), F(1))),
+        (PLCircleMap.identity(), IntervalSet([Iv(F(0), False, F(1), False)])),
+        (doubling, IntervalSet([Iv(F(0), False, F(1, 2), False)])),
+        (doubling, IntervalSet([Iv(F(1, 2), False, F(1), False)])),
     ):
         image = f.image_of_set(s)
-        assert image == IntervalSet.open(F(0), F(1))
+        assert image == IntervalSet([Iv(F(0), False, F(1), False)])
         assert not image.contains_point(F(0)) and not image.contains_point(F(1))
     # a closed end holds the shared point: the whole circle
     half_open = IntervalSet([Iv(F(1, 4), True, F(3, 4), False)])
-    assert doubling.image_of_set(half_open) == IntervalSet.closed(F(0), F(1))
+    assert doubling.image_of_set(half_open) == IntervalSet([Iv(F(0), True, F(1), True)])
 
 
 def test_image_of_set_outside_unit_interval_is_invalid():
     f = PLCircleMap.identity()
     with pytest.raises(InvalidInput):
-        f.image_of_set(IntervalSet.closed(F(1, 2), F(3, 2)))
+        f.image_of_set(IntervalSet([Iv(F(1, 2), True, F(3, 2), True)]))

@@ -77,7 +77,7 @@ def reference_preimage(f: PLCircleMap, s: IntervalSet) -> IntervalSet:
                     continue
                 if slope == 0:
                     if iv.contains(fa - k):
-                        out.append(IntervalSet.closed(a, b))
+                        out.append(IntervalSet([Iv(a, True, b, True)]))
                     continue
                 t1 = a + (u - fa) / slope
                 t2 = a + (v - fa) / slope
@@ -255,6 +255,41 @@ def test_the_preimage_cap_counts_the_hits_before_they_merge(f, hits):
         f.preimage_of_set(s, hits - 1)
 
 
+@pytest.mark.parametrize("cap, capped", [(9, True), (10, False)])
+def test_sure_hits_pass_the_cap_before_the_index_is_listed(cap, capped):
+    # x -> 5x covers five whole turns, so each interval has five sure hits
+    f = PLCircleMap([F(0), F(1)], [F(0), F(5)])
+    s = IntervalSet([Iv(F(1, 6), True, F(1, 6), True), Iv(F(1, 3), False, F(1, 2), False)])
+    if capped:
+        with pytest.raises(
+            ResourceCap,
+            match="^the preimage of 2 intervals reached 10 intervals before "
+            "merging, above the interval cap 9$",
+        ):
+            f.preimage_of_set(s, cap)
+        assert f._preimages is None
+    else:
+        assert f.preimage_of_set(s, cap) == reference_preimage(f, s)
+
+
+def test_the_fixed_points_of_a_steep_map_stop_before_the_preimage_index():
+    # 0, 1/2, 1 -> 0, D, D: the rising piece of the displacement covers
+    # D - 1 whole turns, each a sure hit for the point 0, so the hit cap is
+    # passed before its index of about D entries is listed
+    d = 999_998
+    f = PLCircleMap([F(0), F(1, 2), F(1)], [F(0), F(d), F(d)])
+    message = (
+        "^the preimage of 1 intervals reached 100001 intervals before "
+        "merging, above the interval cap 100000$"
+    )
+    with pytest.raises(ResourceCap, match=message):
+        f.fixed_point_components()
+    displacement = PLCircleMap(f.breakpoints, [F(0), d - F(1, 2), F(d - 1)])
+    with pytest.raises(ResourceCap, match=message):
+        displacement.preimage_of_set(IntervalSet.point(F(0)))
+    assert displacement._preimages is None
+
+
 @settings(max_examples=400, deadline=None)
 @given(pl_maps(), interval_sets())
 def test_preimage_membership_pointwise(f, s):
@@ -315,12 +350,12 @@ def test_min_gap_matches_scan(s, t):
 def test_covers_identifies_one_with_zero():
     # [1/2, 1] lies in [1/2, 1) together with the point 0 ~ 1
     s = IntervalSet([Iv(F(1, 2), True, F(1), False), Iv(F(0), True, F(0), True)])
-    assert s.covers(IntervalSet.closed(F(1, 2), F(1)))
+    assert s.covers(IntervalSet([Iv(F(1, 2), True, F(1), True)]))
     assert s.covers(IntervalSet.point(F(1)))
-    assert not s.covers(IntervalSet.closed(F(1, 4), F(1)))
+    assert not s.covers(IntervalSet([Iv(F(1, 4), True, F(1), True)]))
     # and the other way round: [0, 1/4] with 0 supplied by the point 1
     s = IntervalSet([Iv(F(0), False, F(1, 4), True), Iv(F(1), True, F(1), True)])
-    assert s.covers(IntervalSet.closed(F(0), F(1, 4)))
+    assert s.covers(IntervalSet([Iv(F(0), True, F(1, 4), True)]))
 
 
 def test_min_gap_runs_across_the_seam():
@@ -332,4 +367,4 @@ def test_min_gap_runs_across_the_seam():
     assert wrap.min_gap_to_boundary(inner) == F(3, 16)
     # a near end across the seam bounds the gap of a part that ends at 1
     s = IntervalSet([Iv(F(1, 2), False, F(1), True), Iv(F(0), True, F(1, 100), False)])
-    assert s.min_gap_to_boundary(IntervalSet.closed(F(3, 4), F(1))) == F(1, 100)
+    assert s.min_gap_to_boundary(IntervalSet([Iv(F(3, 4), True, F(1), True)])) == F(1, 100)
