@@ -1,8 +1,11 @@
 """Exact substrate: rational circle points, arcs, interval sets.
 
-Everything here is arbitrary-precision rational arithmetic via
-``fractions.Fraction``.  Circle points are Fractions normalized into [0, 1);
-arcs are half-open ``[start, start+length)`` taken mod 1.
+Everything here is exact rational arithmetic.  Circle points are
+Fractions normalized into [0, 1); arcs are half-open
+``[start, start+length)`` taken mod 1, with Fraction or int ends.  An
+interval ``Iv`` stores its ends as integer pairs in lowest terms, and the
+interval-set layer works on those integers: only a returned quantity (a
+measure, a gap) is built as a ``Fraction``.
 
 One float rule: the correctly rounded float of a rational is a hint.
 Rounding is monotone, so a strict order between two floats holds between
@@ -16,11 +19,10 @@ tuples by the same rule, and ``PLCircleMap.preimage_of_set`` keys its piece
 index the same way; ``measures.CircleMeasure`` sorts the ends of its density
 pieces by the rule, and its CDF finds an atom and a piece by ``locate``.
 Behind the floats the exact decisions are integer cross products of
-numerators and denominators in ``Iv``, ``Arc`` and
-``IntervalSet.min_gap_to_boundary``, and in ``plmaps`` in
-``c0_distance``, ``image_of_set`` and ``preimage_of_set`` with its index:
-that query tests each candidate piece and solves each hit on integers, and
-builds one ``Fraction`` per end it returns.
+numerators and denominators in ``Iv``, ``Arc`` and ``IntervalSet``, and in
+``plmaps`` in ``c0_distance``, ``image_of_set`` and ``preimage_of_set`` with
+its index: those queries read and build the intervals' integer pairs, each
+end they compute reduced by one ``gcd``.
 """
 
 from __future__ import annotations
