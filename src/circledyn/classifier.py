@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import ceil, floor
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import InvalidInput, ResourceCap
 from .exact import ONE, ZERO, Arc, IntervalSet, as_count, as_fraction, mod1
@@ -236,23 +236,26 @@ def _decompose(
 # inconclusive; the short Cesaro run of ``_wicked_verdict`` stops at the last
 # of CESARO_HORIZONS or at CESARO_COMPLEXITY_CAP; the grid walks of
 # ``_classify_general`` take at most GRID_STEP_CAP steps, grid size times the
-# largest horizon (ten times the default protocol).
+# largest horizon (ten times the default protocol), from at most
+# GRID_POINT_CAP points, each holding about 4 KB of results.
 GAP_THRESHOLD = Fraction(1, 200)
 WICKED_TOL = Fraction(1, 16)
 CESARO_HORIZONS = (1, 2, 4, 8)
 CESARO_COMPLEXITY_CAP = 20000
 GRID_STEP_CAP = 10**8
+GRID_POINT_CAP = 10**5
 
 
 @dataclass(frozen=True)
 class WProtocol:
-    """Finite-scale protocol: grid, horizons, battery, tolerance and the
-    period bound of the rotation search."""
+    """Finite-scale protocol: grid, horizons, tolerance and the period bound
+    of the rotation search.  The battery is the same for every protocol: the
+    tents at the eight centres j/8."""
 
     grid_size: int = 1000
     horizons: tuple[int, ...] = (100, 1000, 10000)
-    battery_centers: tuple[Fraction, ...] = tuple(
-        Fraction(j, 8) for j in range(8)
+    battery_centers: tuple[Fraction, ...] = field(
+        init=False, default=tuple(Fraction(j, 8) for j in range(8))
     )
     tol: Fraction = Fraction(1, 100)
     max_period: int = 16
@@ -262,14 +265,8 @@ class WProtocol:
         check_horizons(self.horizons)
         as_count(self.max_period, "max period")
         object.__setattr__(self, "tol", as_fraction(self.tol))
-        centers = self.battery_centers
-        if isinstance(centers, str) or not isinstance(centers, Iterable):
-            raise InvalidInput(f"battery_centers must be a sequence of rationals, got {centers!r}")
-        object.__setattr__(self, "battery_centers", tuple(map(as_fraction, centers)))
         if not ZERO < self.tol < ONE:
             raise InvalidInput(f"tol must lie in (0, 1), got {self.tol}")
-        if not self.battery_centers:
-            raise InvalidInput("battery_centers must not be empty")
 
 
 @dataclass
@@ -323,10 +320,8 @@ def classify(
     protocol = protocol or WProtocol()
     if f.is_homeomorphism:
         if f.degree == 1:
-            return _classify_homeo(f, protocol, trajectory, declared_specs)
-        diag = _classify_homeo(
-            f.compose(f), protocol, trajectory, declared_specs
-        )
+            return _classify_homeo(f, protocol)
+        diag = _classify_homeo(f.compose(f), protocol)
         for verdict in diag.labels.values():
             verdict.evidence["derived_from_square"] = True
         diag.derived_from_square = True
@@ -334,12 +329,7 @@ def classify(
     return _classify_general(f, protocol, report, trajectory, declared_specs)
 
 
-def _classify_homeo(
-    h: PLCircleMap,
-    protocol: WProtocol,
-    trajectory: Sequence[tuple[int, CylinderSpec]] | None,
-    declared_specs: Sequence[CylinderSpec] | None,
-) -> WDiagnostics:
+def _classify_homeo(h: PLCircleMap, protocol: WProtocol) -> WDiagnostics:
     rot, hq = _rotation_search(h, protocol.max_period)
     if rot.value is None:
         ev = {"rotation_bracket": rot.bracket}
@@ -408,6 +398,8 @@ def _classify_general(
             f"grid of {n} points to horizon {top} is {n * top} steps, "
             f"above the cap {GRID_STEP_CAP}"
         )
+    if n > GRID_POINT_CAP:
+        raise ResourceCap(f"grid of {n} points is above the cap {GRID_POINT_CAP} points")
     # the certificate counts only as verified against f itself
     certified = report is not None and verify_shredding(f, report).all_passed
     grid = [Fraction(i, n) for i in range(n)]

@@ -42,6 +42,8 @@ EXIT_OK = 0
 EXIT_VERIFICATION = 1
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+# wicked writes family.json for families at most this deep
+FAMILY_DUMP_DEPTH_CAP = 12
 
 
 def _load_json(path: str) -> dict:
@@ -187,7 +189,7 @@ def cmd_wicked(args: argparse.Namespace) -> int:
         out / "window.csv": csv_lines(("k", "spec_distance", "in_window"), rows),
         out / "cesaro.csv": csv_lines(("n", "spec_distance"), cesaro_rows),
         out / "family.json": dumps(family_to_record(result))
-        if result.depth <= args.family_dump_depth_cap
+        if result.depth <= FAMILY_DUMP_DEPTH_CAP
         else dumps({"omitted": "family too deep to dump"}),
     }
     if not result.is_degenerate:
@@ -397,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eps", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--p", type=int, default=None)
-    p.add_argument("--family-dump-depth-cap", type=int, default=12)
     p.set_defaults(func=cmd_wicked)
 
     p = sub.add_parser("pushforward", help="exact push-forward of a measure")

@@ -32,7 +32,6 @@ import sys
 from bisect import bisect_right
 from decimal import Decimal
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import islice
 from math import gcd, lcm
 from typing import Iterable, Sequence
@@ -439,15 +438,6 @@ def _float_order(iv: Iv) -> tuple[float, bool]:
     return iv.ln / iv.ld, not iv.lo_closed
 
 
-def _exact_order(a: Iv, b: Iv) -> int:
-    """The sign of a's low end against b's, by one cross product, and
-    closed before open at one value."""
-    return a.ln * b.ld - b.ln * a.ld or b.lo_closed - a.lo_closed
-
-
-_EXACT_ORDER = cmp_to_key(_exact_order)
-
-
 def _merged(items: list[Iv]) -> list[Iv] | None:
     """The canonical form of items sorted by ``_float_order``, or None when
     a float tie left two low ends out of exact order.
@@ -528,8 +518,9 @@ class IntervalSet:
         items.sort(key=_float_order)
         out = _merged(items)
         if out is None:
-            # two low ends share a float but not their order: sort exactly
-            items.sort(key=_EXACT_ORDER)
+            # two low ends share a float but not their order: sort by the
+            # Fractions, closed first at one value
+            items.sort(key=lambda iv: (iv.lo, not iv.lo_closed))
             out = _merged(items)
         return tuple(out)
 

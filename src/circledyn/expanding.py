@@ -103,7 +103,6 @@ def wicked_perturb(
     target: CylinderSpec,
     eps: Fraction,
     n: int,
-    cell_cap: int = DEFAULT_CELL_CAP,
 ) -> PerturbedConjugator:
     """Rebuild h's partition family so that the expanding push-forwards of
     Lebesgue hit ``target`` exactly for every iterate in [n0, n-1].
@@ -134,6 +133,7 @@ def wicked_perturb(
     if n <= n0 + p_t:
         raise InvalidInput(f"window end n must exceed n0 + p = {n0 + p_t}")
     depth = n - 1 + p_t
+    cell_cap = DEFAULT_CELL_CAP
 
     # kept level k holds ell^k cells, and a deeper level one cell per kept
     # level-n0 cell and extension value, as both are positive.  An extension

@@ -20,6 +20,10 @@ from .exact import ONE, ZERO, as_count, as_fraction, locate, mod1
 from .plmaps import Observable, PLCircleMap
 
 DEFAULT_COMPLEXITY_CAP = 100_000
+# Cap on the atoms and pieces that the iterates of one Cesaro average hold
+# together, the sum of their complexities; a probability measure holds at
+# least one.
+CESARO_HELD_CAP = 1_000_000
 # Cap on the cylinders one spec may list: the ell**level words of a level,
 # or the positive cells of an extension table.
 MAX_CYLINDER_CELLS = 1_000_000
@@ -561,15 +565,31 @@ def cesaro(
     n: int,
     complexity_cap: int | None = None,
 ) -> CircleMeasure:
-    """(1/n) sum of the first n push-forward iterates of mu0."""
+    """(1/n) sum of the first n push-forward iterates of mu0.
+
+    Each iterate's complexity is checked against ``complexity_cap`` and the
+    sum of them all against ``CESARO_HELD_CAP``, before the iterate is
+    kept; n above that cap is refused before any push-forward."""
     as_count(n, "cesaro horizon")
     cap = _complexity_cap(complexity_cap)
+    if n > CESARO_HELD_CAP:
+        raise ResourceCap(
+            f"cesaro horizon {n} keeps at least {n} atoms and pieces, "
+            f"above the cap {CESARO_HELD_CAP}"
+        )
     weight = Fraction(1, n)
     parts = []
+    held = 0
     mu = mu0
     for k in range(n):
         if k:
             mu = _capped(mu.pushforward(f), cap)
+        held += mu.complexity
+        if held > CESARO_HELD_CAP:
+            raise ResourceCap(
+                f"cesaro iterates 0..{k} hold {held} atoms and pieces, "
+                f"above the cap {CESARO_HELD_CAP}"
+            )
         parts.append((weight, mu))
     return CircleMeasure.convex_combination(parts)
 

@@ -51,8 +51,8 @@ from .plmaps import Observable, PLCircleMap
 # Largest horizon of one walk: the walk keeps every point it visits, about
 # 250 B per step.
 HORIZON_CAP = 10**6
-# Default bit cap of a walk: at a point whose denominator has more bits, the
-# walk stops and the point's averages are inconclusive.
+# Bit cap of a walk: at a point whose denominator has more bits, the walk
+# stops and the point's averages are inconclusive.
 DENOMINATOR_BIT_CAP = 4096
 
 
@@ -86,18 +86,19 @@ class OrbitAverages:
 
 
 def _walk(
-    table: tuple[list, list, list], x: Fraction, n_max: int, denominator_bit_cap: int
+    table: tuple[list, list, list], x: Fraction, n_max: int
 ) -> tuple[dict[tuple[int, int], int], list[int], tuple[int, int], bool]:
     """Integer orbit of x, as pairs (p, q) with f^k(x) = p/q reduced, on
     the step table of f from ``_Closing.table``.
 
     Stops at the first repeat, at a point whose denominator has more than
-    ``denominator_bit_cap`` bits, or after ``n_max`` steps.  Returns the
+    ``DENOMINATOR_BIT_CAP`` bits, or after ``n_max`` steps.  Returns the
     visited points mapped to their step (the dict keeps orbit order), the
     battery cell of each point stepped from, the point the walk stopped at
     and whether it stopped at the cap.
     """
     keys, hints, rows = table
+    cap = DENOMINATOR_BIT_CAP
     seen: dict[tuple[int, int], int] = {}
     mark = seen.setdefault
     cells: list[int] = []
@@ -107,7 +108,7 @@ def _walk(
         key = (p, q)
         if mark(key, step) != step:  # seen at an earlier step
             break
-        if q.bit_length() > denominator_bit_cap:
+        if q.bit_length() > cap:
             return seen, cells, key, True
         a, b, d, c = rows[locate(keys, hints, p, q)]
         visit(c)
@@ -245,7 +246,6 @@ def orbit_averages(
     x: Fraction,
     observables: Sequence[Observable],
     horizons: Sequence[int],
-    denominator_bit_cap: int = DENOMINATOR_BIT_CAP,
 ) -> OrbitAverages:
     """Exact (1/n) sums of phi over the orbit of x, at each horizon n.
 
@@ -255,7 +255,7 @@ def orbit_averages(
     x = mod1(as_fraction(x))
     closing = _Closing(observables)
     table = closing.table(f)
-    seen, cells, last, inconclusive = _walk(table, x, hs[-1], denominator_bit_cap)
+    seen, cells, last, inconclusive = _walk(table, x, hs[-1])
     steps = len(cells)
     start = None if inconclusive else seen.get(last)
     period = None if start is None else steps - start
@@ -309,14 +309,13 @@ def _share(
     points: Sequence[Fraction],
     observables: Sequence[Observable],
     horizons: Sequence[int],
-    denominator_bit_cap: int,
 ) -> tuple[list[OrbitAverages], tuple[int, Exception] | None]:
     """``orbit_averages`` at each point, up to the first that raises; then
     that point's index in ``points`` and its exception."""
     out = []
     for i, x in enumerate(points):
         try:
-            out.append(orbit_averages(f, x, observables, horizons, denominator_bit_cap))
+            out.append(orbit_averages(f, x, observables, horizons))
         except Exception as exc:
             return out, (i, exc)
     return out, None
@@ -363,7 +362,6 @@ def grid_averages(
     points: Sequence[Fraction],
     observables: Sequence[Observable],
     horizons: Sequence[int],
-    denominator_bit_cap: int = DENOMINATOR_BIT_CAP,
 ) -> list[OrbitAverages]:
     """``[orbit_averages(f, x, ...) for x in points]``, walked in parallel.
 
@@ -381,11 +379,8 @@ def grid_averages(
     _Closing(observables).table(f)  # inherited by every worker
     k = min(_cpus(), len(points))
     if k <= 1 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [
-            orbit_averages(f, x, observables, horizons, denominator_bit_cap)
-            for x in points
-        ]
-    args = [(f, points[j::k], observables, horizons, denominator_bit_cap) for j in range(k)]
+        return [orbit_averages(f, x, observables, horizons) for x in points]
+    args = [(f, points[j::k], observables, horizons) for j in range(k)]
     children: dict[int, tuple[int, BinaryIO]] = {}
     shares: dict[int, tuple] = {}
     sent: dict[int, bytes] = {}

@@ -314,22 +314,16 @@ class PLCircleMap:
 
     # -- composition and friends
 
-    def compose(
-        self, inner: "PLCircleMap", max_breakpoints: int | None = None
-    ) -> "PLCircleMap":
+    def compose(self, inner: "PLCircleMap") -> "PLCircleMap":
         """Exact composition self(inner(x)).
 
         Each inner piece [a, b] spans a lift range (a point if flat); one walk
         of the outer lift over it gives the cuts inside the piece, in order,
-        with their values.  The cap is checked on each piece's cut count,
-        known from the two located ends, before its cuts are listed; a cap
-        given is read by ``exact.as_count``.  Cost O(|inner| log |self| +
-        output).
+        with their values.  ``DEFAULT_BREAKPOINT_CAP`` is checked on each
+        piece's cut count, known from the two located ends, before its cuts
+        are listed.  Cost O(|inner| log |self| + output).
         """
-        cap = (
-            DEFAULT_BREAKPOINT_CAP if max_breakpoints is None
-            else as_count(max_breakpoints, "breakpoint cap")
-        )
+        cap = DEFAULT_BREAKPOINT_CAP
         fb, fv, ff, fh = self.breakpoints, self.lift_values, self._forms, self._hints
         gb, gv, gf = inner.breakpoints, inner.lift_values, inner._forms
         pieces = len(gb) - 1

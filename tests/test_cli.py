@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import sys
+import time
 from fractions import Fraction
 from operator import attrgetter
 from pathlib import Path
@@ -854,8 +855,11 @@ def test_count_out_of_range_exits_invalid(workdir, capsys, argv, message):
          "grid of 100001 points to horizon 1000 is 100001000 steps, above the cap 100000000"),
         (["classify", "{e2}", "--grid", "1", "--horizons", "1000001"],
          "horizon 1000001 exceeds the cap 1000000 steps"),
+        # few steps, but each grid point holds its results
+        (["classify", "{e2}", "--grid", "10000000", "--horizons", "1"],
+         "grid of 10000000 points is above the cap 100000 points"),
     ],
-    ids=["birkhoff-horizon", "classify-grid", "classify-horizon"],
+    ids=["birkhoff-horizon", "classify-grid", "classify-horizon", "classify-grid-points"],
 )
 def test_orbit_sizes_above_their_caps_exit_resource_at_once(workdir, capsys, monkeypatch, argv, message):
     def walk(*args):
@@ -867,6 +871,21 @@ def test_orbit_sizes_above_their_caps_exit_resource_at_once(workdir, capsys, mon
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"resource cap: {message}\n"
+    assert not (workdir / "big").exists()
+
+
+def test_a_cesaro_horizon_above_the_held_cap_exits_resource_at_once(workdir, capsys):
+    # every iterate of Lebesgue under the identity holds one piece: 3 * 10^6
+    # of them are refused before the first push-forward
+    start = time.perf_counter()
+    code = main(["--out-dir", str(workdir / "big"), "cesaro", str(workdir / "identity.json"),
+                 str(workdir / "lebesgue.json"), "--n", "3000000"])
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "resource cap: cesaro horizon 3000000 keeps at least 3000000 atoms and pieces, "
+        "above the cap 1000000\n"
+    )
     assert not (workdir / "big").exists()
 
 

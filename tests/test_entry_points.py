@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 from circledyn.classifier import WProtocol, rotation_number
+from circledyn.cli import main
 from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map, rotation_companions, wicked_perturb
 from circledyn.measures import CircleMeasure, CylinderSpec, cesaro, dirac_periodic
@@ -56,7 +57,6 @@ RATIONAL_READERS = {
     "dirac_periodic p": lambda v: dirac_periodic(expanding_map(2), v, 2),
     "birkhoff_gap_bound x": _birkhoff,
     "WProtocol tol": lambda v: WProtocol(tol=v),
-    "WProtocol battery centre": lambda v: WProtocol(battery_centers=(F(0), v)),
 }
 
 
@@ -74,26 +74,13 @@ def test_a_rational_that_is_not_exact_is_invalid(reader, value, message):
 
 
 def test_protocol_reads_its_rationals():
-    p = WProtocol(tol="1/2", battery_centers=["1/3", 0])
+    p = WProtocol(tol="1/2")
     assert p.tol == F(1, 2) and type(p.tol) is Fraction
-    assert p.battery_centers == (F(1, 3), F(0))
-    assert all(type(c) is Fraction for c in p.battery_centers)
-
-
-def test_an_empty_battery_is_invalid():
-    with pytest.raises(InvalidInput, match="^battery_centers must not be empty$"):
-        WProtocol(battery_centers=())
 
 
 @pytest.mark.parametrize(
     "field, value, message",
-    [
-        ("battery_centers", 5, "battery_centers must be a sequence of rationals, got 5"),
-        # a string is one value, not a sequence of its characters
-        ("battery_centers", "1/2", "battery_centers must be a sequence of rationals, got '1/2'"),
-        ("battery_centers", "12", "battery_centers must be a sequence of rationals, got '12'"),
-        ("horizons", 5, "horizons must be a sequence of integers, got 5"),
-    ],
+    [("horizons", 5, "horizons must be a sequence of integers, got 5")],
 )
 def test_a_protocol_field_that_is_no_sequence_is_invalid(field, value, message):
     with pytest.raises(InvalidInput, match=f"^{re.escape(message)}$"):
@@ -165,11 +152,6 @@ COUNT_READERS = [
 
 # size caps, read as counts before any work
 CAP_READERS = [
-    pytest.param(
-        "breakpoint cap",
-        lambda n: expanding_map(2).compose(expanding_map(2), max_breakpoints=n),
-        id="compose",
-    ),
     pytest.param("preimage interval cap", _verify, id="verify_shredding"),
     pytest.param(
         "preimage interval cap",
@@ -238,3 +220,20 @@ def test_a_count_below_its_floor_is_invalid(what, least, read):
     with pytest.raises(InvalidInput, match=f"^{what} must be >= {least}, got {least - 1}$"):
         read(least - 1)
     read(least)
+
+
+# ---------------------------------------------------------------------------
+# settings that are module constants, not arguments
+
+
+def test_fixed_settings_take_no_argument():
+    with pytest.raises(TypeError, match="battery_centers"):
+        WProtocol(battery_centers=(F(0),))
+    assert WProtocol().battery_centers == tuple(F(j, 8) for j in range(8))
+    with pytest.raises(TypeError, match="max_breakpoints"):
+        expanding_map(2).compose(expanding_map(2), max_breakpoints=10)
+    argv = ["wicked", "h.json", "t.json", "--ell", "2", "--eps", "1/4", "--n", "8",
+            "--family-dump-depth-cap", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2

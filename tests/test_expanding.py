@@ -193,10 +193,10 @@ class TestWickedPerturb:
             raise AssertionError("family_from_homeo ran before the cap check")
 
         monkeypatch.setattr(expanding, "family_from_homeo", listed)
+        monkeypatch.setattr(expanding, "DEFAULT_CELL_CAP", 1000)
         with pytest.raises(ResourceCap, match=r"needs 327678 positive cells, above the cap 1000$"):
             wicked_perturb(
-                PLCircleMap.identity(), 2, CylinderSpec.dirac_zero(2, 1), F(1, 2**16), 19,
-                cell_cap=1000,
+                PLCircleMap.identity(), 2, CylinderSpec.dirac_zero(2, 1), F(1, 2**16), 19
             )
 
     def test_word_digits_capped_before_the_extension_is_listed(self):

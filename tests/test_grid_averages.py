@@ -47,8 +47,13 @@ def use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(orbits.os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
-def per_point(f, points, horizons, cap):
-    return [orbit_averages(f, x, BATTERY, horizons, cap) for x in points]
+def use_bit_cap(monkeypatch, cap: int) -> None:
+    # the forked workers inherit the patched constant
+    monkeypatch.setattr(orbits, "DENOMINATOR_BIT_CAP", cap)
+
+
+def per_point(f, points, horizons):
+    return [orbit_averages(f, x, BATTERY, horizons) for x in points]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
@@ -56,17 +61,18 @@ def per_point(f, points, horizons, cap):
 def test_batch_equals_the_per_point_loop(monkeypatch, case, cpus):
     f, points, horizons, cap = CASES[case]
     use_cpus(monkeypatch, cpus)
-    got = grid_averages(f, points, BATTERY, horizons, cap)
-    want = per_point(f, points, horizons, cap)
+    use_bit_cap(monkeypatch, cap)
+    got = grid_averages(f, points, BATTERY, horizons)
+    want = per_point(f, points, horizons)
     assert got == want
     assert repr(got) == repr(want)  # the averages' key order too
 
 
-def test_the_cases_reach_each_kind_of_orbit():
-    kinds = {
-        case: {(r.eventually_periodic, r.inconclusive) for r in per_point(f, points, horizons, cap)}
-        for case, (f, points, horizons, cap) in CASES.items()
-    }
+def test_the_cases_reach_each_kind_of_orbit(monkeypatch):
+    kinds = {}
+    for case, (f, points, horizons, cap) in CASES.items():
+        use_bit_cap(monkeypatch, cap)
+        kinds[case] = {(r.eventually_periodic, r.inconclusive) for r in per_point(f, points, horizons)}
     assert kinds["periodic"] == {(True, False)}
     assert kinds["inconclusive"] >= {(False, True)}
     assert kinds["long"] == {(False, False)}
@@ -86,6 +92,7 @@ def test_parent_walks_share_zero_through_the_module_name(monkeypatch):
     # a tracer that wraps orbits.orbit_averages sees the parent's share
     f, points, horizons, cap = CASES["periodic"]
     use_cpus(monkeypatch, 2)
+    use_bit_cap(monkeypatch, cap)
     seen = []
 
     def counted(f, x, *args):
@@ -93,9 +100,9 @@ def test_parent_walks_share_zero_through_the_module_name(monkeypatch):
         return orbit_averages(f, x, *args)
 
     monkeypatch.setattr(orbits, "orbit_averages", counted)
-    got = grid_averages(f, points, BATTERY, horizons, cap)
+    got = grid_averages(f, points, BATTERY, horizons)
     assert seen == points[0::2]
-    assert got == per_point(f, points, horizons, cap)
+    assert got == per_point(f, points, horizons)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -103,10 +110,10 @@ def test_a_child_failure_is_raised_as_it_was(monkeypatch, cpus):
     f = expanding_map(2)
     points = [F(1, 3), "one half", F(1, 5), F(2, 7)]
     with pytest.raises(ValueError) as seq:
-        per_point(f, points, (10,), 4096)
+        per_point(f, points, (10,))
     use_cpus(monkeypatch, cpus)
     with pytest.raises(ValueError) as batch:
-        grid_averages(f, points, BATTERY, (10,), 4096)
+        grid_averages(f, points, BATTERY, (10,))
     assert str(batch.value) == str(seq.value) == "not a rational number: 'one half'"
 
 
@@ -116,7 +123,7 @@ def test_the_first_failure_in_grid_order_wins(monkeypatch):
     points = [F(1, 3), "one half", None, F(2, 7)]
     use_cpus(monkeypatch, 2)
     with pytest.raises(ValueError, match="one half"):
-        grid_averages(expanding_map(2), points, BATTERY, (10,), 4096)
+        grid_averages(expanding_map(2), points, BATTERY, (10,))
 
 
 def test_children_write_nothing_to_the_output(monkeypatch, capfd):
@@ -124,14 +131,15 @@ def test_children_write_nothing_to_the_output(monkeypatch, capfd):
     sys.stdout.write("before the batch\n")
     use_cpus(monkeypatch, 3)
     with pytest.raises(ValueError):
-        grid_averages(expanding_map(2), [F(0), F(1, 3), "x", F(1, 5)], BATTERY, (10,), 4096)
-    grid_averages(expanding_map(2), [F(0), F(1, 3), F(1, 5)], BATTERY, (10,), 4096)
+        grid_averages(expanding_map(2), [F(0), F(1, 3), "x", F(1, 5)], BATTERY, (10,))
+    grid_averages(expanding_map(2), [F(0), F(1, 3), F(1, 5)], BATTERY, (10,))
     assert capfd.readouterr() == ("before the batch\n", "")
 
 
 def test_no_fork_while_another_thread_lives(monkeypatch):
     f, points, horizons, cap = CASES["periodic"]
     use_cpus(monkeypatch, 3)
+    use_bit_cap(monkeypatch, cap)
 
     def refuse():
         raise AssertionError("forked with a second thread alive")
@@ -141,28 +149,30 @@ def test_no_fork_while_another_thread_lives(monkeypatch):
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        got = grid_averages(f, points, BATTERY, horizons, cap)
+        got = grid_averages(f, points, BATTERY, horizons)
     finally:
         stop.set()
         other.join(timeout=10)
     assert not other.is_alive()
-    assert got == per_point(f, points, horizons, cap)
+    assert got == per_point(f, points, horizons)
 
 
 def test_a_failed_fork_walks_the_share_in_the_parent(monkeypatch):
     f, points, horizons, cap = CASES["long"]
     use_cpus(monkeypatch, 3)
+    use_bit_cap(monkeypatch, cap)
 
     def no_process():
         raise BlockingIOError("no process")
 
     monkeypatch.setattr(orbits.os, "fork", no_process)
-    assert grid_averages(f, points, BATTERY, horizons, cap) == per_point(f, points, horizons, cap)
+    assert grid_averages(f, points, BATTERY, horizons) == per_point(f, points, horizons)
 
 
 def test_a_child_that_dies_is_an_error_not_a_short_list(monkeypatch):
     f, points, horizons, cap = CASES["periodic"]
     use_cpus(monkeypatch, 2)
+    use_bit_cap(monkeypatch, cap)
     parent, share = os.getpid(), orbits._share
 
     def dying(*args):
@@ -172,7 +182,7 @@ def test_a_child_that_dies_is_an_error_not_a_short_list(monkeypatch):
 
     monkeypatch.setattr(orbits, "_share", dying)
     with pytest.raises(RuntimeError, match="sent no result"):
-        grid_averages(f, points, BATTERY, horizons, cap)
+        grid_averages(f, points, BATTERY, horizons)
 
 
 def test_averages_above_the_int_to_str_limit_cross_the_pipe(monkeypatch):
@@ -180,8 +190,9 @@ def test_averages_above_the_int_to_str_limit_cross_the_pipe(monkeypatch):
     # more than 4300 decimal digits, which Python 3.10 cannot pickle as text
     points, horizons = [F(1, 7), F(2, 7)], (9500,)
     use_cpus(monkeypatch, 2)
-    got = grid_averages(CONTRACTING, points, BATTERY[:1], horizons, 16000)
-    want = [orbit_averages(CONTRACTING, x, BATTERY[:1], horizons, 16000) for x in points]
+    use_bit_cap(monkeypatch, 16000)
+    got = grid_averages(CONTRACTING, points, BATTERY[:1], horizons)
+    want = [orbit_averages(CONTRACTING, x, BATTERY[:1], horizons) for x in points]
     assert got == want
     assert got[1].averages[0][9500].denominator.bit_length() > 4300 * 10 // 3
 

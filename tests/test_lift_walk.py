@@ -187,15 +187,18 @@ def test_walk_matches_reference(data):
 @settings(max_examples=300, deadline=None)
 @given(pl_maps(), pl_maps(), st.sampled_from([None, 2, 3, 5, 8, 13, 40]))
 def test_compose_matches_reference(f, g, cap):
-    try:
-        want = ref_compose(f, g, DEFAULT_BREAKPOINT_CAP if cap is None else cap)
-    except ResourceCap as exc:
-        # the same count and message, raised at the same inner piece
-        with pytest.raises(ResourceCap) as got:
-            f.compose(g, max_breakpoints=cap)
-        assert str(got.value) == str(exc)
-        return
-    got = f.compose(g, max_breakpoints=cap)
+    cap = DEFAULT_BREAKPOINT_CAP if cap is None else cap
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(plmaps, "DEFAULT_BREAKPOINT_CAP", cap)
+        try:
+            want = ref_compose(f, g, cap)
+        except ResourceCap as exc:
+            # the same count and message, raised at the same inner piece
+            with pytest.raises(ResourceCap) as got:
+                f.compose(g)
+            assert str(got.value) == str(exc)
+            return
+        got = f.compose(g)
     assert got == want and got.degree == want.degree
 
 
@@ -206,8 +209,9 @@ def test_compose_cap_fires_before_a_long_piece_is_listed(monkeypatch):
         raise AssertionError("a cut was listed before the cap fired")
 
     monkeypatch.setattr(plmaps, "_lift_walk", no_walk)
+    monkeypatch.setattr(plmaps, "DEFAULT_BREAKPOINT_CAP", 10)
     with pytest.raises(ResourceCap) as exc:
-        PLCircleMap.identity().compose(expanding_map(200_000), max_breakpoints=10)
+        PLCircleMap.identity().compose(expanding_map(200_000))
     assert str(exc.value) == (
         "composition reached 200001 breakpoints after 1 of 1 inner pieces, "
         "above the breakpoint cap 10"

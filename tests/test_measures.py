@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledyn import measures
 from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.exact import ONE, Arc
 from circledyn.expanding import expanding_map
@@ -125,6 +126,20 @@ class TestCesaro:
         f = random_pl_map(rng, degree=3)
         with pytest.raises(ResourceCap):
             cesaro(f, lebesgue, 40, complexity_cap=50)
+
+    def test_held_cap_counts_every_iterate_before_it_is_kept(self, monkeypatch):
+        # each iterate of the two atoms 0 and 1/2 under the half rotation
+        # holds two atoms
+        monkeypatch.setattr(measures, "CESARO_HELD_CAP", 4)
+        rot = PLCircleMap.rotation(F(1, 2))
+        mu = CircleMeasure(atoms=[(F(0), F(1, 2)), (F(1, 2), F(1, 2))])
+        assert cesaro(rot, mu, 2) == mu
+        with pytest.raises(ResourceCap) as exc:
+            cesaro(rot, mu, 3)
+        assert str(exc.value) == "cesaro iterates 0..2 hold 6 atoms and pieces, above the cap 4"
+        with pytest.raises(ResourceCap) as exc:
+            cesaro(PLCircleMap.identity(), CircleMeasure.lebesgue(), 5)
+        assert str(exc.value) == "cesaro horizon 5 keeps at least 5 atoms and pieces, above the cap 4"
 
 
 @st.composite

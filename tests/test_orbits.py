@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from circledyn import orbits
 from circledyn.errors import InvalidInput
 from circledyn.expanding import expanding_map
 from circledyn.orbits import OrbitAverages, _Closing, orbit_averages
@@ -108,13 +109,14 @@ def test_preperiodic_orbit():
     assert res.gap(0) == 0
 
 
-def test_denominator_guard_marks_inconclusive():
+def test_denominator_guard_marks_inconclusive(monkeypatch):
     # contracting homeo with slope 1/3 pieces: denominators grow 3^k
     h = PLCircleMap(
         [F(0), F(1, 2), F(1)], [F(0), F(1, 6), F(1)]
     )
     phi = Observable.tent(F(0))
-    res = orbit_averages(h, F(1, 7), [phi], [100000], denominator_bit_cap=64)
+    monkeypatch.setattr(orbits, "DENOMINATOR_BIT_CAP", 64)
+    res = orbit_averages(h, F(1, 7), [phi], [100000])
     assert res.inconclusive
     assert res.steps_computed == 39
     assert res.averages == [{}]
@@ -273,7 +275,9 @@ def test_kernel_matches_reference_engine(f, battery, data):
         closes = ref.preperiod + ref.period
         horizons += [max(closes - 1, 1), closes, closes + 1, 10**6]
     ref = reference_averages(f, x, battery, horizons, cap)
-    assert_same(orbit_averages(f, x, battery, horizons, denominator_bit_cap=cap), ref)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "DENOMINATOR_BIT_CAP", cap)
+        assert_same(orbit_averages(f, x, battery, horizons), ref)
 
 
 def test_kernel_cap_and_cached_table():
@@ -281,7 +285,9 @@ def test_kernel_cap_and_cached_table():
     h = PLCircleMap([F(0), F(1, 2), F(1)], [F(0), F(1, 6), F(1)])
     battery = [Observable.tent(F(0)), NON_TENT]
     assert h._refined is None
-    first = orbit_averages(h, F(1, 7), battery, [10, 100000], denominator_bit_cap=64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "DENOMINATOR_BIT_CAP", 64)
+        first = orbit_averages(h, F(1, 7), battery, [10, 100000])
     table = h._refined
     assert first.inconclusive and table is not None
     assert_same(first, reference_averages(h, F(1, 7), battery, [10, 100000], 64))

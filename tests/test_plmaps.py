@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from circledyn import plmaps
 from circledyn.classifier import basin_decomposition
 from circledyn.errors import InvalidInput, ResourceCap
 from circledyn.exact import Arc, circle_dist
@@ -91,18 +92,20 @@ class TestCompose:
                 x = F(rng.randrange(256), 256)
                 assert h.evaluate(x) == f.evaluate(g.evaluate(x))
 
-    def test_breakpoint_cap(self):
+    def test_breakpoint_cap(self, monkeypatch):
+        monkeypatch.setattr(plmaps, "DEFAULT_BREAKPOINT_CAP", 1000)
         e2 = expanding_map(2)
         power = e2
         with pytest.raises(ResourceCap):
             for _ in range(40):
-                power = e2.compose(power, max_breakpoints=1000)
+                power = e2.compose(power)
 
-    def test_breakpoint_cap_message_states_used_and_limit(self):
+    def test_breakpoint_cap_message_states_used_and_limit(self, monkeypatch):
+        monkeypatch.setattr(plmaps, "DEFAULT_BREAKPOINT_CAP", 2)
         e2 = expanding_map(2)
         # e2 o e2 needs the breakpoints 0, 1/2, 1
         with pytest.raises(ResourceCap, match=r"reached 3 breakpoints .* cap 2$"):
-            e2.compose(e2, max_breakpoints=2)
+            e2.compose(e2)
 
 
 class TestInvert:

@@ -384,9 +384,9 @@ def compose_calls(monkeypatch):
     calls = []
     compose = PLCircleMap.compose
 
-    def counted(self, inner, max_breakpoints=None):
+    def counted(self, inner):
         calls.append(1)
-        return compose(self, inner, max_breakpoints)
+        return compose(self, inner)
 
     monkeypatch.setattr(PLCircleMap, "compose", counted)
     return calls
